@@ -122,6 +122,8 @@ fn main() {
         "refuted",
         "unknown",
         "merges",
+        "sim-refuted",
+        "rounds",
         "conflicts",
     ]);
     for m in &report.modes {
@@ -133,6 +135,8 @@ fn main() {
             m.count(ConeVerdict::Refuted).to_string(),
             m.count(ConeVerdict::Unknown).to_string(),
             m.merges_proved.to_string(),
+            m.merges_sim_refuted.to_string(),
+            m.sim_rounds.to_string(),
             m.conflicts.to_string(),
         ]);
         registry

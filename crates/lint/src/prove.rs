@@ -17,8 +17,9 @@
 //!   equivalent inside-out in topological order and recorded as learned
 //!   equality clauses, which reduce the remaining adder-architecture
 //!   differences (Kogge–Stone vs ripple, carry-select vs seamed ripple)
-//!   to chains of one-bit steps; counterexamples from failed merges
-//!   refine the signatures;
+//!   to chains of one-bit steps; the model of every failed merge is
+//!   simulated at once, with single-input flips of it, so later false
+//!   candidates of the same pass are told apart without a SAT call;
 //! - **recode-digit case splits**: an output that exhausts its conflict
 //!   budget is re-solved under all 16 assignments of the multiplier
 //!   digit group with the largest cone support (recursively, up to
@@ -57,8 +58,8 @@ pub struct ProveOptions {
     pub sweep_budget: u64,
     /// Initial random 64-pattern simulation rounds for signatures.
     pub rounds: usize,
-    /// Maximum signature-refinement iterations (each consumes the
-    /// counterexamples of failed merges).
+    /// Maximum sweep passes (each signs its candidate classes with every
+    /// counterexample of the passes before it).
     pub refine_limit: usize,
     /// Maximum recode digit groups to case-split on budget exhaustion
     /// (16 branches per group, so at most `16^split_groups` leaves).
@@ -172,10 +173,16 @@ pub struct ModeReport {
     pub structural_proofs: usize,
     /// Sweeping merges proved (equality clauses learned).
     pub merges_proved: usize,
-    /// Sweeping candidates refuted by SAT (signatures refined).
+    /// Sweeping candidates refuted by SAT (each model and its flips are
+    /// simulated at once and refine the signatures).
     pub merges_refuted: usize,
+    /// Sweeping candidates told apart by simulating earlier refutations
+    /// of the same pass, with no SAT call.
+    pub merges_sim_refuted: usize,
     /// Sweeping attempts abandoned on budget.
     pub merges_unknown: usize,
+    /// Simulation signature rounds when the sweep converged.
+    pub sim_rounds: usize,
     /// Total solver conflicts for the mode.
     pub conflicts: u64,
     /// Per-output results.
@@ -243,7 +250,8 @@ impl ProveReport {
                 s,
                 "{{\"mode\":\"{}\",\"aig_nodes\":{},\"aig_ands\":{},\
                  \"structural_proofs\":{},\"merges_proved\":{},\
-                 \"merges_refuted\":{},\"merges_unknown\":{},\"conflicts\":{},\
+                 \"merges_refuted\":{},\"merges_sim_refuted\":{},\
+                 \"merges_unknown\":{},\"sim_rounds\":{},\"conflicts\":{},\
                  \"proved\":{},\"refuted\":{},\"unknown\":{},\"cones\":[",
                 m.mode,
                 m.aig_nodes,
@@ -251,7 +259,9 @@ impl ProveReport {
                 m.structural_proofs,
                 m.merges_proved,
                 m.merges_refuted,
+                m.merges_sim_refuted,
                 m.merges_unknown,
+                m.sim_rounds,
                 m.conflicts,
                 m.count(ConeVerdict::Proved),
                 m.count(ConeVerdict::Refuted),
@@ -299,6 +309,13 @@ fn xorshift(state: &mut u64) -> u64 {
     *state ^= *state >> 7;
     *state ^= *state << 17;
     *state
+}
+
+/// The splitmix64 finalizer: a cheap, well-spread 64-bit hash step.
+fn mix(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
 }
 
 /// On-demand Tseitin encoding of AIG cones into the CDCL solver.
@@ -458,6 +475,11 @@ fn cone_support(aig: &Aig, root: Lit) -> Vec<usize> {
     support
 }
 
+/// Lanes one sweep counterexample occupies in a simulation round: the SAT
+/// model itself plus `CEX_LANES - 1` single-input flips of it, so four
+/// counterexamples share one 64-lane round.
+const CEX_LANES: usize = 16;
+
 /// Simulation signature state over the *specification* graph (the AIG
 /// holding the folded netlist, the reference and the miters): per-round
 /// input pattern words (ordinal-indexed) and whole-graph node words.
@@ -465,6 +487,9 @@ struct SimRounds {
     rng: u64,
     input_rounds: Vec<Vec<u64>>,
     node_rounds: Vec<Vec<u64>>,
+    /// Counterexample lanes already used in the last round, while that
+    /// round is still open for more.
+    open_lanes: Option<usize>,
 }
 
 impl SimRounds {
@@ -473,39 +498,77 @@ impl SimRounds {
             rng: seed | 1,
             input_rounds: Vec::new(),
             node_rounds: Vec::new(),
+            open_lanes: None,
         }
     }
 
-    /// Simulates one 64-pattern round on `aig`: `patterns` fill the low
-    /// lanes, random vectors the rest. Rounds cycle through ones-density
-    /// skews (uniform, 75%, 25%, 87.5%, 12.5%) — datapath compare chains
-    /// (exponent overflow/underflow, all-ones significands) only separate
-    /// on dense or sparse operands, which uniform bits essentially never
-    /// produce, and an unseparated false candidate costs a SAT refutation.
-    fn add_round(&mut self, aig: &Aig, patterns: &[Vec<bool>]) {
-        let num_inputs = aig.num_inputs();
-        let mut words = vec![0u64; num_inputs];
+    /// Random input words for the next round. Rounds cycle through
+    /// ones-density skews (uniform, 75%, 25%, 87.5%, 12.5%) — datapath
+    /// compare chains (exponent overflow/underflow, all-ones significands)
+    /// only separate on dense or sparse operands, which uniform bits
+    /// essentially never produce, and an unseparated false candidate
+    /// costs a SAT refutation.
+    fn random_words(&mut self, num_inputs: usize) -> Vec<u64> {
         let style = self.node_rounds.len() % 5;
-        for w in &mut words {
-            let x = xorshift(&mut self.rng);
-            let y = xorshift(&mut self.rng);
-            let z = xorshift(&mut self.rng);
-            *w = match style {
-                0 => x,
-                1 => x | y,
-                2 => x & y,
-                3 => x | y | z,
-                _ => x & y & z,
-            };
-        }
-        for (lane, pat) in patterns.iter().enumerate().take(64) {
-            let bit = 1u64 << lane;
-            for (i, w) in words.iter_mut().enumerate() {
-                *w = (*w & !bit) | if pat[i] { bit } else { 0 };
-            }
-        }
+        (0..num_inputs)
+            .map(|_| {
+                let x = xorshift(&mut self.rng);
+                let y = xorshift(&mut self.rng);
+                let z = xorshift(&mut self.rng);
+                match style {
+                    0 => x,
+                    1 => x | y,
+                    2 => x & y,
+                    3 => x | y | z,
+                    _ => x & y & z,
+                }
+            })
+            .collect()
+    }
+
+    /// Simulates one random 64-pattern round on `aig`.
+    fn add_round(&mut self, aig: &Aig) {
+        let words = self.random_words(aig.num_inputs());
         self.node_rounds.push(aig.simulate(&words));
         self.input_rounds.push(words);
+    }
+
+    /// Writes `pattern` and up to `CEX_LANES - 1` single-input flips of
+    /// it (distinct inputs drawn from `flippable`) into the next free
+    /// lanes of the open round, opening a fresh random round when none
+    /// has room, then re-simulates that round on `aig`. Lanes no
+    /// counterexample claims keep their random patterns.
+    fn add_counterexample(&mut self, aig: &Aig, pattern: &[bool], flippable: &[usize]) {
+        let lane0 = match self.open_lanes {
+            Some(used) if used + CEX_LANES <= 64 => used,
+            _ => {
+                let words = self.random_words(aig.num_inputs());
+                self.input_rounds.push(words);
+                self.node_rounds.push(Vec::new());
+                0
+            }
+        };
+        // A partial Fisher–Yates draw of the flipped inputs.
+        let mut pool = flippable.to_vec();
+        let flips = pool.len().min(CEX_LANES - 1);
+        for k in 0..flips {
+            let left = (pool.len() - k) as u64;
+            let pick =
+                usize::try_from(xorshift(&mut self.rng) % left).expect("below the pool size");
+            pool.swap(k, k + pick);
+        }
+        let words = self.input_rounds.last_mut().expect("a round is open");
+        for lane in 0..=flips {
+            let bit = 1u64 << (lane0 + lane);
+            let flipped = lane.checked_sub(1).map(|k| pool[k]);
+            for (i, w) in words.iter_mut().enumerate() {
+                let v = pattern[i] ^ (flipped == Some(i));
+                *w = (*w & !bit) | if v { bit } else { 0 };
+            }
+        }
+        self.open_lanes = Some(lane0 + CEX_LANES);
+        let last = self.node_rounds.len() - 1;
+        self.node_rounds[last] = aig.simulate(&self.input_rounds[last]);
     }
 
     fn rounds(&self) -> usize {
@@ -515,6 +578,23 @@ impl SimRounds {
     /// The signature word of `lit` in round `r`.
     fn word(&self, r: usize, lit: Lit) -> u64 {
         Aig::lit_word(&self.node_rounds[r], lit)
+    }
+
+    /// The canonical signature of `node` over the first `rounds` rounds,
+    /// hashed, and its canonicalizing polarity: the signature is
+    /// complemented so lane 0 of round 0 is clear.
+    fn signature(&self, rounds: usize, node: usize) -> (u64, bool) {
+        let flip = self.node_rounds[0][node] & 1 == 1;
+        let mask = if flip { !0 } else { 0 };
+        let hash = self.node_rounds[..rounds]
+            .iter()
+            .fold(0, |h, words| mix(h ^ words[node] ^ mask));
+        (hash, flip)
+    }
+
+    /// `true` when some round tells `a` and `b` apart.
+    fn separates(&self, a: Lit, b: Lit) -> bool {
+        (0..self.rounds()).any(|r| self.word(r, a) != self.word(r, b))
     }
 }
 
@@ -678,6 +758,156 @@ fn pattern_words(pattern: &[bool]) -> (u64, u64) {
     (xa, yb)
 }
 
+/// Sweep counters, reported per mode (see the same-named [`ModeReport`]
+/// fields).
+#[derive(Debug, Default, Clone, Copy)]
+struct SweepStats {
+    merges_proved: usize,
+    merges_refuted: usize,
+    merges_sim_refuted: usize,
+    merges_unknown: usize,
+    conflicts: u64,
+}
+
+/// The outcome of [`fraig_sweep`].
+struct Swept {
+    /// The collapsed graph of the last pass.
+    g: Aig,
+    /// The solver holding its encoding and the proven equalities.
+    enc: Encoder,
+    /// Specification node → literal in `g`.
+    repr: Vec<Lit>,
+    /// The input nodes of `g`, by ordinal.
+    input_node: Vec<usize>,
+    /// Counters over all passes.
+    stats: SweepStats,
+}
+
+/// Fraig-style sweep of the cones of `roots` in the specification graph
+/// `aig`.
+///
+/// Each pass rebuilds a fresh structurally-hashed graph from `aig` in
+/// topological order, substituting every equivalence the moment it is
+/// proved, so functionally-duplicate logic downstream of a merge
+/// collapses by hash-consing instead of needing its own SAT proof.
+/// Signature classes come from the rounds of `sim` on the specification
+/// graph; SAT queries run on the collapsed graph, where a candidate pair
+/// shares its already-merged fanin cone and the difference is local.
+///
+/// A `Sat` answer is simulated at once: the model and single-input flips
+/// of it join the open round of `sim`, and every later candidate pair of
+/// the pass is first checked against the rounds the pass added. A pair
+/// those rounds tell apart is skipped without a SAT call. The rounds sign
+/// the next pass's classes; the sweep ends after a pass with no `Sat`
+/// answer (or after [`ProveOptions::refine_limit`] passes).
+fn fraig_sweep(aig: &Aig, roots: &[Lit], sim: &mut SimRounds, opts: &ProveOptions) -> Swept {
+    let in_cone = cone_marks(aig, roots);
+    let mut stats = SweepStats::default();
+    // Proven equivalences over specification nodes (node -> representative
+    // literal), replayed as substitutions by the next pass.
+    let mut spec_equal: HashMap<usize, Lit> = HashMap::new();
+    let mut no_retry: HashSet<(usize, usize)> = HashSet::new();
+    let mut passes = 0;
+    loop {
+        passes += 1;
+        let mut g = Aig::new();
+        let input_lit: Vec<Lit> = (0..aig.num_inputs()).map(|_| g.input()).collect();
+        let input_node: Vec<usize> = input_lit.iter().map(|l| l.node()).collect();
+        let mut enc = Encoder::new();
+        let mut repr: Vec<Lit> = vec![Lit::FALSE; aig.num_nodes()];
+        // Earlier passes' rounds are signature rounds now: counterexamples
+        // of this pass open a new one.
+        sim.open_lanes = None;
+        let rounds = sim.rounds();
+        // Signature hash -> (representative node, its canonical
+        // polarity). The constant node heads the all-zero class, so a
+        // node constant on every pattern is a candidate against constant
+        // false.
+        let mut class: HashMap<u64, (usize, bool)> = HashMap::new();
+        class.insert(sim.signature(rounds, 0).0, (0, false));
+        for n in 1..aig.num_nodes() {
+            if let Some(&eq) = spec_equal.get(&n) {
+                repr[n] = repr[eq.node()].xor_sign(eq.is_complemented());
+                continue;
+            }
+            if let Some(ix) = aig.input_index(n) {
+                repr[n] = input_lit[ix];
+            } else if !in_cone[n] {
+                continue;
+            } else if let Some((a, b)) = aig.and_fanin(n) {
+                let fa = repr[a.node()].xor_sign(a.is_complemented());
+                let fb = repr[b.node()].xor_sign(b.is_complemented());
+                repr[n] = g.and(fa, fb);
+            } else {
+                continue;
+            }
+            if !opts.sweep || !in_cone[n] {
+                continue;
+            }
+            let (sig, flip) = sim.signature(rounds, n);
+            let Some(&(r, rflip)) = class.get(&sig) else {
+                class.insert(sig, (n, flip));
+                continue;
+            };
+            // The class representative, in `n`'s polarity.
+            let spec_rep = Lit::positive(r).xor_sign(rflip ^ flip);
+            let rep = repr[r].xor_sign(rflip ^ flip);
+            if rep == repr[n] {
+                // Collapsed structurally in this pass; remember it so the
+                // next pass substitutes without a rebuild.
+                spec_equal.insert(n, spec_rep);
+                continue;
+            }
+            if no_retry.contains(&(r, n)) {
+                continue;
+            }
+            // The rounds this pass added (and, with negligible odds, a
+            // hash collision in the older ones) may tell the pair apart.
+            if sim.separates(spec_rep, Lit::positive(n)) {
+                stats.merges_sim_refuted += 1;
+                continue;
+            }
+            let before = enc.solver.stats().conflicts;
+            match enc.prove_equal(&g, rep, repr[n], opts.sweep_budget) {
+                Verdict::Unsat => {
+                    stats.merges_proved += 1;
+                    spec_equal.insert(n, spec_rep);
+                    repr[n] = rep;
+                }
+                Verdict::Sat => {
+                    stats.merges_refuted += 1;
+                    // Flip only inputs the pair depends on: neighbours of
+                    // the model then probe the same corner of the logic.
+                    let support = cone_marks(&g, &[rep, repr[n]]);
+                    let flippable: Vec<usize> = input_node
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &node)| support[node])
+                        .map(|(ix, _)| ix)
+                        .collect();
+                    sim.add_counterexample(aig, &enc.model_pattern(&input_node), &flippable);
+                    debug_assert!(sim.separates(spec_rep, Lit::positive(n)));
+                }
+                Verdict::Unknown => {
+                    stats.merges_unknown += 1;
+                    no_retry.insert((r, n));
+                }
+            }
+            stats.conflicts += enc.solver.stats().conflicts - before;
+            enc.maybe_rebuild();
+        }
+        if sim.rounds() == rounds || passes >= opts.refine_limit {
+            return Swept {
+                g,
+                enc,
+                repr,
+                input_node,
+                stats,
+            };
+        }
+    }
+}
+
 fn prove_mode(
     unit: &BuiltUnit,
     compiled: &CompiledNetlist,
@@ -686,9 +916,6 @@ fn prove_mode(
     quad_lanes: bool,
     opts: &ProveOptions,
 ) -> ModeReport {
-    // Set MFM_PROVE_TRACE=1 for per-phase timing on stderr (calibration aid).
-    let trace = std::env::var_os("MFM_PROVE_TRACE").is_some();
-    let t0 = std::time::Instant::now();
     let netlist = &unit.netlist;
     let values = ternary::sweep(netlist, &spec.ties).expect("unit netlists levelize");
     let fold = NetlistAig::build(netlist, &values).expect("unit netlists levelize");
@@ -745,160 +972,36 @@ fn prove_mode(
         .collect();
     let structural_proofs = miters.iter().filter(|m| **m == Lit::FALSE).count();
 
-    let mut report = ModeReport {
-        mode: mode.name().to_owned(),
-        aig_nodes: aig.num_nodes(),
-        aig_ands: aig.num_ands(),
-        structural_proofs,
-        merges_proved: 0,
-        merges_refuted: 0,
-        merges_unknown: 0,
-        conflicts: 0,
-        cones: Vec::new(),
-    };
-
     let mut sim = SimRounds::new(opts.seed ^ (mode.frmt() + 1));
     for _ in 0..opts.rounds.max(1) {
-        sim.add_round(&aig, &[]);
+        sim.add_round(&aig);
     }
-    if trace {
-        eprintln!(
-            "[prove {}] built: {} nodes, {} ands, {} targets ({} structural) at {:.1}s",
-            mode.name(),
-            aig.num_nodes(),
-            aig.num_ands(),
-            targets.len(),
-            structural_proofs,
-            t0.elapsed().as_secs_f64()
-        );
-    }
-
-    // Fraig-style sweep. Each pass rebuilds a fresh structurally-hashed
-    // graph from the specification graph in topological order,
-    // substituting every equivalence the moment it is proved, so
-    // functionally-duplicate logic downstream of a merge collapses by
-    // hash-consing instead of needing its own SAT proof. Signature
-    // classes come from simulation on the specification graph; SAT
-    // queries run on the collapsed graph, where a candidate pair shares
-    // its already-merged fanin cone and the difference is local.
     let live: Vec<Lit> = miters
         .iter()
         .copied()
         .filter(|m| m.const_value().is_none())
         .collect();
-    let in_cone = cone_marks(&aig, &live);
-    // Proven equivalences over specification nodes (node -> representative
-    // literal), replayed as substitutions by the next pass.
-    let mut spec_equal: HashMap<usize, Lit> = HashMap::new();
-    let mut no_retry: HashSet<(usize, usize)> = HashSet::new();
-    let mut swept: Option<(Aig, Encoder, Vec<Lit>, Vec<usize>)> = None;
-    for _pass in 0..opts.refine_limit.max(1) {
-        let mut g = Aig::new();
-        let mut input_lit: Vec<Lit> = Vec::with_capacity(aig.num_inputs());
-        for _ in 0..aig.num_inputs() {
-            input_lit.push(g.input());
-        }
-        let input_node: Vec<usize> = input_lit.iter().map(|l| l.node()).collect();
-        let mut enc = Encoder::new();
-        let mut repr: Vec<Lit> = vec![Lit::FALSE; aig.num_nodes()];
-        let mut class: HashMap<Vec<u64>, (usize, bool)> = HashMap::new();
-        let mut pending: Vec<Vec<bool>> = Vec::new();
-        let rounds = sim.rounds();
-        for n in 1..aig.num_nodes() {
-            if let Some(&eq) = spec_equal.get(&n) {
-                repr[n] = repr[eq.node()].xor_sign(eq.is_complemented());
-                continue;
-            }
-            if let Some(ix) = aig.input_index(n) {
-                repr[n] = input_lit[ix];
-            } else if !in_cone[n] {
-                continue;
-            } else if let Some((a, b)) = aig.and_fanin(n) {
-                let fa = repr[a.node()].xor_sign(a.is_complemented());
-                let fb = repr[b.node()].xor_sign(b.is_complemented());
-                repr[n] = g.and(fa, fb);
-            } else {
-                continue;
-            }
-            if !opts.sweep || !in_cone[n] {
-                continue;
-            }
-            // Canonical signature: complemented so lane 0 of round 0 is
-            // clear; `flip` records the canonicalizing polarity of `n`.
-            let mut sig: Vec<u64> = (0..rounds).map(|r| sim.node_rounds[r][n]).collect();
-            let flip = sig[0] & 1 == 1;
-            if flip {
-                for w in &mut sig {
-                    *w = !*w;
-                }
-            }
-            match class.get(&sig) {
-                None => {
-                    class.insert(sig, (n, flip));
-                }
-                Some(&(r, rflip)) => {
-                    // The class representative's literal, in `n`'s polarity.
-                    let rep = repr[r].xor_sign(rflip ^ flip);
-                    if rep == repr[n] {
-                        // Collapsed structurally in this pass; remember it so
-                        // the next pass substitutes without a rebuild.
-                        spec_equal.insert(n, Lit::positive(r).xor_sign(rflip ^ flip));
-                        continue;
-                    }
-                    let key = (r, n);
-                    if no_retry.contains(&key) {
-                        continue;
-                    }
-                    let before = enc.solver.stats().conflicts;
-                    match enc.prove_equal(&g, rep, repr[n], opts.sweep_budget) {
-                        Verdict::Unsat => {
-                            report.merges_proved += 1;
-                            spec_equal.insert(n, Lit::positive(r).xor_sign(rflip ^ flip));
-                            repr[n] = rep;
-                        }
-                        Verdict::Sat => {
-                            report.merges_refuted += 1;
-                            no_retry.insert(key);
-                            if pending.len() < 64 {
-                                pending.push(enc.model_pattern(&input_node));
-                            }
-                        }
-                        Verdict::Unknown => {
-                            report.merges_unknown += 1;
-                            no_retry.insert(key);
-                        }
-                    }
-                    report.conflicts += enc.solver.stats().conflicts - before;
-                    enc.maybe_rebuild();
-                }
-            }
-        }
-        if trace {
-            eprintln!(
-                "[prove {}] sweep pass on {} rounds: {} graph nodes, proved {} \
-                 refuted {} unknown {} ({} conflicts, {} clauses, {} rebuilds) at {:.1}s",
-                mode.name(),
-                rounds,
-                g.num_nodes(),
-                report.merges_proved,
-                report.merges_refuted,
-                report.merges_unknown,
-                report.conflicts,
-                enc.solver.num_clauses(),
-                enc.rebuilds,
-                t0.elapsed().as_secs_f64()
-            );
-        }
-        let done = pending.is_empty();
-        if !done {
-            sim.add_round(&aig, &pending);
-        }
-        swept = Some((g, enc, repr, input_node));
-        if done {
-            break;
-        }
-    }
-    let (g, mut enc, repr, input_node) = swept.expect("at least one sweep pass");
+    let Swept {
+        g,
+        mut enc,
+        repr,
+        input_node,
+        stats,
+    } = fraig_sweep(&aig, &live, &mut sim, opts);
+
+    let mut report = ModeReport {
+        mode: mode.name().to_owned(),
+        aig_nodes: aig.num_nodes(),
+        aig_ands: aig.num_ands(),
+        structural_proofs,
+        merges_proved: stats.merges_proved,
+        merges_refuted: stats.merges_refuted,
+        merges_sim_refuted: stats.merges_sim_refuted,
+        merges_unknown: stats.merges_unknown,
+        sim_rounds: sim.rounds(),
+        conflicts: stats.conflicts,
+        cones: Vec::new(),
+    };
 
     // Per-output verdicts.
     let xa_nets = &free_inputs[..64];
@@ -991,17 +1094,6 @@ fn prove_mode(
         });
         let spent = enc.solver.stats().conflicts - before;
         report.conflicts += spent;
-        if trace {
-            eprintln!(
-                "[prove {}] cone {}: {} ({} conflicts, {} cases) at {:.1}s",
-                mode.name(),
-                label,
-                verdict.name(),
-                spent,
-                cases,
-                t0.elapsed().as_secs_f64()
-            );
-        }
         report.cones.push(ConeResult {
             output: label.clone(),
             verdict,
@@ -1053,4 +1145,124 @@ pub fn prove_unit(unit: &BuiltUnit, opts: &ProveOptions) -> ProveReport {
             .push(prove_mode(unit, &compiled, spec, mode, quad_lanes, opts));
     }
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Runs the sweep over the cones of `roots` from the default number of
+    /// random signature rounds, returning the rounds at convergence.
+    fn sweep_roots(aig: &Aig, roots: &[Lit], refine_limit: usize) -> (Swept, usize) {
+        let opts = ProveOptions {
+            refine_limit,
+            ..ProveOptions::default()
+        };
+        let mut sim = SimRounds::new(opts.seed);
+        for _ in 0..opts.rounds {
+            sim.add_round(aig);
+        }
+        let swept = fraig_sweep(aig, roots, &mut sim, &opts);
+        (swept, sim.rounds())
+    }
+
+    /// The swept literal of a specification literal.
+    fn swept_lit(s: &Swept, l: Lit) -> Lit {
+        s.repr[l.node()].xor_sign(l.is_complemented())
+    }
+
+    /// `xa == yb` over two 64-bit operands as a balanced AND tree of
+    /// per-bit XNORs, and two structurally different nodes that equal it:
+    /// `eq ∧ (xa0 ∨ ¬yb0)` and `eq ∧ (¬xa0 ∨ yb0)`. Random patterns almost
+    /// never make two 64-bit words equal, so all three look constant
+    /// false to simulation.
+    fn comparator() -> (Aig, Lit, [Lit; 2]) {
+        let mut aig = Aig::new();
+        let xa: Vec<Lit> = (0..64).map(|_| aig.input()).collect();
+        let yb: Vec<Lit> = (0..64).map(|_| aig.input()).collect();
+        let mut level: Vec<Lit> = xa.iter().zip(&yb).map(|(&x, &y)| !aig.xor(x, y)).collect();
+        while level.len() > 1 {
+            level = level.chunks(2).map(|p| aig.and(p[0], p[1])).collect();
+        }
+        let eq = level[0];
+        let t1 = aig.or(xa[0], !yb[0]);
+        let t2 = aig.or(!xa[0], yb[0]);
+        let c1 = aig.and(eq, t1);
+        let c2 = aig.and(eq, t2);
+        (aig, eq, [c1, c2])
+    }
+
+    #[test]
+    fn one_refutation_separates_the_comparator_candidates() {
+        let (aig, _, cands) = comparator();
+        let (swept, _) = sweep_roots(&aig, &cands, 1);
+        let st = swept.stats;
+        // The first all-zero node costs one SAT refutation. Its model
+        // makes the operands equal, so every other node of the comparator
+        // — and both candidates — is true on it and leaves the constant
+        // class by simulation.
+        assert_eq!(st.merges_refuted, 1, "{st:?}");
+        assert!(st.merges_sim_refuted >= 1, "{st:?}");
+        assert_eq!(st.merges_proved, 0, "{st:?}");
+        for c in cands {
+            assert_ne!(
+                swept_lit(&swept, c),
+                Lit::FALSE,
+                "candidate merged with false"
+            );
+        }
+    }
+
+    #[test]
+    fn comparator_sweep_converges_without_a_false_merge() {
+        let (aig, eq, cands) = comparator();
+        let (swept, rounds) = sweep_roots(&aig, &cands, ProveOptions::default().refine_limit);
+        let st = swept.stats;
+        assert!(st.merges_sim_refuted >= 1, "{st:?}");
+        assert!(
+            rounds > ProveOptions::default().rounds,
+            "counterexamples became rounds"
+        );
+        // Both candidates equal the comparator; nothing equals false.
+        for c in cands {
+            assert_eq!(swept_lit(&swept, c), swept_lit(&swept, eq), "{st:?}");
+        }
+        assert_ne!(swept_lit(&swept, eq), Lit::FALSE);
+    }
+
+    /// Bit `bit` of an 8-bit sum, by ripple carry and by carry lookahead
+    /// (each carry a sum of generate terms under propagate prefixes).
+    fn adders(bit: usize) -> (Aig, Lit, Lit) {
+        let mut aig = Aig::new();
+        let xs: Vec<Lit> = (0..8).map(|_| aig.input()).collect();
+        let ys: Vec<Lit> = (0..8).map(|_| aig.input()).collect();
+        let mut carry = Lit::FALSE;
+        let mut ripple = Lit::FALSE;
+        for i in 0..=bit {
+            let half = aig.xor(xs[i], ys[i]);
+            ripple = aig.xor(half, carry);
+            carry = aig.maj(xs[i], ys[i], carry);
+        }
+        let generate: Vec<Lit> = (0..bit).map(|i| aig.and(xs[i], ys[i])).collect();
+        let propagate: Vec<Lit> = (0..bit).map(|i| aig.or(xs[i], ys[i])).collect();
+        let mut lookahead = Lit::FALSE;
+        for (i, &gen) in generate.iter().enumerate() {
+            let term = propagate[i + 1..].iter().fold(gen, |t, &p| aig.and(t, p));
+            lookahead = aig.or(lookahead, term);
+        }
+        let half = aig.xor(xs[bit], ys[bit]);
+        let cla = aig.xor(half, lookahead);
+        (aig, ripple, cla)
+    }
+
+    #[test]
+    fn ripple_and_lookahead_sum_bits_merge() {
+        let (mut aig, ripple, cla) = adders(6);
+        assert_ne!(ripple, cla, "the two adders must differ structurally");
+        let miter = aig.xor(ripple, cla);
+        let (swept, _) = sweep_roots(&aig, &[miter], ProveOptions::default().refine_limit);
+        assert!(swept.stats.merges_proved >= 1, "{:?}", swept.stats);
+        assert_eq!(swept_lit(&swept, ripple), swept_lit(&swept, cla));
+        assert_eq!(swept_lit(&swept, miter), Lit::FALSE);
+    }
 }
