@@ -651,8 +651,19 @@ pub fn run_scrub_compiled(
     for &(net, forced) in faults {
         sim.inject_stuck_at(net, ALL_LANES, forced);
     }
+    scrub_compiled(&mut sim, ports, battery)
+}
+
+/// [`run_scrub_compiled`] on a caller-held simulator, under the overlay
+/// it is armed with ([`CompiledSim::arm_overlay`]), so one settled
+/// simulator serves every scrub of a pool instead of one per call.
+pub fn scrub_compiled(
+    sim: &mut CompiledSim<'_>,
+    ports: &StructuralPorts,
+    battery: &[Operation],
+) -> Result<(), (Operation, CheckError)> {
     for chunk in battery.chunks(LANES) {
-        let raws = run_raw_compiled(&mut sim, ports, chunk);
+        let raws = run_raw_compiled(sim, ports, chunk);
         for (&op, raw) in chunk.iter().zip(&raws) {
             check_raw(op, raw).map_err(|e| (op, e))?;
         }

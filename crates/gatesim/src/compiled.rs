@@ -44,6 +44,17 @@
 //! single pass can carry 256 different fault machines (one per lane)
 //! next to a fault-free reference lane. [`CompiledFaultSim`] packages
 //! the one-fault-per-lane pattern used by fault-coverage campaigns.
+//!
+//! # Reuse
+//!
+//! A long-lived owner keeps one settled simulator instead of building
+//! one per pass: [`CompiledSim::arm_overlay`] swaps in a unit's stuck-at
+//! set only when it changes, and [`CompiledSim::rearm_activity`]
+//! restarts toggle counting from the fault-free power-on state. Each
+//! pass then equals one on a freshly built simulator, without
+//! allocating, zeroing and settling it.
+
+use std::sync::OnceLock;
 
 use crate::netlist::{NetId, Netlist, NetlistError};
 use crate::tech::CellKind;
@@ -110,9 +121,10 @@ struct GateOp {
 
 /// A [`Netlist`] lowered into a flat, levelized evaluation program.
 ///
-/// Compiling is done once per netlist; the program is immutable and can
-/// be shared (`&CompiledNetlist` is `Sync`) by any number of
-/// [`CompiledSim`] instances across threads.
+/// Compiling is done once per netlist ([`Netlist::compiled`] caches the
+/// program); the program is immutable and can be shared
+/// (`&CompiledNetlist` is `Sync`) by any number of [`CompiledSim`]
+/// instances across threads.
 #[derive(Debug, Clone)]
 pub struct CompiledNetlist {
     net_count: usize,
@@ -120,6 +132,10 @@ pub struct CompiledNetlist {
     ops: Vec<GateOp>,
     /// `(d_net, q_net)` per DFF, in instantiation order.
     dffs: Vec<(u32, u32)>,
+    /// Every net's value in a fresh simulator (all-zero inputs and
+    /// registers, settled, no faults), computed on the first re-arm. All
+    /// lanes of that state agree, so one bit per net holds it.
+    settled: OnceLock<Vec<bool>>,
 }
 
 impl CompiledNetlist {
@@ -157,6 +173,21 @@ impl CompiledNetlist {
             one: netlist.one().index() as u32,
             ops,
             dffs,
+            settled: OnceLock::new(),
+        })
+    }
+
+    /// The state a fresh [`CompiledSim`] starts in, one value per net.
+    fn settled_state(&self) -> &[bool] {
+        self.settled.get_or_init(|| {
+            CompiledSim::new(self)
+                .words
+                .iter()
+                .map(|w| {
+                    debug_assert!(*w == NO_LANES || *w == ALL_LANES);
+                    w[0] & 1 == 1
+                })
+                .collect()
         })
     }
 
@@ -234,6 +265,10 @@ pub struct CompiledSim<'p> {
     fault_value: Vec<LaneWord>,
     /// Nets with a non-zero fault mask, for cheap clearing/pre-forcing.
     faulted: Vec<u32>,
+    /// The overlay the last [`CompiledSim::arm_overlay`] armed; `None`
+    /// once [`CompiledSim::inject_stuck_at`] or
+    /// [`CompiledSim::clear_faults`] changed it since.
+    armed: Option<Vec<(NetId, bool)>>,
     /// Clock edges since construction (or the last activity reset).
     cycles: u64,
     /// Toggle accumulation, when enabled.
@@ -251,6 +286,7 @@ impl<'p> CompiledSim<'p> {
             fault_mask: vec![NO_LANES; prog.net_count],
             fault_value: vec![NO_LANES; prog.net_count],
             faulted: Vec::new(),
+            armed: Some(Vec::new()),
             cycles: 0,
             activity: None,
         };
@@ -317,6 +353,7 @@ impl<'p> CompiledSim<'p> {
     /// lane keeps the most recent forced value, so one net can be
     /// stuck-at-0 in one lane and stuck-at-1 in another.
     pub fn inject_stuck_at(&mut self, net: NetId, lanes: LaneWord, value: bool) {
+        self.armed = None;
         let ni = net.index();
         if self.fault_mask[ni] == NO_LANES && lanes != NO_LANES {
             self.faulted.push(ni as u32);
@@ -334,11 +371,47 @@ impl<'p> CompiledSim<'p> {
     /// Removes every fault overlay (values are refreshed on the next
     /// [`CompiledSim::propagate`]).
     pub fn clear_faults(&mut self) {
+        self.armed = None;
         for &ni in &self.faulted {
             self.fault_mask[ni as usize] = NO_LANES;
             self.fault_value[ni as usize] = NO_LANES;
         }
         self.faulted.clear();
+    }
+
+    /// Makes `faults`, each net stuck in **all** lanes, the whole
+    /// overlay: the settled-value image of an event-driven unit's
+    /// stuck-at set, for a simulator reused across passes and units.
+    /// When `faults` equals the overlay the previous call armed, nothing
+    /// changes. Otherwise the old overlay is cleared and every net
+    /// returns to the state a fresh simulator starts in before `faults`
+    /// is injected, so no input, constant or register word an old fault
+    /// forced survives.
+    pub fn arm_overlay(&mut self, faults: &[(NetId, bool)]) {
+        if self.armed.as_deref() == Some(faults) {
+            return;
+        }
+        self.clear_faults();
+        self.reset();
+        for &(net, value) in faults {
+            self.inject_stuck_at(net, ALL_LANES, value);
+        }
+        self.armed = Some(faults.to_vec());
+    }
+
+    /// Returns every net to the state a fresh simulator starts in
+    /// (all-zero inputs and registers, settled without faults), reusing
+    /// the simulator's buffers. The fault overlay is kept and applies on
+    /// the next [`CompiledSim::propagate`]. The cycle count restarts at
+    /// zero, and so does activity counting, if enabled, from this state.
+    fn reset(&mut self) {
+        for (w, &v) in self.words.iter_mut().zip(self.prog.settled_state()) {
+            *w = if v { ALL_LANES } else { NO_LANES };
+        }
+        self.cycles = 0;
+        if self.activity.is_some() {
+            self.reset_activity();
+        }
     }
 
     #[inline]
@@ -435,6 +508,23 @@ impl<'p> CompiledSim<'p> {
             events: 0,
         });
         self.cycles = 0;
+    }
+
+    /// Returns every net to the state a fresh simulator starts in and
+    /// counts toggles over lanes `0..lanes` from that fixed baseline,
+    /// reusing the activity buffers: the passes that follow count exactly
+    /// what a fresh simulator with the same overlay and
+    /// [`CompiledSim::enable_activity`] would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes > LANES`.
+    pub fn rearm_activity(&mut self, lanes: usize) {
+        self.reset();
+        match &mut self.activity {
+            Some(act) => act.mask = first_lanes(lanes),
+            None => self.enable_activity(lanes),
+        }
     }
 
     /// Restricts toggle counting to lanes `0..lanes` (for a partial
@@ -736,6 +826,73 @@ mod tests {
         sim.reset_activity();
         sim.propagate();
         assert_eq!(sim.activity_events(), 0);
+    }
+
+    #[test]
+    fn reused_sim_matches_fresh_through_overlay_changes() {
+        // An 8-bit adder registered once: a pass drives the operands,
+        // clocks twice and reads the register. Net A is the carry-in, an
+        // input no pass drives, so only a reset restores its word once
+        // its fault is cleared; net B is a gate output.
+        let mut n = fresh();
+        let a = n.input_bus("a", 8);
+        let b = n.input_bus("b", 8);
+        let cin = n.input("cin");
+        let mut carry = cin;
+        let mut sum = Vec::new();
+        for (&x, &y) in a.iter().zip(&b) {
+            let (s, c) = n.full_adder(x, y, carry);
+            sum.push(s);
+            carry = c;
+        }
+        sum.push(carry);
+        let q: Vec<NetId> = sum.iter().map(|&s| n.dff(s)).collect();
+        let prog = CompiledNetlist::compile(&n).unwrap();
+        let overlays: [&[(NetId, bool)]; 4] = [&[], &[(cin, true)], &[], &[(sum[3], false)]];
+        let pass = |sim: &mut CompiledSim<'_>, lanes: usize, seed: usize| -> Vec<u128> {
+            let av: Vec<u128> = (0..lanes)
+                .map(|l| ((l * 37 + seed * 11) & 0xFF) as u128)
+                .collect();
+            let bv: Vec<u128> = (0..lanes)
+                .map(|l| ((l * 101 + seed * 7 + 3) & 0xFF) as u128)
+                .collect();
+            sim.set_bus_all(&a, av[0]);
+            sim.set_bus_all(&b, bv[0]);
+            for l in 0..lanes {
+                sim.set_bus_lane(&a, l, av[l]);
+                sim.set_bus_lane(&b, l, bv[l]);
+            }
+            sim.step_cycle();
+            sim.step_cycle();
+            (0..lanes).map(|l| sim.read_bus_lane(&q, l)).collect()
+        };
+        for lanes in [1, 64, LANES] {
+            let mut reused = CompiledSim::new(&prog);
+            // Re-arming the overlay alone, with no activity reset, must
+            // restore the forced carry-in word too.
+            let mut values_only = CompiledSim::new(&prog);
+            // Two passes per overlay: the second re-arms an unchanged one.
+            for (seed, faults) in overlays.iter().flat_map(|f| [f, f]).enumerate() {
+                reused.arm_overlay(faults);
+                reused.rearm_activity(lanes);
+                let got = pass(&mut reused, lanes, seed);
+                values_only.arm_overlay(faults);
+                assert_eq!(pass(&mut values_only, lanes, seed), got);
+                let mut fresh_sim = CompiledSim::new(&prog);
+                for &(net, value) in *faults {
+                    fresh_sim.inject_stuck_at(net, ALL_LANES, value);
+                }
+                fresh_sim.enable_activity(lanes);
+                let want = pass(&mut fresh_sim, lanes, seed);
+                assert_eq!(got, want, "outputs, {lanes} lanes, pass {seed}");
+                assert_eq!(
+                    reused.toggles(),
+                    fresh_sim.toggles(),
+                    "toggles, {lanes} lanes, pass {seed}"
+                );
+                assert_eq!(reused.cycles(), fresh_sim.cycles());
+            }
+        }
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   are simulated**, which is what makes the paper's combinational-versus-
 //!   pipelined power comparison (Table III) reproducible.
 //! - [`compiled`] — a compiled bit-parallel engine: the netlist lowered
-//!   once into a levelized program evaluated over `u64` words (64 lanes
-//!   per pass), for correctness-only workloads — fault classification,
+//!   once into a levelized program evaluated over `[u64; 4]` words (256
+//!   lanes per pass), for correctness-only workloads — fault classification,
 //!   batteries and equivalence sweeps — where glitch timing is
 //!   irrelevant. Differentially tested against [`sim`].
 //! - [`sta`] — topological static timing analysis: critical path per

@@ -11,6 +11,7 @@
 //! synthesizer performs (important for the dual-lane multiplier, where
 //! lane blanking ties many inputs to constants).
 
+use crate::compiled::CompiledNetlist;
 use crate::tech::{CellKind, TechLibrary};
 use std::collections::HashMap;
 use std::fmt;
@@ -227,6 +228,7 @@ pub struct Netlist {
     inv_cache: HashMap<NetId, NetId>,
     dff_cache: HashMap<NetId, NetId>,
     topo: OnceLock<Result<Levelization, NetlistError>>,
+    program: OnceLock<Result<CompiledNetlist, NetlistError>>,
 }
 
 impl Netlist {
@@ -246,6 +248,7 @@ impl Netlist {
             inv_cache: HashMap::new(),
             dff_cache: HashMap::new(),
             topo: OnceLock::new(),
+            program: OnceLock::new(),
         };
         n.const0 = n.alloc_net(Driver::Const0);
         n.const1 = n.alloc_net(Driver::Const1);
@@ -260,10 +263,8 @@ impl Netlist {
     fn alloc_net(&mut self, driver: Driver) -> NetId {
         // Every structural mutation allocates a net (cell outputs included),
         // so this is the single invalidation point for the cached
-        // levelization.
-        if self.topo.get().is_some() {
-            self.topo = OnceLock::new();
-        }
+        // levelization and program.
+        self.drop_cached_views();
         let id = NetId(self.drivers.len() as u32);
         self.drivers.push(driver);
         id
@@ -760,6 +761,31 @@ impl Netlist {
         }
     }
 
+    /// The netlist lowered to a [`CompiledNetlist`]: compiled on first
+    /// use, then shared by every compiled simulator over this netlist,
+    /// and dropped with the levelization by any structural mutation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::CombinationalCycle`] if the combinational
+    /// logic contains a cycle.
+    pub fn compiled(&self) -> Result<&CompiledNetlist, NetlistError> {
+        match self.program.get_or_init(|| CompiledNetlist::compile(self)) {
+            Ok(prog) => Ok(prog),
+            Err(e) => Err(e.clone()),
+        }
+    }
+
+    /// Drops the cached levelization and compiled program.
+    fn drop_cached_views(&mut self) {
+        if self.topo.get().is_some() {
+            self.topo = OnceLock::new();
+        }
+        if self.program.get().is_some() {
+            self.program = OnceLock::new();
+        }
+    }
+
     fn compute_levelization(&self) -> Result<Levelization, NetlistError> {
         let n = self.cells.len();
         let nets = self.drivers.len();
@@ -914,9 +940,7 @@ impl Netlist {
     pub fn rewire_input(&mut self, cell: CellId, pin: usize, net: NetId) {
         let arity = self.cells[cell.index()].kind.arity();
         assert!(pin < arity, "pin {pin} out of range for arity {arity}");
-        if self.topo.get().is_some() {
-            self.topo = OnceLock::new();
-        }
+        self.drop_cached_views();
         // A rewired inverter or flop no longer computes what its cache
         // entry promised; drop all memoized cells.
         self.inv_cache.clear();
@@ -1030,6 +1054,26 @@ mod tests {
         let order = n.topo_order().unwrap();
         let comb = n.cells().iter().filter(|c| c.kind != CellKind::Dff).count();
         assert_eq!(order.len(), comb);
+    }
+
+    #[test]
+    fn compiled_program_is_cached_until_the_netlist_changes() {
+        let mut n = fresh();
+        let a = n.input("a");
+        let b = n.input("b");
+        let y = n.and2(a, b);
+        let first: *const CompiledNetlist = n.compiled().unwrap();
+        assert!(
+            std::ptr::eq(first, n.compiled().unwrap()),
+            "served from cache"
+        );
+        assert_eq!(n.compiled().unwrap().op_count(), 1);
+        let z = n.xor2(y, a);
+        assert_eq!(n.compiled().unwrap().op_count(), 2, "a new gate drops it");
+        // Closing a loop through a rewire drops it too.
+        let cell = CellId(n.cell_count() as u32 - 1);
+        n.rewire_input(cell, 1, z);
+        assert!(n.compiled().is_err());
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //! pool gauges. There is no wall-clock anywhere, so a seeded run is
 //! bit-reproducible.
 
-use mfm_gatesim::{CompiledNetlist, LaneWord, NetId, Netlist, LANES, NO_LANES};
+use mfm_gatesim::{CompiledSim, LaneWord, NetId, Netlist, LANES, NO_LANES};
 use mfm_softfloat::Flags;
 use mfm_telemetry::{Counter, Gauge, Registry, TraceId};
-use mfmult::selfcheck::{run_scrub_compiled, scrub_battery, SelfCheckingUnit};
+use mfmult::selfcheck::{scrub_battery, scrub_compiled, SelfCheckingUnit};
 use mfmult::structural::StructuralPorts;
 use mfmult::{FunctionalUnit, MultResult, Operation};
 
@@ -239,10 +239,12 @@ pub struct Engine<'a> {
     units: Vec<PoolUnit<'a>>,
     reference: FunctionalUnit,
     battery: Vec<Operation>,
-    /// Bit-parallel compiled form of the shared netlist: the scrub
-    /// prefilter replays the whole battery in a handful of 64-lane
-    /// passes before committing to the event-driven replay.
-    compiled: CompiledNetlist,
+    /// One settled bit-parallel simulator over the shared netlist's
+    /// compiled program, re-armed with the overlay of whichever unit a
+    /// patrol slice or scrub prefilter checks: the prefilter replays the
+    /// whole battery in one 256-lane pass before committing to the
+    /// event-driven replay.
+    sim: CompiledSim<'a>,
     ports: StructuralPorts,
     queue: std::collections::VecDeque<Queued>,
     queue_depth: usize,
@@ -337,12 +339,12 @@ impl<'a> Engine<'a> {
             pu.unit.sim_mut().detach_telemetry();
             pu.unit.sim_mut().set_settle_budget(Some(watchdog_budget));
         }
-        let compiled = CompiledNetlist::compile(netlist).expect("pool netlist must be acyclic");
+        let prog = netlist.compiled().expect("pool netlist must be acyclic");
         Engine {
             units: pool,
             reference: FunctionalUnit::new(),
             battery,
-            compiled,
+            sim: CompiledSim::new(prog),
             ports: ports.clone(),
             queue: std::collections::VecDeque::new(),
             queue_depth: cfg.queue_depth.max(1),
@@ -625,7 +627,7 @@ impl<'a> Engine<'a> {
 
     /// Credits unit `i` with externally served work. A front-end that
     /// batches requests through this unit's fault overlay (e.g. the
-    /// serving front-end's 64-lane compiled path) feeds its observations
+    /// serving front-end's 256-lane compiled path) feeds its observations
     /// into the unit's breaker exactly like in-pool dispatch does:
     /// `incidents > 0` counts against the unit, `incidents == 0` is a
     /// clean-operation heal credit. This keeps the circuit breaker
@@ -850,7 +852,7 @@ impl<'a> Engine<'a> {
     /// defect), then replay the battery. Returns whether the unit passed.
     ///
     /// The battery is first replayed through the compiled bit-parallel
-    /// engine against the unit's stuck-at overlay (one 64-lane pass for
+    /// engine against the unit's stuck-at overlay (one 256-lane pass for
     /// the whole battery). Settled values are a pure function of the
     /// inputs plus that overlay, so a compiled *failure* is conclusive
     /// and fast-fails the scrub without the event-driven replay; a
@@ -863,9 +865,8 @@ impl<'a> Engine<'a> {
         for &(net, value) in &u.sticky {
             u.unit.inject_stuck_at(net, value);
         }
-        let overlay = u.unit.sim().stuck_faults();
-        if let Err(fail) = run_scrub_compiled(&self.compiled, &self.ports, &overlay, &self.battery)
-        {
+        self.sim.arm_overlay(&u.unit.sim().stuck_faults());
+        if let Err(fail) = scrub_compiled(&mut self.sim, &self.ports, &self.battery) {
             return u.unit.note_scrub_outcome(Err(fail));
         }
         u.unit.try_recover_with(&self.battery)
@@ -936,8 +937,9 @@ impl<'a> Engine<'a> {
         if let Some(t) = &self.telemetry {
             t.patrol_slices.inc();
         }
-        let overlay = self.units[i].unit.sim().stuck_faults();
-        if run_scrub_compiled(&self.compiled, &self.ports, &overlay, slice).is_err() {
+        self.sim
+            .arm_overlay(&self.units[i].unit.sim().stuck_faults());
+        if scrub_compiled(&mut self.sim, &self.ports, slice).is_err() {
             self.patrol_failures += 1;
             if let Some(t) = &self.telemetry {
                 t.patrol_failures.inc();

@@ -12,9 +12,9 @@
 //!   degrade to single-format batching, then refuse with typed
 //!   `Overloaded`), deadline propagation with expired-in-queue
 //!   cancellation, per-client deterministic retry budgets, and a
-//!   64-lane compiled batch path routed through the pool's circuit
-//!   breakers with a mandatory per-lane cross-check against the
-//!   bit-exact reference.
+//!   256-lane mixed-format compiled batch path routed through the
+//!   pool's circuit breakers with a mandatory per-lane cross-check
+//!   against the bit-exact reference.
 //! - [`server`] — the thread-per-connection TCP front-end plus a
 //!   Prometheus `/metrics` endpoint, with slow-client write timeouts
 //!   and strict malformed-frame teardown.

@@ -66,7 +66,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Instant;
 
-use mfm_gatesim::{CompiledNetlist, CompiledSim, LivePowerTrace, Netlist};
+use mfm_gatesim::{CompiledSim, LivePowerTrace, Netlist, LANES};
 use mfm_resilient::backoff::{BackoffConfig, SubmitBackoff};
 use mfm_resilient::{Engine, EngineConfig, HealthState};
 use mfm_softfloat::Flags;
@@ -219,10 +219,14 @@ pub struct Service<'a> {
     cfg: ServiceConfig,
     engine: Engine<'a>,
     ports: StructuralPorts,
-    compiled: CompiledNetlist,
+    /// One settled simulator over the netlist's compiled program for the
+    /// primary batch pass, TMR replicas and speculative checks, re-armed
+    /// with the routed unit's overlay only when that overlay changes.
+    sim: CompiledSim<'a>,
     reference: FunctionalUnit,
     battery: Vec<Operation>,
-    /// Per-format admission queues, batched up to 256 lanes at a time.
+    /// Per-format admission queues; one batch pass takes up to 256 lanes
+    /// across all of them.
     queues: HashMap<Format, VecDeque<PendingReq>>,
     /// Lanes whose batch check failed, awaiting event-driven rescue.
     rescue: VecDeque<PendingReq>,
@@ -286,7 +290,7 @@ pub struct Service<'a> {
 
 impl<'a> Service<'a> {
     /// Builds the service over a netlist: an engine pool plus the
-    /// service's own compiled batch engine and reference unit.
+    /// service's own compiled batch simulator and reference unit.
     /// Registers its metrics (and the engine's) on `registry`.
     pub fn new(
         netlist: &'a Netlist,
@@ -296,9 +300,9 @@ impl<'a> Service<'a> {
     ) -> Self {
         let mut engine = Engine::new(netlist, ports, cfg.units.max(1), cfg.engine);
         engine.attach_telemetry(registry);
-        let compiled = CompiledNetlist::compile(netlist).expect("service netlist must be acyclic");
+        let prog = netlist.compiled().expect("service netlist must be acyclic");
         let lat_bounds: Vec<f64> = (0..12).map(|i| (1u64 << i) as f64).collect();
-        let fill_bounds: Vec<f64> = vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 48.0, 64.0];
+        let fill_bounds: Vec<f64> = vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 48.0, 64.0, 128.0, 256.0];
         let phase_bounds: Vec<f64> = (0..9).map(|i| 4f64.powi(i)).collect();
         let phase_micros = Phase::ALL
             .iter()
@@ -332,7 +336,7 @@ impl<'a> Service<'a> {
         Service {
             engine,
             ports: ports.clone(),
-            compiled,
+            sim: CompiledSim::new(prog),
             reference: FunctionalUnit::new(),
             battery: scrub_battery(cfg.engine.quad_lanes),
             queues: HashMap::new(),
@@ -967,9 +971,11 @@ impl<'a> Service<'a> {
             .collect()
     }
 
-    /// Runs this tick's batch pass: every non-empty format queue in
-    /// `Normal`/`ShedSpeculative`, only the deepest one in
-    /// `SingleFormat`.
+    /// Runs this tick's batch passes. In `Normal`/`ShedSpeculative` each
+    /// pass fills up to [`LANES`] lanes from every non-empty format queue
+    /// (the unit takes its format per lane), and a tick runs at most one
+    /// pass per queue that was non-empty when it began. `SingleFormat`
+    /// runs one pass from the deepest queue only.
     fn run_batches(&mut self, tier: Tier) {
         let mut formats: Vec<(Format, usize)> = self
             .queues
@@ -982,17 +988,21 @@ impl<'a> Service<'a> {
         if tier >= Tier::SingleFormat {
             formats.truncate(1);
         }
-        for (format, _) in formats {
-            let batch: Vec<PendingReq> = {
-                let q = self.queues.get_mut(&format).expect("non-empty queue");
-                let n = q.len().min(mfm_gatesim::LANES);
-                q.drain(..n).collect()
-            };
+        for _ in 0..formats.len() {
+            let mut batch: Vec<PendingReq> = Vec::with_capacity(LANES);
+            for (format, _) in &formats {
+                let q = self.queues.get_mut(format).expect("non-empty queue");
+                let n = q.len().min(LANES - batch.len());
+                batch.extend(q.drain(..n));
+            }
+            if batch.is_empty() {
+                break;
+            }
             self.run_one_batch(&batch);
         }
     }
 
-    /// Executes up to [`mfm_gatesim::LANES`] same-format lanes through the compiled
+    /// Executes up to [`LANES`] lanes, of any formats, through the compiled
     /// bit-parallel engine under one pool unit's fault overlay. Every
     /// lane is self-checked (`check_raw`) *and* cross-checked against
     /// the bit-exact reference before it may answer; a failing lane is
@@ -1032,26 +1042,24 @@ impl<'a> Service<'a> {
             });
             return;
         };
-        // Batch-fill: sim construction plus the routed unit's fault
-        // overlay. Wall time annotates spans only — never scheduling.
+        // Batch-fill: the routed unit's fault overlay plus the activity
+        // re-arm. Wall time annotates spans only — never scheduling.
         let t_fill = Instant::now();
-        let overlay = self.engine.unit(unit).sim().stuck_faults();
         let ops: Vec<Operation> = batch.iter().map(|p| p.op).collect();
-        let mut sim = CompiledSim::new(&self.compiled);
-        for (net, value) in overlay {
-            sim.inject_stuck_at(net, mfm_gatesim::ALL_LANES, value);
-        }
+        self.sim
+            .arm_overlay(&self.engine.unit(unit).sim().stuck_faults());
         // Count this batch's zero-delay toggles in the occupied lanes
-        // only: the power gauge rides on the same evaluation pass.
-        sim.enable_activity(batch.len());
+        // only, from the fault-free power-on state: the power gauge
+        // rides on the same evaluation pass.
+        self.sim.rearm_activity(batch.len());
         let fill_micros = t_fill.elapsed().as_micros() as u64;
         let t_eval = Instant::now();
-        let raws = run_raw_compiled(&mut sim, &self.ports, &ops);
+        let raws = run_raw_compiled(&mut self.sim, &self.ports, &ops);
         let eval_micros = t_eval.elapsed().as_micros() as u64;
-        for (sum, &t) in self.power_toggles.iter_mut().zip(sim.toggles()) {
+        for (sum, &t) in self.power_toggles.iter_mut().zip(self.sim.toggles()) {
             *sum += t;
         }
-        self.power_cycles += sim.cycles();
+        self.power_cycles += self.sim.cycles();
         self.power_ops += batch.len() as u64;
         // A Byzantine output latch corrupts results *after* the compiled
         // eval produced its self-checkable raw image: flagged lanes get
@@ -1163,12 +1171,9 @@ impl<'a> Service<'a> {
     ) -> Vec<(usize, Vec<Option<mfmult::MultResult>>)> {
         let mut out = Vec::new();
         for &ru in units.iter().filter(|&&u| u != primary).take(2) {
-            let overlay = self.engine.unit(ru).sim().stuck_faults();
-            let mut sim = CompiledSim::new(&self.compiled);
-            for (net, value) in overlay {
-                sim.inject_stuck_at(net, mfm_gatesim::ALL_LANES, value);
-            }
-            let raws = run_raw_compiled(&mut sim, &self.ports, ops);
+            self.sim
+                .arm_overlay(&self.engine.unit(ru).sim().stuck_faults());
+            let raws = run_raw_compiled(&mut self.sim, &self.ports, ops);
             let byz = self.engine.byzantine_lane_mask(ru, ops.len());
             let pattern = self.engine.byzantine_pattern(ru);
             let results = ops
@@ -1275,12 +1280,9 @@ impl<'a> Service<'a> {
         let sample: Vec<Operation> = (0..window)
             .map(|k| self.battery[(start + k) % self.battery.len()])
             .collect();
-        let overlay = self.engine.unit(unit).sim().stuck_faults();
-        let mut sim = CompiledSim::new(&self.compiled);
-        for (net, value) in overlay {
-            sim.inject_stuck_at(net, mfm_gatesim::ALL_LANES, value);
-        }
-        let raws = run_raw_compiled(&mut sim, &self.ports, &sample);
+        self.sim
+            .arm_overlay(&self.engine.unit(unit).sim().stuck_faults());
+        let raws = run_raw_compiled(&mut self.sim, &self.ports, &sample);
         let incidents = sample
             .iter()
             .zip(&raws)
@@ -1386,26 +1388,108 @@ mod tests {
         );
     }
 
-    #[test]
-    fn mixed_formats_batch_per_format_and_all_answer() {
-        let (n, ports) = build();
-        let reg = Registry::new();
-        let mut svc = Service::new(&n, &ports, small_cfg(), &reg);
-        let ops = [
+    /// One request per paper format, all admitted before the first tick.
+    fn mixed_ops() -> [Operation; 4] {
+        [
             Operation::int64(3, 5),
             Operation::binary64_from_f64(1.5, 2.0),
             Operation::dual_binary32_from_f32(1.0, 2.0, 3.0, 0.5),
             Operation::single_binary32_from_f32(4.0, 0.25),
-        ];
-        for (k, &op) in ops.iter().enumerate() {
+        ]
+    }
+
+    fn admit_mixed(svc: &mut Service<'_>) {
+        for (k, op) in mixed_ops().into_iter().enumerate() {
             assert!(svc.admit(k as u64, &req(k as u64, op)).is_none());
         }
+    }
+
+    #[test]
+    fn mixed_formats_share_one_batch_and_all_answer() {
+        let (n, ports) = build();
+        let reg = Registry::new();
+        let mut svc = Service::new(&n, &ports, small_cfg(), &reg);
+        admit_mixed(&mut svc);
         for _ in 0..4 {
             svc.tick();
         }
         let out = svc.take_responses();
         assert_eq!(out.len(), 4, "every format answered: {out:?}");
         assert!(out.iter().all(|(_, r)| matches!(r, Response::Ok { .. })));
+        assert_eq!(
+            reg.histogram("service.batch_fill").count(),
+            1,
+            "four formats, one pass"
+        );
+        assert_eq!(svc.escapes(), 0);
+    }
+
+    #[test]
+    fn mixed_batch_power_equals_per_format_runs_on_fresh_sims() {
+        let (n, ports) = build();
+        let reg = Registry::new();
+        let mut svc = Service::new(&n, &ports, small_cfg(), &reg);
+        admit_mixed(&mut svc);
+        svc.tick();
+        assert_eq!(reg.histogram("service.batch_fill").count(), 1);
+        let prog = n.compiled().unwrap();
+        let mut want = vec![0u64; n.net_count()];
+        for op in mixed_ops() {
+            let mut sim = CompiledSim::new(prog);
+            sim.enable_activity(1);
+            run_raw_compiled(&mut sim, &ports, &[op]);
+            for (w, &t) in want.iter_mut().zip(sim.toggles()) {
+                *w += t;
+            }
+        }
+        assert!(want.iter().any(|&t| t > 0));
+        assert_eq!(svc.power_toggles, want);
+        assert_eq!(svc.power_ops, 4);
+    }
+
+    #[test]
+    fn fault_injected_after_a_clean_batch_is_seen_by_the_next_batch() {
+        let (n, ports) = build();
+        let reg = Registry::new();
+        let mut cfg = small_cfg();
+        cfg.units = 1;
+        cfg.speculative_every = 0;
+        let mut svc = Service::new(&n, &ports, cfg, &reg);
+        // The first batch arms the service's simulator with unit 0's
+        // clean overlay.
+        for k in 0..4u64 {
+            assert!(svc.admit(1, &req(k, Operation::int64(k + 1, 2))).is_none());
+        }
+        svc.tick();
+        assert_eq!(svc.take_responses().len(), 4);
+        assert_eq!(reg.counter("service.check_failures").get(), 0);
+        // Even products keep bit 0 of the low word at 0: stuck at 1, the
+        // fault shows in every lane.
+        svc.engine_mut().inject_stuck_at(0, ports.pl[0], true, true);
+        for k in 4..8u64 {
+            assert!(svc.admit(1, &req(k, Operation::int64(k + 1, 2))).is_none());
+        }
+        svc.tick();
+        assert_eq!(
+            reg.counter("service.check_failures").get(),
+            4,
+            "every lane of the next batch ran under the new overlay"
+        );
+        assert_eq!(reg.counter("service.rescues").get(), 4);
+        for _ in 0..40 {
+            svc.tick();
+        }
+        let out = svc.take_responses();
+        assert_eq!(out.len(), 4, "every rescued lane answered: {out:?}");
+        for (_, r) in &out {
+            match r {
+                Response::Ok { id, ph, pl, .. } => {
+                    let want = (*id + 1) as u128 * 2;
+                    assert_eq!(((*ph as u128) << 64) | *pl as u128, want, "id {id}");
+                }
+                other => panic!("expected a rescued Ok, got {other:?}"),
+            }
+        }
         assert_eq!(svc.escapes(), 0);
     }
 

@@ -77,7 +77,7 @@ impl TraceMinter {
 pub enum Phase {
     /// Waiting in the admission queue for a batch slot.
     QueueWait,
-    /// Being gathered into a 64-lane compatible batch.
+    /// Being gathered into a 256-lane batch.
     BatchFill,
     /// Compiled bit-parallel evaluation of the batch.
     CompiledEval,
