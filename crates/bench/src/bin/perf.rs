@@ -8,7 +8,9 @@
 //! Usage: `perf [--quick] [--threads N] [--json <path>]`
 //! (defaults: full sizes, 4 threads, `BENCH_gatesim.json`).
 //!
-//! The JSON report is machine-readable: one entry per benchmark with
+//! The JSON report is machine-readable. Its root records the host it
+//! ran on (`available_parallelism`) and the build `profile`; it holds
+//! one entry per benchmark with
 //! `name`, `ns_per_op`, `throughput` (ops/s) and `threads`, plus a
 //! `summary` object with the derived speedups the performance work
 //! targets: the fault-campaign speedup (compiled+sharded over
@@ -291,6 +293,18 @@ fn main() {
         .field_f64("power_error", power_error);
     let mut root = JsonObject::new();
     root.field_str("bench", "gatesim_perf")
+        .field_str(
+            "profile",
+            if cfg!(debug_assertions) {
+                "debug"
+            } else {
+                "release"
+            },
+        )
+        .field_u64(
+            "available_parallelism",
+            std::thread::available_parallelism().map_or(1, |n| n.get()) as u64,
+        )
         .field_bool("quick", quick)
         .field_u64("threads", threads as u64)
         .field_raw("entries", &arr.finish())

@@ -20,12 +20,22 @@
 //!   input vector; every vector counts as one operation.
 //! - **Sequential**: [`Simulator::step_cycle`] applies inputs, clocks all
 //!   DFFs once and settles; registered values move one stage per call.
+//!
+//! Pending events live on a timing wheel (`EventQueue`): one bucket
+//! per tick of a horizon longer than the slowest cell, so every event a
+//! settle schedules lands in a bucket and timestamps are visited in
+//! order without a heap. A re-evaluation that yields the value its output
+//! already holds, with nothing pending on that net, schedules nothing: such
+//! an event could never commit, and settles never see a difference.
 
 use crate::netlist::{Driver, Levelization, NetId, Netlist};
 use crate::tech::CellKind;
 use mfm_telemetry::{Counter, Histogram, Registry};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
+
+#[cfg(test)]
+mod reference;
 
 /// Time is tracked in tenths of picoseconds to keep event ordering exact.
 type Time = u64;
@@ -93,6 +103,198 @@ struct ActiveFault {
     expires: Option<Time>,
 }
 
+/// End-of-list link in the event slab.
+const NIL: u32 = u32::MAX;
+
+/// One pending event in the slab.
+#[derive(Debug, Clone, Copy)]
+struct Event {
+    /// Schedule order: events due at one tick commit in this order.
+    seq: u64,
+    /// The net index shifted left once, the scheduled value in bit 0.
+    net_val: u32,
+    /// The next event in the same bucket (or in the free list).
+    next: u32,
+}
+
+/// Pending events, ordered by `(due tick, schedule order)`.
+///
+/// A timing wheel: bucket `at & mask` holds, in schedule order, the
+/// events due at `at`. The wheel spans more ticks than the slowest cell
+/// delay, and every event it holds is due within one span of the
+/// simulator's clock, so a bucket never mixes two timestamps and the
+/// next timestamp is the first occupied bucket after the clock. Events
+/// due past that horizon (long transient heal events) wait in a small
+/// overflow heap and are merged in by schedule order when their tick
+/// comes. All buckets share one slab with a free list, so the queue's
+/// memory is bounded by the peak number of pending events, not by the
+/// busiest bucket ever seen.
+#[derive(Debug)]
+struct EventQueue {
+    slab: Vec<Event>,
+    /// Head of the free list threaded through `slab`.
+    free: u32,
+    /// First and last event per bucket (`NIL` when empty).
+    head: Vec<u32>,
+    tail: Vec<u32>,
+    /// One bit per non-empty bucket.
+    occupied: Vec<u64>,
+    /// Bucket count minus one (the bucket count is a power of two).
+    mask: Time,
+    /// Events due at least one wheel span after the clock, as
+    /// `(due, seq, net, value)`.
+    overflow: BinaryHeap<Reverse<(Time, u64, u32, bool)>>,
+}
+
+impl EventQueue {
+    /// A queue whose wheel covers every delay up to `horizon` ticks.
+    fn new(horizon: Time) -> Self {
+        let buckets = (horizon + 1).next_power_of_two() as usize;
+        EventQueue {
+            slab: Vec::new(),
+            free: NIL,
+            head: vec![NIL; buckets],
+            tail: vec![NIL; buckets],
+            occupied: vec![0; buckets.div_ceil(64)],
+            mask: buckets as Time - 1,
+            overflow: BinaryHeap::new(),
+        }
+    }
+
+    /// Queues `value` for `net` at tick `at`, which must not precede the
+    /// clock `now`.
+    fn push(&mut self, now: Time, at: Time, seq: u64, net: u32, value: bool) {
+        debug_assert!(at >= now, "event scheduled in the past");
+        if at - now > self.mask {
+            self.overflow.push(Reverse((at, seq, net, value)));
+            return;
+        }
+        let ev = Event {
+            seq,
+            net_val: net << 1 | value as u32,
+            next: NIL,
+        };
+        let idx = if self.free == NIL {
+            self.slab.push(ev);
+            (self.slab.len() - 1) as u32
+        } else {
+            let idx = self.free;
+            self.free = self.slab[idx as usize].next;
+            self.slab[idx as usize] = ev;
+            idx
+        };
+        let b = (at & self.mask) as usize;
+        if self.head[b] == NIL {
+            self.head[b] = idx;
+            self.occupied[b / 64] |= 1 << (b % 64);
+        } else {
+            self.slab[self.tail[b] as usize].next = idx;
+        }
+        self.tail[b] = idx;
+    }
+
+    /// The earliest tick with a pending event, given the clock `now`.
+    fn next_time(&self, now: Time) -> Option<Time> {
+        let start = (now & self.mask) as usize;
+        let (sw, sb) = (start / 64, start % 64);
+        let words = self.occupied.len();
+        // Scan forward from the clock's bucket, wrapping once. The start
+        // word's bits from the clock on are empty by the time it comes
+        // round again, so the revisit sees only buckets before the clock.
+        let mut bucket = None;
+        let first = self.occupied[sw] & (!0u64 << sb);
+        if first != 0 {
+            bucket = Some(sw * 64 + first.trailing_zeros() as usize);
+        } else {
+            for i in 1..=words {
+                let wi = (sw + i) % words;
+                let w = self.occupied[wi];
+                if w != 0 {
+                    bucket = Some(wi * 64 + w.trailing_zeros() as usize);
+                    break;
+                }
+            }
+        }
+        let wheel = bucket.map(|b| now + ((b as Time).wrapping_sub(start as Time) & self.mask));
+        let over = self.overflow.peek().map(|Reverse((at, ..))| *at);
+        match (wheel, over) {
+            (Some(w), Some(o)) => Some(w.min(o)),
+            (w, o) => w.or(o),
+        }
+    }
+
+    /// Unlinks the bucket due at `at` and returns its first event, to be
+    /// walked with [`EventQueue::pop_at`].
+    fn take_bucket(&mut self, at: Time) -> u32 {
+        let b = (at & self.mask) as usize;
+        let first = std::mem::replace(&mut self.head[b], NIL);
+        self.occupied[b / 64] &= !(1 << (b % 64));
+        first
+    }
+
+    /// The next event due at `at` in schedule order, as `(seq, net,
+    /// value)`: the earlier of the walked bucket's `cursor` event and the
+    /// overflow's first event at `at`. Walked events are freed.
+    fn pop_at(&mut self, at: Time, cursor: &mut u32) -> Option<(u64, u32, bool)> {
+        let over = match self.overflow.peek() {
+            Some(&Reverse((t, seq, net, value))) if t == at => Some((seq, net, value)),
+            _ => None,
+        };
+        if *cursor != NIL {
+            let idx = *cursor;
+            let ev = self.slab[idx as usize];
+            if over.is_none_or(|(seq, ..)| ev.seq < seq) {
+                *cursor = ev.next;
+                self.slab[idx as usize].next = self.free;
+                self.free = idx;
+                return Some((ev.seq, ev.net_val >> 1, ev.net_val & 1 == 1));
+            }
+        }
+        if over.is_some() {
+            self.overflow.pop();
+        }
+        over
+    }
+
+    /// Removes every pending event, appending each as `(seq, net,
+    /// value)` to `out` in no particular order.
+    fn drain_into(&mut self, out: &mut Vec<(u64, u32, bool)>) {
+        for wi in 0..self.occupied.len() {
+            let mut w = self.occupied[wi];
+            while w != 0 {
+                let b = wi * 64 + w.trailing_zeros() as usize;
+                w &= w - 1;
+                let mut idx = self.head[b];
+                while idx != NIL {
+                    let ev = self.slab[idx as usize];
+                    out.push((ev.seq, ev.net_val >> 1, ev.net_val & 1 == 1));
+                    idx = ev.next;
+                }
+            }
+        }
+        out.extend(
+            self.overflow
+                .drain()
+                .map(|Reverse((_, seq, net, value))| (seq, net, value)),
+        );
+        self.clear();
+    }
+
+    /// Drops every pending event.
+    fn clear(&mut self) {
+        for wi in 0..self.occupied.len() {
+            let mut w = std::mem::take(&mut self.occupied[wi]);
+            while w != 0 {
+                self.head[wi * 64 + w.trailing_zeros() as usize] = NIL;
+                w &= w - 1;
+            }
+        }
+        self.slab.clear();
+        self.free = NIL;
+        self.overflow.clear();
+    }
+}
+
 /// An event-driven two-valued simulator over a [`Netlist`].
 #[derive(Debug)]
 pub struct Simulator<'a> {
@@ -102,7 +304,7 @@ pub struct Simulator<'a> {
     /// from the netlist's cache (computed once per netlist, not per
     /// simulator).
     lev: &'a Levelization,
-    heap: BinaryHeap<Reverse<(Time, u64, u32, bool)>>,
+    queue: EventQueue,
     seq: u64,
     now: Time,
     /// Output transitions per net since the last [`Simulator::reset_activity`].
@@ -110,10 +312,18 @@ pub struct Simulator<'a> {
     /// Sequence number of the newest scheduled event per net; older
     /// pending events are stale (inertial cancellation).
     newest: Vec<u64>,
-    /// Per-cell integer delay in ticks.
-    delays: Vec<Time>,
+    /// Due tick of the newest scheduled event per net.
+    due: Vec<Time>,
+    /// Integer delay in ticks per cell kind (indexed by `CellKind::index`).
+    delay: [Time; CellKind::ALL.len()],
     /// DFF cell indices, in instantiation order.
     dff_cells: Vec<u32>,
+    /// Per-settle scratch: nets committed at the current tick, and the
+    /// cells they feed. Kept to reuse their allocations.
+    touched: Vec<u32>,
+    affected: Vec<u32>,
+    /// Per-cycle scratch: the D value each DFF samples at the clock edge.
+    sampled: Vec<bool>,
     /// Clock cycles issued since the last reset.
     cycles: u64,
     /// Total committed events since the last reset (includes glitches).
@@ -152,10 +362,14 @@ impl<'a> Simulator<'a> {
         let lev = netlist
             .levelization()
             .expect("Simulator requires an acyclic netlist");
-        let mut delays = Vec::with_capacity(netlist.cell_count());
-        for cell in netlist.cells() {
-            let d = netlist.tech().params(cell.kind).delay_ps;
-            delays.push((d * TIME_SCALE).round() as Time);
+        assert!(
+            netlist.net_count() <= 1 << 31,
+            "net ids must fit an event's 31-bit net field"
+        );
+        let mut delay = [0; CellKind::ALL.len()];
+        for kind in CellKind::ALL {
+            let d = netlist.tech().params(kind).delay_ps;
+            delay[kind.index()] = (d * TIME_SCALE).round() as Time;
         }
         let dff_cells = netlist
             .cells()
@@ -169,13 +383,17 @@ impl<'a> Simulator<'a> {
             netlist,
             values: vec![false; netlist.net_count()],
             lev,
-            heap: BinaryHeap::new(),
+            queue: EventQueue::new(delay.iter().copied().max().unwrap_or(0)),
             seq: 0,
             now: 0,
             toggles: vec![0; netlist.net_count()],
             newest: vec![0; netlist.net_count()],
-            delays,
+            due: vec![0; netlist.net_count()],
+            delay,
             dff_cells,
+            touched: Vec::new(),
+            affected: Vec::new(),
+            sampled: Vec::new(),
             cycles: 0,
             events: 0,
             trace: None,
@@ -399,7 +617,8 @@ impl<'a> Simulator<'a> {
     fn schedule(&mut self, at: Time, net: NetId, value: bool) {
         self.seq += 1;
         self.newest[net.index()] = self.seq;
-        self.heap.push(Reverse((at, self.seq, net.0, value)));
+        self.due[net.index()] = at;
+        self.queue.push(self.now, at, self.seq, net.0, value);
     }
 
     /// Caps the committed transitions of every following settle pass —
@@ -442,7 +661,7 @@ impl<'a> Simulator<'a> {
     /// **not** advanced — repair work is not workload activity — and
     /// expired transient faults are dropped.
     pub fn recompute(&mut self) {
-        self.heap.clear();
+        self.queue.clear();
         let now = self.now;
         self.faults.retain(|_, f| f.expires.is_none_or(|e| now < e));
         // Force faulted primary inputs first; cell outputs are forced in
@@ -492,10 +711,8 @@ impl<'a> Simulator<'a> {
         let mut committed = 0u64;
         // Apply pending source events in schedule order; per net the
         // newest schedule wins, mirroring inertial cancellation.
-        let mut pending: Vec<(u64, u32, bool)> = Vec::with_capacity(self.heap.len());
-        while let Some(Reverse((_, seq, net, val))) = self.heap.pop() {
-            pending.push((seq, net, val));
-        }
+        let mut pending: Vec<(u64, u32, bool)> = Vec::new();
+        self.queue.drain_into(&mut pending);
         pending.sort_unstable();
         for (seq, net, val) in pending {
             let ni = net as usize;
@@ -536,6 +753,12 @@ impl<'a> Simulator<'a> {
                 }
             }
         }
+        self.record_settle(committed)
+    }
+
+    /// Books a finished settle pass into the counters and telemetry and
+    /// returns its committed transitions.
+    fn record_settle(&mut self, committed: u64) -> u64 {
         self.events += committed;
         if let Some(t) = &mut self.telemetry {
             t.settles.inc();
@@ -557,17 +780,21 @@ impl<'a> Simulator<'a> {
         if self.zero_delay {
             return self.settle_zero_delay();
         }
+        let cells = self.netlist.cells();
         let mut committed = 0u64;
-        let mut touched: Vec<u32> = Vec::new();
-        let mut affected: Vec<u32> = Vec::new();
-        while let Some(&Reverse((t, _, _, _))) = self.heap.peek() {
+        let mut aborted = false;
+        // Latest due tick of a quiet re-evaluation left unscheduled.
+        let mut quiet_due: Time = 0;
+        let mut touched = std::mem::take(&mut self.touched);
+        let mut affected = std::mem::take(&mut self.affected);
+        while let Some(t) = self.queue.next_time(self.now) {
             if self.settle_budget.is_some_and(|b| committed > b) {
                 // Watchdog abort: drop everything still in flight. Any
                 // armed transient faults are abandoned mid-pulse too —
                 // the caller is expected to repair (clear faults and
                 // re-settle) before reuse.
-                self.budget_exceeded = true;
-                self.heap.clear();
+                aborted = true;
+                self.queue.clear();
                 break;
             }
             self.now = t;
@@ -575,18 +802,15 @@ impl<'a> Simulator<'a> {
             // Commit every *current* (non-cancelled) event at this
             // timestamp. An event is stale if the driving cell scheduled a
             // newer value before this one matured — inertial filtering.
-            while let Some(&Reverse((t2, seq, net, val))) = self.heap.peek() {
-                if t2 != t {
-                    break;
-                }
-                self.heap.pop();
+            let mut cursor = self.queue.take_bucket(t);
+            while let Some((seq, net, val)) = self.queue.pop_at(t, &mut cursor) {
                 let ni = net as usize;
                 let mut val = val;
                 if let Some(&f) = self.faults.get(&net) {
                     // Faulted nets bypass inertial cancellation: the forced
                     // value must land no matter how the driver glitches, and
                     // a transient's heal event must never be filtered.
-                    if f.expires.is_some_and(|e| t2 >= e) {
+                    if f.expires.is_some_and(|e| t >= e) {
                         self.faults.remove(&net);
                         val = self.driven_value(NetId(net), val);
                     } else {
@@ -613,22 +837,40 @@ impl<'a> Simulator<'a> {
             affected.sort_unstable();
             affected.dedup();
             for &ci in &affected {
-                let out_net = self.netlist.cells()[ci as usize].output;
+                let cell = &cells[ci as usize];
+                let out = cell.output;
                 let new_val = self.eval_cell(ci as usize);
-                self.schedule(t + self.delays[ci as usize], out_net, new_val);
+                let at = t + self.delay[cell.kind.index()];
+                // A value the net already holds, with nothing pending to
+                // cancel, would commit nothing when it matured: skip it.
+                // Faulted nets keep every event (a transient may heal), and
+                // so do zero-delay cells: their event would start one more
+                // pass at this tick, which the budget watchdog can see.
+                if new_val == self.values[out.index()]
+                    && self.due[out.index()] <= t
+                    && at > t
+                    && !self.faults.contains_key(&out.0)
+                {
+                    quiet_due = quiet_due.max(at);
+                    continue;
+                }
+                self.schedule(at, out, new_val);
             }
         }
-        self.events += committed;
-        if let Some(t) = &mut self.telemetry {
-            t.settles.inc();
-            t.events.add(committed);
-            t.settle_events.observe(committed as f64);
-            t.settles_in_window += 1;
-            if t.settles_in_window >= t.window {
-                t.flush_blocks(&self.toggles);
+        // A skipped event would still have been popped: it keeps the
+        // budget watchdog firing on a pass with nothing else left, and
+        // the clock ends at its tick.
+        if !aborted && quiet_due > self.now {
+            if self.settle_budget.is_some_and(|b| committed > b) {
+                aborted = true;
+            } else {
+                self.now = quiet_due;
             }
         }
-        committed
+        self.budget_exceeded |= aborted;
+        self.touched = touched;
+        self.affected = affected;
+        self.record_settle(committed)
     }
 
     /// Applies one clock cycle to a sequential netlist:
@@ -642,21 +884,21 @@ impl<'a> Simulator<'a> {
     ///
     /// Returns the number of committed transitions in the cycle.
     pub fn step_cycle(&mut self, inputs: &[(&[NetId], u128)]) -> u64 {
+        let cells = self.netlist.cells();
         // Sample D inputs *before* anything changes.
-        let sampled: Vec<(u32, bool)> = self
-            .dff_cells
-            .iter()
-            .map(|&ci| {
-                let cell = &self.netlist.cells()[ci as usize];
-                (ci, self.values[cell.inputs[0].index()])
-            })
-            .collect();
+        let mut sampled = std::mem::take(&mut self.sampled);
+        sampled.clear();
+        sampled.extend(
+            self.dff_cells
+                .iter()
+                .map(|&ci| self.values[cells[ci as usize].inputs[0].index()]),
+        );
         // Clock edge at a fresh timestamp.
-        let edge = self.now;
-        for (ci, d) in sampled {
-            let cell = &self.netlist.cells()[ci as usize];
-            self.schedule(edge + self.delays[ci as usize], cell.output, d);
+        let q_at = self.now + self.delay[CellKind::Dff.index()];
+        for (i, &d) in sampled.iter().enumerate() {
+            self.schedule(q_at, cells[self.dff_cells[i] as usize].output, d);
         }
+        self.sampled = sampled;
         for (bus, value) in inputs {
             self.set_bus(bus, *value);
         }

@@ -132,7 +132,7 @@ impl CellKind {
         CellKind::Dff,
     ];
 
-    fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             CellKind::Inv => 0,
             CellKind::Buf => 1,
