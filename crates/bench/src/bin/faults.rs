@@ -10,14 +10,12 @@
 //! ([`fault_coverage_parallel`]) sharded over N worker threads. The
 //! report — and the JSON file — is byte-identical for any N, and
 //! identical to the sequential event-driven campaign for the same seed;
-//! only the wall-clock changes. (Telemetry in this mode is written once
-//! from the final totals, so no wall-clock-dependent span can leak into
-//! the JSON.)
+//! only the wall-clock changes. Both paths publish the `faultcov.*`
+//! telemetry once from the final report; only the event-driven run adds
+//! a wall-clock span.
 
 use mfm_bench::cli;
-use mfm_evalkit::faultcov::{
-    fault_coverage_observed, fault_coverage_parallel, FaultCoverageConfig,
-};
+use mfm_evalkit::faultcov::{fault_coverage, fault_coverage_parallel, FaultCoverageConfig};
 use mfm_evalkit::runreport::RunReport;
 use mfm_gatesim::report::Table;
 use mfm_telemetry::Registry;
@@ -52,29 +50,16 @@ fn main() {
     let registry = Registry::new();
     println!("=== Fault-injection campaign: residue/self-check coverage ===\n");
     let report = match threads {
-        // Compiled bit-parallel path: telemetry is written once from the
-        // final totals (no span — a span embeds wall-clock microseconds,
-        // which would break byte-identical JSON across thread counts).
-        Some(t) => {
-            let report = fault_coverage_parallel(&cfg, t.max(1));
-            let totals = report.blocks.totals();
-            registry
-                .counter("faultcov.sites_done")
-                .add(report.sites_run as u64);
-            registry.counter("faultcov.vectors").add(totals.ops());
-            registry.counter("faultcov.masked").add(totals.masked);
-            registry.counter("faultcov.detected").add(totals.detected);
-            registry.counter("faultcov.silent").add(totals.silent);
-            registry
-                .gauge("faultcov.detection_rate")
-                .set(totals.detection_rate());
-            report
-        }
+        // No span on the compiled path: a span embeds wall-clock
+        // microseconds, which would break byte-identical JSON across
+        // thread counts.
+        Some(t) => fault_coverage_parallel(&cfg, t.max(1)),
         None => {
             let _span = registry.span("faults");
-            fault_coverage_observed(&cfg, Some(&registry))
+            fault_coverage(&cfg)
         }
     };
+    report.publish(&registry);
     println!("{report}");
     let totals = report.blocks.totals();
     println!(

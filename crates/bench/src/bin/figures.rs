@@ -195,7 +195,7 @@ fn adders() {
 fn trees() {
     println!("=== Ablation: 3:2 (Dadda) vs 4:2 compressor trees ===\n");
     use mfm_arith::TreeStyle;
-    use mfm_evalkit::montecarlo::measure_multiplier_combinational;
+    use mfm_evalkit::montecarlo::measure_multiplier;
     let mut t = Table::new(&[
         "radix / tree",
         "delay [ps]",
@@ -223,7 +223,7 @@ fn trees() {
             .iter()
             .filter(|c| n.top_level_block_name(c.block) == "TREE")
             .count();
-        let p = measure_multiplier_combinational(&n, &ports, 120, 11);
+        let p = measure_multiplier(&n, &ports, 120, 11);
         t.row_owned(vec![
             name.to_owned(),
             format!("{:.0}", sta.critical_delay_ps),

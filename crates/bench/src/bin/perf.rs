@@ -6,7 +6,8 @@
 //! event-driven vs event-driven sharded vs compiled+calibrated).
 //!
 //! Usage: `perf [--quick] [--threads N] [--json <path>]`
-//! (defaults: full sizes, 4 threads, `BENCH_gatesim.json`).
+//! (defaults: full sizes, one thread per available CPU,
+//! `BENCH_gatesim.json`).
 //!
 //! The JSON report is machine-readable. Its root records the host it
 //! ran on (`available_parallelism`) and the build `profile`; it holds
@@ -82,7 +83,7 @@ fn main() {
         }
     }
     let quick = cli::has_flag(&args, "--quick");
-    let threads = cli::arg_value(&args, "--threads", 4).max(1) as usize;
+    let threads = cli::threads(&args);
     let path =
         cli::json_path(&args).unwrap_or_else(|| std::path::PathBuf::from("BENCH_gatesim.json"));
 

@@ -6,7 +6,7 @@
 
 use mfm_arith::{build_multiplier, MultiplierConfig};
 use mfm_evalkit::calibrate::GlitchCalibration;
-use mfm_evalkit::montecarlo::measure_multiplier_combinational;
+use mfm_evalkit::montecarlo::measure_multiplier;
 use mfm_gatesim::{CompiledNetlist, Netlist, TechLibrary};
 use mfmult::structural::build_unit;
 
@@ -17,7 +17,7 @@ fn main() {
     ] {
         let mut n = Netlist::new(TechLibrary::cmos45lp());
         let ports = build_multiplier(&mut n, cfg);
-        let p = measure_multiplier_combinational(&n, &ports, 150, 2017);
+        let p = measure_multiplier(&n, &ports, 150, 2017);
         println!(
             "{name}: {:.1} pJ/op, {:.0} transitions/op",
             p.energy_pj_per_op(),

@@ -3,7 +3,8 @@
 //!
 //! Usage: `table5 [--ops N] [--seed S] [--quad] [--compiled]
 //! [--cal-ops N] [--threads N] [--json <path>]`
-//! (default: 300 operations/format).
+//! (default: 300 operations/format; `--threads` defaults to one per
+//! available CPU).
 //!
 //! With `--compiled` the rows come from the 256-lane compiled activity
 //! engine with per-block glitch-inflation calibration instead of the
@@ -33,8 +34,7 @@ fn main() {
         let _span = registry.span("table5");
         if compiled {
             let cal_ops = cli::arg_value(&args, "--cal-ops", (ops / 4).max(8) as u64) as usize;
-            let threads = cli::arg_value(&args, "--threads", 4).max(1) as usize;
-            let (t, cal) = table5_compiled(ops, cal_ops, seed, 4, threads);
+            let (t, cal) = table5_compiled(ops, cal_ops, seed, 4, cli::threads(&args));
             (t, Some(cal))
         } else {
             (table5(ops, seed), None)

@@ -49,6 +49,13 @@ pub mod cli {
         }
     }
 
+    /// The `--threads N` worker count, defaulting to the host's available
+    /// parallelism. Never less than 1.
+    pub fn threads(args: &[String]) -> usize {
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        (arg_value(args, "--threads", host as u64) as usize).max(1)
+    }
+
     /// The string value following `name`, if present. Exits with status
     /// 2 when the flag is given without a value.
     pub fn arg_str(args: &[String], name: &str) -> Option<String> {

@@ -12,8 +12,9 @@
 //! factors (plus an event-count factor for the `transitions_per_op`
 //! metric). [`measure_unit_compiled_sharded`](crate::montecarlo::measure_unit_compiled_sharded)
 //! then applies the factors via
-//! [`PowerEstimator::from_toggles_calibrated`] — clock and leakage are
-//! never inflated (both are exact in the compiled path).
+//! [`PowerEstimator::from_toggles_calibrated`](mfm_gatesim::PowerEstimator::from_toggles_calibrated)
+//! — clock and leakage are never inflated (both are exact in the
+//! compiled path).
 //!
 //! Calibration is per format because glitch activity is
 //! workload-dependent: int64 exercises the full 64×64 array while the
@@ -28,8 +29,8 @@
 //! run can be stored alongside the netlist's benchmark results and
 //! reused without re-running the event-driven reference.
 
-use crate::montecarlo::{compiled_activity, measure_unit};
-use mfm_gatesim::{CompiledNetlist, Netlist, PowerEstimator};
+use crate::montecarlo::{compiled_activity, measure_unit, merge_and_estimate};
+use mfm_gatesim::{CompiledNetlist, Netlist};
 use mfm_telemetry::json::{self, JsonArray, JsonObject};
 use mfmult::{Format, StructuralPorts};
 
@@ -95,18 +96,7 @@ impl GlitchCalibration {
             .map(|&format| {
                 let ed = measure_unit(netlist, ports, format, ops, seed);
                 let counts = compiled_activity(prog, ports, format, ops, seed);
-                let measured_ops = if ports.latency > 0 {
-                    counts.cycles
-                } else {
-                    ops as u64
-                };
-                let zd = PowerEstimator::from_toggles(
-                    netlist,
-                    &counts.toggles,
-                    counts.events,
-                    counts.cycles,
-                    measured_ops,
-                );
+                let zd = merge_and_estimate(netlist, ports, ops, &[counts], None);
                 let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { 1.0 };
                 let per_block = ed
                     .per_block_pj
@@ -184,8 +174,8 @@ impl GlitchCalibration {
                         return Err(format!("unsupported calibration version {value}"));
                     }
                 }
-                "ops" => cal.ops = parse_u64(&key, &value)?,
-                "seed" => cal.seed = parse_u64(&key, &value)?,
+                "ops" => cal.ops = json::value_u64(&key, &value)?,
+                "seed" => cal.seed = json::value_u64(&key, &value)?,
                 "formats" => {
                     for item in json::array_entries(&value)? {
                         cal.formats.push(parse_format_cal(&item)?);
@@ -196,28 +186,6 @@ impl GlitchCalibration {
         }
         Ok(cal)
     }
-}
-
-fn parse_u64(key: &str, value: &str) -> Result<u64, String> {
-    value
-        .trim()
-        .parse::<u64>()
-        .map_err(|e| format!("bad {key} {value:?}: {e}"))
-}
-
-fn parse_f64(key: &str, value: &str) -> Result<f64, String> {
-    value
-        .trim()
-        .parse::<f64>()
-        .map_err(|e| format!("bad {key} {value:?}: {e}"))
-}
-
-fn parse_str(key: &str, value: &str) -> Result<String, String> {
-    let v = value.trim();
-    v.strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
-        .map(json::unescape)
-        .ok_or_else(|| format!("calibration field {key:?} must be a string, got {v}"))
 }
 
 fn format_from_label(label: &str) -> Result<Format, String> {
@@ -242,19 +210,19 @@ fn parse_format_cal(text: &str) -> Result<FormatCal, String> {
     let mut zd_pj = None;
     for (key, value) in json::object_entries(text)? {
         match key.as_str() {
-            "format" => format = Some(format_from_label(&parse_str(&key, &value)?)?),
-            "default_factor" => default_factor = Some(parse_f64(&key, &value)?),
-            "event_factor" => event_factor = Some(parse_f64(&key, &value)?),
-            "event_driven_pj_per_op" => ed_pj = Some(parse_f64(&key, &value)?),
-            "zero_delay_pj_per_op" => zd_pj = Some(parse_f64(&key, &value)?),
+            "format" => format = Some(format_from_label(&json::value_str(&key, &value)?)?),
+            "default_factor" => default_factor = Some(json::value_f64(&key, &value)?),
+            "event_factor" => event_factor = Some(json::value_f64(&key, &value)?),
+            "event_driven_pj_per_op" => ed_pj = Some(json::value_f64(&key, &value)?),
+            "zero_delay_pj_per_op" => zd_pj = Some(json::value_f64(&key, &value)?),
             "per_block" => {
                 for item in json::array_entries(&value)? {
                     let mut block = None;
                     let mut factor = None;
                     for (k, v) in json::object_entries(&item)? {
                         match k.as_str() {
-                            "block" => block = Some(parse_str(&k, &v)?),
-                            "factor" => factor = Some(parse_f64(&k, &v)?),
+                            "block" => block = Some(json::value_str(&k, &v)?),
+                            "factor" => factor = Some(json::value_f64(&k, &v)?),
                             other => return Err(format!("unknown per_block field {other:?}")),
                         }
                     }
@@ -282,7 +250,7 @@ fn parse_format_cal(text: &str) -> Result<FormatCal, String> {
 mod tests {
     use super::*;
     use crate::montecarlo::measure_unit_compiled_sharded;
-    use mfm_gatesim::TechLibrary;
+    use mfm_gatesim::{PowerEstimator, TechLibrary};
     use mfmult::structural::build_unit;
 
     fn unit() -> (Netlist, StructuralPorts) {

@@ -3,13 +3,10 @@
 //! layout; the `table*` binaries in `mfm-bench` are thin wrappers.
 
 use crate::calibrate::GlitchCalibration;
-use crate::montecarlo::{
-    measure_multiplier_combinational, measure_multiplier_pipelined, measure_unit,
-    measure_unit_compiled_sharded,
-};
+use crate::montecarlo::{measure_multiplier, measure_unit, measure_unit_compiled_sharded};
 use mfm_arith::{build_multiplier, MultiplierConfig, Radix};
 use mfm_gatesim::report::Table;
-use mfm_gatesim::{CompiledNetlist, Netlist, TechLibrary, TimingAnalysis};
+use mfm_gatesim::{CompiledNetlist, Netlist, PowerBreakdown, TechLibrary, TimingAnalysis};
 use mfmult::pipeline::{build_pipelined_unit, PipelinePlacement};
 use mfmult::Format;
 use std::fmt;
@@ -134,12 +131,7 @@ pub fn table3(vectors: usize, seed: u64) -> Table3 {
     let mw = |cfg: MultiplierConfig| -> f64 {
         let mut n = Netlist::new(TechLibrary::cmos45lp());
         let ports = build_multiplier(&mut n, cfg);
-        let p = if ports.latency == 0 {
-            measure_multiplier_combinational(&n, &ports, vectors, seed)
-        } else {
-            measure_multiplier_pipelined(&n, &ports, vectors, seed)
-        };
-        p.total_mw_at(100.0)
+        measure_multiplier(&n, &ports, vectors, seed).total_mw_at(100.0)
     };
     let r4c = mw(MultiplierConfig::radix4());
     let r16c = mw(MultiplierConfig::radix16());
@@ -254,13 +246,9 @@ impl fmt::Display for Table5 {
     }
 }
 
-/// Runs the Table V experiment.
-pub fn table5(ops: usize, seed: u64) -> Table5 {
-    let mut n = Netlist::new(TechLibrary::cmos45lp());
-    let u = build_pipelined_unit(&mut n, PipelinePlacement::Fig5);
-    let sta = TimingAnalysis::new(&n).report();
-    let fmax = sta.max_freq_mhz();
-
+/// Builds Table V from one power measurement per format of a unit whose
+/// maximum clock is `fmax` MHz.
+fn table5_rows(ops: usize, fmax: f64, mut measure: impl FnMut(Format) -> PowerBreakdown) -> Table5 {
     let name = |f: Format| match f {
         Format::Int64 => "int64",
         Format::Binary64 => "binary64",
@@ -271,7 +259,7 @@ pub fn table5(ops: usize, seed: u64) -> Table5 {
     let rows = Format::ALL
         .iter()
         .map(|&fmt| {
-            let p = measure_unit(&n, &u, fmt, ops, seed);
+            let p = measure(fmt);
             let p100 = p.total_mw_at(100.0);
             let pfmax = p.total_mw_at(fmax);
             let throughput = fmt.ops_per_cycle() as f64 * fmax * 1e-3; // GFLOPS
@@ -289,6 +277,14 @@ pub fn table5(ops: usize, seed: u64) -> Table5 {
         fmax_mhz: fmax,
         rows,
     }
+}
+
+/// Runs the Table V experiment.
+pub fn table5(ops: usize, seed: u64) -> Table5 {
+    let mut n = Netlist::new(TechLibrary::cmos45lp());
+    let u = build_pipelined_unit(&mut n, PipelinePlacement::Fig5);
+    let fmax = TimingAnalysis::new(&n).report().max_freq_mhz();
+    table5_rows(ops, fmax, |fmt| measure_unit(&n, &u, fmt, ops, seed))
 }
 
 /// Runs the Table V experiment through the compiled 256-lane activity
@@ -313,54 +309,15 @@ pub fn table5_compiled(
     let mut n = Netlist::new(TechLibrary::cmos45lp());
     let u = build_pipelined_unit(&mut n, PipelinePlacement::Fig5);
     let prog = CompiledNetlist::compile(&n).expect("pipelined unit is acyclic");
-    let sta = TimingAnalysis::new(&n).report();
-    let fmax = sta.max_freq_mhz();
+    let fmax = TimingAnalysis::new(&n).report().max_freq_mhz();
     // A shard index far above any real shard count keeps the calibration
     // stream disjoint from the measurement streams for the same seed.
     let cal_seed = crate::shard::shard_seed(seed, 1 << 32);
     let cal = GlitchCalibration::run(&n, &prog, &u, cal_ops, cal_seed);
-
-    let name = |f: Format| match f {
-        Format::Int64 => "int64",
-        Format::Binary64 => "binary64",
-        Format::DualBinary32 => "binary32 (dual)",
-        Format::SingleBinary32 => "binary32 (single)",
-        Format::QuadBinary16 => "binary16 (quad)",
-    };
-    let rows = Format::ALL
-        .iter()
-        .map(|&fmt| {
-            let p = measure_unit_compiled_sharded(
-                &n,
-                &prog,
-                &u,
-                fmt,
-                ops,
-                seed,
-                shards,
-                threads,
-                Some(&cal),
-            );
-            let p100 = p.total_mw_at(100.0);
-            let pfmax = p.total_mw_at(fmax);
-            let throughput = fmt.ops_per_cycle() as f64 * fmax * 1e-3; // GFLOPS
-            Table5Row {
-                format: name(fmt).to_owned(),
-                power_mw_100: p100,
-                power_mw_fmax: pfmax,
-                throughput_gflops: throughput,
-                efficiency_gflops_w: throughput / (pfmax * 1e-3),
-            }
-        })
-        .collect();
-    (
-        Table5 {
-            ops,
-            fmax_mhz: fmax,
-            rows,
-        },
-        cal,
-    )
+    let t = table5_rows(ops, fmax, |fmt| {
+        measure_unit_compiled_sharded(&n, &prog, &u, fmt, ops, seed, shards, threads, Some(&cal))
+    });
+    (t, cal)
 }
 
 /// Fig. 5 ablation: per-placement minimum period and register count.

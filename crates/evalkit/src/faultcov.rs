@@ -29,7 +29,7 @@ use mfm_gatesim::tech::TechLibrary;
 use mfm_gatesim::{CompiledFaultSim, CompiledNetlist, FaultKind, FaultOutcome, LANES};
 use mfm_telemetry::Registry;
 use mfmult::selfcheck::{check_raw, run_raw, run_raw_compiled, CheckError, RawOutputs};
-use mfmult::{structural, Format, FunctionalUnit, MultResult, Operation};
+use mfmult::{structural, Format, FunctionalUnit, MultResult, Operation, StructuralPorts};
 
 use crate::shard::run_shards;
 use crate::workload::OperandGen;
@@ -140,6 +140,23 @@ impl FaultCoverageReport {
     pub fn residue_detections(&self) -> u64 {
         self.detections_by_tier.get("residue").copied().unwrap_or(0)
     }
+
+    /// Adds the campaign's final totals to `registry`: the counters
+    /// `faultcov.{sites_done, vectors, masked, detected, silent}` and the
+    /// gauge `faultcov.detection_rate`.
+    pub fn publish(&self, registry: &Registry) {
+        let totals = self.blocks.totals();
+        registry
+            .counter("faultcov.sites_done")
+            .add(self.sites_run as u64);
+        registry.counter("faultcov.vectors").add(totals.ops());
+        registry.counter("faultcov.masked").add(totals.masked);
+        registry.counter("faultcov.detected").add(totals.detected);
+        registry.counter("faultcov.silent").add(totals.silent);
+        registry
+            .gauge("faultcov.detection_rate")
+            .set(totals.detection_rate());
+    }
 }
 
 impl fmt::Display for FaultCoverageReport {
@@ -208,119 +225,123 @@ pub fn hardware_view(r: &MultResult) -> (u64, u64, u8) {
     }
 }
 
-/// Runs the campaign described by `config` and aggregates the report.
-pub fn fault_coverage(config: &FaultCoverageConfig) -> FaultCoverageReport {
-    fault_coverage_observed(config, None)
+/// Per-format outcome counts and first-firing checker tiers of the
+/// vectors one campaign (or one shard of it) classified.
+struct Tally {
+    per_format: BTreeMap<&'static str, OutcomeCounts>,
+    by_tier: BTreeMap<&'static str, u64>,
 }
 
-/// [`fault_coverage`] with live progress telemetry. When a `registry` is
-/// given, the campaign keeps the counters `faultcov.{sites_done,
-/// vectors, masked, detected, silent}` and the gauge
-/// `faultcov.detection_rate` current while it runs, so a long campaign
-/// can be watched from a metrics snapshot instead of waiting for the
-/// final report. The report itself is byte-identical to the unobserved
-/// run.
-pub fn fault_coverage_observed(
-    config: &FaultCoverageConfig,
-    registry: Option<&Registry>,
-) -> FaultCoverageReport {
-    let telemetry = registry.map(|r| {
-        (
-            r.counter("faultcov.sites_done"),
-            r.counter("faultcov.vectors"),
-            r.counter("faultcov.masked"),
-            r.counter("faultcov.detected"),
-            r.counter("faultcov.silent"),
-            r.gauge("faultcov.detection_rate"),
-        )
-    });
+impl Tally {
+    fn new(formats: &[Format]) -> Self {
+        Tally {
+            per_format: formats
+                .iter()
+                .map(|&f| (format_name(f), OutcomeCounts::default()))
+                .collect(),
+            by_tier: BTreeMap::new(),
+        }
+    }
+
+    fn merge(&mut self, other: &Tally) {
+        for (name, c) in &other.per_format {
+            let e = self.per_format.entry(name).or_default();
+            e.masked += c.masked;
+            e.detected += c.detected;
+            e.silent += c.silent;
+        }
+        for (tier, n) in &other.by_tier {
+            *self.by_tier.entry(tier).or_insert(0) += n;
+        }
+    }
+
+    fn into_report(
+        self,
+        config: &FaultCoverageConfig,
+        sites_run: usize,
+        blocks: CampaignStats,
+    ) -> FaultCoverageReport {
+        FaultCoverageReport {
+            config: *config,
+            sites_run,
+            blocks,
+            formats: self.per_format,
+            detections_by_tier: self.by_tier,
+        }
+    }
+}
+
+/// Classifies one vector's delivered outputs `raw` against the
+/// functional reference and records the outcome in `tally`.
+fn classify(
+    op: Operation,
+    raw: &RawOutputs,
+    reference: &FunctionalUnit,
+    tally: &mut Tally,
+) -> FaultOutcome {
+    let outcome = if (raw.ph, raw.pl, raw.flags) == hardware_view(&reference.execute(op)) {
+        FaultOutcome::Masked
+    } else {
+        match check_raw(op, raw) {
+            Err(e) => {
+                *tally.by_tier.entry(tier_name(e)).or_insert(0) += 1;
+                FaultOutcome::Detected
+            }
+            Ok(()) => FaultOutcome::Silent,
+        }
+    };
+    tally
+        .per_format
+        .get_mut(format_name(op.format))
+        .expect("campaign drives only its own formats")
+        .record(outcome);
+    outcome
+}
+
+/// The faulted unit and the formats the campaign drives, in order.
+fn campaign_unit(config: &FaultCoverageConfig) -> (Netlist, StructuralPorts, Vec<Format>) {
     let mut n = Netlist::new(TechLibrary::cmos45lp());
+    let mut formats = Format::ALL.to_vec();
     let ports = if config.quad_lanes {
+        formats.push(Format::QuadBinary16);
         structural::build_unit_quad(&mut n)
     } else {
         structural::build_unit(&mut n)
     };
-    let formats: Vec<Format> = if config.quad_lanes {
-        vec![
-            Format::Int64,
-            Format::Binary64,
-            Format::DualBinary32,
-            Format::SingleBinary32,
-            Format::QuadBinary16,
-        ]
-    } else {
-        Format::ALL.to_vec()
-    };
+    (n, ports, formats)
+}
 
+/// The operand stream of the 1-based global site `site_idx`, derived from
+/// the campaign seed so that a site's classification does not depend on
+/// which sites were sampled before it or which shard runs it.
+fn site_gen(seed: u64, site_idx: u64) -> OperandGen {
+    OperandGen::new(seed ^ site_idx.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// Runs the campaign described by `config` on the event-driven simulator
+/// and aggregates the report.
+pub fn fault_coverage(config: &FaultCoverageConfig) -> FaultCoverageReport {
+    let (n, ports, formats) = campaign_unit(config);
     let sites = sample_sites(enumerate_stuck_sites(&n), config.sites, config.seed);
     let runner = CampaignRunner::new(&n, sites);
     let sites_run = runner.sites().len();
     let reference = FunctionalUnit::new();
-
-    let mut per_format: BTreeMap<&'static str, OutcomeCounts> = formats
-        .iter()
-        .map(|&f| (format_name(f), OutcomeCounts::default()))
-        .collect();
-    let mut by_tier: BTreeMap<&'static str, u64> = BTreeMap::new();
+    let mut tally = Tally::new(&formats);
     let mut site_idx: u64 = 0;
-
     let blocks = runner.run(|sim, _site| {
-        // Per-site operand stream derived from the campaign seed, so the
-        // classification of a site does not depend on which sites were
-        // sampled before it.
         site_idx += 1;
-        let mut gen = OperandGen::new(config.seed ^ site_idx.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut gen = site_gen(config.seed, site_idx);
         let mut outcomes = Vec::new();
         for &fmt in &formats {
             for _ in 0..config.vectors_per_format {
                 let op = gen.operation(fmt);
-                let raw: RawOutputs = run_raw(sim, &ports, op);
-                let golden = hardware_view(&reference.execute(op));
-                let outcome = if (raw.ph, raw.pl, raw.flags) == golden {
-                    FaultOutcome::Masked
-                } else {
-                    match check_raw(op, &raw) {
-                        Err(e) => {
-                            *by_tier.entry(tier_name(e)).or_insert(0) += 1;
-                            FaultOutcome::Detected
-                        }
-                        Ok(()) => FaultOutcome::Silent,
-                    }
-                };
-                per_format
-                    .get_mut(format_name(fmt))
-                    .unwrap()
-                    .record(outcome);
-                if let Some((_, vectors, masked, detected, silent, rate)) = &telemetry {
-                    vectors.inc();
-                    match outcome {
-                        FaultOutcome::Masked => masked.inc(),
-                        FaultOutcome::Detected => detected.inc(),
-                        FaultOutcome::Silent => silent.inc(),
-                    }
-                    let corrupted = detected.get() + silent.get();
-                    rate.set(if corrupted == 0 {
-                        1.0
-                    } else {
-                        detected.get() as f64 / corrupted as f64
-                    });
-                }
-                outcomes.push(outcome);
+                let raw = run_raw(sim, &ports, op);
+                outcomes.push(classify(op, &raw, &reference, &mut tally));
             }
-        }
-        if let Some((sites_done, ..)) = &telemetry {
-            sites_done.inc();
         }
         outcomes
     });
-
-    FaultCoverageReport {
-        config: *config,
-        sites_run,
-        blocks,
-        formats: per_format,
-        detections_by_tier: by_tier,
-    }
+    tally.into_report(config, sites_run, blocks)
 }
 
 /// [`fault_coverage`] accelerated by the compiled bit-parallel engine
@@ -344,33 +365,12 @@ pub fn fault_coverage_parallel(
     config: &FaultCoverageConfig,
     threads: usize,
 ) -> FaultCoverageReport {
-    let mut n = Netlist::new(TechLibrary::cmos45lp());
-    let ports = if config.quad_lanes {
-        structural::build_unit_quad(&mut n)
-    } else {
-        structural::build_unit(&mut n)
-    };
-    let formats: Vec<Format> = if config.quad_lanes {
-        vec![
-            Format::Int64,
-            Format::Binary64,
-            Format::DualBinary32,
-            Format::SingleBinary32,
-            Format::QuadBinary16,
-        ]
-    } else {
-        Format::ALL.to_vec()
-    };
+    let (n, ports, formats) = campaign_unit(config);
     let sites = sample_sites(enumerate_stuck_sites(&n), config.sites, config.seed);
     let prog = CompiledNetlist::compile(&n).expect("campaign netlist is acyclic");
 
-    type Partial = (
-        CampaignStats,
-        BTreeMap<&'static str, OutcomeCounts>,
-        BTreeMap<&'static str, u64>,
-    );
     let shard_count = sites.len().div_ceil(LANES);
-    let partials: Vec<Partial> = run_shards(shard_count, threads, |k| {
+    let partials: Vec<(CampaignStats, Tally)> = run_shards(shard_count, threads, |k| {
         let shard_sites = &sites[k * LANES..((k + 1) * LANES).min(sites.len())];
         let mut fsim = CompiledFaultSim::new(&prog);
         let mut stats = CampaignStats::default();
@@ -385,72 +385,29 @@ pub fn fault_coverage_parallel(
                 }
             };
             fsim.assign_fault(lane, site.net, forced);
-            // Same per-site stream as the sequential campaign: global
-            // 1-based site index mixed into the campaign seed.
-            let site_idx = (k * LANES + lane) as u64 + 1;
-            gens.push(OperandGen::new(
-                config.seed ^ site_idx.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ));
+            gens.push(site_gen(config.seed, (k * LANES + lane) as u64 + 1));
         }
         let reference = FunctionalUnit::new();
-        let mut per_format: BTreeMap<&'static str, OutcomeCounts> = formats
-            .iter()
-            .map(|&f| (format_name(f), OutcomeCounts::default()))
-            .collect();
-        let mut by_tier: BTreeMap<&'static str, u64> = BTreeMap::new();
+        let mut tally = Tally::new(&formats);
         for &fmt in &formats {
             for _ in 0..config.vectors_per_format {
                 let ops: Vec<Operation> = gens.iter_mut().map(|g| g.operation(fmt)).collect();
                 let raws = run_raw_compiled(&mut fsim, &ports, &ops);
                 for ((site, &op), raw) in shard_sites.iter().zip(&ops).zip(&raws) {
-                    let golden = hardware_view(&reference.execute(op));
-                    let outcome = if (raw.ph, raw.pl, raw.flags) == golden {
-                        FaultOutcome::Masked
-                    } else {
-                        match check_raw(op, raw) {
-                            Err(e) => {
-                                *by_tier.entry(tier_name(e)).or_insert(0) += 1;
-                                FaultOutcome::Detected
-                            }
-                            Ok(()) => FaultOutcome::Silent,
-                        }
-                    };
-                    stats.record(&site.block, outcome);
-                    per_format
-                        .get_mut(format_name(fmt))
-                        .unwrap()
-                        .record(outcome);
+                    stats.record(&site.block, classify(op, raw, &reference, &mut tally));
                 }
             }
         }
-        (stats, per_format, by_tier)
+        (stats, tally)
     });
 
     let mut blocks = CampaignStats::default();
-    let mut per_format: BTreeMap<&'static str, OutcomeCounts> = formats
-        .iter()
-        .map(|&f| (format_name(f), OutcomeCounts::default()))
-        .collect();
-    let mut by_tier: BTreeMap<&'static str, u64> = BTreeMap::new();
-    for (stats, pf, bt) in &partials {
+    let mut tally = Tally::new(&formats);
+    for (stats, part) in &partials {
         blocks.merge(stats);
-        for (name, c) in pf {
-            let e = per_format.entry(name).or_default();
-            e.masked += c.masked;
-            e.detected += c.detected;
-            e.silent += c.silent;
-        }
-        for (tier, n) in bt {
-            *by_tier.entry(tier).or_insert(0) += n;
-        }
+        tally.merge(part);
     }
-    FaultCoverageReport {
-        config: *config,
-        sites_run: sites.len(),
-        blocks,
-        formats: per_format,
-        detections_by_tier: by_tier,
-    }
+    tally.into_report(config, sites.len(), blocks)
 }
 
 #[cfg(test)]
@@ -486,7 +443,7 @@ mod tests {
     }
 
     #[test]
-    fn observed_campaign_matches_report_and_counters() {
+    fn published_counters_match_report() {
         let cfg = FaultCoverageConfig {
             seed: 11,
             sites: 4,
@@ -494,10 +451,9 @@ mod tests {
             quad_lanes: false,
         };
         let registry = Registry::new();
-        let observed = fault_coverage_observed(&cfg, Some(&registry));
-        // Telemetry must not perturb the campaign.
-        assert_eq!(observed, fault_coverage(&cfg));
-        let totals = observed.blocks.totals();
+        let report = fault_coverage(&cfg);
+        report.publish(&registry);
+        let totals = report.blocks.totals();
         assert_eq!(registry.counter("faultcov.sites_done").get(), 4);
         assert_eq!(registry.counter("faultcov.vectors").get(), totals.ops());
         assert_eq!(registry.counter("faultcov.masked").get(), totals.masked);

@@ -3,7 +3,7 @@
 //! convergence trace ([`measure_unit_traced`]) or through the 256-lane
 //! compiled activity engine ([`measure_unit_compiled_sharded`]).
 
-use crate::calibrate::GlitchCalibration;
+use crate::calibrate::{FormatCal, GlitchCalibration};
 use crate::workload::OperandGen;
 use mfm_arith::MultiplierPorts;
 use mfm_gatesim::{
@@ -13,53 +13,167 @@ use mfm_gatesim::{
 use mfm_telemetry::Registry;
 use mfmult::{Format, StructuralPorts};
 
-/// Measures a combinational 64×64 multiplier: applies `vectors` uniform
-/// random operand pairs and counts switched energy per vector.
-pub fn measure_multiplier_combinational(
+/// Measures a 64×64 multiplier on `vectors` uniform random operand
+/// pairs: one vector per settle after a one-vector warm-up
+/// (combinational), or one operation per cycle after a pipeline-depth
+/// warm-up (pipelined, `ports.latency > 0`).
+pub fn measure_multiplier(
     netlist: &Netlist,
     ports: &MultiplierPorts,
     vectors: usize,
     seed: u64,
 ) -> PowerBreakdown {
-    assert_eq!(ports.latency, 0, "use measure_multiplier_pipelined");
     let mut gen = OperandGen::new(seed);
     let mut sim = Simulator::new(netlist);
-    // One warm-up vector so the first measured transition set is typical.
-    let (x, y) = gen.int64_pair();
-    sim.set_bus(&ports.x, x as u128);
-    sim.set_bus(&ports.y, y as u128);
-    sim.settle();
+    let mut step = |sim: &mut Simulator<'_>| {
+        let (x, y) = gen.int64_pair();
+        if ports.latency > 0 {
+            sim.step_cycle(&[(&ports.x, x as u128), (&ports.y, y as u128)]);
+        } else {
+            sim.set_bus(&ports.x, x as u128);
+            sim.set_bus(&ports.y, y as u128);
+            sim.settle();
+        }
+    };
+    for _ in 0..ports.latency.max(1) {
+        step(&mut sim);
+    }
     sim.reset_activity();
     for _ in 0..vectors {
-        let (x, y) = gen.int64_pair();
-        sim.set_bus(&ports.x, x as u128);
-        sim.set_bus(&ports.y, y as u128);
-        sim.settle();
+        step(&mut sim);
     }
-    PowerEstimator::from_activity(netlist, &sim, vectors as u64)
+    let ops = if ports.latency > 0 {
+        sim.cycles()
+    } else {
+        vectors as u64
+    };
+    PowerEstimator::from_activity(netlist, &sim, ops)
 }
 
-/// Measures a pipelined 64×64 multiplier: issues one operation per cycle
-/// for `cycles` cycles (after a pipeline-depth warm-up).
-pub fn measure_multiplier_pipelined(
+/// Raw activity counters from one measurement run — the merged sums of
+/// several runs are valid inputs to [`PowerEstimator::from_toggles`],
+/// which is how the sharded measurements combine their shards.
+#[derive(Debug, Clone, Default)]
+pub struct ActivityCounts {
+    /// Per-net toggle counts (summed over lanes for compiled runs).
+    pub toggles: Vec<u64>,
+    /// Total toggles across all nets.
+    pub events: u64,
+    /// Clock cycles charged to the measurement (one per measured
+    /// operation for pipelined units, zero for combinational ones).
+    pub cycles: u64,
+}
+
+/// The event-driven counterpart of [`compiled_activity`]: warms the unit
+/// up (pipeline fill, or one settled first vector that also drives the
+/// format select), resets the activity counters, then issues `ops`
+/// operations of `format`, one per cycle (pipelined) or one per settle
+/// (combinational). `on_op(sim, done)` runs after each measured
+/// operation.
+fn event_activity(
     netlist: &Netlist,
-    ports: &MultiplierPorts,
-    cycles: usize,
+    ports: &StructuralPorts,
+    format: Format,
+    ops: usize,
     seed: u64,
-) -> PowerBreakdown {
-    assert!(ports.latency > 0, "use measure_multiplier_combinational");
+    mut on_op: impl FnMut(&Simulator<'_>, usize),
+) -> ActivityCounts {
     let mut gen = OperandGen::new(seed);
     let mut sim = Simulator::new(netlist);
-    for _ in 0..ports.latency {
-        let (x, y) = gen.int64_pair();
-        sim.step_cycle(&[(&ports.x, x as u128), (&ports.y, y as u128)]);
+    let frmt = format.encoding() as u128;
+    let mut step = |sim: &mut Simulator<'_>| {
+        let op = gen.operation(format);
+        if ports.latency > 0 {
+            sim.step_cycle(&[
+                (&ports.frmt, frmt),
+                (&ports.xa, op.xa as u128),
+                (&ports.yb, op.yb as u128),
+            ]);
+        } else {
+            sim.set_bus(&ports.xa, op.xa as u128);
+            sim.set_bus(&ports.yb, op.yb as u128);
+            sim.settle();
+        }
+    };
+    if ports.latency == 0 {
+        sim.set_bus(&ports.frmt, frmt);
+    }
+    for _ in 0..ports.latency.max(1) {
+        step(&mut sim);
     }
     sim.reset_activity();
-    for _ in 0..cycles {
-        let (x, y) = gen.int64_pair();
-        sim.step_cycle(&[(&ports.x, x as u128), (&ports.y, y as u128)]);
+    for done in 1..=ops {
+        step(&mut sim);
+        on_op(&sim, done);
     }
-    PowerEstimator::from_activity(netlist, &sim, sim.cycles())
+    ActivityCounts {
+        toggles: sim.toggles().to_vec(),
+        events: sim.total_events(),
+        cycles: sim.cycles(),
+    }
+}
+
+/// Splits `ops` over a **fixed** number of logical shards and runs
+/// `measure(shard_ops, shard_seed(seed, k))` for every non-empty shard on
+/// up to `threads` worker threads, returning the parts in shard order.
+/// Shards `[0, ops % shards)` run one extra operation — a pure function
+/// of `(ops, shards)`, independent of scheduling.
+fn shard_activity(
+    ops: usize,
+    seed: u64,
+    shards: usize,
+    threads: usize,
+    measure: impl Fn(usize, u64) -> ActivityCounts + Sync,
+) -> Vec<ActivityCounts> {
+    assert!(shards > 0, "need at least one shard");
+    let (base, extra) = (ops / shards, ops % shards);
+    crate::shard::run_shards(shards, threads, |k| {
+        let my_ops = base + usize::from(k < extra);
+        if my_ops == 0 {
+            return ActivityCounts::default();
+        }
+        measure(my_ops, crate::shard::shard_seed(seed, k))
+    })
+}
+
+/// Sums the per-net toggles, events and cycles of `parts` and derives one
+/// breakdown over `ops` operations (the merged cycle count for pipelined
+/// units), scaled by `cal`'s glitch-inflation factors when given.
+pub(crate) fn merge_and_estimate(
+    netlist: &Netlist,
+    ports: &StructuralPorts,
+    ops: usize,
+    parts: &[ActivityCounts],
+    cal: Option<&FormatCal>,
+) -> PowerBreakdown {
+    let mut toggles = vec![0u64; netlist.net_count()];
+    let mut events = 0u64;
+    let mut cycles = 0u64;
+    for part in parts {
+        for (sum, v) in toggles.iter_mut().zip(&part.toggles) {
+            *sum += v;
+        }
+        events += part.events;
+        cycles += part.cycles;
+    }
+    let measured_ops = if ports.latency > 0 {
+        cycles
+    } else {
+        ops as u64
+    };
+    match cal {
+        Some(fc) => PowerEstimator::from_toggles_calibrated(
+            netlist,
+            &toggles,
+            events,
+            cycles,
+            measured_ops,
+            &fc.per_block,
+            fc.default_factor,
+            fc.event_factor,
+        ),
+        None => PowerEstimator::from_toggles(netlist, &toggles, events, cycles, measured_ops),
+    }
 }
 
 /// Measures the multi-format unit in one format: issues one operation per
@@ -71,43 +185,8 @@ pub fn measure_unit(
     ops: usize,
     seed: u64,
 ) -> PowerBreakdown {
-    let mut gen = OperandGen::new(seed);
-    let mut sim = Simulator::new(netlist);
-    let frmt = format.encoding() as u128;
-    if ports.latency > 0 {
-        for _ in 0..ports.latency {
-            let op = gen.operation(format);
-            sim.step_cycle(&[
-                (&ports.frmt, frmt),
-                (&ports.xa, op.xa as u128),
-                (&ports.yb, op.yb as u128),
-            ]);
-        }
-        sim.reset_activity();
-        for _ in 0..ops {
-            let op = gen.operation(format);
-            sim.step_cycle(&[
-                (&ports.frmt, frmt),
-                (&ports.xa, op.xa as u128),
-                (&ports.yb, op.yb as u128),
-            ]);
-        }
-        PowerEstimator::from_activity(netlist, &sim, sim.cycles())
-    } else {
-        let op = gen.operation(format);
-        sim.set_bus(&ports.frmt, frmt);
-        sim.set_bus(&ports.xa, op.xa as u128);
-        sim.set_bus(&ports.yb, op.yb as u128);
-        sim.settle();
-        sim.reset_activity();
-        for _ in 0..ops {
-            let op = gen.operation(format);
-            sim.set_bus(&ports.xa, op.xa as u128);
-            sim.set_bus(&ports.yb, op.yb as u128);
-            sim.settle();
-        }
-        PowerEstimator::from_activity(netlist, &sim, ops as u64)
-    }
+    let counts = event_activity(netlist, ports, format, ops, seed, |_, _| {});
+    merge_and_estimate(netlist, ports, ops, &[counts], None)
 }
 
 /// Thread-sharded [`measure_unit`]: splits the `ops` budget over a
@@ -137,85 +216,10 @@ pub fn measure_unit_sharded(
     shards: usize,
     threads: usize,
 ) -> PowerBreakdown {
-    assert!(shards > 0, "need at least one shard");
-    let base = ops / shards;
-    let extra = ops % shards;
-    // Shards [0, extra) run base+1 ops, the rest base — a pure function
-    // of (ops, shards), independent of scheduling.
-    let shard_ops = |k: usize| base + usize::from(k < extra);
-    let parts = crate::shard::run_shards(shards, threads, |k| {
-        let my_ops = shard_ops(k);
-        if my_ops == 0 {
-            return (Vec::new(), 0u64, 0u64);
-        }
-        let mut gen = OperandGen::new(crate::shard::shard_seed(seed, k));
-        let mut sim = Simulator::new(netlist);
-        let frmt = format.encoding() as u128;
-        if ports.latency > 0 {
-            for _ in 0..ports.latency {
-                let op = gen.operation(format);
-                sim.step_cycle(&[
-                    (&ports.frmt, frmt),
-                    (&ports.xa, op.xa as u128),
-                    (&ports.yb, op.yb as u128),
-                ]);
-            }
-            sim.reset_activity();
-            for _ in 0..my_ops {
-                let op = gen.operation(format);
-                sim.step_cycle(&[
-                    (&ports.frmt, frmt),
-                    (&ports.xa, op.xa as u128),
-                    (&ports.yb, op.yb as u128),
-                ]);
-            }
-        } else {
-            let op = gen.operation(format);
-            sim.set_bus(&ports.frmt, frmt);
-            sim.set_bus(&ports.xa, op.xa as u128);
-            sim.set_bus(&ports.yb, op.yb as u128);
-            sim.settle();
-            sim.reset_activity();
-            for _ in 0..my_ops {
-                let op = gen.operation(format);
-                sim.set_bus(&ports.xa, op.xa as u128);
-                sim.set_bus(&ports.yb, op.yb as u128);
-                sim.settle();
-            }
-        }
-        (sim.toggles().to_vec(), sim.total_events(), sim.cycles())
+    let parts = shard_activity(ops, seed, shards, threads, |n, s| {
+        event_activity(netlist, ports, format, n, s, |_, _| {})
     });
-    let mut toggles = vec![0u64; netlist.net_count()];
-    let mut events = 0u64;
-    let mut cycles = 0u64;
-    for (t, e, c) in parts {
-        for (sum, v) in toggles.iter_mut().zip(&t) {
-            *sum += v;
-        }
-        events += e;
-        cycles += c;
-    }
-    let measured_ops = if ports.latency > 0 {
-        cycles
-    } else {
-        ops as u64
-    };
-    PowerEstimator::from_toggles(netlist, &toggles, events, cycles, measured_ops)
-}
-
-/// Raw activity counters from one compiled measurement run — the merged
-/// sums of several runs are valid inputs to
-/// [`PowerEstimator::from_toggles`], which is how
-/// [`measure_unit_compiled_sharded`] combines its shards.
-#[derive(Debug, Clone, Default)]
-pub struct ActivityCounts {
-    /// Per-net zero-delay toggle counts summed over lanes.
-    pub toggles: Vec<u64>,
-    /// Total zero-delay toggles across all nets.
-    pub events: u64,
-    /// Clock cycles charged to the measurement (one per measured
-    /// operation for pipelined units, zero for combinational ones).
-    pub cycles: u64,
+    merge_and_estimate(netlist, ports, ops, &parts, None)
 }
 
 /// Measures the multi-format unit through the compiled 256-lane
@@ -323,54 +327,12 @@ pub fn measure_unit_compiled_sharded(
     threads: usize,
     cal: Option<&GlitchCalibration>,
 ) -> PowerBreakdown {
-    assert!(shards > 0, "need at least one shard");
     assert!(ops > 0, "need at least one operation");
-    let base = ops / shards;
-    let extra = ops % shards;
-    // Shards [0, extra) run base+1 ops, the rest base — a pure function
-    // of (ops, shards), independent of scheduling.
-    let shard_ops = |k: usize| base + usize::from(k < extra);
-    let parts = crate::shard::run_shards(shards, threads, |k| {
-        let my_ops = shard_ops(k);
-        if my_ops == 0 {
-            return ActivityCounts::default();
-        }
-        compiled_activity(
-            prog,
-            ports,
-            format,
-            my_ops,
-            crate::shard::shard_seed(seed, k),
-        )
+    let parts = shard_activity(ops, seed, shards, threads, |n, s| {
+        compiled_activity(prog, ports, format, n, s)
     });
-    let mut toggles = vec![0u64; netlist.net_count()];
-    let mut events = 0u64;
-    let mut cycles = 0u64;
-    for part in parts {
-        for (sum, v) in toggles.iter_mut().zip(&part.toggles) {
-            *sum += v;
-        }
-        events += part.events;
-        cycles += part.cycles;
-    }
-    let measured_ops = if ports.latency > 0 {
-        cycles
-    } else {
-        ops as u64
-    };
-    match cal.and_then(|c| c.for_format(format)) {
-        Some(fc) => PowerEstimator::from_toggles_calibrated(
-            netlist,
-            &toggles,
-            events,
-            cycles,
-            measured_ops,
-            &fc.per_block,
-            fc.default_factor,
-            fc.event_factor,
-        ),
-        None => PowerEstimator::from_toggles(netlist, &toggles, events, cycles, measured_ops),
-    }
+    let cal = cal.and_then(|c| c.for_format(format));
+    merge_and_estimate(netlist, ports, ops, &parts, cal)
 }
 
 /// One point of a Monte-Carlo convergence trace: the pJ/op observed in
@@ -434,32 +396,9 @@ pub fn measure_unit_traced(
     registry: Option<&Registry>,
 ) -> (PowerBreakdown, Vec<ConvergencePoint>) {
     assert!(window > 0, "window must be at least one operation");
-    let mut gen = OperandGen::new(seed);
-    let mut sim = Simulator::new(netlist);
-    let frmt = format.encoding() as u128;
-    let pipelined = ports.latency > 0;
-
-    // Warm-up (pipeline fill or first-vector settle), then measure from a
-    // clean activity baseline, exactly like `measure_unit`.
-    if pipelined {
-        for _ in 0..ports.latency {
-            let op = gen.operation(format);
-            sim.step_cycle(&[
-                (&ports.frmt, frmt),
-                (&ports.xa, op.xa as u128),
-                (&ports.yb, op.yb as u128),
-            ]);
-        }
-    } else {
-        let op = gen.operation(format);
-        sim.set_bus(&ports.frmt, frmt);
-        sim.set_bus(&ports.xa, op.xa as u128);
-        sim.set_bus(&ports.yb, op.yb as u128);
-        sim.settle();
-    }
-    sim.reset_activity();
-
-    let mut trace = LivePowerTrace::new(netlist, &sim);
+    // The counters are reset after the warm-up, so the trace starts from
+    // zero activity.
+    let mut trace = LivePowerTrace::from_counts(netlist, &vec![0; netlist.net_count()], 0);
     let mut stats = Welford::default();
     let mut points = Vec::new();
     let (g_window, g_mean, g_stddev, c_ops) = match registry {
@@ -475,24 +414,12 @@ pub fn measure_unit_traced(
         trace = trace.with_gauge(g.clone());
     }
 
-    for done in 1..=ops {
-        let op = gen.operation(format);
-        if pipelined {
-            sim.step_cycle(&[
-                (&ports.frmt, frmt),
-                (&ports.xa, op.xa as u128),
-                (&ports.yb, op.yb as u128),
-            ]);
-        } else {
-            sim.set_bus(&ports.xa, op.xa as u128);
-            sim.set_bus(&ports.yb, op.yb as u128);
-            sim.settle();
-        }
+    let counts = event_activity(netlist, ports, format, ops, seed, |sim, done| {
         if let Some(c) = &c_ops {
             c.inc();
         }
         if done.is_multiple_of(window) || done == ops {
-            if let Some(s) = trace.sample(&sim, done as u64) {
+            if let Some(s) = trace.sample(sim, done as u64) {
                 stats.push(s.pj_per_op);
                 let p = ConvergencePoint {
                     ops: done as u64,
@@ -509,12 +436,9 @@ pub fn measure_unit_traced(
                 points.push(p);
             }
         }
-    }
-    let measured_ops = if pipelined { sim.cycles() } else { ops as u64 };
-    (
-        PowerEstimator::from_activity(netlist, &sim, measured_ops),
-        points,
-    )
+    });
+    let power = merge_and_estimate(netlist, ports, ops, &[counts], None);
+    (power, points)
 }
 
 #[cfg(test)]
@@ -529,8 +453,8 @@ mod tests {
     fn combinational_measurement_is_reproducible() {
         let mut n = Netlist::new(TechLibrary::cmos45lp());
         let ports = build_multiplier(&mut n, MultiplierConfig::radix16());
-        let p1 = measure_multiplier_combinational(&n, &ports, 10, 99);
-        let p2 = measure_multiplier_combinational(&n, &ports, 10, 99);
+        let p1 = measure_multiplier(&n, &ports, 10, 99);
+        let p2 = measure_multiplier(&n, &ports, 10, 99);
         assert_eq!(p1.dynamic_pj_per_op, p2.dynamic_pj_per_op);
         assert!(p1.dynamic_pj_per_op > 0.0);
     }
@@ -539,7 +463,7 @@ mod tests {
     fn pipelined_measurement_includes_clock_energy() {
         let mut n = Netlist::new(TechLibrary::cmos45lp());
         let ports = build_multiplier(&mut n, MultiplierConfig::radix16().pipelined());
-        let p = measure_multiplier_pipelined(&n, &ports, 10, 7);
+        let p = measure_multiplier(&n, &ports, 10, 7);
         assert!(p.clock_pj_per_op > 0.0);
         assert!(p.dynamic_pj_per_op > 0.0);
     }
@@ -564,30 +488,42 @@ mod tests {
         );
     }
 
+    /// The combinational unit and the Fig. 5 pipelined unit, so both
+    /// branches of the shared event-driven driver are exercised.
+    fn both_units() -> Vec<(Netlist, StructuralPorts)> {
+        let mut comb = Netlist::new(TechLibrary::cmos45lp());
+        let cu = build_unit(&mut comb);
+        let mut pipe = Netlist::new(TechLibrary::cmos45lp());
+        let pu = build_pipelined_unit(&mut pipe, PipelinePlacement::Fig5);
+        vec![(comb, cu), (pipe, pu)]
+    }
+
     #[test]
     fn traced_measurement_matches_untraced_and_converges() {
-        let mut n = Netlist::new(TechLibrary::cmos45lp());
-        let u = build_unit(&mut n);
-        let registry = mfm_telemetry::Registry::new();
-        let plain = measure_unit(&n, &u, Format::Binary64, 24, 5);
-        let (traced, points) =
-            measure_unit_traced(&n, &u, Format::Binary64, 24, 5, 6, Some(&registry));
-        // Observability must not change the measurement.
-        assert_eq!(plain.dynamic_pj_per_op, traced.dynamic_pj_per_op);
-        assert_eq!(plain.clock_pj_per_op, traced.clock_pj_per_op);
-        assert_eq!(points.len(), 4);
-        let last = points.last().unwrap();
-        assert_eq!(last.ops, 24);
-        // The running mean over all windows equals the overall average.
-        let weighted: f64 = points.iter().map(|p| p.window_pj_per_op * 6.0).sum();
-        assert!((weighted / 24.0 - last.mean_pj_per_op).abs() < 1e-9);
-        assert!(last.stddev_pj_per_op >= 0.0);
-        // Gauges track the final point.
-        assert_eq!(registry.counter("mc.ops").get(), 24);
-        assert!((registry.gauge("mc.pj_per_op.mean").get() - last.mean_pj_per_op).abs() < 1e-12);
-        assert!(
-            (registry.gauge("mc.pj_per_op.window").get() - last.window_pj_per_op).abs() < 1e-12
-        );
+        for (n, u) in both_units() {
+            let registry = mfm_telemetry::Registry::new();
+            let plain = measure_unit(&n, &u, Format::Binary64, 24, 5);
+            let (traced, points) =
+                measure_unit_traced(&n, &u, Format::Binary64, 24, 5, 6, Some(&registry));
+            // Observability must not change the measurement.
+            assert_eq!(plain.dynamic_pj_per_op, traced.dynamic_pj_per_op);
+            assert_eq!(plain.clock_pj_per_op, traced.clock_pj_per_op);
+            assert_eq!(points.len(), 4);
+            let last = points.last().unwrap();
+            assert_eq!(last.ops, 24);
+            // The running mean over all windows equals the overall average.
+            let weighted: f64 = points.iter().map(|p| p.window_pj_per_op * 6.0).sum();
+            assert!((weighted / 24.0 - last.mean_pj_per_op).abs() < 1e-9);
+            assert!(last.stddev_pj_per_op >= 0.0);
+            // Gauges track the final point.
+            assert_eq!(registry.counter("mc.ops").get(), 24);
+            assert!(
+                (registry.gauge("mc.pj_per_op.mean").get() - last.mean_pj_per_op).abs() < 1e-12
+            );
+            assert!(
+                (registry.gauge("mc.pj_per_op.window").get() - last.window_pj_per_op).abs() < 1e-12
+            );
+        }
     }
 
     #[test]
@@ -604,13 +540,13 @@ mod tests {
 
     #[test]
     fn single_shard_equals_plain_measurement_with_derived_seed() {
-        let mut n = Netlist::new(TechLibrary::cmos45lp());
-        let u = build_unit(&mut n);
-        let sharded = measure_unit_sharded(&n, &u, Format::Int64, 12, 3, 1, 1);
-        let plain = measure_unit(&n, &u, Format::Int64, 12, crate::shard::shard_seed(3, 0));
-        assert_eq!(sharded.dynamic_pj_per_op, plain.dynamic_pj_per_op);
-        assert_eq!(sharded.clock_pj_per_op, plain.clock_pj_per_op);
-        assert_eq!(sharded.transitions_per_op, plain.transitions_per_op);
+        for (n, u) in both_units() {
+            let sharded = measure_unit_sharded(&n, &u, Format::Int64, 12, 3, 1, 1);
+            let plain = measure_unit(&n, &u, Format::Int64, 12, crate::shard::shard_seed(3, 0));
+            assert_eq!(sharded.dynamic_pj_per_op, plain.dynamic_pj_per_op);
+            assert_eq!(sharded.clock_pj_per_op, plain.clock_pj_per_op);
+            assert_eq!(sharded.transitions_per_op, plain.transitions_per_op);
+        }
     }
 
     #[test]

@@ -107,28 +107,14 @@ fn parse_entry(text: &str) -> Result<BaselineEntry, String> {
     let mut max = None;
     let mut reason = None;
     for (key, value) in json::object_entries(text)? {
-        let slot = match key.as_str() {
-            "unit" => &mut unit,
-            "rule" => &mut rule,
-            "block" => &mut block,
-            "reason" => &mut reason,
-            "max" => {
-                max = Some(
-                    value
-                        .trim()
-                        .parse::<u64>()
-                        .map_err(|e| format!("bad max {value:?}: {e}"))?,
-                );
-                continue;
-            }
+        match key.as_str() {
+            "unit" => unit = Some(json::value_str(&key, &value)?),
+            "rule" => rule = Some(json::value_str(&key, &value)?),
+            "block" => block = Some(json::value_str(&key, &value)?),
+            "reason" => reason = Some(json::value_str(&key, &value)?),
+            "max" => max = Some(json::value_u64(&key, &value)?),
             other => return Err(format!("unknown baseline entry field {other:?}")),
-        };
-        let v = value.trim();
-        let inner = v
-            .strip_prefix('"')
-            .and_then(|s| s.strip_suffix('"'))
-            .ok_or_else(|| format!("baseline entry field {key:?} must be a string, got {v}"))?;
-        *slot = Some(json::unescape(inner));
+        }
     }
     let reason = reason.ok_or("baseline entry missing required field \"reason\"")?;
     if reason.trim().is_empty() || reason.starts_with("TODO") {

@@ -332,6 +332,32 @@ pub fn array_entries(s: &str) -> Result<Vec<String>, String> {
     Ok(out)
 }
 
+/// Reads a raw value slice (as returned by [`object_entries`]) of field
+/// `key` as a non-negative integer.
+pub fn value_u64(key: &str, value: &str) -> Result<u64, String> {
+    value
+        .trim()
+        .parse()
+        .map_err(|e| format!("bad {key} {value:?}: {e}"))
+}
+
+/// Reads a raw value slice of field `key` as a number.
+pub fn value_f64(key: &str, value: &str) -> Result<f64, String> {
+    value
+        .trim()
+        .parse()
+        .map_err(|e| format!("bad {key} {value:?}: {e}"))
+}
+
+/// Reads a raw value slice of field `key` as a string, unescaped.
+pub fn value_str(key: &str, value: &str) -> Result<String, String> {
+    let v = value.trim();
+    v.strip_prefix('"')
+        .and_then(|s| s.strip_suffix('"'))
+        .map(unescape)
+        .ok_or_else(|| format!("field {key:?} must be a string, got {v}"))
+}
+
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
@@ -581,6 +607,18 @@ mod tests {
         assert_eq!(object_entries("{}").unwrap(), vec![]);
         assert!(object_entries("[1]").is_err());
         assert!(object_entries("{\"a\":1} junk").is_err());
+    }
+
+    #[test]
+    fn typed_value_readers_reject_the_wrong_kind() {
+        let e = object_entries(r#"{"n":42,"x":-1.5,"s":"a\"b"}"#).unwrap();
+        assert_eq!(value_u64(&e[0].0, &e[0].1), Ok(42));
+        assert_eq!(value_f64(&e[1].0, &e[1].1), Ok(-1.5));
+        assert_eq!(value_str(&e[2].0, &e[2].1).as_deref(), Ok("a\"b"));
+        // A number where a string is expected, and the reverse.
+        assert!(value_str("n", &e[0].1).is_err());
+        assert!(value_u64("s", "\"42\"").is_err());
+        assert!(value_f64("s", &e[2].1).is_err());
     }
 
     #[test]
