@@ -140,8 +140,8 @@ fn main() {
     }
 
     // 2b. Compiled batch at the full 256-lane word with the activity
-    //     engine enabled: every pass also XOR+popcounts all nets, so
-    //     this prices the toggle-counting sweep the power path rides on.
+    //     engine enabled: every gate write also counts its toggles, so
+    //     this prices the toggle counting the power path rides on.
     {
         let ops: Vec<Operation> = (0..batch_vecs)
             .map(|_| gen.operation(Format::Int64))

@@ -553,14 +553,20 @@ fn read_raw(sim: &Simulator<'_>, ports: &StructuralPorts) -> RawOutputs {
     }
 }
 
-fn read_raw_lane(sim: &CompiledSim<'_>, ports: &StructuralPorts, lane: usize) -> RawOutputs {
-    RawOutputs {
-        ph: sim.read_bus_lane(&ports.ph, lane) as u64,
-        pl: sim.read_bus_lane(&ports.pl, lane) as u64,
-        flags: sim.read_bus_lane(&ports.flags, lane) as u8,
-        p0: sim.read_bus_lane(&ports.chk_p0, lane),
-        p1: sim.read_bus_lane(&ports.chk_p1, lane),
-    }
+/// Reads the observables of lanes `0..lanes`, one word-wise read per bus.
+fn read_raw_lanes(sim: &CompiledSim<'_>, ports: &StructuralPorts, lanes: usize) -> Vec<RawOutputs> {
+    let read = |bus: &[NetId]| sim.read_bus_lanes(bus, lanes);
+    let (ph, pl, flags) = (read(&ports.ph), read(&ports.pl), read(&ports.flags));
+    let (p0, p1) = (read(&ports.chk_p0), read(&ports.chk_p1));
+    (0..lanes)
+        .map(|l| RawOutputs {
+            ph: ph[l] as u64,
+            pl: pl[l] as u64,
+            flags: flags[l] as u8,
+            p0: p0[l],
+            p1: p1[l],
+        })
+        .collect()
 }
 
 /// Compiled-engine counterpart of [`run_raw`]: drives up to
@@ -594,37 +600,26 @@ pub fn run_raw_compiled(
     sim.set_bus_all(&ports.frmt, first.format.encoding() as u128);
     sim.set_bus_all(&ports.xa, first.xa as u128);
     sim.set_bus_all(&ports.yb, first.yb as u128);
-    for (lane, op) in ops.iter().enumerate() {
-        sim.set_bus_lane(&ports.frmt, lane, op.format.encoding() as u128);
-        sim.set_bus_lane(&ports.xa, lane, op.xa as u128);
-        sim.set_bus_lane(&ports.yb, lane, op.yb as u128);
-    }
+    let lanes = |f: fn(&Operation) -> u128| ops.iter().map(f).collect::<Vec<u128>>();
+    sim.set_bus_lanes(&ports.frmt, &lanes(|op| op.format.encoding() as u128));
+    sim.set_bus_lanes(&ports.xa, &lanes(|op| op.xa as u128));
+    sim.set_bus_lanes(&ports.yb, &lanes(|op| op.yb as u128));
     if ports.latency == 0 {
         sim.propagate();
-        (0..ops.len())
-            .map(|l| read_raw_lane(sim, ports, l))
-            .collect()
+        read_raw_lanes(sim, ports, ops.len())
     } else {
         for _ in 0..ports.latency {
             sim.step_cycle();
         }
-        let taps: Vec<(u128, u128)> = (0..ops.len())
-            .map(|l| {
-                (
-                    sim.read_bus_lane(&ports.chk_p0, l),
-                    sim.read_bus_lane(&ports.chk_p1, l),
-                )
-            })
-            .collect();
+        let p0 = sim.read_bus_lanes(&ports.chk_p0, ops.len());
+        let p1 = sim.read_bus_lanes(&ports.chk_p1, ops.len());
         sim.step_cycle();
-        (0..ops.len())
-            .map(|l| {
-                let mut raw = read_raw_lane(sim, ports, l);
-                raw.p0 = taps[l].0;
-                raw.p1 = taps[l].1;
-                raw
-            })
-            .collect()
+        let mut raws = read_raw_lanes(sim, ports, ops.len());
+        for ((raw, p0), p1) in raws.iter_mut().zip(p0).zip(p1) {
+            raw.p0 = p0;
+            raw.p1 = p1;
+        }
+        raws
     }
 }
 

@@ -22,7 +22,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use mfm_gatesim::fault::{enumerate_stuck_sites, sample_sites, CampaignRunner, CampaignStats};
+use mfm_gatesim::fault::{sample_stuck_sites, CampaignRunner, CampaignStats};
 use mfm_gatesim::netlist::Netlist;
 use mfm_gatesim::report::Table;
 use mfm_gatesim::tech::TechLibrary;
@@ -322,7 +322,7 @@ fn site_gen(seed: u64, site_idx: u64) -> OperandGen {
 /// and aggregates the report.
 pub fn fault_coverage(config: &FaultCoverageConfig) -> FaultCoverageReport {
     let (n, ports, formats) = campaign_unit(config);
-    let sites = sample_sites(enumerate_stuck_sites(&n), config.sites, config.seed);
+    let sites = sample_stuck_sites(&n, config.sites, config.seed);
     let runner = CampaignRunner::new(&n, sites);
     let sites_run = runner.sites().len();
     let reference = FunctionalUnit::new();
@@ -366,7 +366,7 @@ pub fn fault_coverage_parallel(
     threads: usize,
 ) -> FaultCoverageReport {
     let (n, ports, formats) = campaign_unit(config);
-    let sites = sample_sites(enumerate_stuck_sites(&n), config.sites, config.seed);
+    let sites = sample_stuck_sites(&n, config.sites, config.seed);
     let prog = CompiledNetlist::compile(&n).expect("campaign netlist is acyclic");
 
     let shard_count = sites.len().div_ceil(LANES);

@@ -225,8 +225,8 @@ pub fn measure_unit_sharded(
 /// Measures the multi-format unit through the compiled 256-lane
 /// activity engine: drives `ops` operations across [`LANES`] parallel
 /// lanes (each lane carries an independent operand stream) and
-/// accumulates **zero-delay** per-net toggle counts in
-/// [`LANES`]-at-a-time XOR/popcount sweeps.
+/// accumulates **zero-delay** per-net toggle counts, [`LANES`] at a
+/// time, in the gate sweep of each pass.
 ///
 /// The counts see only settled-state transitions — glitches filtered by
 /// real gate delays never appear — so they underestimate event-driven
@@ -253,12 +253,17 @@ pub fn compiled_activity(
     let mut sim = CompiledSim::new(prog);
     let width = ops.min(LANES);
     sim.set_bus_all(&ports.frmt, u128::from(format.encoding()));
+    let (mut xa, mut yb) = (Vec::with_capacity(width), Vec::with_capacity(width));
     let mut drive = |sim: &mut CompiledSim<'_>, n: usize| {
-        for lane in 0..n {
+        xa.clear();
+        yb.clear();
+        for _ in 0..n {
             let op = gen.operation(format);
-            sim.set_bus_lane(&ports.xa, lane, op.xa as u128);
-            sim.set_bus_lane(&ports.yb, lane, op.yb as u128);
+            xa.push(op.xa as u128);
+            yb.push(op.yb as u128);
         }
+        sim.set_bus_lanes(&ports.xa, &xa);
+        sim.set_bus_lanes(&ports.yb, &yb);
     };
     let pipelined = ports.latency > 0;
     // Warm-up: pipeline fill (pipelined) or one settled batch

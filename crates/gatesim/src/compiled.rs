@@ -1,13 +1,15 @@
 //! Compiled bit-parallel ("PPSFP"-style) gate evaluation.
 //!
-//! [`CompiledNetlist::compile`] lowers a [`Netlist`] once into a flat,
-//! levelized program: gates sorted by logic level with their net indices
+//! [`CompiledNetlist::compile`] lowers a [`Netlist`] once into a flat
+//! program: gates in a topological order that follows creation order
+//! (so a pass reads and writes nearby words), with their net indices
 //! resolved, plus the DFF D→Q pairs. [`CompiledSim`] then evaluates the
 //! program over [`LaneWord`] chunks (`[u64; 4]`) — bit `l` of the chunk
 //! is an independent simulation *lane*, so one pass over the gate array
 //! evaluates **[`LANES`] (256) input vectors (or 256 fault machines) at
 //! once** with no event queue, no heap allocation and perfect streaming
-//! access over the op array.
+//! access over the op array. Each gate takes one dispatch on its cell
+//! kind, which evaluates all four chunks.
 //!
 //! # Division of labour
 //!
@@ -26,13 +28,16 @@
 //! # Activity engine
 //!
 //! [`CompiledSim::enable_activity`] turns on bit-parallel toggle
-//! counting: after every [`CompiledSim::propagate`] the simulator XORs
-//! each net's new chunk against its previous chunk and popcounts the
-//! active lanes, accumulating **zero-delay** toggle counts for up to 256
-//! vectors in a single sweep. Zero-delay counts see only settled-state
-//! transitions — glitches filtered by real gate delays never appear —
-//! so power estimation scales them by a per-block glitch-inflation
-//! factor calibrated against the event-driven simulator (see
+//! counting inside the gate sweep of [`CompiledSim::propagate`]: the word
+//! a gate is about to overwrite is its output's previous settled value,
+//! so each write adds `popcount((new ^ old) & lane_mask)` to that net
+//! (skipped when the masked difference is zero). Only source nets —
+//! inputs, constants, DFF outputs — keep a copy of their previous word.
+//! This accumulates **zero-delay** toggle counts for up to 256 vectors
+//! in the one pass that computes them. Zero-delay counts see only
+//! settled-state transitions — glitches filtered by real gate delays
+//! never appear — so power estimation scales them by a per-block
+//! glitch-inflation factor calibrated against the event-driven simulator (see
 //! `mfm_evalkit::calibrate`). The exact-parity contract — compiled
 //! toggle counts equal an event-driven run with zero delays on the same
 //! vectors — is asserted in `tests/power_parity.rs`.
@@ -42,8 +47,11 @@
 //! [`CompiledSim::inject_stuck_at`] forces a net per *lane*: a 256-bit
 //! [`LaneWord`] mask selects the lanes in which the net is stuck, so a
 //! single pass can carry 256 different fault machines (one per lane)
-//! next to a fault-free reference lane. [`CompiledFaultSim`] packages
-//! the one-fault-per-lane pattern used by fault-coverage campaigns.
+//! next to a fault-free reference lane. A per-net flag marks the faulted
+//! nets, and only their words are blended with the forced values; the
+//! overlay arrays are allocated on the first injection.
+//! [`CompiledFaultSim`] packages the one-fault-per-lane pattern used by
+//! fault-coverage campaigns.
 //!
 //! # Reuse
 //!
@@ -108,7 +116,7 @@ pub fn first_lanes(n: usize) -> LaneWord {
     m
 }
 
-/// One lowered gate: resolved input/output net indices, in level order.
+/// One lowered gate: resolved input/output net indices, in program order.
 #[derive(Debug, Clone, Copy)]
 struct GateOp {
     kind: CellKind,
@@ -119,7 +127,8 @@ struct GateOp {
     out: u32,
 }
 
-/// A [`Netlist`] lowered into a flat, levelized evaluation program.
+/// A [`Netlist`] lowered into a flat, topologically ordered evaluation
+/// program.
 ///
 /// Compiling is done once per netlist ([`Netlist::compiled`] caches the
 /// program); the program is immutable and can be shared
@@ -132,6 +141,9 @@ pub struct CompiledNetlist {
     ops: Vec<GateOp>,
     /// `(d_net, q_net)` per DFF, in instantiation order.
     dffs: Vec<(u32, u32)>,
+    /// Nets no gate op writes, ascending: inputs, constants, DFF outputs
+    /// and floating nets.
+    sources: Vec<u32>,
     /// Every net's value in a fresh simulator (all-zero inputs and
     /// registers, settled, no faults), computed on the first re-arm. All
     /// lanes of that state agree, so one bit per net holds it.
@@ -139,21 +151,21 @@ pub struct CompiledNetlist {
 }
 
 impl CompiledNetlist {
-    /// Lowers `netlist` into a levelized program, reusing the netlist's
-    /// cached [`Levelization`](crate::netlist::Levelization).
+    /// Lowers `netlist` into a topologically ordered program. The
+    /// netlist's cached [`Levelization`](crate::netlist::Levelization)
+    /// rejects combinational cycles.
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::CombinationalCycle`] if the combinational
     /// logic contains a cycle.
     pub fn compile(netlist: &Netlist) -> Result<Self, NetlistError> {
-        let lev = netlist.levelization()?;
+        netlist.levelization()?;
         let cells = netlist.cells();
-        let ops = lev
-            .order()
-            .iter()
-            .map(|&cid| {
-                let c = &cells[cid.index()];
+        let ops: Vec<GateOp> = creation_topological_order(netlist)
+            .into_iter()
+            .map(|ci| {
+                let c = &cells[ci];
                 GateOp {
                     kind: c.kind,
                     a: c.inputs[0].index() as u32,
@@ -168,11 +180,19 @@ impl CompiledNetlist {
             .dffs()
             .map(|(_, c)| (c.inputs[0].index() as u32, c.output.index() as u32))
             .collect();
+        let mut gate_driven = vec![false; netlist.net_count()];
+        for op in &ops {
+            gate_driven[op.out as usize] = true;
+        }
+        let sources = (0..netlist.net_count() as u32)
+            .filter(|&n| !gate_driven[n as usize])
+            .collect();
         Ok(CompiledNetlist {
             net_count: netlist.net_count(),
             one: netlist.one().index() as u32,
             ops,
             dffs,
+            sources,
             settled: OnceLock::new(),
         })
     }
@@ -191,6 +211,10 @@ impl CompiledNetlist {
         })
     }
 
+    fn is_source(&self, net: usize) -> bool {
+        self.sources.binary_search(&(net as u32)).is_ok()
+    }
+
     /// Number of nets in the compiled program.
     pub fn net_count(&self) -> usize {
         self.net_count
@@ -207,46 +231,144 @@ impl CompiledNetlist {
     }
 }
 
-#[inline]
-fn eval_chunk(kind: CellKind, a: u64, b: u64, c: u64, d: u64) -> u64 {
-    match kind {
-        CellKind::Inv => !a,
-        CellKind::Buf | CellKind::Dff => a,
-        CellKind::Nand2 => !(a & b),
-        CellKind::Nand3 => !(a & b & c),
-        CellKind::Nor2 => !(a | b),
-        CellKind::Nor3 => !(a | b | c),
-        CellKind::And2 => a & b,
-        CellKind::And3 => a & b & c,
-        CellKind::Or2 => a | b,
-        CellKind::Or3 => a | b | c,
-        CellKind::Xor2 => a ^ b,
-        CellKind::Xnor2 => !(a ^ b),
+/// The combinational cells in a topological order that stays as close to
+/// creation order as the netlist allows: each cell comes right after
+/// whichever of its fan-in was not placed yet. Builders create a gate
+/// next to the gates it reads, so this keeps a pass's reads and writes
+/// near each other in the word array, where level order scatters every
+/// level over all of it. Any topological order computes the same
+/// values. The netlist must be combinationally acyclic.
+fn creation_topological_order(netlist: &Netlist) -> Vec<usize> {
+    let cells = netlist.cells();
+    // DFFs count as placed from the start: their outputs are sources.
+    let mut placed: Vec<bool> = cells.iter().map(|c| c.kind == CellKind::Dff).collect();
+    let mut order = Vec::with_capacity(cells.len());
+    // Depth-first over fan-in: a cell is placed once no input is driven
+    // by an unplaced cell.
+    let mut stack = Vec::new();
+    for root in 0..cells.len() {
+        if placed[root] {
+            continue;
+        }
+        stack.push(root);
+        while let Some(&cell) = stack.last() {
+            let c = &cells[cell];
+            let pending = c.inputs[..c.kind.arity()]
+                .iter()
+                .filter_map(|&net| netlist.driver_cell(net))
+                .map(|src| src.index())
+                .find(|&src| !placed[src]);
+            match pending {
+                Some(src) => stack.push(src),
+                None => {
+                    placed[cell] = true;
+                    order.push(cell);
+                    stack.pop();
+                }
+            }
+        }
+    }
+    order
+}
+
+#[inline(always)]
+fn lanes1(a: LaneWord, f: impl Fn(u64) -> u64) -> LaneWord {
+    std::array::from_fn(|k| f(a[k]))
+}
+
+#[inline(always)]
+fn lanes2(a: LaneWord, b: LaneWord, f: impl Fn(u64, u64) -> u64) -> LaneWord {
+    std::array::from_fn(|k| f(a[k], b[k]))
+}
+
+#[inline(always)]
+fn lanes3(a: LaneWord, b: LaneWord, c: LaneWord, f: impl Fn(u64, u64, u64) -> u64) -> LaneWord {
+    std::array::from_fn(|k| f(a[k], b[k], c[k]))
+}
+
+/// Evaluates one gate in all lanes: one dispatch on the cell kind, which
+/// loads only the input words that kind reads.
+#[inline(always)]
+fn eval_op(words: &[LaneWord], op: &GateOp) -> LaneWord {
+    let w = |net: u32| words[net as usize];
+    match op.kind {
+        CellKind::Inv => lanes1(w(op.a), |a| !a),
+        CellKind::Buf | CellKind::Dff => w(op.a),
+        CellKind::Nand2 => lanes2(w(op.a), w(op.b), |a, b| !(a & b)),
+        CellKind::Nand3 => lanes3(w(op.a), w(op.b), w(op.c), |a, b, c| !(a & b & c)),
+        CellKind::Nor2 => lanes2(w(op.a), w(op.b), |a, b| !(a | b)),
+        CellKind::Nor3 => lanes3(w(op.a), w(op.b), w(op.c), |a, b, c| !(a | b | c)),
+        CellKind::And2 => lanes2(w(op.a), w(op.b), |a, b| a & b),
+        CellKind::And3 => lanes3(w(op.a), w(op.b), w(op.c), |a, b, c| a & b & c),
+        CellKind::Or2 => lanes2(w(op.a), w(op.b), |a, b| a | b),
+        CellKind::Or3 => lanes3(w(op.a), w(op.b), w(op.c), |a, b, c| a | b | c),
+        CellKind::Xor2 => lanes2(w(op.a), w(op.b), |a, b| a ^ b),
+        CellKind::Xnor2 => lanes2(w(op.a), w(op.b), |a, b| !(a ^ b)),
         // Inputs are [a0, a1, sel]: sel picks a1.
-        CellKind::Mux2 => (c & b) | (!c & a),
-        CellKind::Aoi21 => !((a & b) | c),
-        CellKind::Aoi22 => !((a & b) | (c & d)),
-        CellKind::Oai21 => !((a | b) & c),
-        CellKind::Maj3 => (a & b) | (a & c) | (b & c),
+        CellKind::Mux2 => lanes3(w(op.a), w(op.b), w(op.c), |a, b, c| (c & b) | (!c & a)),
+        CellKind::Aoi21 => lanes3(w(op.a), w(op.b), w(op.c), |a, b, c| !((a & b) | c)),
+        CellKind::Aoi22 => {
+            let (a, b, c, d) = (w(op.a), w(op.b), w(op.c), w(op.d));
+            std::array::from_fn(|k| !((a[k] & b[k]) | (c[k] & d[k])))
+        }
+        CellKind::Oai21 => lanes3(w(op.a), w(op.b), w(op.c), |a, b, c| !((a | b) & c)),
+        CellKind::Maj3 => lanes3(w(op.a), w(op.b), w(op.c), |a, b, c| {
+            (a & b) | (a & c) | (b & c)
+        }),
     }
 }
 
-#[inline]
-fn eval_word(kind: CellKind, a: LaneWord, b: LaneWord, c: LaneWord, d: LaneWord) -> LaneWord {
-    std::array::from_fn(|i| eval_chunk(kind, a[i], b[i], c[i], d[i]))
+fn popcount(w: LaneWord) -> u64 {
+    w.iter().map(|c| u64::from(c.count_ones())).sum()
+}
+
+/// Transposes a 64×64 bit matrix in place: bit `i` of row `j` becomes
+/// bit `j` of row `i`. Rows are lanes on one side and bus bits on the
+/// other, so this turns 64 per-lane values into 64 per-net chunks and
+/// back.
+fn transpose64(m: &mut [u64; 64]) {
+    let mut width = 32;
+    let mut mask = 0x0000_0000_FFFF_FFFF_u64;
+    while width != 0 {
+        // Swap the high `width` columns of row k with the low ones of row
+        // k + width, for every k with bit `width` clear.
+        let mut k = 0;
+        while k < 64 {
+            let t = ((m[k] >> width) ^ m[k + width]) & mask;
+            m[k] ^= t << width;
+            m[k + width] ^= t;
+            k = (k + width + 1) & !width;
+        }
+        width >>= 1;
+        mask ^= mask << width;
+    }
+}
+
+/// One net's stuck-at overlay: the lanes it is forced in and their values.
+#[derive(Debug, Clone, Copy, Default)]
+struct StuckAt {
+    mask: LaneWord,
+    value: LaneWord,
+}
+
+impl StuckAt {
+    #[inline]
+    fn force(&self, w: LaneWord) -> LaneWord {
+        std::array::from_fn(|k| (w[k] & !self.mask[k]) | (self.value[k] & self.mask[k]))
+    }
 }
 
 /// Per-net zero-delay toggle accumulation (see the module docs).
 #[derive(Debug, Clone)]
 struct Activity {
-    /// Each net's chunk as of the previous settled state.
+    /// Each source net's word as of the previous settled state, in
+    /// [`CompiledNetlist`] source order. Gate outputs need none: the
+    /// word a gate overwrites is its previous settled value.
     prev: Vec<LaneWord>,
     /// Lanes whose transitions are counted.
     mask: LaneWord,
     /// Per-net toggle counts summed over active lanes.
     toggles: Vec<u64>,
-    /// Total toggles across all nets (Σ `toggles`).
-    events: u64,
 }
 
 /// Bit-parallel evaluator over a [`CompiledNetlist`]: [`LANES`] (256)
@@ -260,17 +382,22 @@ pub struct CompiledSim<'p> {
     prog: &'p CompiledNetlist,
     /// One chunk per net; bit `l` is lane `l`'s value.
     words: Vec<LaneWord>,
-    /// Per-net stuck lane mask (all-zero = unfaulted) and forced values.
-    fault_mask: Vec<LaneWord>,
-    fault_value: Vec<LaneWord>,
-    /// Nets with a non-zero fault mask, for cheap clearing/pre-forcing.
+    /// Per-net stuck-at overlay; empty until the first fault is injected.
+    stuck: Vec<StuckAt>,
+    /// One bit per net: set while the net has a non-zero fault mask.
+    stuck_bits: Vec<u64>,
+    /// Nets with a non-zero fault mask, for cheap clearing.
     faulted: Vec<u32>,
+    /// The source nets among `faulted`, forced before each pass.
+    faulted_sources: Vec<u32>,
     /// The overlay the last [`CompiledSim::arm_overlay`] armed; `None`
     /// once [`CompiledSim::inject_stuck_at`] or
     /// [`CompiledSim::clear_faults`] changed it since.
     armed: Option<Vec<(NetId, bool)>>,
     /// Clock edges since construction (or the last activity reset).
     cycles: u64,
+    /// The D words sampled at a clock edge, reused across cycles.
+    dff_sample: Vec<LaneWord>,
     /// Toggle accumulation, when enabled.
     activity: Option<Activity>,
 }
@@ -283,11 +410,13 @@ impl<'p> CompiledSim<'p> {
         let mut sim = CompiledSim {
             prog,
             words: vec![NO_LANES; prog.net_count],
-            fault_mask: vec![NO_LANES; prog.net_count],
-            fault_value: vec![NO_LANES; prog.net_count],
+            stuck: Vec::new(),
+            stuck_bits: vec![0; prog.net_count.div_ceil(64)],
             faulted: Vec::new(),
+            faulted_sources: Vec::new(),
             armed: Some(Vec::new()),
             cycles: 0,
+            dff_sample: Vec::with_capacity(prog.dffs.len()),
             activity: None,
         };
         sim.words[prog.one as usize] = ALL_LANES;
@@ -301,6 +430,10 @@ impl<'p> CompiledSim<'p> {
     }
 
     /// Sets one net in one lane.
+    ///
+    /// The setters are meant for source nets (inputs, constants, DFF
+    /// outputs): the next [`CompiledSim::propagate`] recomputes every
+    /// gate output and counts its toggles against the word it overwrites.
     pub fn set_net_lane(&mut self, net: NetId, lane: usize, value: bool) {
         debug_assert!(lane < LANES);
         let w = &mut self.words[net.index()][lane / 64];
@@ -312,6 +445,33 @@ impl<'p> CompiledSim<'p> {
     pub fn set_bus_lane(&mut self, bus: &[NetId], lane: usize, value: u128) {
         for (i, &net) in bus.iter().enumerate() {
             self.set_net_lane(net, lane, (value >> i) & 1 == 1);
+        }
+    }
+
+    /// Drives `values[l]` onto a bus (LSB first) in lane `l`, for every
+    /// `l < values.len()`; the other lanes keep their values. Equals one
+    /// [`CompiledSim::set_bus_lane`] per lane, a word at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bus is wider than 128 bits or `values` is longer
+    /// than [`LANES`].
+    pub fn set_bus_lanes(&mut self, bus: &[NetId], values: &[u128]) {
+        assert!(bus.len() <= 128, "bus too wide for u128");
+        assert!(values.len() <= LANES, "at most {LANES} lanes per pass");
+        for (k, lane_values) in values.chunks(64).enumerate() {
+            let written = first_lanes(lane_values.len())[0];
+            for (half, nets) in bus.chunks(64).enumerate() {
+                let mut rows = [0u64; 64];
+                for (row, &v) in rows.iter_mut().zip(lane_values) {
+                    *row = (v >> (64 * half)) as u64;
+                }
+                transpose64(&mut rows);
+                for (&net, &bits) in nets.iter().zip(&rows) {
+                    let w = &mut self.words[net.index()][k];
+                    *w = (*w & !written) | (bits & written);
+                }
+            }
         }
     }
 
@@ -348,22 +508,59 @@ impl<'p> CompiledSim<'p> {
         v
     }
 
+    /// Reads a bus (LSB first) in lanes `0..lanes`: one
+    /// [`CompiledSim::read_bus_lane`] per lane, a word at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bus is wider than 128 bits or `lanes > LANES`.
+    pub fn read_bus_lanes(&self, bus: &[NetId], lanes: usize) -> Vec<u128> {
+        assert!(bus.len() <= 128, "bus too wide for u128");
+        assert!(lanes <= LANES, "lane count {lanes} out of range");
+        let mut values = vec![0u128; lanes];
+        for (k, lane_values) in values.chunks_mut(64).enumerate() {
+            for (half, nets) in bus.chunks(64).enumerate() {
+                let mut rows = [0u64; 64];
+                for (row, &net) in rows.iter_mut().zip(nets) {
+                    *row = self.words[net.index()][k];
+                }
+                transpose64(&mut rows);
+                for (v, &bits) in lane_values.iter_mut().zip(&rows) {
+                    *v |= u128::from(bits) << (64 * half);
+                }
+            }
+        }
+        values
+    }
+
     /// Forces `net` to `value` in the lanes selected by `lanes` until
     /// [`CompiledSim::clear_faults`]. Faults on the same net merge: each
     /// lane keeps the most recent forced value, so one net can be
     /// stuck-at-0 in one lane and stuck-at-1 in another.
     pub fn inject_stuck_at(&mut self, net: NetId, lanes: LaneWord, value: bool) {
         self.armed = None;
-        let ni = net.index();
-        if self.fault_mask[ni] == NO_LANES && lanes != NO_LANES {
-            self.faulted.push(ni as u32);
+        if lanes == NO_LANES {
+            return;
         }
+        if self.stuck.is_empty() {
+            self.stuck = vec![StuckAt::default(); self.prog.net_count];
+        }
+        let ni = net.index();
+        let bit = 1u64 << (ni % 64);
+        if self.stuck_bits[ni / 64] & bit == 0 {
+            self.stuck_bits[ni / 64] |= bit;
+            self.faulted.push(ni as u32);
+            if self.prog.is_source(ni) {
+                self.faulted_sources.push(ni as u32);
+            }
+        }
+        let s = &mut self.stuck[ni];
         for (k, &lane_bits) in lanes.iter().enumerate() {
-            self.fault_mask[ni][k] |= lane_bits;
+            s.mask[k] |= lane_bits;
             if value {
-                self.fault_value[ni][k] |= lane_bits;
+                s.value[k] |= lane_bits;
             } else {
-                self.fault_value[ni][k] &= !lane_bits;
+                s.value[k] &= !lane_bits;
             }
         }
     }
@@ -373,10 +570,11 @@ impl<'p> CompiledSim<'p> {
     pub fn clear_faults(&mut self) {
         self.armed = None;
         for &ni in &self.faulted {
-            self.fault_mask[ni as usize] = NO_LANES;
-            self.fault_value[ni as usize] = NO_LANES;
+            self.stuck[ni as usize] = StuckAt::default();
+            self.stuck_bits[ni as usize / 64] = 0;
         }
         self.faulted.clear();
+        self.faulted_sources.clear();
     }
 
     /// Makes `faults`, each net stuck in **all** lanes, the whole
@@ -414,54 +612,45 @@ impl<'p> CompiledSim<'p> {
         }
     }
 
-    #[inline]
-    fn overlay(&mut self, ni: usize) {
-        for k in 0..LANE_WORDS {
-            let m = self.fault_mask[ni][k];
-            self.words[ni][k] = (self.words[ni][k] & !m) | (self.fault_value[ni][k] & m);
-        }
-    }
-
-    /// One full pass over the levelized gate array: recomputes every
+    /// One full pass over the gate array: recomputes every
     /// combinational net in all lanes from the current inputs, register
     /// words and fault overlay. DFF outputs are left untouched. With
-    /// activity enabled, finishes with the XOR/popcount toggle sweep.
+    /// activity enabled, each net's toggles are counted as its word is
+    /// written.
     pub fn propagate(&mut self) {
-        // Force faulted source nets (inputs, constants, DFF outputs)
-        // first; gate outputs are blended as they are produced.
-        for i in 0..self.faulted.len() {
-            self.overlay(self.faulted[i] as usize);
-        }
-        for i in 0..self.prog.ops.len() {
-            let op = self.prog.ops[i];
-            let w = eval_word(
-                op.kind,
-                self.words[op.a as usize],
-                self.words[op.b as usize],
-                self.words[op.c as usize],
-                self.words[op.d as usize],
-            );
-            let out = op.out as usize;
-            let m = self.fault_mask[out];
-            let f = self.fault_value[out];
-            self.words[out] = std::array::from_fn(|k| (w[k] & !m[k]) | (f[k] & m[k]));
-        }
         let Self {
-            words, activity, ..
+            prog,
+            words,
+            stuck,
+            stuck_bits,
+            faulted_sources,
+            activity,
+            ..
         } = self;
-        if let Some(act) = activity {
-            for (t, (w, p)) in act
-                .toggles
-                .iter_mut()
-                .zip(words.iter().zip(act.prev.iter_mut()))
-            {
-                let mut n = 0u64;
-                for k in 0..LANE_WORDS {
-                    n += u64::from(((w[k] ^ p[k]) & act.mask[k]).count_ones());
-                }
-                *t += n;
-                act.events += n;
-                *p = *w;
+        // Force faulted source nets first; gate outputs are forced as
+        // they are produced.
+        for &ni in faulted_sources.iter() {
+            words[ni as usize] = stuck[ni as usize].force(words[ni as usize]);
+        }
+        let (mask, prev, toggles): (LaneWord, &mut [LaneWord], &mut [u64]) = match activity {
+            Some(act) => (act.mask, &mut act.prev, &mut act.toggles),
+            None => (NO_LANES, &mut [], &mut []),
+        };
+        for (&src, p) in prog.sources.iter().zip(prev.iter_mut()) {
+            let w = words[src as usize];
+            toggles[src as usize] += popcount(std::array::from_fn(|k| (w[k] ^ p[k]) & mask[k]));
+            *p = w;
+        }
+        for op in &prog.ops {
+            let out = op.out as usize;
+            let mut new = eval_op(words, op);
+            if (stuck_bits[out / 64] >> (out % 64)) & 1 != 0 {
+                new = stuck[out].force(new);
+            }
+            let old = std::mem::replace(&mut words[out], new);
+            let diff: LaneWord = std::array::from_fn(|k| (new[k] ^ old[k]) & mask[k]);
+            if diff.iter().fold(0, |any, &c| any | c) != 0 {
+                toggles[out] += popcount(diff);
             }
         }
     }
@@ -472,14 +661,12 @@ impl<'p> CompiledSim<'p> {
     /// of holding the input buses constant across the edge.
     pub fn step_cycle(&mut self) {
         self.cycles += 1;
+        let dffs = &self.prog.dffs;
         // Sample all D words before writing any Q (same-edge semantics).
-        let sampled: Vec<LaneWord> = self
-            .prog
-            .dffs
-            .iter()
-            .map(|&(d, _)| self.words[d as usize])
-            .collect();
-        for (&(_, q), w) in self.prog.dffs.iter().zip(sampled) {
+        self.dff_sample.clear();
+        self.dff_sample
+            .extend(dffs.iter().map(|&(d, _)| self.words[d as usize]));
+        for (&(_, q), &w) in dffs.iter().zip(&self.dff_sample) {
             self.words[q as usize] = w;
         }
         self.propagate();
@@ -489,6 +676,12 @@ impl<'p> CompiledSim<'p> {
     /// [`CompiledSim::reset_activity`].
     pub fn cycles(&self) -> u64 {
         self.cycles
+    }
+
+    /// The current word of every source net, in [`CompiledNetlist`]
+    /// source order: the activity baseline.
+    fn source_words(&self) -> impl Iterator<Item = LaneWord> + '_ {
+        self.prog.sources.iter().map(|&s| self.words[s as usize])
     }
 
     /// Turns on zero-delay toggle counting over lanes `0..lanes`,
@@ -502,10 +695,9 @@ impl<'p> CompiledSim<'p> {
     /// Panics if `lanes > LANES`.
     pub fn enable_activity(&mut self, lanes: usize) {
         self.activity = Some(Activity {
-            prev: self.words.clone(),
+            prev: self.source_words().collect(),
             mask: first_lanes(lanes),
             toggles: vec![0; self.prog.net_count],
-            events: 0,
         });
         self.cycles = 0;
     }
@@ -547,13 +739,12 @@ impl<'p> CompiledSim<'p> {
     ///
     /// Panics if activity counting is not enabled.
     pub fn reset_activity(&mut self) {
-        let Self {
-            words, activity, ..
-        } = self;
-        let act = activity.as_mut().expect("activity not enabled");
-        act.prev.copy_from_slice(words);
+        let mut act = self.activity.take().expect("activity not enabled");
+        for (p, w) in act.prev.iter_mut().zip(self.source_words()) {
+            *p = w;
+        }
         act.toggles.iter_mut().for_each(|t| *t = 0);
-        act.events = 0;
+        self.activity = Some(act);
         self.cycles = 0;
     }
 
@@ -577,7 +768,7 @@ impl<'p> CompiledSim<'p> {
     ///
     /// Panics if activity counting is not enabled.
     pub fn activity_events(&self) -> u64 {
-        self.activity.as_ref().expect("activity not enabled").events
+        self.toggles().iter().sum()
     }
 
     /// Whether toggle counting is enabled.
@@ -606,14 +797,12 @@ impl<'p> CompiledSim<'p> {
         for (bus, values) in inputs {
             assert_eq!(values.len(), n, "lane count mismatch across buses");
             self.set_bus_all(bus, values.first().copied().unwrap_or(0));
-            for (lane, &v) in values.iter().enumerate() {
-                self.set_bus_lane(bus, lane, v);
-            }
+            self.set_bus_lanes(bus, values);
         }
         self.propagate();
         outputs
             .iter()
-            .map(|bus| (0..n).map(|lane| self.read_bus_lane(bus, lane)).collect())
+            .map(|bus| self.read_bus_lanes(bus, n))
             .collect()
     }
 }
@@ -656,6 +845,9 @@ impl std::ops::DerefMut for CompiledFaultSim<'_> {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::netlist::Netlist;
@@ -687,12 +879,72 @@ mod tests {
                 let (a, b, c, d) = (bits & 1 != 0, bits & 2 != 0, bits & 4 != 0, bits & 8 != 0);
                 let scalar = kind.eval(a, b, c, d);
                 let to_word = |v: bool| if v { ALL_LANES } else { NO_LANES };
-                let word = eval_word(kind, to_word(a), to_word(b), to_word(c), to_word(d));
+                let words = [to_word(a), to_word(b), to_word(c), to_word(d)];
+                let op = GateOp {
+                    kind,
+                    a: 0,
+                    b: 1,
+                    c: 2,
+                    d: 3,
+                    out: 4,
+                };
+                let word = eval_op(&words, &op);
                 assert_eq!(
                     word,
                     if scalar { ALL_LANES } else { NO_LANES },
                     "{kind:?} bits={bits:04b}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn transpose64_swaps_rows_and_columns() {
+        let mut m: [u64; 64] =
+            std::array::from_fn(|j| (j as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let orig = m;
+        transpose64(&mut m);
+        for (i, row) in m.iter().enumerate() {
+            for (j, col) in orig.iter().enumerate() {
+                assert_eq!((row >> j) & 1, (col >> i) & 1, "bit ({i}, {j})");
+            }
+        }
+        transpose64(&mut m);
+        assert_eq!(m, orig);
+    }
+
+    #[test]
+    fn word_wise_bus_io_matches_per_lane_calls() {
+        let mut n = fresh();
+        let narrow = n.input_bus("narrow", 5);
+        let wide = n.input_bus("wide", 128);
+        let mid = n.input_bus("mid", 70);
+        let prog = CompiledNetlist::compile(&n).unwrap();
+        let mut rng = mfm_prng::Rng::new(0xB05);
+        for lanes in [1, 63, 64, 65, LANES] {
+            for bus in [&narrow, &wide, &mid] {
+                let mask = if bus.len() == 128 {
+                    !0
+                } else {
+                    (1u128 << bus.len()) - 1
+                };
+                let background = u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64());
+                let values: Vec<u128> = (0..lanes)
+                    .map(|_| (u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64())) & mask)
+                    .collect();
+                let mut word_wise = CompiledSim::new(&prog);
+                let mut per_lane = CompiledSim::new(&prog);
+                word_wise.set_bus_all(bus, background);
+                per_lane.set_bus_all(bus, background);
+                word_wise.set_bus_lanes(bus, &values);
+                for (lane, &v) in values.iter().enumerate() {
+                    per_lane.set_bus_lane(bus, lane, v);
+                }
+                assert!(word_wise.words == per_lane.words, "{lanes} lanes");
+                let all: Vec<u128> = (0..LANES).map(|l| per_lane.read_bus_lane(bus, l)).collect();
+                assert_eq!(word_wise.read_bus_lanes(bus, lanes), all[..lanes]);
+                assert_eq!(word_wise.read_bus_lanes(bus, LANES), all);
+                assert_eq!(all[..lanes], values[..], "{lanes} lanes read back");
             }
         }
     }

@@ -21,7 +21,7 @@
 //! operand formats; `mfm-evalkit` supplies one that drives multiplier
 //! operands and consults the `mfmult::selfcheck` residue checker.
 
-use crate::netlist::{Driver, NetId, Netlist};
+use crate::netlist::{Cell, Driver, NetId, Netlist};
 use crate::report::Table;
 use crate::sim::Simulator;
 use mfm_prng::Rng;
@@ -72,20 +72,29 @@ pub struct FaultSite {
 /// operand corruptions (visible to any end-to-end check by construction)
 /// and constants have no driver to fight.
 pub fn enumerate_stuck_sites(netlist: &Netlist) -> Vec<FaultSite> {
-    let mut sites = Vec::new();
-    for cell in netlist.cells() {
-        if let Driver::Cell(_) = netlist.driver(cell.output) {
-            let block = netlist.top_level_block_name(cell.block).to_string();
-            for kind in [FaultKind::StuckAt0, FaultKind::StuckAt1] {
-                sites.push(FaultSite {
-                    net: cell.output,
-                    kind,
-                    block: block.clone(),
-                });
-            }
-        }
+    let cells = stuck_cells(netlist);
+    (0..2 * cells.len())
+        .map(|i| stuck_site(netlist, &cells, i))
+        .collect()
+}
+
+/// The cells whose output nets carry stuck-at sites, in netlist order.
+fn stuck_cells(netlist: &Netlist) -> Vec<&Cell> {
+    netlist
+        .cells()
+        .iter()
+        .filter(|c| matches!(netlist.driver(c.output), Driver::Cell(_)))
+        .collect()
+}
+
+/// Site `i` of [`enumerate_stuck_sites`]: both polarities per cell.
+fn stuck_site(netlist: &Netlist, cells: &[&Cell], i: usize) -> FaultSite {
+    let cell = cells[i / 2];
+    FaultSite {
+        net: cell.output,
+        kind: [FaultKind::StuckAt0, FaultKind::StuckAt1][i % 2],
+        block: netlist.top_level_block_name(cell.block).to_string(),
     }
-    sites
 }
 
 /// Deterministically samples `count` sites from `sites` (seeded shuffle,
@@ -96,6 +105,21 @@ pub fn sample_sites(mut sites: Vec<FaultSite>, count: usize, seed: u64) -> Vec<F
     rng.shuffle(&mut sites);
     sites.truncate(count);
     sites
+}
+
+/// `sample_sites(enumerate_stuck_sites(netlist), count, seed)`, building
+/// only the sampled sites. The seeded shuffle depends only on the
+/// population size, so shuffling site indices draws the same
+/// permutation.
+pub fn sample_stuck_sites(netlist: &Netlist, count: usize, seed: u64) -> Vec<FaultSite> {
+    let cells = stuck_cells(netlist);
+    let mut order: Vec<u32> = (0..2 * cells.len() as u32).collect();
+    Rng::new(seed).shuffle(&mut order);
+    order.truncate(count);
+    order
+        .into_iter()
+        .map(|i| stuck_site(netlist, &cells, i as usize))
+        .collect()
 }
 
 /// Classification of one faulted operation relative to the fault-free
@@ -313,6 +337,22 @@ mod tests {
         assert_eq!(s1, s2);
         assert_ne!(s1, s3, "different seeds pick different sites");
         assert_eq!(s1.len(), 10);
+    }
+
+    #[test]
+    fn index_sampling_equals_sampling_the_enumeration() {
+        let (n, ..) = adder_netlist();
+        let all = enumerate_stuck_sites(&n);
+        let pop = all.len();
+        for count in [0, 1, 10, pop - 1, pop, pop + 5, 10_000] {
+            for seed in [0, 42, 0x5EED, u64::MAX] {
+                assert_eq!(
+                    sample_stuck_sites(&n, count, seed),
+                    sample_sites(all.clone(), count, seed),
+                    "count {count}, seed {seed}"
+                );
+            }
+        }
     }
 
     #[test]

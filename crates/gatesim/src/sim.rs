@@ -35,7 +35,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
 #[cfg(test)]
-mod reference;
+pub(crate) mod reference;
 
 /// Time is tracked in tenths of picoseconds to keep event ordering exact.
 type Time = u64;
@@ -688,8 +688,8 @@ impl<'a> Simulator<'a> {
     /// and then re-evaluates the combinational logic in one topological
     /// pass, counting exactly one toggle per net whose settled value
     /// changed. No intermediate (glitch) transitions exist, so per-net
-    /// toggle counts equal the XOR/popcount activity sweep of the
-    /// compiled engine on the same vectors (`tests/power_parity.rs`
+    /// toggle counts equal the activity counts of the compiled engine
+    /// on the same vectors (`tests/power_parity.rs`
     /// pins this bit-level vs word-level parity). This is the reference
     /// semantics the glitch-inflation calibration divides by.
     ///

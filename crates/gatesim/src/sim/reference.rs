@@ -322,7 +322,11 @@ impl<'a> Pair<'a> {
 /// feedback loops. The library's delays are scaled at random too: to
 /// zero (a one-bucket wheel), to a mix of zero- and one-tick cells, or
 /// up to a wheel twice the default span.
-fn random_netlist(rng: &mut Rng, n_inputs: usize, n_cells: usize) -> (Netlist, Vec<NetId>) {
+pub(crate) fn random_netlist(
+    rng: &mut Rng,
+    n_inputs: usize,
+    n_cells: usize,
+) -> (Netlist, Vec<NetId>) {
     let scale = [1.0, 1.0, 0.0, 0.003, 0.05, 2.0][rng.range_u64(0, 6) as usize];
     let mut n = Netlist::new(TechLibrary::cmos45lp().with_delay_scale(scale));
     let inputs = n.input_bus("in", n_inputs);
@@ -541,7 +545,7 @@ fn transient_past_the_horizon_heals_on_time() {
 
 /// Rebuilds a netlist made by another copy of this crate (the unit
 /// builders link the library build) cell for cell, so net ids coincide.
-fn mirror(src: &mfm_gatesim::Netlist) -> Netlist {
+pub(crate) fn mirror(src: &mfm_gatesim::Netlist) -> Netlist {
     // The driving cell per net; primary inputs have none.
     let mut driver = vec![None; src.net_count()];
     for cell in src.cells() {
