@@ -86,13 +86,11 @@ fn main() {
     );
     if let Some(r) = report.redundancy {
         println!(
-            "redundancy: {} votes ({} mismatched) | {} DMR batches, {} shadows | \
-             {} masked | {} promotions | patrol {}/{} slices failed",
+            "redundancy: {} votes ({} mismatched) | {} DMR batches | \
+             {} promotions | patrol {}/{} slices failed",
             r.votes,
             r.vote_mismatches,
             r.dmr_batches,
-            r.dmr_shadows,
-            r.masked,
             r.promotions,
             r.patrol_failures,
             r.patrol_slices

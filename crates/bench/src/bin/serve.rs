@@ -2,13 +2,13 @@
 //! Prometheus metrics listeners and serves until killed.
 //!
 //! Usage: `serve [--addr A] [--metrics-addr A] [--units N] [--spares N]
-//! [--patrol N] [--pending N] [--queue N] [--tick-micros N]
-//! [--deadline-ticks N] [--seed S] [--chaos N] [--byzantine P]
-//! [--incident-dir D] [--pipelined]` (defaults: 127.0.0.1:7117
-//! requests, 127.0.0.1:7118 metrics, 4 units, 1 hot spare, patrol
-//! slices of 8 battery ops, pending cap 256, engine queue 8,
-//! 500 µs/tick, 400-tick default deadline, seed 2017, no chaos,
-//! incident reports kept in-memory only, combinational build).
+//! [--patrol N] [--pending N] [--tick-micros N] [--deadline-ticks N]
+//! [--seed S] [--chaos N] [--byzantine P] [--incident-dir D]
+//! [--pipelined]` (defaults: 127.0.0.1:7117 requests, 127.0.0.1:7118
+//! metrics, 4 units, 1 hot spare, patrol slices of 8 battery ops,
+//! pending cap 256, 500 µs/tick, 400-tick default deadline, seed 2017,
+//! no chaos, incident reports kept in-memory only, combinational
+//! build).
 //!
 //! The metrics listener also serves `/healthz`, `/statusz` and
 //! `/tracez`; `--incident-dir D` persists every flight-recorder
@@ -18,8 +18,10 @@
 //! glitch storms, field replacements) injected underneath live traffic,
 //! keyed by admitted-request ordinal — the service must keep its
 //! zero-escape and no-silent-drop contract while the hardware misbehaves.
+//! SEUs and glitch storms act only on the engine's own dispatch path,
+//! which the service does not use, so they are inert here.
 //! `--byzantine P` makes P percent of those fault events scrub-clean
-//! Byzantine output latches that only the redundancy tier can catch.
+//! Byzantine output latches that only the reference comparison catches.
 //!
 //! The process prints the bound addresses on stdout (`listening <addr>` /
 //! `metrics <addr>`) so scripts can scrape them, then parks; stop it with
@@ -35,15 +37,15 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--addr" | "--metrics-addr" | "--units" | "--spares" | "--patrol" | "--pending"
-            | "--queue" | "--tick-micros" | "--deadline-ticks" | "--seed" | "--chaos"
-            | "--byzantine" | "--incident-dir" => {
+            | "--tick-micros" | "--deadline-ticks" | "--seed" | "--chaos" | "--byzantine"
+            | "--incident-dir" => {
                 it.next();
             }
             "--pipelined" => {}
             other => {
                 eprintln!(
                     "unknown argument {other}; usage: serve [--addr A] [--metrics-addr A] \
-                     [--units N] [--spares N] [--patrol N] [--pending N] [--queue N] \
+                     [--units N] [--spares N] [--patrol N] [--pending N] \
                      [--tick-micros N] [--deadline-ticks N] [--seed S] [--chaos N] \
                      [--byzantine P] [--incident-dir D] [--pipelined]"
                 );
@@ -64,7 +66,6 @@ fn main() {
     cfg.service.engine.spares = cli::arg_value(&args, "--spares", 1) as usize;
     cfg.service.engine.patrol_slice = cli::arg_value(&args, "--patrol", 8) as usize;
     cfg.service.pending_cap = cli::arg_value(&args, "--pending", 256) as usize;
-    cfg.service.engine.queue_depth = cli::arg_value(&args, "--queue", 8) as usize;
     cfg.service.micros_per_tick = cli::arg_value(&args, "--tick-micros", 500);
     cfg.service.default_deadline_ticks = cli::arg_value(&args, "--deadline-ticks", 400);
     let faults = cli::arg_value(&args, "--chaos", 0) as usize;

@@ -175,6 +175,19 @@ pub struct MultResult {
 }
 
 impl MultResult {
+    /// Whether `self` and `other` agree on everything the hardware can
+    /// express: both product words, and both flag words under the
+    /// invalid/overflow/underflow mask (the unit's flag bus has no
+    /// inexact wire).
+    #[must_use]
+    pub fn agrees_hw(&self, other: &MultResult) -> bool {
+        let hw = (Flags::INVALID | Flags::OVERFLOW | Flags::UNDERFLOW).bits();
+        self.ph == other.ph
+            && self.pl == other.pl
+            && self.flags_lo.bits() & hw == other.flags_lo.bits() & hw
+            && self.flags_hi.bits() & hw == other.flags_hi.bits() & hw
+    }
+
     /// The 128-bit integer product (int64 format).
     ///
     /// # Panics

@@ -14,7 +14,6 @@
 //! bit-reproducible.
 
 use mfm_gatesim::{CompiledSim, LaneWord, NetId, Netlist, LANES, NO_LANES};
-use mfm_softfloat::Flags;
 use mfm_telemetry::{Counter, Gauge, Registry, TraceId};
 use mfmult::selfcheck::{scrub_battery, scrub_compiled, SelfCheckingUnit};
 use mfmult::structural::StructuralPorts;
@@ -24,8 +23,7 @@ use crate::health::{BreakerConfig, HealthState, HealthTracker, HealthTransition,
 
 /// Structured rejection returned by [`Engine::submit`] when the bounded
 /// queue is full — the backpressure signal callers answer with
-/// [`crate::backoff::SubmitBackoff`], or that a serving front-end turns
-/// into a typed `Overloaded { retry_after }` response.
+/// [`crate::backoff::SubmitBackoff`].
 ///
 /// The rejection is never a silent drop: it carries the queue depth the
 /// caller collided with and a retry-after hint derived from the recent
@@ -51,25 +49,6 @@ impl std::fmt::Display for Busy {
 }
 
 impl std::error::Error for Busy {}
-
-/// An operation cancelled in the queue because its deadline passed
-/// before any unit could serve it (drained with
-/// [`Engine::take_expired`]). Deadline expiry is a first-class outcome,
-/// never a silent drop: the submitter gets the id back and can answer
-/// the caller with a typed `DeadlineExceeded`.
-#[derive(Debug, Clone, Copy)]
-pub struct ExpiredOp {
-    /// Submission id returned by [`Engine::submit_with_deadline`].
-    pub id: u64,
-    /// The cancelled operation.
-    pub op: Operation,
-    /// The deadline tick that passed.
-    pub deadline: u64,
-    /// Tick at which the cancellation was performed.
-    pub tick: u64,
-    /// The request's trace id, when it was submitted with one.
-    pub trace: Option<TraceId>,
-}
 
 /// Engine policy knobs.
 #[derive(Debug, Clone, Copy)]
@@ -125,8 +104,6 @@ pub struct Completed {
     pub tick: u64,
     /// The (checked or fallback) result.
     pub result: MultResult,
-    /// The request's trace id, when it was submitted with one.
-    pub trace: Option<TraceId>,
 }
 
 /// One point of the capacity timeline [`Engine::tick`] appends to.
@@ -163,7 +140,6 @@ struct PoolTelemetry {
     queue_depth: Gauge,
     submitted: Counter,
     rejected: Counter,
-    expired: Counter,
     completed: Counter,
     masked: Counter,
     dmr_shadows: Counter,
@@ -185,15 +161,6 @@ const STATE_SLOTS: [HealthState; 6] = [
     HealthState::Retired,
     HealthState::Spare,
 ];
-
-/// One queued submission awaiting dispatch.
-#[derive(Debug, Clone, Copy)]
-struct Queued {
-    id: u64,
-    op: Operation,
-    deadline: Option<u64>,
-    trace: Option<TraceId>,
-}
 
 /// A modelled Byzantine defect: the unit's *output latch* flips bits
 /// after every self-check has run, so the corruption is invisible to
@@ -246,7 +213,8 @@ pub struct Engine<'a> {
     /// event-driven replay.
     sim: CompiledSim<'a>,
     ports: StructuralPorts,
-    queue: std::collections::VecDeque<Queued>,
+    /// Submitted operations awaiting dispatch, as `(id, op)`.
+    queue: std::collections::VecDeque<(u64, Operation)>,
     queue_depth: usize,
     breaker: BreakerConfig,
     /// Per-op settle-event ceiling (calibrated at construction).
@@ -254,7 +222,6 @@ pub struct Engine<'a> {
     tick: u64,
     next_id: u64,
     completed: Vec<Completed>,
-    expired: Vec<ExpiredOp>,
     timeline: Vec<CapacitySample>,
     rr_cursor: usize,
     escapes: u64,
@@ -268,22 +235,10 @@ pub struct Engine<'a> {
     patrol_failures: u64,
     submitted: u64,
     rejected: u64,
-    expired_total: u64,
     done: u64,
     scrubs: u64,
     scrub_passes: u64,
     telemetry: Option<PoolTelemetry>,
-}
-
-/// Whether two results agree on everything the hardware can express:
-/// both product words, and the flag buses under the hardware mask (the
-/// flag bus has no inexact wire).
-fn results_agree_hw(a: &MultResult, b: &MultResult) -> bool {
-    let hw = Flags::INVALID | Flags::OVERFLOW | Flags::UNDERFLOW;
-    a.ph == b.ph
-        && a.pl == b.pl
-        && a.flags_lo.bits() & hw.bits() == b.flags_lo.bits() & hw.bits()
-        && a.flags_hi.bits() & hw.bits() == b.flags_hi.bits() & hw.bits()
 }
 
 impl<'a> Engine<'a> {
@@ -353,7 +308,6 @@ impl<'a> Engine<'a> {
             tick: 0,
             next_id: 0,
             completed: Vec::new(),
-            expired: Vec::new(),
             timeline: Vec::new(),
             rr_cursor: 0,
             escapes: 0,
@@ -367,7 +321,6 @@ impl<'a> Engine<'a> {
             patrol_failures: 0,
             submitted: 0,
             rejected: 0,
-            expired_total: 0,
             done: 0,
             scrubs: 0,
             scrub_passes: 0,
@@ -391,7 +344,6 @@ impl<'a> Engine<'a> {
             queue_depth: registry.gauge("pool.queue_depth"),
             submitted: registry.counter("pool.submitted"),
             rejected: registry.counter("pool.rejected"),
-            expired: registry.counter("pool.expired"),
             completed: registry.counter("pool.completed"),
             masked: registry.counter("pool.masked"),
             dmr_shadows: registry.counter("pool.dmr_shadows"),
@@ -538,31 +490,6 @@ impl<'a> Engine<'a> {
     /// [`crate::backoff::SubmitBackoff`]) or sheds the request with a
     /// typed overload response.
     pub fn submit(&mut self, op: Operation) -> Result<u64, Busy> {
-        self.submit_with_deadline(op, None)
-    }
-
-    /// Submits one operation with an optional absolute deadline tick.
-    /// An operation still queued when `tick > deadline` is cancelled
-    /// (never executed) and surfaces through [`Engine::take_expired`];
-    /// one dispatched at `tick <= deadline` is served normally.
-    pub fn submit_with_deadline(
-        &mut self,
-        op: Operation,
-        deadline: Option<u64>,
-    ) -> Result<u64, Busy> {
-        self.submit_traced(op, deadline, None)
-    }
-
-    /// Like [`Engine::submit_with_deadline`], also attaching the
-    /// request's [`TraceId`]. The id rides the queue entry into the
-    /// [`Completed`]/[`ExpiredOp`] record and tags any breaker
-    /// transition this request's incidents cause.
-    pub fn submit_traced(
-        &mut self,
-        op: Operation,
-        deadline: Option<u64>,
-        trace: Option<TraceId>,
-    ) -> Result<u64, Busy> {
         if self.queue.len() >= self.queue_depth {
             self.rejected += 1;
             if let Some(t) = &self.telemetry {
@@ -579,12 +506,7 @@ impl<'a> Engine<'a> {
         if let Some(t) = &self.telemetry {
             t.submitted.inc();
         }
-        self.queue.push_back(Queued {
-            id,
-            op,
-            deadline,
-            trace,
-        });
+        self.queue.push_back((id, op));
         Ok(id)
     }
 
@@ -593,7 +515,7 @@ impl<'a> Engine<'a> {
     /// the mean completion rate of the last (up to) 16 samples. When no
     /// completions have been observed yet the hint falls back to one
     /// tick per queued operation per dispatchable unit. Always ≥ 1.
-    pub fn retry_after_hint(&self) -> u64 {
+    fn retry_after_hint(&self) -> u64 {
         let queued = self.queue.len() as u64;
         let window = &self.timeline[self.timeline.len().saturating_sub(16)..];
         let served: u64 = window.iter().map(|s| s.completed as u64).sum();
@@ -613,16 +535,6 @@ impl<'a> Engine<'a> {
                 .max(1) as u64;
             queued.div_ceil(lanes).max(1)
         }
-    }
-
-    /// Drains the operations cancelled in-queue by deadline expiry.
-    pub fn take_expired(&mut self) -> Vec<ExpiredOp> {
-        std::mem::take(&mut self.expired)
-    }
-
-    /// Operations cancelled by deadline expiry so far.
-    pub fn expired_total(&self) -> u64 {
-        self.expired_total
     }
 
     /// Credits unit `i` with externally served work. A front-end that
@@ -737,8 +649,8 @@ impl<'a> Engine<'a> {
 
     // ---- the scheduler ----------------------------------------------
 
-    /// Runs one scheduling round: due scrubs, expired-in-queue deadline
-    /// cancellation, then at most one queued operation per dispatchable
+    /// Runs one scheduling round: due scrubs and spare promotion, then
+    /// at most one queued operation per dispatchable
     /// unit (round-robin, starting after the last unit served first in
     /// the previous round), then the capacity sample and gauge refresh.
     pub fn tick(&mut self) -> TickReport {
@@ -775,38 +687,7 @@ impl<'a> Engine<'a> {
                 self.promote_spare_for(i, &mut report);
             }
         }
-        // 2. Expired-in-queue cancellation: an operation whose deadline
-        // has already passed must not waste a dispatch slot — it is
-        // pulled out here and surfaced through `take_expired`, so the
-        // submitter can answer with a typed deadline response.
-        if self
-            .queue
-            .iter()
-            .any(|q| q.deadline.is_some_and(|d| d < self.tick))
-        {
-            let now = self.tick;
-            let mut kept = std::collections::VecDeque::with_capacity(self.queue.len());
-            for q in self.queue.drain(..) {
-                match q.deadline {
-                    Some(d) if d < now => {
-                        self.expired_total += 1;
-                        if let Some(t) = &self.telemetry {
-                            t.expired.inc();
-                        }
-                        self.expired.push(ExpiredOp {
-                            id: q.id,
-                            op: q.op,
-                            deadline: d,
-                            tick: now,
-                            trace: q.trace,
-                        });
-                    }
-                    _ => kept.push_back(q),
-                }
-            }
-            self.queue = kept;
-        }
-        // 3. Round-robin dispatch: one op per dispatchable unit.
+        // 2. Round-robin dispatch: one op per dispatchable unit.
         let n = self.units.len();
         let mut completed_now = 0u32;
         for k in 0..n {
@@ -817,20 +698,20 @@ impl<'a> Engine<'a> {
             if !self.units[i].health.is_dispatchable() {
                 continue;
             }
-            let q = self.queue.pop_front().expect("checked non-empty");
-            self.dispatch_one(i, q.id, q.op, q.trace);
+            let (id, op) = self.queue.pop_front().expect("checked non-empty");
+            self.dispatch_one(i, id, op);
             report.dispatched += 1;
             completed_now += 1;
         }
         self.rr_cursor = (self.rr_cursor + 1) % n;
-        // 3b. Patrol scrubbing: an idle tick is spent replaying a
+        // 2b. Patrol scrubbing: an idle tick is spent replaying a
         // bounded slice of the compiled scrub battery against the
         // least-recently-verified healthy unit, so latent faults are
         // caught before live traffic finds them.
         if report.dispatched == 0 && self.patrol_slice > 0 {
             self.patrol();
         }
-        // 4. Observe.
+        // 3. Observe.
         let sample = CapacitySample {
             tick: self.tick,
             hw_capacity: self.hw_capacity(),
@@ -953,7 +834,7 @@ impl<'a> Engine<'a> {
     /// Serves one operation on unit `i`: glitch storms, execution, the
     /// per-op watchdog, the DMR shadow when the unit is under
     /// suspicion, health accounting and the masking reference vote.
-    fn dispatch_one(&mut self, i: usize, id: u64, op: Operation, trace: Option<TraceId>) {
+    fn dispatch_one(&mut self, i: usize, id: u64, op: Operation) {
         let dmr_due = self.units[i].health.state() == HealthState::Suspect;
         let (mut result, delta, mut incidents) = {
             let u = &mut self.units[i];
@@ -1016,23 +897,18 @@ impl<'a> Engine<'a> {
                 if jinc > 0 {
                     // The shadow surfaced the peer's own problems: feed
                     // its breaker exactly like dispatched work would.
-                    pu.health
-                        .on_incidents_traced(self.tick, jinc, trace.map(TraceId::as_u64));
+                    pu.health.on_incidents(self.tick, jinc);
                 }
-                if !results_agree_hw(&shadow, &result) {
+                if !shadow.agrees_hw(&result) {
                     self.dmr_mismatches += 1;
                     if let Some(t) = &self.telemetry {
                         t.dmr_mismatches.inc();
                     }
-                    if !results_agree_hw(&shadow, &want) {
+                    if !shadow.agrees_hw(&want) {
                         // The healthy peer was the wrong one: vote
                         // against it. (A wrong suspect is charged by
                         // the masking vote below.)
-                        self.units[j].health.on_incidents_traced(
-                            self.tick,
-                            1,
-                            trace.map(TraceId::as_u64),
-                        );
+                        self.units[j].health.on_incidents(self.tick, 1);
                     }
                 }
             }
@@ -1050,7 +926,7 @@ impl<'a> Engine<'a> {
         // mask). A disagreement is *masked* — the reference result is
         // substituted and the unit charged — so a wrong answer never
         // reaches a caller and `escapes` stays zero by construction.
-        if !results_agree_hw(&result, &want) {
+        if !result.agrees_hw(&want) {
             self.masked += 1;
             incidents += 1;
             if let Some(t) = &self.telemetry {
@@ -1059,11 +935,7 @@ impl<'a> Engine<'a> {
             result = want;
         }
         if incidents > 0 {
-            self.units[i].health.on_incidents_traced(
-                self.tick,
-                incidents,
-                trace.map(TraceId::as_u64),
-            );
+            self.units[i].health.on_incidents(self.tick, incidents);
         } else {
             self.units[i].health.on_clean_op(self.tick);
         }
@@ -1077,7 +949,6 @@ impl<'a> Engine<'a> {
             unit: i,
             tick: self.tick,
             result,
-            trace,
         });
     }
 
@@ -1204,52 +1075,6 @@ mod tests {
     }
 
     #[test]
-    fn queued_past_deadline_is_cancelled_not_served() {
-        let mut n = Netlist::new(TechLibrary::cmos45lp());
-        let ports = build_unit(&mut n);
-        let mut engine = Engine::new(&n, &ports, 1, small_cfg());
-        // Three ops on a one-unit pool: one per tick can be served. The
-        // third carries a deadline that expires while it waits.
-        engine
-            .submit_with_deadline(Operation::int64(2, 2), Some(10))
-            .unwrap();
-        engine
-            .submit_with_deadline(Operation::int64(3, 3), None)
-            .unwrap();
-        let doomed = engine
-            .submit_with_deadline(Operation::int64(4, 4), Some(1))
-            .unwrap();
-        for _ in 0..4 {
-            engine.tick();
-        }
-        let expired = engine.take_expired();
-        assert_eq!(expired.len(), 1, "exactly the doomed op expired");
-        assert_eq!(expired[0].id, doomed);
-        assert_eq!(expired[0].deadline, 1);
-        assert_eq!(engine.expired_total(), 1);
-        let done = engine.take_completed();
-        assert_eq!(done.len(), 2, "the other two were served");
-        assert!(done.iter().all(|c| c.id != doomed), "doomed op never ran");
-        let (submitted, _, completed, ..) = engine.totals();
-        assert_eq!((submitted, completed), (3, 2));
-    }
-
-    #[test]
-    fn deadline_met_is_served_normally() {
-        let mut n = Netlist::new(TechLibrary::cmos45lp());
-        let ports = build_unit(&mut n);
-        let mut engine = Engine::new(&n, &ports, 1, small_cfg());
-        engine
-            .submit_with_deadline(Operation::int64(6, 7), Some(1))
-            .unwrap();
-        engine.tick();
-        assert!(engine.take_expired().is_empty());
-        let done = engine.take_completed();
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].result.int_product(), 42);
-    }
-
-    #[test]
     fn external_incidents_feed_the_breaker_like_dispatch() {
         let mut n = Netlist::new(TechLibrary::cmos45lp());
         let ports = build_unit(&mut n);
@@ -1339,37 +1164,24 @@ mod tests {
     }
 
     #[test]
-    fn traced_submission_tags_results_and_breaker_transitions() {
+    fn external_service_trace_tags_breaker_transitions() {
         let mut n = Netlist::new(TechLibrary::cmos45lp());
         let ports = build_unit(&mut n);
         let mut engine = Engine::new(&n, &ports, 1, small_cfg());
-        // Poison the check LSB so every even product raises incidents.
-        engine.inject_stuck_at(0, ports.chk_p0[0], true, false);
         let trace = TraceId::from_raw(0xCAFE_F00D);
-        engine
-            .submit_traced(Operation::int64(3, 4), None, Some(trace))
-            .unwrap();
-        engine.tick();
-        let done = engine.take_completed();
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].trace, Some(trace), "trace rides the completion");
-        assert_eq!(done[0].result.int_product(), 12, "answer still correct");
+        engine.note_external_service_traced(0, 2, Some(trace));
         // The healthy→suspect transition names the offending trace.
         let t = engine.transitions(0);
         assert!(!t.is_empty(), "incident must log a transition");
         assert_eq!(t[0].trace, Some(trace.as_u64()));
         assert!(t[0].to_json().contains("\"trace_id\":\"00000000cafef00d\""));
-        // External service credit with a trace reaches the breaker too.
+        // Pool dispatch carries no trace: its log stays trace-free.
         let mut engine2 = Engine::new(&n, &ports, 1, small_cfg());
-        let t2 = TraceId::from_raw(77);
-        engine2.note_external_service_traced(0, 2, Some(t2));
-        assert_eq!(engine2.transitions(0)[0].trace, Some(77));
-        // Untraced submissions keep a trace-free log (schema unchanged).
-        let mut engine3 = Engine::new(&n, &ports, 1, small_cfg());
-        engine3.inject_stuck_at(0, ports.chk_p0[0], true, false);
-        engine3.submit(Operation::int64(3, 4)).unwrap();
-        engine3.tick();
-        assert_eq!(engine3.transitions(0)[0].trace, None);
+        engine2.inject_stuck_at(0, ports.chk_p0[0], true, false);
+        engine2.submit(Operation::int64(3, 4)).unwrap();
+        engine2.tick();
+        assert_eq!(engine2.take_completed()[0].result.int_product(), 12);
+        assert_eq!(engine2.transitions(0)[0].trace, None);
     }
 
     #[test]

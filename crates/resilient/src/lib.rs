@@ -38,5 +38,5 @@ pub mod health;
 
 pub use backoff::{BackoffConfig, SubmitBackoff};
 pub use chaos::{apply_event, ChaosEvent, ChaosKind, ChaosPlan, ChaosPlanConfig};
-pub use engine::{Busy, CapacitySample, Completed, Engine, EngineConfig, ExpiredOp, TickReport};
+pub use engine::{Busy, CapacitySample, Completed, Engine, EngineConfig, TickReport};
 pub use health::{BreakerConfig, HealthState, HealthTracker, HealthTransition, TickVerdict};

@@ -13,8 +13,8 @@
 //!   `Overloaded`), deadline propagation with expired-in-queue
 //!   cancellation, per-client deterministic retry budgets, and a
 //!   256-lane mixed-format compiled batch path routed through the
-//!   pool's circuit breakers with a mandatory per-lane cross-check
-//!   against the bit-exact reference.
+//!   pool's circuit breakers, where one verdict — the self-check plus
+//!   agreement with the bit-exact reference — judges every lane.
 //! - [`server`] — the thread-per-connection TCP front-end plus a
 //!   Prometheus `/metrics` endpoint, with slow-client write timeouts
 //!   and strict malformed-frame teardown.
@@ -25,8 +25,9 @@
 //! The service contract, end to end: **no request is ever dropped
 //! silently** (every outcome is a typed `Ok`, `Overloaded`,
 //! `DeadlineExceeded` or `Malformed` response) and **no wrong answer
-//! ever escapes** (the batch path answers only cross-checked lanes; the
-//! engine path is escape-checked internally).
+//! ever escapes** (a lane that passes the verdict is answered from the
+//! hardware, a lane that fails is answered from the reference in the
+//! same tick).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

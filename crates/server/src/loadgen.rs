@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use mfm_evalkit::workload::{ArrivalConfig, Arrivals, FormatMix, OperandGen};
 use mfm_softfloat::Flags;
 use mfm_telemetry::json::JsonObject;
-use mfmult::{FunctionalUnit, Operation};
+use mfmult::{FunctionalUnit, MultResult, Operation};
 
 use crate::wire::{
     decode_response, encode_request, read_frame, FrameError, Request, Response, MAX_BODY,
@@ -206,15 +206,10 @@ impl PhaseBreakdown {
 pub struct RedundancyStats {
     /// TMR ballots held (critical lanes plus recovery-window lanes).
     pub votes: u64,
-    /// Ballots where at least one replica was outvoted (or the
-    /// reference had to break a tie).
+    /// Votes where at least one ballot failed the verdict.
     pub vote_mismatches: u64,
     /// Whole batches voted because their routed unit was Suspect.
     pub dmr_batches: u64,
-    /// Engine-level DMR shadow executions.
-    pub dmr_shadows: u64,
-    /// Wrong answers masked by the engine's reference vote.
-    pub masked: u64,
     /// Spares promoted into retired units' slots.
     pub promotions: u64,
     /// Patrol-scrub slices run on idle ticks.
@@ -244,8 +239,6 @@ impl RedundancyStats {
             votes: get("votes"),
             vote_mismatches: get("vote_mismatches"),
             dmr_batches: get("dmr_batches"),
-            dmr_shadows: get("dmr_shadows"),
-            masked: get("masked"),
             promotions: get("promotions"),
             patrol_slices: get("patrol_slices"),
             patrol_failures: get("patrol_failures"),
@@ -259,16 +252,11 @@ impl RedundancyStats {
         o.field_u64("votes", self.votes)
             .field_u64("vote_mismatches", self.vote_mismatches)
             .field_u64("dmr_batches", self.dmr_batches)
-            .field_u64("dmr_shadows", self.dmr_shadows)
-            .field_u64("masked", self.masked)
             .field_u64("promotions", self.promotions)
             .field_u64("patrol_slices", self.patrol_slices)
             .field_u64("patrol_failures", self.patrol_failures)
             .field_f64("vote_rate", self.votes as f64 / denom)
-            .field_f64(
-                "hedge_rate",
-                (self.dmr_shadows + self.dmr_batches) as f64 / denom,
-            );
+            .field_f64("hedge_rate", self.dmr_batches as f64 / denom);
         o.finish()
     }
 }
@@ -613,7 +601,6 @@ fn run_conn(
 
     // Score every sent id against its (timestamped, typed) response.
     let reference = FunctionalUnit::new();
-    let hw = (Flags::INVALID | Flags::OVERFLOW | Flags::UNDERFLOW).bits();
     for (id, at) in &sent_at {
         if critical_ids.contains(id) {
             report.critical_sent += 1;
@@ -644,12 +631,14 @@ fn run_conn(
                         .saturating_sub(*exec_micros as u64),
                 );
                 let op = ops[id];
-                let want = reference.execute(op);
-                let correct = *ph == want.ph
-                    && *pl == want.pl
-                    && flags_lo & hw == want.flags_lo.bits() & hw
-                    && flags_hi & hw == want.flags_hi.bits() & hw;
-                if !correct {
+                let got = MultResult {
+                    format: op.format,
+                    ph: *ph,
+                    pl: *pl,
+                    flags_lo: Flags::from_bits(*flags_lo),
+                    flags_hi: Flags::from_bits(*flags_hi),
+                };
+                if !got.agrees_hw(&reference.execute(op)) {
                     report.escapes += 1;
                 }
             }

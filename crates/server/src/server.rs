@@ -26,7 +26,7 @@
 //!   `Send + Sync`, but the service state it describes lives there.
 //! - Every request frame is stamped with a [`TraceId`] at decode, in
 //!   the reader thread, and the id rides the request through admission,
-//!   batching, rescue and write-back. Incident reports snapshotted by
+//!   batching, verification and write-back. Incident reports snapshotted by
 //!   the service's flight recorder are persisted to
 //!   [`ServerConfig::incident_dir`] as they are produced.
 

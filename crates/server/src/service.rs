@@ -24,44 +24,61 @@
 //! Nothing is ever dropped silently: a shed request gets `Overloaded`
 //! with a retry hint from the client's own deterministic backoff
 //! escalated by consecutive rejections, a stale request gets
-//! `DeadlineExceeded`, a bad frame gets `Malformed`, and an answered
-//! request's result has always been cross-checked against the bit-exact
-//! reference — a lane that fails its check is *rescued* through the
-//! engine's event-driven path, never answered from the failed batch.
+//! `DeadlineExceeded`, a bad frame gets `Malformed`, and every admitted
+//! request that reaches a batch is answered `Ok` in that batch's tick.
+//!
+//! # One verdict per served lane
+//!
+//! The unit's flag bus carries only invalid/overflow/underflow, so every
+//! served lane is judged the same way: its raw image must pass
+//! `check_raw` (residue and invariant checks) *and* its product words
+//! plus masked flags must agree with the bit-exact [`FunctionalUnit`]
+//! (`MultResult::agrees_hw`). The batch pass computes that reference
+//! once per operation. A lane that passes is answered from the
+//! hardware; a lane that fails is answered in the same tick from the
+//! reference, its unit is charged, and the failure is counted
+//! (`service.check_failures`, `service.rescues`), recorded in the flight
+//! ring and raised as a `verify_mismatch` incident. A batch with no
+//! healthy unit to route through is answered from the reference too.
 //!
 //! # Adaptive redundancy
 //!
-//! On top of the per-lane checks the batch path runs *redundant-lane
-//! execution*: a request carrying the wire-v3 `critical` flag is
-//! replicated across up to three units' fault overlays and the replicas
-//! vote, with the `mfm-softfloat`-backed reference breaking ties; a
-//! replica outvoted by the majority is charged to its unit's breaker
-//! without the wrong answer ever surfacing. The same voting tier
-//! engages automatically for a whole batch when its routed unit is
-//! `Suspect` (DMR-on-suspicion) and for every lane during a recovery
-//! window after any caught would-be escape. Byzantine output-latch
-//! faults armed on the engine corrupt batch lanes *after* their
-//! self-checks — exactly the fault class only redundancy can catch.
+//! A request carrying the wire-v3 `critical` flag is also replicated
+//! across up to two more units' fault overlays. Each replica's lane is a
+//! ballot judged by the same verdict, and every failing ballot charges
+//! its unit's breaker. The answer never depends on the replicas — the
+//! reference already decides it — so what voting buys is *detection*:
+//! it exercises units the batch was not routed through, and finds their
+//! faults before live traffic does. The same voting engages for a whole
+//! batch when its routed unit is `Suspect` (DMR-on-suspicion) and for
+//! every lane during a recovery window opened by any ballot that passed
+//! its self-check yet disagreed with the reference (a would-be escape).
+//! Byzantine output-latch faults armed on the engine corrupt batch lanes
+//! *after* their self-checks — the fault class only the reference
+//! comparison catches.
+//!
+//! The service never dispatches through the engine's queue: the engine
+//! supplies the units' fault overlays, breakers, scrubs, spares and
+//! patrol. Chaos that acts only on engine dispatch (single-event upsets
+//! and glitch storms) is therefore inert here.
 //!
 //! # Tracing and the flight recorder
 //!
 //! Every admitted request carries a [`TraceId`] (minted at frame decode
 //! by the front-end, or internally for in-process callers) through the
-//! batch path, the verification loop, and the engine rescue path. The
-//! service accumulates per-phase spans (queue-wait, batch-fill,
-//! compiled-eval, verify, rescue, write-back) into a [`TraceRecord`]
-//! that lands in a fixed-size [`TraceRing`] served by `/tracez`.
-//! Scheduling decisions stay tick-driven and wall-clock-free; only the
-//! span *annotations* for the execution phases sample a monotonic
-//! clock, so responses remain deterministic while latency attribution
-//! is real.
+//! batch path and the verdict. The service accumulates per-phase spans
+//! (queue-wait, batch-fill, compiled-eval, verify, write-back) into a
+//! [`TraceRecord`] that lands in a fixed-size [`TraceRing`] served by
+//! `/tracez`. Scheduling decisions stay tick-driven and wall-clock-free;
+//! only the span *annotations* for the execution phases sample a
+//! monotonic clock, so responses remain deterministic while latency
+//! attribution is real.
 //!
 //! A bounded [`FlightRecorder`] keeps the most recent structured events
-//! (check failures, rescues, tier changes, breaker transitions,
-//! watchdog trips) and snapshots them into a self-contained JSON
-//! incident report when a verification mismatch, engine rescue,
-//! watchdog trip, or shed-tier escalation fires — drain reports with
-//! [`Service::take_incidents`].
+//! (check failures, votes, tier changes, breaker transitions) and
+//! snapshots them into a self-contained JSON incident report when a
+//! verification mismatch or a shed-tier escalation fires — drain
+//! reports with [`Service::take_incidents`].
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Instant;
@@ -69,14 +86,13 @@ use std::time::Instant;
 use mfm_gatesim::{CompiledSim, LivePowerTrace, Netlist, LANES};
 use mfm_resilient::backoff::{BackoffConfig, SubmitBackoff};
 use mfm_resilient::{Engine, EngineConfig, HealthState};
-use mfm_softfloat::Flags;
 use mfm_telemetry::{
     Counter, FlightEvent, FlightRecorder, Gauge, Histogram, IncidentTrigger, Phase, PhaseSpans,
     Registry, TraceId, TraceMinter, TraceRecord, TraceRing,
 };
-use mfmult::selfcheck::{check_raw, result_from_raw, run_raw_compiled, scrub_battery};
+use mfmult::selfcheck::{check_raw, result_from_raw, run_raw_compiled, scrub_battery, RawOutputs};
 use mfmult::structural::StructuralPorts;
-use mfmult::{Format, FunctionalUnit, Operation};
+use mfmult::{Format, FunctionalUnit, MultResult, Operation};
 
 use crate::wire::{Request, Response};
 
@@ -123,7 +139,7 @@ pub struct ServiceConfig {
     /// Pool size handed to the engine.
     pub units: usize,
     /// Front-end backlog capacity (requests admitted but not yet
-    /// answered, across all format queues and the rescue path).
+    /// answered, across all format queues).
     pub pending_cap: usize,
     /// Microseconds one service tick represents — converts request
     /// deadlines and retry hints between wire time and tick time.
@@ -167,8 +183,7 @@ const FLIGHT_RING_CAP: usize = 128;
 /// Minimum ticks between incident reports of the same trigger kind.
 const INCIDENT_MIN_GAP_TICKS: u64 = 32;
 /// Ticks the TMR voting tier stays engaged for *every* lane after any
-/// caught would-be escape (a masked engine result, a DMR mismatch, a
-/// lost vote, or the belt-and-braces escape guard firing).
+/// ballot passed its self-check yet disagreed with the reference.
 const TMR_RECOVERY_TICKS: u64 = 64;
 
 /// One admitted request waiting for a batch slot.
@@ -186,8 +201,6 @@ struct PendingReq {
     trace: TraceId,
     /// Per-phase latency attribution accumulated as the request moves.
     spans: PhaseSpans,
-    /// Tick the request entered the rescue path (0 = never rescued).
-    rescued_at: u64,
     /// Whether the client asked for TMR voting (wire-v3 flag).
     critical: bool,
 }
@@ -228,10 +241,6 @@ pub struct Service<'a> {
     /// Per-format admission queues; one batch pass takes up to 256 lanes
     /// across all of them.
     queues: HashMap<Format, VecDeque<PendingReq>>,
-    /// Lanes whose batch check failed, awaiting event-driven rescue.
-    rescue: VecDeque<PendingReq>,
-    /// Rescues in flight inside the engine: engine id → request.
-    in_engine: HashMap<u64, PendingReq>,
     /// Per-client consecutive-rejection backoff state.
     backoffs: HashMap<u64, SubmitBackoff>,
     /// Round-robin cursor over pool units for batch routing.
@@ -240,7 +249,6 @@ pub struct Service<'a> {
     metrics: ServiceMetrics,
     answered: u64,
     shed: u64,
-    escape_guard_failures: u64,
     /// Mints trace ids for callers that did not bring one.
     minter: TraceMinter,
     /// Recently completed traces, served by `/tracez`.
@@ -254,8 +262,6 @@ pub struct Service<'a> {
     awaiting_write_back: BTreeMap<u64, TraceRecord>,
     /// Tier at the end of the previous tick, for escalation detection.
     last_tier: Tier,
-    /// Watchdog-trip counts seen per unit, for edge detection.
-    seen_watchdog: Vec<u64>,
     /// Per-unit watermark of breaker transitions already forwarded to
     /// the flight recorder, measured against the tracker's *monotone
     /// logged total* (the in-memory trail is a bounded ring).
@@ -264,15 +270,11 @@ pub struct Service<'a> {
     tmr_until: u64,
     /// TMR votes held so far.
     votes: u64,
-    /// Votes where at least one replica disagreed with the majority.
+    /// Votes where at least one ballot failed the verdict.
     vote_mismatches: u64,
     /// Batches escalated to whole-batch voting because their routed
     /// unit was `Suspect` (DMR-on-suspicion).
     dmr_batches: u64,
-    /// Engine `masked` count at the last tick, for escape-edge detection.
-    seen_masked: u64,
-    /// Engine DMR-mismatch count at the last tick, same purpose.
-    seen_dmr_mismatches: u64,
     /// Per-net zero-delay toggle counts accumulated over every primary
     /// compiled batch evaluation (active lanes only) — the service's
     /// power accounting runs on the compiled activity engine, with no
@@ -340,29 +342,23 @@ impl<'a> Service<'a> {
             reference: FunctionalUnit::new(),
             battery: scrub_battery(cfg.engine.quad_lanes),
             queues: HashMap::new(),
-            rescue: VecDeque::new(),
-            in_engine: HashMap::new(),
             backoffs: HashMap::new(),
             batch_cursor: 0,
             responses: Vec::new(),
             metrics,
             answered: 0,
             shed: 0,
-            escape_guard_failures: 0,
             minter: TraceMinter::new(cfg.seed ^ 0x7261_6365_5F69_6421),
             traces: TraceRing::new(TRACE_RING_CAP),
             flight: FlightRecorder::new(FLIGHT_RING_CAP, INCIDENT_MIN_GAP_TICKS),
             incidents: Vec::new(),
             awaiting_write_back: BTreeMap::new(),
             last_tier: Tier::Normal,
-            seen_watchdog: vec![0; units_built],
             seen_transitions: vec![0; units_built],
             tmr_until: 0,
             votes: 0,
             vote_mismatches: 0,
             dmr_batches: 0,
-            seen_masked: 0,
-            seen_dmr_mismatches: 0,
             power_toggles: vec![0; netlist.net_count()],
             power_cycles: 0,
             power_ops: 0,
@@ -379,9 +375,7 @@ impl<'a> Service<'a> {
 
     /// Requests admitted but not yet answered.
     pub fn backlog(&self) -> usize {
-        self.queues.values().map(|q| q.len()).sum::<usize>()
-            + self.rescue.len()
-            + self.in_engine.len()
+        self.queues.values().map(|q| q.len()).sum()
     }
 
     /// The degradation tier the *next* admission decision will use.
@@ -409,11 +403,11 @@ impl<'a> Service<'a> {
         self.shed
     }
 
-    /// Wrong answers that reached a response. The service's invariant is
-    /// that this stays zero: the batch path answers only cross-checked
-    /// lanes and the engine path is escape-checked internally.
+    /// Wrong answers that reached a response, read from the pool's
+    /// `pool.escapes` witness. Zero by construction: every `Ok` either
+    /// passed the verdict against the reference or is the reference.
     pub fn escapes(&self) -> u64 {
-        self.engine.escapes() + self.escape_guard_failures
+        self.engine.escapes()
     }
 
     /// The pool engine (chaos hooks, health inspection).
@@ -426,7 +420,7 @@ impl<'a> Service<'a> {
         self.votes
     }
 
-    /// Votes where at least one replica disagreed with the majority.
+    /// Votes where at least one ballot failed the verdict.
     pub fn vote_mismatches(&self) -> u64 {
         self.vote_mismatches
     }
@@ -485,7 +479,6 @@ impl<'a> Service<'a> {
             arrived: self.engine.now(),
             trace,
             spans: PhaseSpans::default(),
-            rescued_at: 0,
             critical: req.critical,
         };
         self.queues
@@ -569,9 +562,8 @@ impl<'a> Service<'a> {
         let units_json: Vec<String> = (0..self.engine.unit_count())
             .map(|i| {
                 format!(
-                    "{{\"unit\":{i},\"state\":\"{}\",\"watchdog_trips\":{},\"transitions\":{}}}",
+                    "{{\"unit\":{i},\"state\":\"{}\",\"transitions\":{}}}",
                     self.engine.unit_state(i).label(),
-                    self.engine.watchdog_trips(i),
                     self.engine.transitions_logged(i)
                 )
             })
@@ -579,11 +571,9 @@ impl<'a> Service<'a> {
         let (patrol_slices, patrol_failures) = self.engine.patrol_stats();
         format!(
             "{{\"tick\":{},\"tier\":\"{}\",\"backlog\":{},\"pending_cap\":{},\
-             \"queues\":{{{}}},\"rescue_depth\":{},\"in_engine\":{},\
-             \"answered\":{},\"shed\":{},\"units\":[{}],\
+             \"queues\":{{{}}},\"answered\":{},\"shed\":{},\"units\":[{}],\
              \"redundancy\":{{\"votes\":{},\"vote_mismatches\":{},\"dmr_batches\":{},\
-             \"dmr_shadows\":{},\"dmr_mismatches\":{},\"masked\":{},\"promotions\":{},\
-             \"spares_available\":{},\"hw_capacity\":{},\"patrol_slices\":{},\
+             \"promotions\":{},\"spares_available\":{},\"hw_capacity\":{},\"patrol_slices\":{},\
              \"patrol_failures\":{},\"tmr_window_active\":{}}},\
              \"flight\":{{\"events\":{},\"dropped\":{},\"incidents\":{}}}}}",
             self.engine.now(),
@@ -591,17 +581,12 @@ impl<'a> Service<'a> {
             self.backlog(),
             self.cfg.pending_cap,
             queues_json.join(","),
-            self.rescue.len(),
-            self.in_engine.len(),
             self.answered,
             self.shed,
             units_json.join(","),
             self.votes,
             self.vote_mismatches,
             self.dmr_batches,
-            self.engine.dmr_shadows(),
-            self.engine.dmr_mismatches(),
-            self.engine.masked(),
             self.engine.promotions(),
             self.engine.spares_available(),
             self.engine.hw_capacity(),
@@ -622,31 +607,24 @@ impl<'a> Service<'a> {
 
     /// Escalating retry hint for one shed request: the client's own
     /// deterministic jittered backoff (consecutive rejections widen the
-    /// window; any admission resets it), floored by the engine's
-    /// capacity-timeline drain estimate so the hint never promises a
-    /// slot sooner than the pool can plausibly free one.
+    /// window; any admission resets it).
     fn overload_retry_ticks(&mut self, client: u64) -> u64 {
         let seed = self.cfg.seed ^ client.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let b = self
             .backoffs
             .entry(client)
             .or_insert_with(|| SubmitBackoff::new(self.cfg.backoff, seed));
-        let delay = b.next_delay().unwrap_or(self.cfg.backoff.max_ticks);
-        delay.max(self.engine.retry_after_hint())
+        b.next_delay().unwrap_or(self.cfg.backoff.max_ticks)
     }
 
-    /// One scheduling round: engine tick (scrubs, rescue dispatch,
-    /// breaker time), engine completion/expiry harvest, front-end
-    /// deadline sweep, rescue resubmission, the batch pass for this
-    /// tick's tier, and the speculative self-check.
+    /// One scheduling round: engine tick (scrubs, spare promotion,
+    /// patrol, breaker time), front-end deadline sweep, the batch pass
+    /// for this tick's tier, and the speculative self-check.
     pub fn tick(&mut self) {
         self.flush_unacked_records();
         self.engine.tick();
-        self.observe_engine_health();
-        self.note_caught_escapes();
-        self.harvest_engine();
+        self.forward_transitions();
         self.expire_stale();
-        self.pump_rescue();
         let tier = self.tier();
         self.run_batches(tier);
         if tier == Tier::Normal
@@ -685,21 +663,9 @@ impl<'a> Service<'a> {
         self.traces.push(rec);
     }
 
-    /// Opens (or extends) the TMR recovery window when the redundancy
-    /// layer caught a would-be escape since the last tick — a masked
-    /// engine result or a DMR shadow mismatch. For the next
+    /// Opens (or extends) the TMR recovery window: for the next
     /// [`TMR_RECOVERY_TICKS`] every batch lane is voted, critical or
     /// not.
-    fn note_caught_escapes(&mut self) {
-        let masked = self.engine.masked();
-        let dmr = self.engine.dmr_mismatches();
-        if masked > self.seen_masked || dmr > self.seen_dmr_mismatches {
-            self.open_tmr_window("engine caught a would-be escape");
-        }
-        self.seen_masked = masked;
-        self.seen_dmr_mismatches = dmr;
-    }
-
     fn open_tmr_window(&mut self, why: &str) {
         let now = self.engine.now();
         let until = now + TMR_RECOVERY_TICKS;
@@ -714,12 +680,11 @@ impl<'a> Service<'a> {
         }
     }
 
-    /// Forwards new breaker transitions and watchdog trips from the
-    /// engine into the flight recorder; a fresh watchdog trip raises an
-    /// incident. Transition watermarks are kept against the tracker's
-    /// monotone logged total, so eviction from the bounded trail never
-    /// replays or skips events.
-    fn observe_engine_health(&mut self) {
+    /// Forwards new breaker transitions from the engine into the flight
+    /// recorder. Watermarks are kept against the tracker's monotone
+    /// logged total, so eviction from the bounded trail never replays or
+    /// skips events.
+    fn forward_transitions(&mut self) {
         let now = self.engine.now();
         for i in 0..self.engine.unit_count() {
             let logged = self.engine.transitions_logged(i);
@@ -735,23 +700,6 @@ impl<'a> Service<'a> {
                 });
             }
             self.seen_transitions[i] = logged;
-            let trips = self.engine.watchdog_trips(i);
-            if trips > self.seen_watchdog[i] {
-                self.flight.record(FlightEvent {
-                    tick: now,
-                    trace: None,
-                    kind: "watchdog_trip",
-                    detail: format!("unit {i} trips {trips}"),
-                });
-                let context = format!("{{\"unit\":{i},\"trips\":{trips}}}");
-                if let Some(report) =
-                    self.flight
-                        .incident(IncidentTrigger::WatchdogTrip, now, None, &context)
-                {
-                    self.incidents.push(report);
-                }
-                self.seen_watchdog[i] = trips;
-            }
         }
     }
 
@@ -783,68 +731,9 @@ impl<'a> Service<'a> {
         }
     }
 
-    /// Turns engine completions and expirations into responses. A
-    /// completed rescue closes its trace's rescue span and raises an
-    /// `engine_rescue` incident so the whole path is reconstructable.
-    fn harvest_engine(&mut self) {
-        let now = self.engine.now();
-        for done in self.engine.take_completed() {
-            if let Some(mut p) = self.in_engine.remove(&done.id) {
-                p.spans.add(
-                    Phase::Rescue,
-                    now.saturating_sub(p.rescued_at)
-                        .saturating_mul(self.cfg.micros_per_tick),
-                );
-                self.flight.record(FlightEvent {
-                    tick: now,
-                    trace: Some(p.trace.as_u64()),
-                    kind: "rescue_completed",
-                    detail: format!("engine id {} request {}", done.id, p.id),
-                });
-                let context = format!(
-                    "{{\"request_id\":{},\"engine_id\":{},\"rescue_micros\":{}}}",
-                    p.id,
-                    done.id,
-                    p.spans.get(Phase::Rescue)
-                );
-                if let Some(report) = self.flight.incident(
-                    IncidentTrigger::EngineRescue,
-                    now,
-                    Some(p.trace.as_u64()),
-                    &context,
-                ) {
-                    self.incidents.push(report);
-                }
-                self.answer_checked(p, done.result);
-            }
-        }
-        for exp in self.engine.take_expired() {
-            if let Some(p) = self.in_engine.remove(&exp.id) {
-                self.push_deadline_exceeded(p);
-            }
-        }
-    }
-
-    /// Emits the `Ok` for a request served by the engine path. The
-    /// engine already escape-checked the result; this keeps its own
-    /// belt-and-braces comparison so a service bug can never downgrade
-    /// the invariant silently.
-    fn answer_checked(&mut self, p: PendingReq, result: mfmult::MultResult) {
-        let want = self.reference.execute(p.op);
-        if !results_agree(&result, &want) {
-            // The engine substitutes the checked fallback before
-            // delivery, so this should be unreachable; if it ever fires
-            // we answer from the reference, count the guard, and vote
-            // everything for a recovery window.
-            self.escape_guard_failures += 1;
-            self.open_tmr_window("escape guard fired on an engine result");
-            self.push_ok(p, &want);
-            return;
-        }
-        self.push_ok(p, &result);
-    }
-
-    fn push_ok(&mut self, p: PendingReq, result: &mfmult::MultResult) {
+    /// Answers `p` with `result`; `outcome` labels its trace record
+    /// (`ok` from the hardware, `rescued` from the reference).
+    fn push_ok(&mut self, p: PendingReq, result: &MultResult, outcome: &'static str) {
         self.answered += 1;
         self.metrics.answered.inc();
         let lat_ticks = self.engine.now().saturating_sub(p.arrived);
@@ -852,11 +741,7 @@ impl<'a> Service<'a> {
         self.metrics
             .latency_ticks
             .observe_exemplar(lat_ticks as f64, p.trace.as_u64());
-        let queue_micros = p
-            .spans
-            .get(Phase::QueueWait)
-            .saturating_add(p.spans.get(Phase::Rescue))
-            .min(u32::MAX as u64) as u32;
+        let queue_micros = p.spans.get(Phase::QueueWait).min(u32::MAX as u64) as u32;
         let exec_micros = p
             .spans
             .get(Phase::BatchFill)
@@ -868,7 +753,7 @@ impl<'a> Service<'a> {
             Response::from_result(p.id, result, queue_micros, exec_micros),
             p.trace,
         ));
-        self.open_record(p, if p.rescued_at > 0 { "rescued" } else { "ok" });
+        self.open_record(p, outcome);
     }
 
     fn push_deadline_exceeded(&mut self, p: PendingReq) {
@@ -909,7 +794,7 @@ impl<'a> Service<'a> {
     }
 
     /// Cancels every queued request whose deadline has passed — they
-    /// never reach a batch lane or the engine.
+    /// never reach a batch lane.
     fn expire_stale(&mut self) {
         let now = self.engine.now();
         let mut expired = Vec::new();
@@ -924,41 +809,8 @@ impl<'a> Service<'a> {
             }
             *q = kept;
         }
-        let mut kept = VecDeque::with_capacity(self.rescue.len());
-        for p in self.rescue.drain(..) {
-            if p.deadline < now {
-                expired.push(p);
-            } else {
-                kept.push_back(p);
-            }
-        }
-        self.rescue = kept;
         for p in expired {
             self.push_deadline_exceeded(p);
-        }
-    }
-
-    /// Resubmits rescued lanes through the engine's event-driven path,
-    /// respecting its bounded queue (a full queue retries next tick —
-    /// the deadline sweep bounds how long a rescue can wait).
-    fn pump_rescue(&mut self) {
-        while let Some(p) = self.rescue.front().copied() {
-            match self
-                .engine
-                .submit_traced(p.op, Some(p.deadline), Some(p.trace))
-            {
-                Ok(engine_id) => {
-                    self.rescue.pop_front();
-                    self.flight.record(FlightEvent {
-                        tick: self.engine.now(),
-                        trace: Some(p.trace.as_u64()),
-                        kind: "rescue_submitted",
-                        detail: format!("request {} engine id {engine_id}", p.id),
-                    });
-                    self.in_engine.insert(engine_id, p);
-                }
-                Err(_busy) => break,
-            }
         }
     }
 
@@ -1003,11 +855,11 @@ impl<'a> Service<'a> {
     }
 
     /// Executes up to [`LANES`] lanes, of any formats, through the compiled
-    /// bit-parallel engine under one pool unit's fault overlay. Every
-    /// lane is self-checked (`check_raw`) *and* cross-checked against
-    /// the bit-exact reference before it may answer; a failing lane is
-    /// rescued through the engine, and the outcome — clean or not — is
-    /// fed back into the routed unit's circuit breaker.
+    /// bit-parallel engine under one pool unit's fault overlay, and
+    /// answers every lane in this tick: from the hardware when the lane
+    /// passes the verdict, from the reference when it fails. Failing
+    /// lanes are charged to the routed unit's circuit breaker, and a
+    /// clean batch is a heal credit.
     fn run_one_batch(&mut self, batch: &[PendingReq]) {
         if batch.is_empty() {
             return;
@@ -1017,31 +869,23 @@ impl<'a> Service<'a> {
         let mpt = self.cfg.micros_per_tick;
         let queue_micros = move |p: &PendingReq| now.saturating_sub(p.arrived).saturating_mul(mpt);
         let units = self.batch_units();
-        let unit = if units.is_empty() {
-            None
-        } else {
-            let u = units[self.batch_cursor % units.len()];
-            self.batch_cursor = self.batch_cursor.wrapping_add(1);
-            Some(u)
-        };
-        let Some(unit) = unit else {
-            // No healthy hardware lane: route everything through the
-            // engine, whose retired-fallback service still answers.
-            for &p in batch {
-                let mut p = p;
+        let Some(&unit) = units.get(self.batch_cursor % units.len().max(1)) else {
+            // No healthy hardware lane: the reference answers everything.
+            for mut p in batch.iter().copied() {
                 p.spans.add(Phase::QueueWait, queue_micros(&p));
-                p.rescued_at = now;
                 self.metrics.rescues.inc();
-                self.rescue.push_back(p);
+                let want = self.reference.execute(p.op);
+                self.push_ok(p, &want, "rescued");
             }
             self.flight.record(FlightEvent {
                 tick: now,
                 trace: None,
                 kind: "no_healthy_unit",
-                detail: format!("{} lanes routed to engine rescue", batch.len()),
+                detail: format!("{} lanes answered from the reference", batch.len()),
             });
             return;
         };
+        self.batch_cursor = self.batch_cursor.wrapping_add(1);
         // Batch-fill: the routed unit's fault overlay plus the activity
         // re-arm. Wall time annotates spans only — never scheduling.
         let t_fill = Instant::now();
@@ -1061,13 +905,9 @@ impl<'a> Service<'a> {
         }
         self.power_cycles += self.sim.cycles();
         self.power_ops += batch.len() as u64;
-        // A Byzantine output latch corrupts results *after* the compiled
-        // eval produced its self-checkable raw image: flagged lanes get
-        // the armed pattern XORed into the high product word downstream
-        // of `check_raw`, exactly like the engine's dispatch path.
-        let byz = self.engine.byzantine_lane_mask(unit, batch.len());
-        let byz_pattern = self.engine.byzantine_pattern(unit);
         let t_verify = Instant::now();
+        let wants: Vec<MultResult> = ops.iter().map(|&op| self.reference.execute(op)).collect();
+        let verdicts = self.judge_unit(unit, &ops, &raws, &wants);
         // Redundant-lane batching: a lane is voted when its request is
         // critical, when the post-escape recovery window is open, or
         // when the whole batch routed through a Suspect unit
@@ -1078,191 +918,152 @@ impl<'a> Service<'a> {
             self.metrics.dmr_batches.inc();
         }
         let vote_all = dmr_batch || now < self.tmr_until;
-        let replicas = if vote_all || batch.iter().any(|p| p.critical) {
-            self.run_replicas(unit, &units, &ops)
-        } else {
-            Vec::new()
-        };
-        let mut incidents = 0u32;
-        let mut verified: Vec<(PendingReq, Option<mfmult::MultResult>)> =
-            Vec::with_capacity(batch.len());
-        for (idx, (&p, raw)) in batch.iter().zip(&raws).enumerate() {
-            let mut p = p;
-            p.spans.add(Phase::QueueWait, queue_micros(&p));
-            p.spans.add(Phase::BatchFill, fill_micros);
-            p.spans.add(Phase::CompiledEval, eval_micros);
-            let mut got = check_raw(p.op, raw).ok().map(|()| {
-                let mut r = result_from_raw(p.op, raw);
-                if byz[idx / 64] >> (idx % 64) & 1 == 1 {
-                    r.ph ^= byz_pattern;
-                }
-                r
-            });
-            let want = self.reference.execute(p.op);
-            if (p.critical || vote_all) && !replicas.is_empty() {
-                got = self.vote_lane(&p, idx, unit, got, &replicas, &want, &mut incidents, now);
-            }
-            let ok = got.filter(|g| results_agree(g, &want));
-            verified.push((p, ok));
+        if vote_all || batch.iter().any(|p| p.critical) {
+            self.run_replicas(unit, &units, batch, &verdicts, vote_all, &wants);
+        }
+        if verdicts.iter().any(|v| matches!(v, Verdict::Escape)) {
+            self.open_tmr_window("a lane passed its self-check but disagreed with the reference");
         }
         // The whole batch shares one verification pass; every lane
         // experienced its full duration.
         let verify_micros = t_verify.elapsed().as_micros() as u64;
-        for (mut p, outcome) in verified {
+        let mut incidents = 0u32;
+        let mut failed_trace = None;
+        for ((mut p, verdict), want) in batch.iter().copied().zip(verdicts).zip(&wants) {
+            p.spans.add(Phase::QueueWait, queue_micros(&p));
+            p.spans.add(Phase::BatchFill, fill_micros);
+            p.spans.add(Phase::CompiledEval, eval_micros);
             p.spans.add(Phase::Verify, verify_micros);
-            match outcome {
-                Some(got) => self.push_ok(p, &got),
-                None => {
-                    // Residue check or reference cross-check failed: the
-                    // lane is poisoned. Never answer from it — rescue
-                    // through the event-driven path and charge the
-                    // routed unit.
-                    incidents += 1;
-                    self.metrics.check_failures.inc();
-                    self.metrics.rescues.inc();
-                    self.flight.record(FlightEvent {
-                        tick: now,
-                        trace: Some(p.trace.as_u64()),
-                        kind: "check_failure",
-                        detail: format!(
-                            "unit {unit} request {} format {}",
-                            p.id,
-                            p.op.format.label()
-                        ),
-                    });
-                    let context = format!(
-                        "{{\"unit\":{unit},\"request_id\":{},\"format\":\"{}\"}}",
-                        p.id,
-                        p.op.format.label()
-                    );
-                    if let Some(report) = self.flight.incident(
-                        IncidentTrigger::VerifyMismatch,
-                        now,
-                        Some(p.trace.as_u64()),
-                        &context,
-                    ) {
-                        self.incidents.push(report);
-                    }
-                    p.rescued_at = now;
-                    self.rescue.push_back(p);
-                }
+            if let Verdict::Pass(got) = verdict {
+                self.push_ok(p, &got, "ok");
+                continue;
             }
+            // The lane failed its verdict: never answer from it. The
+            // reference answers, and the routed unit is charged.
+            incidents += 1;
+            failed_trace = Some(p.trace);
+            self.metrics.check_failures.inc();
+            self.metrics.rescues.inc();
+            self.flight.record(FlightEvent {
+                tick: now,
+                trace: Some(p.trace.as_u64()),
+                kind: "check_failure",
+                detail: format!(
+                    "unit {unit} request {} format {}",
+                    p.id,
+                    p.op.format.label()
+                ),
+            });
+            let context = format!(
+                "{{\"unit\":{unit},\"request_id\":{},\"format\":\"{}\"}}",
+                p.id,
+                p.op.format.label()
+            );
+            if let Some(report) = self.flight.incident(
+                IncidentTrigger::VerifyMismatch,
+                now,
+                Some(p.trace.as_u64()),
+                &context,
+            ) {
+                self.incidents.push(report);
+            }
+            self.push_ok(p, want, "rescued");
         }
-        self.engine.note_external_service_traced(
-            unit,
-            incidents,
-            (incidents > 0)
-                .then(|| self.rescue.back().map(|p| p.trace))
-                .flatten(),
-        );
+        self.engine
+            .note_external_service_traced(unit, incidents, failed_trace);
     }
 
-    /// Executes the batch's operations under up to two additional
-    /// units' fault overlays, returning per-replica lane results
-    /// (`None` where the replica's own self-check failed). A Byzantine
-    /// latch armed on a replica corrupts its results the same way the
-    /// primary's does, so no single faulty unit can sway a vote
-    /// undetected.
+    /// Judges unit `unit`'s lanes: `raws` are its compiled results for
+    /// `ops`, and any Byzantine output latch armed on the unit corrupts
+    /// its flagged lanes after the self-check, as the engine's dispatch
+    /// path does.
+    fn judge_unit(
+        &mut self,
+        unit: usize,
+        ops: &[Operation],
+        raws: &[RawOutputs],
+        wants: &[MultResult],
+    ) -> Vec<Verdict> {
+        let byz = self.engine.byzantine_lane_mask(unit, ops.len());
+        let pattern = self.engine.byzantine_pattern(unit);
+        ops.iter()
+            .zip(raws)
+            .zip(wants)
+            .enumerate()
+            .map(|(k, ((&op, raw), want))| {
+                let corrupt = if byz[k / 64] >> (k % 64) & 1 == 1 {
+                    pattern
+                } else {
+                    0
+                };
+                Verdict::judge(op, raw, corrupt, want)
+            })
+            .collect()
+    }
+
+    /// Holds the TMR vote on the batch's voted lanes (every lane when
+    /// `vote_all`, else the critical ones): each lane is re-executed
+    /// under up to two other units' fault overlays, and every replica
+    /// ballot is judged by the same verdict as the routed unit's lane
+    /// (`primary`). A failing replica ballot charges its own unit; the
+    /// routed unit's failures are charged with its batch.
     fn run_replicas(
         &mut self,
         primary: usize,
         units: &[usize],
-        ops: &[Operation],
-    ) -> Vec<(usize, Vec<Option<mfmult::MultResult>>)> {
-        let mut out = Vec::new();
+        batch: &[PendingReq],
+        verdicts: &[Verdict],
+        vote_all: bool,
+        wants: &[MultResult],
+    ) {
+        let ops: Vec<Operation> = batch.iter().map(|p| p.op).collect();
+        let mut replicas = Vec::new();
         for &ru in units.iter().filter(|&&u| u != primary).take(2) {
             self.sim
                 .arm_overlay(&self.engine.unit(ru).sim().stuck_faults());
-            let raws = run_raw_compiled(&mut self.sim, &self.ports, ops);
-            let byz = self.engine.byzantine_lane_mask(ru, ops.len());
-            let pattern = self.engine.byzantine_pattern(ru);
-            let results = ops
-                .iter()
-                .zip(&raws)
-                .enumerate()
-                .map(|(k, (&op, raw))| {
-                    check_raw(op, raw).ok().map(|()| {
-                        let mut r = result_from_raw(op, raw);
-                        if byz[k / 64] >> (k % 64) & 1 == 1 {
-                            r.ph ^= pattern;
-                        }
-                        r
-                    })
-                })
-                .collect();
-            out.push((ru, results));
+            let raws = run_raw_compiled(&mut self.sim, &self.ports, &ops);
+            replicas.push((ru, self.judge_unit(ru, &ops, &raws, wants)));
         }
-        out
-    }
-
-    /// Holds the vote for one redundant lane: the primary's result plus
-    /// each replica's, majority wins, and the softfloat-backed reference
-    /// breaks ties. Outvoted replicas are charged to their unit's
-    /// breaker (the primary through this batch's aggregate incident
-    /// count) and every vote leaves a flight-recorder event.
-    #[allow(clippy::too_many_arguments)]
-    fn vote_lane(
-        &mut self,
-        p: &PendingReq,
-        idx: usize,
-        unit: usize,
-        primary: Option<mfmult::MultResult>,
-        replicas: &[(usize, Vec<Option<mfmult::MultResult>>)],
-        want: &mfmult::MultResult,
-        incidents: &mut u32,
-        now: u64,
-    ) -> Option<mfmult::MultResult> {
-        self.votes += 1;
-        self.metrics.votes.inc();
-        let mut ballots: Vec<(usize, Option<mfmult::MultResult>)> = vec![(unit, primary)];
-        for (ru, res) in replicas {
-            ballots.push((*ru, res[idx]));
+        if replicas.is_empty() {
+            return;
         }
-        let mut winner = None;
-        for (_, cand) in &ballots {
-            if let Some(c) = cand {
-                let agree = ballots
-                    .iter()
-                    .filter(|(_, o)| o.as_ref().is_some_and(|v| results_agree(v, c)))
-                    .count();
-                if agree * 2 > ballots.len() {
-                    winner = Some(*c);
-                    break;
-                }
-            }
-        }
-        let tiebreak = winner.is_none();
-        let winner = winner.unwrap_or(*want);
-        let mut outvoted = 0u32;
-        for (bu, cand) in &ballots {
-            if cand.as_ref().is_some_and(|v| results_agree(v, &winner)) {
+        let now = self.engine.now();
+        for (idx, p) in batch.iter().enumerate() {
+            if !(p.critical || vote_all) {
                 continue;
             }
-            outvoted += 1;
-            if *bu == unit {
-                *incidents += 1;
-            } else {
+            self.votes += 1;
+            self.metrics.votes.inc();
+            let mut failed = u32::from(!verdicts[idx].passed());
+            for (ru, ballots) in &replicas {
+                let ballot = &ballots[idx];
+                if ballot.passed() {
+                    continue;
+                }
+                failed += 1;
                 self.engine
-                    .note_external_service_traced(*bu, 1, Some(p.trace));
+                    .note_external_service_traced(*ru, 1, Some(p.trace));
+                if matches!(ballot, Verdict::Escape) {
+                    self.open_tmr_window(
+                        "a replica passed its self-check but disagreed with the reference",
+                    );
+                }
             }
+            if failed > 0 {
+                self.vote_mismatches += 1;
+                self.metrics.vote_mismatches.inc();
+            }
+            self.flight.record(FlightEvent {
+                tick: now,
+                trace: Some(p.trace.as_u64()),
+                kind: "tmr_vote",
+                detail: format!(
+                    "request {} lane {idx} ballots {} failed {failed}",
+                    p.id,
+                    replicas.len() + 1
+                ),
+            });
         }
-        if outvoted > 0 || tiebreak {
-            self.vote_mismatches += 1;
-            self.metrics.vote_mismatches.inc();
-            self.open_tmr_window("a replica lost a TMR vote");
-        }
-        self.flight.record(FlightEvent {
-            tick: now,
-            trace: Some(p.trace.as_u64()),
-            kind: "tmr_vote",
-            detail: format!(
-                "request {} lane {idx} ballots {} outvoted {outvoted}{}",
-                p.id,
-                ballots.len(),
-                if tiebreak { " tiebreak=reference" } else { "" }
-            ),
-        });
-        Some(winner)
     }
 
     /// Speculative self-check: replays a sliding sample of the scrub
@@ -1293,14 +1094,40 @@ impl<'a> Service<'a> {
     }
 }
 
-/// Result agreement under the hardware flag mask (the flag bus carries
-/// no inexact wire, exactly like the engine's escape check).
-fn results_agree(got: &mfmult::MultResult, want: &mfmult::MultResult) -> bool {
-    let hw = Flags::INVALID | Flags::OVERFLOW | Flags::UNDERFLOW;
-    got.ph == want.ph
-        && got.pl == want.pl
-        && got.flags_lo.bits() & hw.bits() == want.flags_lo.bits() & hw.bits()
-        && got.flags_hi.bits() & hw.bits() == want.flags_hi.bits() & hw.bits()
+/// The one verdict on a served lane (a *ballot*), whether the routed
+/// unit's or a TMR replica's.
+#[derive(Debug, Clone, Copy)]
+enum Verdict {
+    /// The self-check passed and the result agrees with the reference.
+    Pass(MultResult),
+    /// The residue/invariant self-check failed.
+    CheckFailed,
+    /// The self-check passed but the result disagrees with the
+    /// reference: a would-be escape.
+    Escape,
+}
+
+impl Verdict {
+    /// Judges one lane: `raw` must pass `check_raw`, and its result, with
+    /// `corrupt` XORed into the high product word by an output latch
+    /// downstream of the checks, must agree with `want` under the
+    /// hardware flag mask.
+    fn judge(op: Operation, raw: &RawOutputs, corrupt: u64, want: &MultResult) -> Verdict {
+        if check_raw(op, raw).is_err() {
+            return Verdict::CheckFailed;
+        }
+        let mut got = result_from_raw(op, raw);
+        got.ph ^= corrupt;
+        if got.agrees_hw(want) {
+            Verdict::Pass(got)
+        } else {
+            Verdict::Escape
+        }
+    }
+
+    fn passed(&self) -> bool {
+        matches!(self, Verdict::Pass(_))
+    }
 }
 
 #[cfg(test)]
@@ -1476,11 +1303,12 @@ mod tests {
             "every lane of the next batch ran under the new overlay"
         );
         assert_eq!(reg.counter("service.rescues").get(), 4);
-        for _ in 0..40 {
-            svc.tick();
-        }
         let out = svc.take_responses();
-        assert_eq!(out.len(), 4, "every rescued lane answered: {out:?}");
+        assert_eq!(
+            out.len(),
+            4,
+            "every failed lane answered in its tick: {out:?}"
+        );
         for (_, r) in &out {
             match r {
                 Response::Ok { id, ph, pl, .. } => {
@@ -1642,51 +1470,37 @@ mod tests {
         // routed through its overlay fail their checks.
         let victim = ports.chk_p0[0];
         svc.engine_mut().inject_stuck_at(0, victim, true, true);
-        let mut admitted = 0usize;
         // Even products keep bit 0 of p0 at 0, so the stuck-at-true
         // fault is observable on every lane routed through unit 0.
         for k in 0..40u64 {
-            if svc.admit(1, &req(k, Operation::int64(k + 1, 2))).is_none() {
-                admitted += 1;
-            }
+            assert!(
+                svc.admit(1, &req(k, Operation::int64(k + 1, 2))).is_none(),
+                "request {k} admitted"
+            );
             svc.tick();
-        }
-        for _ in 0..60 {
-            svc.tick();
-        }
-        let out = svc.take_responses();
-        let ok = out
-            .iter()
-            .filter(|(_, r)| matches!(r, Response::Ok { .. }))
-            .count();
-        let exceeded = out
-            .iter()
-            .filter(|(_, r)| matches!(r, Response::DeadlineExceeded { .. }))
-            .count();
-        assert!(
-            admitted >= 30,
-            "most of the trickle was admitted: {admitted}"
-        );
-        assert_eq!(
-            ok + exceeded,
-            admitted,
-            "every admitted request got a typed outcome"
-        );
-        // Every Ok is bit-correct (the cross-check guarantees it).
-        for (_, r) in &out {
-            if let Response::Ok { id, ph, pl, .. } = r {
-                let want = (*id + 1) as u128 * 2;
-                assert_eq!(((*ph as u128) << 64) | *pl as u128, want, "id {id}");
+            // Every admitted request is answered Ok, bit-exact, in the
+            // tick that batches it — a failed lane included.
+            let out = svc.take_responses();
+            assert_eq!(out.len(), 1, "request {k} answered in its tick: {out:?}");
+            match out[0].1 {
+                Response::Ok { id, ph, pl, .. } => {
+                    assert_eq!(id, k);
+                    let want = (k + 1) as u128 * 2;
+                    assert_eq!(((ph as u128) << 64) | pl as u128, want, "id {id}");
+                }
+                ref other => panic!("expected Ok for {k}, got {other:?}"),
             }
         }
         assert_eq!(svc.escapes(), 0, "zero escapes under a poisoned unit");
+        assert_eq!(reg.counter("service.answered").get(), 40);
         assert!(
             reg.counter("service.check_failures").get() > 0,
             "the poisoned lanes were caught"
         );
-        assert!(
-            reg.counter("service.rescues").get() > 0,
-            "caught lanes were rescued through the engine"
+        assert_eq!(
+            reg.counter("service.rescues").get(),
+            reg.counter("service.check_failures").get(),
+            "every caught lane was answered from the reference"
         );
     }
 
@@ -1776,14 +1590,11 @@ mod tests {
             verify.contains("check_failure"),
             "the event ring reconstructs the failure: {verify}"
         );
-        // A completed rescue links back to the originating trace too.
-        if let Some(rescue) = incidents
-            .iter()
-            .find(|r| r.contains("\"trigger\":\"engine_rescue\""))
-        {
-            assert!(rescue.contains("rescue_submitted"), "{rescue}");
-            assert!(rescue.contains("\"rescue_micros\":"), "{rescue}");
-        }
+        assert_eq!(
+            reg.counter("service.rescues").get(),
+            reg.counter("service.check_failures").get(),
+            "every failed lane was answered from the reference"
+        );
         // Breaker transitions observed by the flight recorder carry the
         // trace of the offending request into /statusz accounting.
         let sz = svc.statusz_json();
@@ -1862,10 +1673,9 @@ mod tests {
         let mut svc = Service::new(&n, &ports, cfg, &reg);
         assert!(!svc.tmr_window_active());
         // A byzantine latch that trips on non-critical traffic: the
-        // first corrupted batch lane loses its reference cross-check,
-        // gets rescued, and the engine's masking vote (on the rescue
-        // path) opens the recovery window; from then on even plain
-        // lanes are voted.
+        // first corrupted batch lane passes its self-check but disagrees
+        // with the reference, which opens the recovery window; from then
+        // on even plain lanes are voted.
         svc.engine_mut().inject_byzantine(0, 2, 1 << 9);
         for k in 0..30u64 {
             assert!(svc.admit(1, &req(k, Operation::int64(k + 1, 4))).is_none());
@@ -1880,12 +1690,59 @@ mod tests {
             "plain lanes were voted once the window opened"
         );
         let out = svc.take_responses();
+        assert_eq!(out.len(), 30, "every request answered");
         for (_, r) in &out {
             if let Response::Ok { id, ph, pl, .. } = r {
                 let want = (*id + 1) as u128 * 4;
                 assert_eq!(((*ph as u128) << 64) | *pl as u128, want, "id {id}");
             }
         }
+    }
+
+    #[test]
+    fn replicas_agreeing_on_a_wrong_product_are_charged_not_followed() {
+        let (n, ports) = build();
+        let reg = Registry::new();
+        let mut cfg = small_cfg();
+        cfg.units = 3;
+        cfg.speculative_every = 0;
+        let mut svc = Service::new(&n, &ports, cfg, &reg);
+        // Units 1 and 2 corrupt every result the same way: a majority of
+        // the three ballots agrees on one wrong product.
+        svc.engine_mut().inject_byzantine(1, 1, 1 << 5);
+        svc.engine_mut().inject_byzantine(2, 1, 1 << 5);
+        let mut r = req(7, Operation::int64(1234, 5678));
+        r.critical = true;
+        assert!(svc.admit(1, &r).is_none());
+        // The first batch routes through unit 0, which is fault-free.
+        svc.tick();
+        let out = svc.take_responses();
+        assert_eq!(out.len(), 1, "answered in the tick it was batched: {out:?}");
+        match out[0].1 {
+            Response::Ok { id, ph, pl, .. } => {
+                assert_eq!(id, 7);
+                assert_eq!(((ph as u128) << 64) | pl as u128, 1234 * 5678);
+            }
+            ref other => panic!("expected Ok, got {other:?}"),
+        }
+        assert_eq!(svc.votes(), 1);
+        assert_eq!(svc.vote_mismatches(), 1);
+        assert_eq!(reg.counter("service.check_failures").get(), 0);
+        assert_eq!(
+            svc.engine_mut().transitions_logged(0),
+            0,
+            "the correct routed unit is never charged"
+        );
+        for u in [1, 2] {
+            assert!(
+                svc.engine_mut()
+                    .transitions(u)
+                    .iter()
+                    .any(|t| t.from == HealthState::Healthy && t.to == HealthState::Suspect),
+                "wrong replica {u} was charged"
+            );
+        }
+        assert_eq!(svc.escapes(), 0);
     }
 
     #[test]

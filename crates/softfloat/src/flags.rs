@@ -82,6 +82,13 @@ impl Flags {
     pub const fn bits(self) -> u8 {
         self.0
     }
+
+    /// The flags whose bits are set in `bits` (the inverse of
+    /// [`Flags::bits`]); undefined high bits are dropped.
+    #[must_use]
+    pub const fn from_bits(bits: u8) -> Flags {
+        Flags(bits & 0x1f)
+    }
 }
 
 impl BitOr for Flags {

@@ -2,9 +2,9 @@
 //! events, snapshotted into a JSON incident report when something goes
 //! wrong.
 //!
-//! The recorder is always on — every notable event (admission, batch
-//! dispatch, check failure, rescue, breaker transition, watchdog trip,
-//! tier change) is appended as it happens, evicting oldest-first when
+//! The recorder is always on — every notable event (check failure,
+//! TMR vote, breaker transition, tier change, shed, deadline expiry) is
+//! appended as it happens, evicting oldest-first when
 //! the ring is full. When a trigger fires ([`IncidentTrigger`]), the
 //! current ring contents plus the triggering context are rendered into
 //! one self-contained JSON document: the evidence, not just a counter.
@@ -21,8 +21,8 @@ pub struct FlightEvent {
     pub tick: u64,
     /// The trace id of the request involved, when there is one.
     pub trace: Option<u64>,
-    /// Short snake_case event kind (`check_failed`, `rescue_enqueued`,
-    /// `breaker_transition`, `watchdog_trip`, `tier_change`, …).
+    /// Short snake_case event kind (`check_failure`, `tmr_vote`,
+    /// `breaker_transition`, `tier_change`, …).
     pub kind: &'static str,
     /// Free-form human detail (unit index, reason, values).
     pub detail: String,
@@ -47,29 +47,15 @@ impl FlightEvent {
 pub enum IncidentTrigger {
     /// A batch lane failed verification (residue/invariant/softfloat).
     VerifyMismatch,
-    /// A request was re-executed through the resilient engine.
-    EngineRescue,
-    /// A unit blew its settle-budget watchdog.
-    WatchdogTrip,
     /// The admission tier escalated toward shedding.
     ShedEscalation,
 }
 
 impl IncidentTrigger {
-    /// All trigger kinds.
-    pub const ALL: [IncidentTrigger; 4] = [
-        IncidentTrigger::VerifyMismatch,
-        IncidentTrigger::EngineRescue,
-        IncidentTrigger::WatchdogTrip,
-        IncidentTrigger::ShedEscalation,
-    ];
-
     /// The snake_case label used in incident reports.
     pub fn label(self) -> &'static str {
         match self {
             IncidentTrigger::VerifyMismatch => "verify_mismatch",
-            IncidentTrigger::EngineRescue => "engine_rescue",
-            IncidentTrigger::WatchdogTrip => "watchdog_trip",
             IncidentTrigger::ShedEscalation => "shed_escalation",
         }
     }
@@ -77,9 +63,7 @@ impl IncidentTrigger {
     fn index(self) -> usize {
         match self {
             IncidentTrigger::VerifyMismatch => 0,
-            IncidentTrigger::EngineRescue => 1,
-            IncidentTrigger::WatchdogTrip => 2,
-            IncidentTrigger::ShedEscalation => 3,
+            IncidentTrigger::ShedEscalation => 1,
         }
     }
 }
@@ -92,7 +76,7 @@ pub struct FlightRecorder {
     dropped: u64,
     incidents: u64,
     /// Tick of the last emitted incident per trigger kind.
-    last_emit: [Option<u64>; 4],
+    last_emit: [Option<u64>; 2],
     /// Minimum ticks between incidents of the same trigger kind.
     min_gap: u64,
 }
@@ -108,7 +92,7 @@ impl FlightRecorder {
             events: VecDeque::with_capacity(cap),
             dropped: 0,
             incidents: 0,
-            last_emit: [None; 4],
+            last_emit: [None; 2],
             min_gap: min_gap_ticks,
         }
     }
@@ -217,20 +201,20 @@ mod tests {
     #[test]
     fn incident_report_is_self_contained_json() {
         let mut fr = FlightRecorder::new(8, 0);
-        fr.record(ev(1, "check_failed"));
-        fr.record(ev(2, "rescue_enqueued"));
+        fr.record(ev(1, "check_failure"));
+        fr.record(ev(2, "breaker_transition"));
         let ctx = {
             let mut c = JsonObject::new();
             c.field_u64("unit", 1).field_str("tier", "normal");
             c.finish()
         };
         let report = fr
-            .incident(IncidentTrigger::EngineRescue, 2, Some(0xABC), &ctx)
+            .incident(IncidentTrigger::VerifyMismatch, 2, Some(0xABC), &ctx)
             .expect("not throttled");
         check(&report).unwrap();
-        assert!(report.contains("\"trigger\":\"engine_rescue\""));
+        assert!(report.contains("\"trigger\":\"verify_mismatch\""));
         assert!(report.contains("\"trace_id\":\"0000000000000abc\""));
-        assert!(report.contains("\"kind\":\"check_failed\""));
+        assert!(report.contains("\"kind\":\"check_failure\""));
         assert!(report.contains("\"unit\":1"));
         assert_eq!(fr.incidents_emitted(), 1);
     }
@@ -239,11 +223,11 @@ mod tests {
     fn incidents_throttle_per_trigger_kind() {
         let mut fr = FlightRecorder::new(4, 10);
         assert!(fr
-            .incident(IncidentTrigger::WatchdogTrip, 5, None, "{}")
+            .incident(IncidentTrigger::ShedEscalation, 5, None, "{}")
             .is_some());
         // Same kind inside the gap: suppressed.
         assert!(fr
-            .incident(IncidentTrigger::WatchdogTrip, 9, None, "{}")
+            .incident(IncidentTrigger::ShedEscalation, 9, None, "{}")
             .is_none());
         // A different kind is not throttled by the first.
         assert!(fr
@@ -251,7 +235,7 @@ mod tests {
             .is_some());
         // Past the gap: allowed again.
         assert!(fr
-            .incident(IncidentTrigger::WatchdogTrip, 15, None, "{}")
+            .incident(IncidentTrigger::ShedEscalation, 15, None, "{}")
             .is_some());
         assert_eq!(fr.incidents_emitted(), 3);
     }

@@ -3,7 +3,7 @@
 //!
 //! A [`TraceId`] is minted once at the service edge (frame decode) and
 //! rides the request through batching, compiled evaluation,
-//! verification, engine rescue and write-back. Each phase charges
+//! verification and write-back. Each phase charges
 //! elapsed microseconds into a [`PhaseSpans`] accumulator; when the
 //! response is written the completed [`TraceRecord`] lands in a
 //! [`TraceRing`], and the request's end-to-end latency is recorded with
@@ -83,20 +83,17 @@ pub enum Phase {
     CompiledEval,
     /// Residue/invariant checks plus the softfloat cross-check.
     Verify,
-    /// Re-execution through the resilient engine after a check failure.
-    Rescue,
     /// Encoding and writing the response frame.
     WriteBack,
 }
 
 impl Phase {
     /// All phases, in pipeline order.
-    pub const ALL: [Phase; 6] = [
+    pub const ALL: [Phase; 5] = [
         Phase::QueueWait,
         Phase::BatchFill,
         Phase::CompiledEval,
         Phase::Verify,
-        Phase::Rescue,
         Phase::WriteBack,
     ];
 
@@ -107,7 +104,6 @@ impl Phase {
             Phase::BatchFill => "batch_fill",
             Phase::CompiledEval => "compiled_eval",
             Phase::Verify => "verify",
-            Phase::Rescue => "rescue",
             Phase::WriteBack => "write_back",
         }
     }
@@ -118,8 +114,7 @@ impl Phase {
             Phase::BatchFill => 1,
             Phase::CompiledEval => 2,
             Phase::Verify => 3,
-            Phase::Rescue => 4,
-            Phase::WriteBack => 5,
+            Phase::WriteBack => 4,
         }
     }
 }
@@ -128,7 +123,7 @@ impl Phase {
 /// cheap enough to live inside the service's pending-request slots.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseSpans {
-    micros: [u64; 6],
+    micros: [u64; 5],
 }
 
 impl PhaseSpans {
@@ -311,7 +306,8 @@ mod tests {
         check(&j).unwrap();
         assert!(j.contains("\"queue_wait\":100"));
         assert!(j.contains("\"verify\":10"));
-        assert!(j.contains("\"rescue\":0"), "stable schema keeps zeros");
+        assert!(j.contains("\"write_back\":0"), "stable schema keeps zeros");
+        assert!(!j.contains("rescue"), "no rescue phase: {j}");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! scrubbing) asserted against the two faults it exists for:
 //!
 //! 1. **A Byzantine unit** — scrub-clean, intermittently wrong under
-//!    live traffic — is outvoted lane by lane and quarantined by the
-//!    lost votes, with zero client-visible escapes.
+//!    live traffic — has each wrong ballot charged and is quarantined
+//!    by them, with zero client-visible escapes.
 //! 2. **A sticky physical defect** retires its unit after repeated
 //!    scrub failures, a hot spare is promoted into the vacated role,
 //!    and `hw_capacity` returns to its pre-fault value.
@@ -101,7 +101,7 @@ fn byzantine_unit_is_outvoted_with_zero_client_visible_escapes() {
     assert!(answered >= 24, "critical traffic answered: {answered}");
     assert_eq!(svc.escapes(), 0, "zero client-visible escapes");
 
-    // The corrupted ballots lost their votes and charged the victim's
+    // The corrupted ballots failed the verdict and charged the victim's
     // breaker into quarantine at least once.
     assert!(svc.votes() > 0, "critical lanes were voted");
     assert!(svc.vote_mismatches() > 0, "the byzantine ballots lost");
@@ -118,7 +118,7 @@ fn byzantine_unit_is_outvoted_with_zero_client_visible_escapes() {
             .any(|t| t.from == HealthState::Suspect && t.to == HealthState::Quarantined),
         "victim was quarantined (seed {seed}): {trail:?}"
     );
-    // The healthy majority never lost a vote.
+    // The honest units' ballots never failed.
     for u in (0..3).filter(|&u| u != victim) {
         assert!(
             svc.engine_mut()

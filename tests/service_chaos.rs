@@ -16,10 +16,11 @@
 //!    the `/metrics` endpoint still scrapes and carries the service
 //!    counters, and the `/healthz`, `/statusz` and `/tracez` views
 //!    answer.
-//! 4. **Incidents are reconstructable** — a seeded fault that forces
-//!    rescues produces at least one self-contained incident report
-//!    whose event ring links the rescue back to the originating
-//!    request's trace.
+//! 4. **Incidents are reconstructable** — a seeded fault that fails
+//!    batch lanes produces at least one self-contained incident report
+//!    whose event ring links the failure back to the originating
+//!    request's trace, and every failed lane is still answered, exactly,
+//!    in the tick that batched it.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -33,7 +34,7 @@ use mfm_repro::resilient::chaos::ChaosPlanConfig;
 use mfm_repro::server::loadgen::{run, LoadgenConfig};
 use mfm_repro::server::server::{spawn, ServerConfig};
 use mfm_repro::server::service::{Service, ServiceConfig};
-use mfm_repro::server::wire::Request;
+use mfm_repro::server::wire::{Request, Response};
 use mfm_repro::telemetry::{json, Registry, TraceId};
 
 #[test]
@@ -138,10 +139,9 @@ fn service_contract_holds_under_chaos_and_abuse() {
 
 /// A seeded chaos run that *guarantees* rescues: one pool unit's check
 /// port is pinned stuck-at-true, so every batch routed through it fails
-/// verification and every affected lane is rescued through the engine.
+/// verification and every affected lane is answered from the reference.
 /// The flight recorder must emit at least one incident report that
-/// reconstructs the rescue path and names the originating request's
-/// trace, and the trace ring must show the rescue span.
+/// reconstructs the failure and names the originating request's trace.
 #[test]
 fn seeded_chaos_produces_reconstructable_incident_reports() {
     let mut netlist = Netlist::new(TechLibrary::cmos45lp());
@@ -169,11 +169,16 @@ fn seeded_chaos_produces_reconstructable_incident_reports() {
             deadline_micros: 0,
             critical: false,
         };
-        let _ = svc.admit_traced(9, &req, trace);
+        assert!(svc.admit_traced(9, &req, trace).is_none());
         svc.tick();
-    }
-    for _ in 0..80 {
-        svc.tick();
+        // Answered, exactly, in the tick that batched it.
+        match svc.take_responses().as_slice() {
+            [(9, Response::Ok { id, ph, pl, .. })] => {
+                assert_eq!(*id, k);
+                assert_eq!(((*ph as u128) << 64) | *pl as u128, (k + 1) as u128 * 2);
+            }
+            other => panic!("request {k}: expected one Ok, got {other:?}"),
+        }
     }
 
     assert_eq!(svc.escapes(), 0, "no wrong answer under the pinned fault");
@@ -190,23 +195,28 @@ fn seeded_chaos_produces_reconstructable_incident_reports() {
             "event ring present: {report}"
         );
     }
-    // At least one report reconstructs the rescue path end to end:
-    // the verification failure and the rescue hand-off, tagged with the
-    // originating request's trace id.
+    // At least one report reconstructs the failure: the verify-mismatch
+    // trigger and the check-failure event, tagged with the originating
+    // request's trace id.
     let reconstructed = incidents.iter().any(|r| {
         r.contains("\"trace_id\":\"00000000c0de")
+            && r.contains("\"trigger\":\"verify_mismatch\"")
             && r.contains("check_failure")
-            && (r.contains("rescue_submitted") || r.contains("\"trigger\":\"engine_rescue\""))
     });
     assert!(
         reconstructed,
-        "an incident links the rescue back to its originating trace: {incidents:#?}"
+        "an incident links the failure back to its originating trace: {incidents:#?}"
     );
-    // The trace ring shows completed rescues with a nonzero rescue span.
+    // Every failed lane was answered from the reference, and no lane
+    // outlived its batch's tick.
+    let failures = registry.counter("service.check_failures").get();
+    assert!(failures > 0, "the pinned fault failed batch lanes");
+    assert_eq!(registry.counter("service.rescues").get(), failures);
+    assert_eq!(registry.counter("service.answered").get(), 48);
     let tracez = svc.tracez_json();
     json::check(&tracez).unwrap();
     assert!(
-        tracez.contains("\"outcome\":\"rescued\""),
-        "rescued traces are retained: {tracez}"
+        !tracez.contains("\"rescue\""),
+        "no rescue phase is left to report: {tracez}"
     );
 }
