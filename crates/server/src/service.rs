@@ -607,14 +607,15 @@ impl<'a> Service<'a> {
 
     /// Escalating retry hint for one shed request: the client's own
     /// deterministic jittered backoff (consecutive rejections widen the
-    /// window; any admission resets it).
+    /// window; any admission resets it), at least one tick.
     fn overload_retry_ticks(&mut self, client: u64) -> u64 {
         let seed = self.cfg.seed ^ client.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let b = self
             .backoffs
             .entry(client)
             .or_insert_with(|| SubmitBackoff::new(self.cfg.backoff, seed));
-        b.next_delay().unwrap_or(self.cfg.backoff.max_ticks)
+        // The jitter can draw 0; a hint never asks for an immediate retry.
+        b.next_delay().unwrap_or(self.cfg.backoff.max_ticks).max(1)
     }
 
     /// One scheduling round: engine tick (scrubs, spare promotion,
@@ -868,7 +869,7 @@ impl<'a> Service<'a> {
         let now = self.engine.now();
         let mpt = self.cfg.micros_per_tick;
         let queue_micros = move |p: &PendingReq| now.saturating_sub(p.arrived).saturating_mul(mpt);
-        let units = self.batch_units();
+        let mut units = self.batch_units();
         let Some(&unit) = units.get(self.batch_cursor % units.len().max(1)) else {
             // No healthy hardware lane: the reference answers everything.
             for mut p in batch.iter().copied() {
@@ -919,7 +920,10 @@ impl<'a> Service<'a> {
         }
         let vote_all = dmr_batch || now < self.tmr_until;
         if vote_all || batch.iter().any(|p| p.critical) {
-            self.run_replicas(unit, &units, batch, &verdicts, vote_all, &wants);
+            // Up to two other healthy units cast the replica ballots.
+            units.retain(|&u| u != unit);
+            units.truncate(2);
+            self.run_replicas(&units, batch, &ops, &verdicts, vote_all, &wants);
         }
         if verdicts.iter().any(|v| matches!(v, Verdict::Escape)) {
             self.open_tmr_window("a lane passed its self-check but disagreed with the reference");
@@ -1003,26 +1007,25 @@ impl<'a> Service<'a> {
 
     /// Holds the TMR vote on the batch's voted lanes (every lane when
     /// `vote_all`, else the critical ones): each lane is re-executed
-    /// under up to two other units' fault overlays, and every replica
+    /// under the `replica_units`' fault overlays, and every replica
     /// ballot is judged by the same verdict as the routed unit's lane
-    /// (`primary`). A failing replica ballot charges its own unit; the
+    /// (`verdicts`). A failing replica ballot charges its own unit; the
     /// routed unit's failures are charged with its batch.
     fn run_replicas(
         &mut self,
-        primary: usize,
-        units: &[usize],
+        replica_units: &[usize],
         batch: &[PendingReq],
+        ops: &[Operation],
         verdicts: &[Verdict],
         vote_all: bool,
         wants: &[MultResult],
     ) {
-        let ops: Vec<Operation> = batch.iter().map(|p| p.op).collect();
         let mut replicas = Vec::new();
-        for &ru in units.iter().filter(|&&u| u != primary).take(2) {
+        for &ru in replica_units {
             self.sim
                 .arm_overlay(&self.engine.unit(ru).sim().stuck_faults());
-            let raws = run_raw_compiled(&mut self.sim, &self.ports, &ops);
-            replicas.push((ru, self.judge_unit(ru, &ops, &raws, wants)));
+            let raws = run_raw_compiled(&mut self.sim, &self.ports, ops);
+            replicas.push((ru, self.judge_unit(ru, ops, &raws, wants)));
         }
         if replicas.is_empty() {
             return;
@@ -1319,6 +1322,21 @@ mod tests {
             }
         }
         assert_eq!(svc.escapes(), 0);
+        // Each trace record names where its answer came from: the clean
+        // batch from the hardware, the faulted batch from the reference.
+        svc.flush_unacked_records();
+        let mut outcomes: Vec<(u64, &str)> = svc
+            .traces
+            .records()
+            .map(|r| (r.request_id, r.outcome))
+            .collect();
+        outcomes.sort_unstable();
+        assert_eq!(
+            outcomes,
+            (0..8u64)
+                .map(|k| (k, if k < 4 { "ok" } else { "rescued" }))
+                .collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -1370,6 +1388,31 @@ mod tests {
             .filter(|(_, r)| matches!(r, Response::Ok { .. }))
             .count();
         assert_eq!(ok, 9, "admitted requests all answered");
+    }
+
+    #[test]
+    fn first_shed_hint_is_at_least_one_tick_for_every_client() {
+        let (n, ports) = build();
+        let reg = Registry::new();
+        let mut cfg = small_cfg();
+        cfg.pending_cap = 10;
+        // A one-tick base: the first rejection's jittered delay spans 0..=1.
+        cfg.backoff.base_ticks = 1;
+        let mut svc = Service::new(&n, &ports, cfg, &reg);
+        for k in 0..9u64 {
+            assert!(svc.admit(0, &req(k, Operation::int64(k, 3))).is_none());
+        }
+        for client in 1..=64u64 {
+            match svc.admit(client, &req(client, Operation::int64(client, 3))) {
+                Some(Response::Overloaded {
+                    retry_after_micros, ..
+                }) => assert!(
+                    retry_after_micros >= cfg.micros_per_tick,
+                    "client {client}: first hint {retry_after_micros} µs"
+                ),
+                other => panic!("client {client}: expected Overloaded, got {other:?}"),
+            }
+        }
     }
 
     #[test]
