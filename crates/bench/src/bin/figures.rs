@@ -223,7 +223,7 @@ fn trees() {
             .iter()
             .filter(|c| n.top_level_block_name(c.block) == "TREE")
             .count();
-        let p = measure_multiplier(&n, &ports, 120, 11);
+        let p = measure_multiplier(&n, &ports, 120, 11, None);
         t.row_owned(vec![
             name.to_owned(),
             format!("{:.0}", sta.critical_delay_ps),

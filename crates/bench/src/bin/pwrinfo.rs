@@ -17,7 +17,7 @@ fn main() {
     ] {
         let mut n = Netlist::new(TechLibrary::cmos45lp());
         let ports = build_multiplier(&mut n, cfg);
-        let p = measure_multiplier(&n, &ports, 150, 2017);
+        let p = measure_multiplier(&n, &ports, 150, 2017, None);
         println!(
             "{name}: {:.1} pJ/op, {:.0} transitions/op",
             p.energy_pj_per_op(),

@@ -7,10 +7,10 @@
 use mfm_arith::{build_multiplier, MultiplierConfig};
 use mfm_bench::{cli, paper_values};
 use mfm_evalkit::experiments::table3;
+use mfm_evalkit::montecarlo::measure_multiplier;
 use mfm_evalkit::runreport::RunReport;
-use mfm_evalkit::workload::OperandGen;
 use mfm_gatesim::report::Table;
-use mfm_gatesim::{Netlist, PowerEstimator, Simulator, TechLibrary, TimingAnalysis};
+use mfm_gatesim::{Netlist, TechLibrary, TimingAnalysis};
 use mfm_telemetry::Registry;
 
 fn main() {
@@ -57,20 +57,7 @@ fn main() {
         let mut n = Netlist::new(TechLibrary::cmos45lp());
         let ports = build_multiplier(&mut n, MultiplierConfig::radix16().pipelined());
         let sta = TimingAnalysis::new(&n).report();
-        let mut sim = Simulator::new(&n);
-        sim.attach_telemetry(&registry, 64);
-        let mut gen = OperandGen::new(seed);
-        for _ in 0..ports.latency {
-            let (x, y) = gen.int64_pair();
-            sim.step_cycle(&[(&ports.x, x as u128), (&ports.y, y as u128)]);
-        }
-        sim.reset_activity();
-        for _ in 0..vectors {
-            let (x, y) = gen.int64_pair();
-            sim.step_cycle(&[(&ports.x, x as u128), (&ports.y, y as u128)]);
-        }
-        sim.flush_telemetry();
-        let p = PowerEstimator::from_activity(&n, &sim, sim.cycles());
+        let p = measure_multiplier(&n, &ports, vectors, seed, Some(&registry));
 
         let mut report = RunReport::new("table3");
         report

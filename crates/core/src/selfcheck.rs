@@ -650,7 +650,7 @@ pub fn run_scrub_compiled(
 }
 
 /// [`run_scrub_compiled`] on a caller-held simulator, under the overlay
-/// it is armed with ([`CompiledSim::arm_overlay`]), so one settled
+/// it is armed with ([`CompiledSim::arm_overlays`]), so one settled
 /// simulator serves every scrub of a pool instead of one per call.
 pub fn scrub_compiled(
     sim: &mut CompiledSim<'_>,

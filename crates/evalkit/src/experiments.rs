@@ -131,7 +131,7 @@ pub fn table3(vectors: usize, seed: u64) -> Table3 {
     let mw = |cfg: MultiplierConfig| -> f64 {
         let mut n = Netlist::new(TechLibrary::cmos45lp());
         let ports = build_multiplier(&mut n, cfg);
-        measure_multiplier(&n, &ports, vectors, seed).total_mw_at(100.0)
+        measure_multiplier(&n, &ports, vectors, seed, None).total_mw_at(100.0)
     };
     let r4c = mw(MultiplierConfig::radix4());
     let r16c = mw(MultiplierConfig::radix16());

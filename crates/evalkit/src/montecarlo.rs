@@ -16,15 +16,22 @@ use mfmult::{Format, StructuralPorts};
 /// Measures a 64×64 multiplier on `vectors` uniform random operand
 /// pairs: one vector per settle after a one-vector warm-up
 /// (combinational), or one operation per cycle after a pipeline-depth
-/// warm-up (pipelined, `ports.latency > 0`).
+/// warm-up (pipelined, `ports.latency > 0`). With `telemetry`, the
+/// simulator also publishes its per-block toggle windows (64 vectors
+/// each) on that registry; telemetry only observes, so the breakdown is
+/// the same either way.
 pub fn measure_multiplier(
     netlist: &Netlist,
     ports: &MultiplierPorts,
     vectors: usize,
     seed: u64,
+    telemetry: Option<&Registry>,
 ) -> PowerBreakdown {
     let mut gen = OperandGen::new(seed);
     let mut sim = Simulator::new(netlist);
+    if let Some(registry) = telemetry {
+        sim.attach_telemetry(registry, 64);
+    }
     let mut step = |sim: &mut Simulator<'_>| {
         let (x, y) = gen.int64_pair();
         if ports.latency > 0 {
@@ -42,6 +49,7 @@ pub fn measure_multiplier(
     for _ in 0..vectors {
         step(&mut sim);
     }
+    sim.flush_telemetry();
     let ops = if ports.latency > 0 {
         sim.cycles()
     } else {
@@ -458,8 +466,8 @@ mod tests {
     fn combinational_measurement_is_reproducible() {
         let mut n = Netlist::new(TechLibrary::cmos45lp());
         let ports = build_multiplier(&mut n, MultiplierConfig::radix16());
-        let p1 = measure_multiplier(&n, &ports, 10, 99);
-        let p2 = measure_multiplier(&n, &ports, 10, 99);
+        let p1 = measure_multiplier(&n, &ports, 10, 99, None);
+        let p2 = measure_multiplier(&n, &ports, 10, 99, None);
         assert_eq!(p1.dynamic_pj_per_op, p2.dynamic_pj_per_op);
         assert!(p1.dynamic_pj_per_op > 0.0);
     }
@@ -468,9 +476,24 @@ mod tests {
     fn pipelined_measurement_includes_clock_energy() {
         let mut n = Netlist::new(TechLibrary::cmos45lp());
         let ports = build_multiplier(&mut n, MultiplierConfig::radix16().pipelined());
-        let p = measure_multiplier(&n, &ports, 10, 7);
+        let p = measure_multiplier(&n, &ports, 10, 7, None);
         assert!(p.clock_pj_per_op > 0.0);
         assert!(p.dynamic_pj_per_op > 0.0);
+    }
+
+    #[test]
+    fn instrumented_measurement_equals_the_plain_one() {
+        // The Table III `--json` run: the paper's design point with the
+        // simulator's telemetry attached.
+        let mut n = Netlist::new(TechLibrary::cmos45lp());
+        let ports = build_multiplier(&mut n, MultiplierConfig::radix16().pipelined());
+        let registry = Registry::new();
+        let observed = measure_multiplier(&n, &ports, 70, 2017, Some(&registry));
+        assert_eq!(observed, measure_multiplier(&n, &ports, 70, 2017, None));
+        assert!(
+            registry.prometheus().contains("sim_block_toggles"),
+            "per-block toggle telemetry published"
+        );
     }
 
     #[test]

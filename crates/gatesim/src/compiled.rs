@@ -56,11 +56,22 @@
 //! # Reuse
 //!
 //! A long-lived owner keeps one settled simulator instead of building
-//! one per pass: [`CompiledSim::arm_overlay`] swaps in a unit's stuck-at
-//! set only when it changes, and [`CompiledSim::rearm_activity`]
-//! restarts toggle counting from the fault-free power-on state. Each
-//! pass then equals one on a freshly built simulator, without
-//! allocating, zeroing and settling it.
+//! one per pass: [`CompiledSim::arm_overlays`] swaps in a plan of
+//! stuck-at sets only when the plan changes, and
+//! [`CompiledSim::rearm_activity`] restarts toggle counting from the
+//! fault-free power-on state. Each pass then equals one on a freshly
+//! built simulator, without allocating, zeroing and settling it.
+//!
+//! # Lane-partitioned passes
+//!
+//! Lanes never read each other, and a pass costs about the same however
+//! few of them carry work. [`CompiledSim::arm_overlays`] therefore takes
+//! one stuck-at set per lane *partition*, so a single pass can serve a
+//! batch under one unit's faults, replica copies under other units'
+//! faults and a scrub slice under a third, each lane equal to the same
+//! lane of a separate pass under its own set. Toggle counting over a
+//! lane prefix ([`CompiledSim::rearm_activity`]) sees only the
+//! partition laid out first.
 
 use std::sync::OnceLock;
 
@@ -114,6 +125,17 @@ pub fn first_lanes(n: usize) -> LaneWord {
         }
     }
     m
+}
+
+/// Mask selecting lanes `lo..hi` (empty when `hi <= lo`).
+///
+/// # Panics
+///
+/// Panics if `hi > LANES`.
+#[must_use]
+pub fn lane_range(lo: usize, hi: usize) -> LaneWord {
+    let (low, high) = (first_lanes(lo.min(hi)), first_lanes(hi));
+    std::array::from_fn(|k| high[k] & !low[k])
 }
 
 /// One lowered gate: resolved input/output net indices, in program order.
@@ -358,6 +380,10 @@ impl StuckAt {
     }
 }
 
+/// An armed overlay plan: each partition's lanes and the faults forced
+/// in them, fault-free partitions left out.
+type ArmedPlan = Vec<(LaneWord, Vec<(NetId, bool)>)>;
+
 /// Per-net zero-delay toggle accumulation (see the module docs).
 #[derive(Debug, Clone)]
 struct Activity {
@@ -390,10 +416,11 @@ pub struct CompiledSim<'p> {
     faulted: Vec<u32>,
     /// The source nets among `faulted`, forced before each pass.
     faulted_sources: Vec<u32>,
-    /// The overlay the last [`CompiledSim::arm_overlay`] armed; `None`
-    /// once [`CompiledSim::inject_stuck_at`] or
-    /// [`CompiledSim::clear_faults`] changed it since.
-    armed: Option<Vec<(NetId, bool)>>,
+    /// The plan the last [`CompiledSim::arm_overlays`] armed, without
+    /// its fault-free partitions; `None` once
+    /// [`CompiledSim::inject_stuck_at`] or [`CompiledSim::clear_faults`]
+    /// changed the overlay since.
+    armed: Option<ArmedPlan>,
     /// Clock edges since construction (or the last activity reset).
     cycles: u64,
     /// The D words sampled at a clock edge, reused across cycles.
@@ -577,24 +604,42 @@ impl<'p> CompiledSim<'p> {
         self.faulted_sources.clear();
     }
 
-    /// Makes `faults`, each net stuck in **all** lanes, the whole
-    /// overlay: the settled-value image of an event-driven unit's
-    /// stuck-at set, for a simulator reused across passes and units.
-    /// When `faults` equals the overlay the previous call armed, nothing
-    /// changes. Otherwise the old overlay is cleared and every net
-    /// returns to the state a fresh simulator starts in before `faults`
-    /// is injected, so no input, constant or register word an old fault
-    /// forced survives.
-    pub fn arm_overlay(&mut self, faults: &[(NetId, bool)]) {
-        if self.armed.as_deref() == Some(faults) {
+    /// Makes `plan` the whole overlay: each `(lanes, faults)` partition
+    /// forces its nets in its own lanes only — the settled-value image of
+    /// one event-driven unit's stuck-at set per lane range, so one pass
+    /// carries several units. A single-unit caller passes one
+    /// [`ALL_LANES`] partition. Partitions are meant to be disjoint;
+    /// where two overlap on a net, the later one's value wins in the
+    /// shared lanes.
+    ///
+    /// When `plan` equals the plan the previous call armed (partitions
+    /// with no lanes or no faults ignored), nothing changes. Otherwise
+    /// the old overlay is cleared and every net returns to the state a
+    /// fresh simulator starts in before `plan` is injected, so no input,
+    /// constant or register word an old fault forced survives.
+    pub fn arm_overlays(&mut self, plan: &[(LaneWord, &[(NetId, bool)])]) {
+        let live = || {
+            plan.iter()
+                .filter(|(lanes, faults)| *lanes != NO_LANES && !faults.is_empty())
+        };
+        let unchanged = self.armed.as_ref().is_some_and(|armed| {
+            armed.len() == live().count()
+                && armed
+                    .iter()
+                    .zip(live())
+                    .all(|((al, af), (pl, pf))| al == pl && af[..] == **pf)
+        });
+        if unchanged {
             return;
         }
         self.clear_faults();
         self.reset();
-        for &(net, value) in faults {
-            self.inject_stuck_at(net, ALL_LANES, value);
+        for &(lanes, faults) in live() {
+            for &(net, value) in faults {
+                self.inject_stuck_at(net, lanes, value);
+            }
         }
-        self.armed = Some(faults.to_vec());
+        self.armed = Some(live().map(|&(l, f)| (l, f.to_vec())).collect());
     }
 
     /// Returns every net to the state a fresh simulator starts in
@@ -865,6 +910,10 @@ mod tests {
         assert_eq!(first_lanes(64), [!0, 0, 0, 0]);
         assert_eq!(first_lanes(65), [!0, 1, 0, 0]);
         assert_eq!(first_lanes(200), [!0, !0, !0, (1u64 << 8) - 1]);
+        assert_eq!(lane_range(0, 200), first_lanes(200));
+        assert_eq!(lane_range(60, 68), [0xF << 60, 0xF, 0, 0]);
+        assert_eq!(lane_range(9, 9), NO_LANES);
+        assert_eq!(lane_range(9, 3), NO_LANES);
         for lane in [0usize, 1, 63, 64, 127, 128, 200, 255] {
             let m = lane_mask(lane);
             assert_eq!(m[lane / 64], 1u64 << (lane % 64), "lane {lane}");
@@ -1080,44 +1129,81 @@ mod tests {
         assert_eq!(sim.activity_events(), 0);
     }
 
+    /// An 8-bit adder registered once, for the overlay-reuse tests: a
+    /// pass drives the operands, clocks twice and reads the register.
+    /// `cin` is an input no pass drives, so only a reset restores its
+    /// word once its fault is cleared; `sum` holds gate outputs.
+    struct Adder {
+        n: Netlist,
+        a: Vec<NetId>,
+        b: Vec<NetId>,
+        cin: NetId,
+        sum: Vec<NetId>,
+        q: Vec<NetId>,
+    }
+
+    impl Adder {
+        fn new() -> Self {
+            let mut n = fresh();
+            let a = n.input_bus("a", 8);
+            let b = n.input_bus("b", 8);
+            let cin = n.input("cin");
+            let mut carry = cin;
+            let mut sum = Vec::new();
+            for (&x, &y) in a.iter().zip(&b) {
+                let (s, c) = n.full_adder(x, y, carry);
+                sum.push(s);
+                carry = c;
+            }
+            sum.push(carry);
+            let q = sum.iter().map(|&s| n.dff(s)).collect();
+            Adder {
+                n,
+                a,
+                b,
+                cin,
+                sum,
+                q,
+            }
+        }
+
+        /// Lane `lane`'s operands in pass `seed`.
+        fn operands(lane: usize, seed: usize) -> (u128, u128) {
+            (
+                ((lane * 37 + seed * 11) & 0xFF) as u128,
+                ((lane * 101 + seed * 7 + 3) & 0xFF) as u128,
+            )
+        }
+
+        /// One pass over `vectors` in lanes `0..vectors.len()` (the other
+        /// lanes repeat the first vector): the register in those lanes.
+        fn pass(&self, sim: &mut CompiledSim<'_>, vectors: &[(u128, u128)]) -> Vec<u128> {
+            let (av, bv): (Vec<u128>, Vec<u128>) = vectors.iter().copied().unzip();
+            sim.set_bus_all(&self.a, av[0]);
+            sim.set_bus_all(&self.b, bv[0]);
+            sim.set_bus_lanes(&self.a, &av);
+            sim.set_bus_lanes(&self.b, &bv);
+            sim.step_cycle();
+            sim.step_cycle();
+            sim.read_bus_lanes(&self.q, vectors.len())
+        }
+
+        /// A fresh simulator with `faults` stuck in every lane.
+        fn fresh_sim<'p>(prog: &'p CompiledNetlist, faults: &[(NetId, bool)]) -> CompiledSim<'p> {
+            let mut sim = CompiledSim::new(prog);
+            for &(net, value) in faults {
+                sim.inject_stuck_at(net, ALL_LANES, value);
+            }
+            sim
+        }
+    }
+
     #[test]
     fn reused_sim_matches_fresh_through_overlay_changes() {
-        // An 8-bit adder registered once: a pass drives the operands,
-        // clocks twice and reads the register. Net A is the carry-in, an
-        // input no pass drives, so only a reset restores its word once
-        // its fault is cleared; net B is a gate output.
-        let mut n = fresh();
-        let a = n.input_bus("a", 8);
-        let b = n.input_bus("b", 8);
-        let cin = n.input("cin");
-        let mut carry = cin;
-        let mut sum = Vec::new();
-        for (&x, &y) in a.iter().zip(&b) {
-            let (s, c) = n.full_adder(x, y, carry);
-            sum.push(s);
-            carry = c;
-        }
-        sum.push(carry);
-        let q: Vec<NetId> = sum.iter().map(|&s| n.dff(s)).collect();
-        let prog = CompiledNetlist::compile(&n).unwrap();
-        let overlays: [&[(NetId, bool)]; 4] = [&[], &[(cin, true)], &[], &[(sum[3], false)]];
-        let pass = |sim: &mut CompiledSim<'_>, lanes: usize, seed: usize| -> Vec<u128> {
-            let av: Vec<u128> = (0..lanes)
-                .map(|l| ((l * 37 + seed * 11) & 0xFF) as u128)
-                .collect();
-            let bv: Vec<u128> = (0..lanes)
-                .map(|l| ((l * 101 + seed * 7 + 3) & 0xFF) as u128)
-                .collect();
-            sim.set_bus_all(&a, av[0]);
-            sim.set_bus_all(&b, bv[0]);
-            for l in 0..lanes {
-                sim.set_bus_lane(&a, l, av[l]);
-                sim.set_bus_lane(&b, l, bv[l]);
-            }
-            sim.step_cycle();
-            sim.step_cycle();
-            (0..lanes).map(|l| sim.read_bus_lane(&q, l)).collect()
-        };
+        let adder = Adder::new();
+        let (cin, s3) = (adder.cin, adder.sum[3]);
+        let prog = CompiledNetlist::compile(&adder.n).unwrap();
+        let overlays: [&[(NetId, bool)]; 4] = [&[], &[(cin, true)], &[], &[(s3, false)]];
         for lanes in [1, 64, LANES] {
             let mut reused = CompiledSim::new(&prog);
             // Re-arming the overlay alone, with no activity reset, must
@@ -1125,17 +1211,15 @@ mod tests {
             let mut values_only = CompiledSim::new(&prog);
             // Two passes per overlay: the second re-arms an unchanged one.
             for (seed, faults) in overlays.iter().flat_map(|f| [f, f]).enumerate() {
-                reused.arm_overlay(faults);
+                let vectors: Vec<_> = (0..lanes).map(|l| Adder::operands(l, seed)).collect();
+                reused.arm_overlays(&[(ALL_LANES, faults)]);
                 reused.rearm_activity(lanes);
-                let got = pass(&mut reused, lanes, seed);
-                values_only.arm_overlay(faults);
-                assert_eq!(pass(&mut values_only, lanes, seed), got);
-                let mut fresh_sim = CompiledSim::new(&prog);
-                for &(net, value) in *faults {
-                    fresh_sim.inject_stuck_at(net, ALL_LANES, value);
-                }
+                let got = adder.pass(&mut reused, &vectors);
+                values_only.arm_overlays(&[(ALL_LANES, faults)]);
+                assert_eq!(adder.pass(&mut values_only, &vectors), got);
+                let mut fresh_sim = Adder::fresh_sim(&prog, faults);
                 fresh_sim.enable_activity(lanes);
-                let want = pass(&mut fresh_sim, lanes, seed);
+                let want = adder.pass(&mut fresh_sim, &vectors);
                 assert_eq!(got, want, "outputs, {lanes} lanes, pass {seed}");
                 assert_eq!(
                     reused.toggles(),
@@ -1145,6 +1229,112 @@ mod tests {
                 assert_eq!(reused.cycles(), fresh_sim.cycles());
             }
         }
+    }
+
+    #[test]
+    fn packed_pass_matches_separate_passes_on_fresh_sims() {
+        let adder = Adder::new();
+        let (cin, s3, s5) = (adder.cin, adder.sum[3], adder.sum[5]);
+        let prog = CompiledNetlist::compile(&adder.n).unwrap();
+        // Each round lays its segments out back to back, the first (the
+        // batch) counted for activity, and cuts them into passes of
+        // LANES lanes: one partition per segment piece in a pass.
+        type Segment<'f> = (usize, &'f [(NetId, bool)]);
+        let rounds: [&[Segment<'_>]; 6] = [
+            // Distinct overlays per partition...
+            &[(5, &[]), (5, &[(cin, true)]), (8, &[(s3, false)])],
+            // ...the same plan again (no re-arm)...
+            &[(5, &[]), (5, &[(cin, true)]), (8, &[(s3, false)])],
+            // ...overlays that change between passes...
+            &[
+                (40, &[(s3, true)]),
+                (40, &[]),
+                (8, &[(cin, true), (s5, false)]),
+            ],
+            // ...a replica partition that spills into a second pass...
+            &[(200, &[(cin, true)]), (100, &[(s5, true)]), (8, &[])],
+            // ...a full batch that pushes everything else out...
+            &[(LANES, &[(s3, false)]), (8, &[(cin, true)])],
+            // ...and a pass with no batch at all.
+            &[(0, &[]), (8, &[(s3, false)])],
+        ];
+        let mut packed = CompiledSim::new(&prog);
+        let mut values_only = CompiledSim::new(&prog);
+        for (seed, segments) in rounds.iter().enumerate() {
+            let total: usize = segments.iter().map(|s| s.0).sum();
+            let vectors: Vec<_> = (0..total).map(|l| Adder::operands(l, seed)).collect();
+            let mut got = Vec::new();
+            let mut batch_toggles = Vec::new();
+            for start in (0..total).step_by(LANES) {
+                let end = (start + LANES).min(total);
+                let mut plan = Vec::new();
+                let mut base = 0;
+                for &(len, faults) in *segments {
+                    let (lo, hi) = (base.max(start), (base + len).min(end));
+                    if lo < hi {
+                        plan.push((lane_range(lo - start, hi - start), faults));
+                    }
+                    base += len;
+                }
+                let batch = segments[0].0.saturating_sub(start).min(LANES);
+                packed.arm_overlays(&plan);
+                packed.rearm_activity(batch);
+                let lanes = adder.pass(&mut packed, &vectors[start..end]);
+                values_only.arm_overlays(&plan);
+                assert_eq!(adder.pass(&mut values_only, &vectors[start..end]), lanes);
+                got.extend(lanes);
+                if start == 0 {
+                    batch_toggles = packed.toggles().to_vec();
+                }
+            }
+            let mut base = 0;
+            for (k, &(len, faults)) in segments.iter().enumerate() {
+                let mut fresh_sim = Adder::fresh_sim(&prog, faults);
+                if k == 0 {
+                    fresh_sim.enable_activity(len);
+                }
+                let want: Vec<u128> = vectors[base..base + len]
+                    .chunks(LANES)
+                    .flat_map(|chunk| adder.pass(&mut fresh_sim, chunk))
+                    .collect();
+                assert_eq!(got[base..base + len], want, "round {seed}, segment {k}");
+                if k == 0 {
+                    assert_eq!(
+                        batch_toggles,
+                        fresh_sim.toggles(),
+                        "batch toggles, round {seed}"
+                    );
+                }
+                base += len;
+            }
+        }
+    }
+
+    #[test]
+    fn unchanged_overlay_plan_is_not_rearmed() {
+        let adder = Adder::new();
+        let prog = CompiledNetlist::compile(&adder.n).unwrap();
+        let stuck: &[(NetId, bool)] = &[(adder.cin, true)];
+        let plan = [(first_lanes(4), stuck), (lane_range(4, 8), &[][..])];
+        let mut sim = CompiledSim::new(&prog);
+        sim.arm_overlays(&plan);
+        // A word only a re-arm's reset clears.
+        let marker = adder.a[0];
+        sim.set_net_lane(marker, 9, true);
+        // A fault-free partition arms nothing: dropping it keeps the plan.
+        sim.arm_overlays(&plan[..1]);
+        assert!(sim.read_net_lane(marker, 9), "unchanged plan re-armed");
+        sim.arm_overlays(&[(first_lanes(5), stuck)]);
+        assert!(!sim.read_net_lane(marker, 9), "changed plan not re-armed");
+        // A direct injection invalidates the armed plan.
+        sim.arm_overlays(&[(first_lanes(5), stuck)]);
+        sim.set_net_lane(marker, 9, true);
+        sim.inject_stuck_at(adder.cin, lane_mask(0), true);
+        sim.arm_overlays(&[(first_lanes(5), stuck)]);
+        assert!(
+            !sim.read_net_lane(marker, 9),
+            "stale plan survived an injection"
+        );
     }
 
     #[test]

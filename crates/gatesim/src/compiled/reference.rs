@@ -9,8 +9,8 @@
 //! exactly.
 
 use super::{
-    first_lanes, lane_mask, CompiledNetlist, CompiledSim, GateOp, LaneWord, ALL_LANES, LANES,
-    LANE_WORDS, NO_LANES,
+    first_lanes, lane_mask, ArmedPlan, CompiledNetlist, CompiledSim, GateOp, LaneWord, ALL_LANES,
+    LANES, LANE_WORDS, NO_LANES,
 };
 use crate::netlist::{NetId, Netlist};
 use crate::sim::reference::{mirror, random_netlist};
@@ -61,7 +61,7 @@ struct RefSim<'p> {
     fault_mask: Vec<LaneWord>,
     fault_value: Vec<LaneWord>,
     faulted: Vec<u32>,
-    armed: Option<Vec<(NetId, bool)>>,
+    armed: Option<ArmedPlan>,
     cycles: u64,
     activity: Option<RefActivity>,
 }
@@ -151,16 +151,23 @@ impl<'p> RefSim<'p> {
         self.faulted.clear();
     }
 
-    fn arm_overlay(&mut self, faults: &[(NetId, bool)]) {
-        if self.armed.as_deref() == Some(faults) {
+    fn arm_overlays(&mut self, plan: &[(LaneWord, &[(NetId, bool)])]) {
+        let live: ArmedPlan = plan
+            .iter()
+            .filter(|(lanes, faults)| *lanes != NO_LANES && !faults.is_empty())
+            .map(|&(lanes, faults)| (lanes, faults.to_vec()))
+            .collect();
+        if self.armed.as_ref() == Some(&live) {
             return;
         }
         self.clear_faults();
         self.reset();
-        for &(net, value) in faults {
-            self.inject_stuck_at(net, ALL_LANES, value);
+        for (lanes, faults) in &live {
+            for &(net, value) in faults {
+                self.inject_stuck_at(net, *lanes, value);
+            }
         }
-        self.armed = Some(faults.to_vec());
+        self.armed = Some(live);
     }
 
     fn reset(&mut self) {
@@ -372,6 +379,7 @@ fn run_script(rng: &mut Rng, netlist: &Netlist, inputs: &[Vec<NetId>], steps: us
     let nets = prog.net_count as u64;
     let random_net = |rng: &mut Rng| NetId(rng.range_u64(0, nets) as u32);
     let lanes = |rng: &mut Rng| rng.range_u64(0, LANES as u64 + 1) as usize;
+    let mut plan: ArmedPlan = Vec::new();
     for _ in 0..steps {
         match rng.range_u64(0, 16) {
             0..=3 => {
@@ -395,12 +403,23 @@ fn run_script(rng: &mut Rng, netlist: &Netlist, inputs: &[Vec<NetId>], steps: us
                 p.propagate();
             }
             9 => {
-                let faults: Vec<(NetId, bool)> = (0..rng.range_u64(0, 3))
-                    .map(|_| (random_net(rng), rng.next_bool(0.5)))
-                    .collect();
-                p.fast.arm_overlay(&faults);
-                p.slow.arm_overlay(&faults);
-                p.check("arm_overlay");
+                // Up to three partitions, each with up to two faults;
+                // sometimes the previous plan again.
+                if rng.next_bool(0.75) {
+                    plan = (0..rng.range_u64(1, 4))
+                        .map(|_| {
+                            let faults = (0..rng.range_u64(0, 3))
+                                .map(|_| (random_net(rng), rng.next_bool(0.5)))
+                                .collect();
+                            (random_lanes(rng), faults)
+                        })
+                        .collect();
+                }
+                let view: Vec<(LaneWord, &[(NetId, bool)])> =
+                    plan.iter().map(|(l, f)| (*l, &f[..])).collect();
+                p.fast.arm_overlays(&view);
+                p.slow.arm_overlays(&view);
+                p.check("arm_overlays");
                 p.step_cycle();
             }
             10 => {

@@ -62,8 +62,8 @@ pub mod trace;
 pub mod vector;
 
 pub use compiled::{
-    first_lanes, lane_mask, CompiledFaultSim, CompiledNetlist, CompiledSim, LaneWord, ALL_LANES,
-    LANES, LANE_WORDS, NO_LANES,
+    first_lanes, lane_mask, lane_range, CompiledFaultSim, CompiledNetlist, CompiledSim, LaneWord,
+    ALL_LANES, LANES, LANE_WORDS, NO_LANES,
 };
 pub use fault::{CampaignRunner, CampaignStats, FaultKind, FaultOutcome, FaultSite};
 pub use netlist::{

@@ -15,7 +15,7 @@ use mfm_telemetry::Gauge;
 use std::collections::HashMap;
 
 /// Energy and power figures derived from one activity measurement.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerBreakdown {
     /// Number of operations (input vectors or clock cycles) measured.
     pub ops: u64,

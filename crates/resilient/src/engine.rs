@@ -9,11 +9,18 @@
 //!
 //! Time is counted in *ticks*: one [`Engine::tick`] call runs due
 //! scrubs, dispatches at most one queued operation per dispatchable
-//! unit (round-robin), samples the capacity timeline and updates the
-//! pool gauges. There is no wall-clock anywhere, so a seeded run is
-//! bit-reproducible.
+//! unit (round-robin), runs a patrol slice when it dispatched nothing,
+//! samples the capacity timeline and updates the pool gauges. There is
+//! no wall-clock anywhere, so a seeded run is bit-reproducible.
+//!
+//! Patrol bookkeeping has one code path: [`Engine::take_patrol`] picks
+//! the least-recently-verified serving unit and the next battery slice,
+//! and [`Engine::finish_patrol`] lands the verdict. An engine-only tick
+//! replays the slice on the engine's own compiled simulator; a
+//! front-end that packs the slice into lanes of its own pass ticks with
+//! [`Engine::tick_leaving_patrol`] and calls both itself.
 
-use mfm_gatesim::{CompiledSim, LaneWord, NetId, Netlist, LANES, NO_LANES};
+use mfm_gatesim::{CompiledSim, LaneWord, NetId, Netlist, ALL_LANES, LANES, NO_LANES};
 use mfm_telemetry::{Counter, Gauge, Registry, TraceId};
 use mfmult::selfcheck::{scrub_battery, scrub_compiled, SelfCheckingUnit};
 use mfmult::structural::StructuralPorts;
@@ -208,9 +215,11 @@ pub struct Engine<'a> {
     battery: Vec<Operation>,
     /// One settled bit-parallel simulator over the shared netlist's
     /// compiled program, re-armed with the overlay of whichever unit a
-    /// patrol slice or scrub prefilter checks: the prefilter replays the
-    /// whole battery in one 256-lane pass before committing to the
-    /// event-driven replay.
+    /// scrub prefilter or an engine-run patrol slice checks: the
+    /// prefilter replays the whole battery in one 256-lane pass before
+    /// committing to the event-driven replay. A front-end that packs
+    /// patrol into its own pass ([`Engine::tick_leaving_patrol`]) leaves
+    /// only scrubs to it.
     sim: CompiledSim<'a>,
     ports: StructuralPorts,
     /// Submitted operations awaiting dispatch, as `(id, op)`.
@@ -652,8 +661,43 @@ impl<'a> Engine<'a> {
     /// Runs one scheduling round: due scrubs and spare promotion, then
     /// at most one queued operation per dispatchable
     /// unit (round-robin, starting after the last unit served first in
-    /// the previous round), then the capacity sample and gauge refresh.
+    /// the previous round), then — on a tick that dispatched nothing —
+    /// one patrol slice on the engine's own simulator, then the capacity
+    /// sample and gauge refresh.
     pub fn tick(&mut self) -> TickReport {
+        let report = self.schedule();
+        // Patrol scrubbing: an idle tick is spent replaying a bounded
+        // slice of the compiled scrub battery against the
+        // least-recently-verified healthy unit, so latent faults are
+        // caught before live traffic finds them.
+        if report.dispatched == 0 {
+            if let Some((i, slice)) = self.take_patrol() {
+                let faults = self.units[i].unit.sim().stuck_faults();
+                self.sim.arm_overlays(&[(ALL_LANES, &faults)]);
+                let passed = scrub_compiled(&mut self.sim, &self.ports, &slice).is_ok();
+                self.finish_patrol(i, passed);
+            }
+        }
+        self.observe(report.dispatched);
+        report
+    }
+
+    /// [`Engine::tick`] for a front-end that replays the patrol slice in
+    /// lanes of its own compiled pass: the same round without the
+    /// patrol slice. The caller takes the slice with
+    /// [`Engine::take_patrol`] when the report shows an idle tick and
+    /// lands its verdict with [`Engine::finish_patrol`], so the patrol
+    /// bookkeeping has one code path. The capacity sample is taken
+    /// before that verdict lands.
+    pub fn tick_leaving_patrol(&mut self) -> TickReport {
+        let report = self.schedule();
+        self.observe(report.dispatched);
+        report
+    }
+
+    /// Steps 1–2 of a round: breaker time and due scrubs, spare
+    /// promotion, round-robin dispatch.
+    fn schedule(&mut self) -> TickReport {
         self.tick += 1;
         let mut report = TickReport::default();
         // 1. Breaker time advances; elapsed cooldowns trigger scrubs.
@@ -689,7 +733,6 @@ impl<'a> Engine<'a> {
         }
         // 2. Round-robin dispatch: one op per dispatchable unit.
         let n = self.units.len();
-        let mut completed_now = 0u32;
         for k in 0..n {
             if self.queue.is_empty() {
                 break;
@@ -701,17 +744,14 @@ impl<'a> Engine<'a> {
             let (id, op) = self.queue.pop_front().expect("checked non-empty");
             self.dispatch_one(i, id, op);
             report.dispatched += 1;
-            completed_now += 1;
         }
         self.rr_cursor = (self.rr_cursor + 1) % n;
-        // 2b. Patrol scrubbing: an idle tick is spent replaying a
-        // bounded slice of the compiled scrub battery against the
-        // least-recently-verified healthy unit, so latent faults are
-        // caught before live traffic finds them.
-        if report.dispatched == 0 && self.patrol_slice > 0 {
-            self.patrol();
-        }
-        // 3. Observe.
+        report
+    }
+
+    /// Step 3 of a round: the capacity sample and gauge refresh, with
+    /// `completed` operations served this tick.
+    fn observe(&mut self, completed: u32) {
         let sample = CapacitySample {
             tick: self.tick,
             hw_capacity: self.hw_capacity(),
@@ -721,11 +761,10 @@ impl<'a> Engine<'a> {
                 .filter(|u| u.health.is_dispatchable())
                 .count() as u32,
             queued: self.queue.len() as u32,
-            completed: completed_now,
+            completed,
         };
         self.timeline.push(sample);
         self.update_gauges(&sample);
-        report
     }
 
     /// Scrub-and-readmit for unit `i`: repair the hardware, re-assert
@@ -746,7 +785,8 @@ impl<'a> Engine<'a> {
         for &(net, value) in &u.sticky {
             u.unit.inject_stuck_at(net, value);
         }
-        self.sim.arm_overlay(&u.unit.sim().stuck_faults());
+        self.sim
+            .arm_overlays(&[(ALL_LANES, &u.unit.sim().stuck_faults())]);
         if let Err(fail) = scrub_compiled(&mut self.sim, &self.ports, &self.battery) {
             return u.unit.note_scrub_outcome(Err(fail));
         }
@@ -793,42 +833,47 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// One patrol round: replay `patrol_slice` battery operations (a
-    /// rolling window over the compiled battery) against the stuck-fault
-    /// overlay of the least-recently-verified serving unit (healthy or
-    /// suspect — the states that carry hardware traffic). A failing
-    /// slice charges that unit's breaker — the normal quarantine → scrub
-    /// machinery takes it from there; a passing slice refreshes the
-    /// unit's verification stamp.
-    fn patrol(&mut self) {
-        let Some(i) = (0..self.units.len())
+    /// Starts one patrol round: picks the least-recently-verified
+    /// serving unit (healthy or suspect — the states that carry hardware
+    /// traffic — and not degraded), advances the rolling window over
+    /// the compiled battery and counts the slice. Returns that unit and
+    /// the `patrol_slice` battery operations to replay under its
+    /// stuck-at overlay, or `None` when patrol is off or no unit serves.
+    /// [`Engine::finish_patrol`] lands the verdict.
+    pub fn take_patrol(&mut self) -> Option<(usize, Vec<Operation>)> {
+        if self.patrol_slice == 0 {
+            return None;
+        }
+        let i = (0..self.units.len())
             .filter(|&i| {
                 self.units[i].health.state().is_hw_capacity() && !self.units[i].unit.is_degraded()
             })
-            .min_by_key(|&i| self.units[i].last_verified)
-        else {
-            return;
-        };
+            .min_by_key(|&i| self.units[i].last_verified)?;
         let len = self.battery.len();
         let a = self.patrol_cursor.min(len.saturating_sub(1));
         let b = (a + self.patrol_slice).min(len);
         self.patrol_cursor = if b >= len { 0 } else { b };
-        let slice = &self.battery[a..b];
         self.patrol_slices += 1;
         if let Some(t) = &self.telemetry {
             t.patrol_slices.inc();
         }
-        self.sim
-            .arm_overlay(&self.units[i].unit.sim().stuck_faults());
-        if scrub_compiled(&mut self.sim, &self.ports, slice).is_err() {
-            self.patrol_failures += 1;
-            if let Some(t) = &self.telemetry {
-                t.patrol_failures.inc();
-            }
-            self.units[i].health.on_incidents(self.tick, 1);
-        } else {
+        Some((i, self.battery[a..b].to_vec()))
+    }
+
+    /// Lands the verdict on a slice from [`Engine::take_patrol`]: a
+    /// failing slice charges unit `i`'s breaker — the normal quarantine
+    /// → scrub machinery takes it from there; a passing slice refreshes
+    /// the unit's verification stamp.
+    pub fn finish_patrol(&mut self, i: usize, passed: bool) {
+        if passed {
             self.units[i].last_verified = self.tick;
+            return;
         }
+        self.patrol_failures += 1;
+        if let Some(t) = &self.telemetry {
+            t.patrol_failures.inc();
+        }
+        self.units[i].health.on_incidents(self.tick, 1);
     }
 
     /// Serves one operation on unit `i`: glitch storms, execution, the

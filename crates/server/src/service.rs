@@ -2,8 +2,9 @@
 //! tiers, deadline bookkeeping, 256-lane batch execution through the
 //! circuit-breaker pool, and typed responses for everything.
 //!
-//! The core is tick-driven and samples no wall clock, so it is testable
-//! (and replayable) without sockets; the TCP front-end in
+//! The core is tick-driven — no scheduling decision samples a wall
+//! clock — so it is testable (and replayable) without sockets; the TCP
+//! front-end in
 //! [`crate::server`] owns one instance on its service thread and calls
 //! [`Service::tick`] on a fixed cadence, translating microseconds to
 //! ticks with its configured tick length.
@@ -62,6 +63,29 @@
 //! patrol. Chaos that acts only on engine dispatch (single-event upsets
 //! and glitch storms) is therefore inert here.
 //!
+//! # One compiled pass per tick
+//!
+//! A pass over the compiled netlist costs about the same however few of
+//! its 256 lanes carry work, so a tick packs all of its compiled work
+//! into one lane-partitioned pass ([`CompiledSim::arm_overlays`]):
+//!
+//! | lanes | overlay | judged by |
+//! |---|---|---|
+//! | `0..n`: the batch | the routed unit's | the verdict; answers clients |
+//! | one copy of the batch per TMR replica | that replica's | the verdict; a ballot |
+//! | the engine's patrol slice | the patrolled unit's | `check_raw`; [`Engine::finish_patrol`] |
+//! | the speculative sample | the next batch unit's | `check_raw`; charges its breaker |
+//!
+//! Toggles are counted over the batch prefix only, so the power gauge
+//! still sees client lanes alone, and a pass with no batch counts none.
+//! Work spills into a second pass only when the lanes overflow 256 (a
+//! full batch with replicas, or a tick that drains more than one
+//! batch). The batch is routed before the tick's patrol verdict lands:
+//! [`Engine::tick_leaving_patrol`] hands the slice over, and its verdict
+//! is landed once the pass has run. `service.passes` and
+//! `service.pass_lanes.{batch,replica,patrol,speculative}` count the
+//! passes and what filled them, and `/statusz` shows passes per tick.
+//!
 //! # Tracing and the flight recorder
 //!
 //! Every admitted request carries a [`TraceId`] (minted at frame decode
@@ -70,8 +94,9 @@
 //! (queue-wait, batch-fill, compiled-eval, verify, write-back) into a
 //! [`TraceRecord`] that lands in a fixed-size [`TraceRing`] served by
 //! `/tracez`. Scheduling decisions stay tick-driven and wall-clock-free;
-//! only the span *annotations* for the execution phases sample a
-//! monotonic clock, so responses remain deterministic while latency
+//! only the span *annotations* sample a monotonic clock — queue wait
+//! from an admission stamp to the start of the batch's pass, then the
+//! execution phases — so the answers remain deterministic while latency
 //! attribution is real.
 //!
 //! A bounded [`FlightRecorder`] keeps the most recent structured events
@@ -83,7 +108,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Instant;
 
-use mfm_gatesim::{CompiledSim, LivePowerTrace, Netlist, LANES};
+use mfm_gatesim::{lane_range, CompiledSim, LivePowerTrace, NetId, Netlist, LANES};
 use mfm_resilient::backoff::{BackoffConfig, SubmitBackoff};
 use mfm_resilient::{Engine, EngineConfig, HealthState};
 use mfm_telemetry::{
@@ -197,6 +222,8 @@ struct PendingReq {
     /// Deadline the client asked for, echoed in expiry responses.
     deadline_micros: u32,
     arrived: u64,
+    /// Wall-clock admission stamp: queue wait is measured from it.
+    admitted_at: Instant,
     /// End-to-end trace id minted at decode (or admission).
     trace: TraceId,
     /// Per-phase latency attribution accumulated as the request moves.
@@ -217,6 +244,9 @@ struct ServiceMetrics {
     votes: Counter,
     vote_mismatches: Counter,
     dmr_batches: Counter,
+    /// Compiled passes run, and the lanes each [`Role`] filled in them.
+    passes: Counter,
+    pass_lanes: [Counter; 4],
     tier: Gauge,
     pending: Gauge,
     latency_ticks: Histogram,
@@ -232,9 +262,10 @@ pub struct Service<'a> {
     cfg: ServiceConfig,
     engine: Engine<'a>,
     ports: StructuralPorts,
-    /// One settled simulator over the netlist's compiled program for the
-    /// primary batch pass, TMR replicas and speculative checks, re-armed
-    /// with the routed unit's overlay only when that overlay changes.
+    /// One settled simulator over the netlist's compiled program for
+    /// each tick's packed pass — batch, TMR replicas, patrol slice and
+    /// speculative sample side by side in one 256-lane word — re-armed
+    /// only when the pass's overlay plan changes.
     sim: CompiledSim<'a>,
     reference: FunctionalUnit,
     battery: Vec<Operation>,
@@ -327,6 +358,9 @@ impl<'a> Service<'a> {
             votes: registry.counter("service.tmr_votes"),
             vote_mismatches: registry.counter("service.tmr_vote_mismatches"),
             dmr_batches: registry.counter("service.dmr_batches"),
+            passes: registry.counter("service.passes"),
+            pass_lanes: Role::ALL
+                .map(|role| registry.counter(&format!("service.pass_lanes.{}", role.label()))),
             tier: registry.gauge("service.tier"),
             pending: registry.gauge("service.pending"),
             latency_ticks: registry.histogram_with("service.latency_ticks", &lat_bounds),
@@ -477,6 +511,7 @@ impl<'a> Service<'a> {
             deadline: self.engine.now() + deadline_ticks,
             deadline_micros: req.deadline_micros,
             arrived: self.engine.now(),
+            admitted_at: Instant::now(),
             trace,
             spans: PhaseSpans::default(),
             critical: req.critical,
@@ -547,7 +582,8 @@ impl<'a> Service<'a> {
     }
 
     /// The `/statusz` payload: degradation tier, per-format queue
-    /// depths, per-unit breaker states and the flight-recorder gauges.
+    /// depths, per-unit breaker states, compiled passes (total, per tick
+    /// and lanes by role) and the flight-recorder gauges.
     pub fn statusz_json(&self) -> String {
         let mut queues: Vec<(&str, usize)> = self
             .queues
@@ -569,12 +605,19 @@ impl<'a> Service<'a> {
             })
             .collect();
         let (patrol_slices, patrol_failures) = self.engine.patrol_stats();
+        let passes = self.metrics.passes.get();
+        let pass_lanes: Vec<String> = Role::ALL
+            .iter()
+            .zip(&self.metrics.pass_lanes)
+            .map(|(role, lanes)| format!("\"{}\":{}", role.label(), lanes.get()))
+            .collect();
         format!(
             "{{\"tick\":{},\"tier\":\"{}\",\"backlog\":{},\"pending_cap\":{},\
              \"queues\":{{{}}},\"answered\":{},\"shed\":{},\"units\":[{}],\
              \"redundancy\":{{\"votes\":{},\"vote_mismatches\":{},\"dmr_batches\":{},\
              \"promotions\":{},\"spares_available\":{},\"hw_capacity\":{},\"patrol_slices\":{},\
              \"patrol_failures\":{},\"tmr_window_active\":{}}},\
+             \"passes\":{{\"total\":{},\"per_tick\":{:.3},\"lanes\":{{{}}}}},\
              \"flight\":{{\"events\":{},\"dropped\":{},\"incidents\":{}}}}}",
             self.engine.now(),
             self.tier().label(),
@@ -593,6 +636,9 @@ impl<'a> Service<'a> {
             patrol_slices,
             patrol_failures,
             self.tmr_window_active(),
+            passes,
+            passes as f64 / self.engine.now().max(1) as f64,
+            pass_lanes.join(","),
             self.flight.len(),
             self.flight.dropped(),
             self.flight.incidents_emitted(),
@@ -619,21 +665,27 @@ impl<'a> Service<'a> {
     }
 
     /// One scheduling round: engine tick (scrubs, spare promotion,
-    /// patrol, breaker time), front-end deadline sweep, the batch pass
-    /// for this tick's tier, and the speculative self-check.
+    /// breaker time), front-end deadline sweep, then this tick's compiled
+    /// work — the batch for this tier, its TMR replicas, the engine's
+    /// patrol slice and the speculative sample — packed into one pass
+    /// (see the module docs).
     pub fn tick(&mut self) {
         self.flush_unacked_records();
-        self.engine.tick();
+        let idle = self.engine.tick_leaving_patrol().dispatched == 0;
         self.forward_transitions();
         self.expire_stale();
         let tier = self.tier();
-        self.run_batches(tier);
-        if tier == Tier::Normal
-            && self.cfg.speculative_every > 0
-            && self.engine.now().is_multiple_of(self.cfg.speculative_every)
-        {
-            self.speculative_check();
-        }
+        let riders = Riders {
+            patrol: if idle {
+                self.engine.take_patrol()
+            } else {
+                None
+            },
+            speculative: tier == Tier::Normal
+                && self.cfg.speculative_every > 0
+                && self.engine.now().is_multiple_of(self.cfg.speculative_every),
+        };
+        self.run_batches(tier, riders);
         self.note_tier_change();
         self.metrics.tier.set(self.tier().level() as f64);
         self.metrics.pending.set(self.backlog() as f64);
@@ -824,12 +876,13 @@ impl<'a> Service<'a> {
             .collect()
     }
 
-    /// Runs this tick's batch passes. In `Normal`/`ShedSpeculative` each
-    /// pass fills up to [`LANES`] lanes from every non-empty format queue
-    /// (the unit takes its format per lane), and a tick runs at most one
-    /// pass per queue that was non-empty when it began. `SingleFormat`
-    /// runs one pass from the deepest queue only.
-    fn run_batches(&mut self, tier: Tier) {
+    /// Runs this tick's batches. In `Normal`/`ShedSpeculative` each batch
+    /// fills up to [`LANES`] lanes from every non-empty format queue (the
+    /// unit takes its format per lane), and a tick runs at most one batch
+    /// per queue that was non-empty when it began. `SingleFormat` runs
+    /// one batch from the deepest queue only. The `riders` share the last
+    /// batch's pass, or run alone when no batch does.
+    fn run_batches(&mut self, tier: Tier, riders: Riders) {
         let mut formats: Vec<(Format, usize)> = self
             .queues
             .iter()
@@ -841,6 +894,7 @@ impl<'a> Service<'a> {
         if tier >= Tier::SingleFormat {
             formats.truncate(1);
         }
+        let mut batches: Vec<Vec<PendingReq>> = Vec::new();
         for _ in 0..formats.len() {
             let mut batch: Vec<PendingReq> = Vec::with_capacity(LANES);
             for (format, _) in &formats {
@@ -851,79 +905,248 @@ impl<'a> Service<'a> {
             if batch.is_empty() {
                 break;
             }
-            self.run_one_batch(&batch);
+            batches.push(batch);
+        }
+        let last = batches.pop().unwrap_or_default();
+        for batch in &batches {
+            self.run_pass(batch, Riders::default());
+        }
+        self.run_pass(&last, riders);
+    }
+
+    /// Runs one batch of up to [`LANES`] lanes, of any formats, and the
+    /// work riding with it as one packed compiled pass: the batch under
+    /// the routed unit's fault overlay, its TMR replica copies under the
+    /// replica units' overlays, the patrol slice under the patrolled
+    /// unit's and the speculative sample under the next batch unit's.
+    /// Every batch lane is answered in this tick: from the hardware when
+    /// it passes the verdict, from the reference when it fails. Failing
+    /// lanes are charged to the routed unit's circuit breaker, and a
+    /// clean batch is a heal credit.
+    fn run_pass(&mut self, batch: &[PendingReq], riders: Riders) {
+        // Queue wait ends here. Wall time annotates spans only — never
+        // scheduling.
+        let t_fill = Instant::now();
+        let now = self.engine.now();
+        let mut units = self.batch_units();
+        let mut routed = None;
+        if !batch.is_empty() {
+            self.metrics.batch_fill.observe(batch.len() as f64);
+            routed = units.get(self.batch_cursor % units.len().max(1)).copied();
+            if routed.is_some() {
+                self.batch_cursor = self.batch_cursor.wrapping_add(1);
+            } else {
+                self.answer_from_reference(batch, t_fill);
+            }
+        }
+        let ops: Vec<Operation> = batch.iter().map(|p| p.op).collect();
+        let mut segments = Vec::new();
+        // The speculative sample runs under the next batch unit's overlay,
+        // charging failures to its breaker before client lanes hit them.
+        let speculative_unit = units
+            .get(self.batch_cursor % units.len().max(1))
+            .copied()
+            .filter(|_| riders.speculative);
+        let mut vote_all = false;
+        if let Some(unit) = routed {
+            segments.push(Segment {
+                role: Role::Batch,
+                unit,
+                ops: ops.clone(),
+            });
+            // Redundant-lane batching: a lane is voted when its request
+            // is critical, when the post-escape recovery window is open,
+            // or when the whole batch routed through a Suspect unit
+            // (DMR-on-suspicion).
+            let dmr_batch = self.engine.unit_state(unit) == HealthState::Suspect;
+            if dmr_batch {
+                self.dmr_batches += 1;
+                self.metrics.dmr_batches.inc();
+            }
+            vote_all = dmr_batch || now < self.tmr_until;
+            if vote_all || batch.iter().any(|p| p.critical) {
+                // Up to two other healthy units cast the replica ballots.
+                units.retain(|&u| u != unit);
+                units.truncate(2);
+                for &ru in &units {
+                    segments.push(Segment {
+                        role: Role::Replica,
+                        unit: ru,
+                        ops: ops.clone(),
+                    });
+                }
+            }
+        }
+        if let Some((unit, slice)) = riders.patrol {
+            segments.push(Segment {
+                role: Role::Patrol,
+                unit,
+                ops: slice,
+            });
+        }
+        if let Some(unit) = speculative_unit {
+            segments.push(Segment {
+                role: Role::Speculative,
+                unit,
+                ops: self.speculative_sample(),
+            });
+        }
+        let (raws, fill_micros, eval_micros) = self.run_packed(&segments);
+        let mut batch_raws = Vec::new();
+        let mut replicas = Vec::new();
+        let mut speculative = None;
+        for (seg, raws) in segments.into_iter().zip(raws) {
+            match seg.role {
+                Role::Batch => batch_raws = raws,
+                Role::Replica => replicas.push((seg.unit, raws)),
+                // Verdicts land in the order the breakers saw the work:
+                // patrol, then the batch, then the speculative sample.
+                Role::Patrol => {
+                    let passed = seg
+                        .ops
+                        .iter()
+                        .zip(&raws)
+                        .all(|(&op, raw)| check_raw(op, raw).is_ok());
+                    self.engine.finish_patrol(seg.unit, passed);
+                }
+                Role::Speculative => speculative = Some((seg, raws)),
+            }
+        }
+        if let Some(unit) = routed {
+            let spans = [
+                (Phase::BatchFill, fill_micros),
+                (Phase::CompiledEval, eval_micros),
+            ];
+            self.answer_batch(
+                unit,
+                batch,
+                &ops,
+                &batch_raws,
+                &replicas,
+                vote_all,
+                t_fill,
+                spans,
+            );
+        }
+        if let Some((seg, raws)) = speculative {
+            let incidents = seg
+                .ops
+                .iter()
+                .zip(&raws)
+                .filter(|(&op, raw)| check_raw(op, raw).is_err())
+                .count() as u32;
+            self.metrics.speculative.inc();
+            self.engine.note_external_service(seg.unit, incidents);
         }
     }
 
-    /// Executes up to [`LANES`] lanes, of any formats, through the compiled
-    /// bit-parallel engine under one pool unit's fault overlay, and
-    /// answers every lane in this tick: from the hardware when the lane
-    /// passes the verdict, from the reference when it fails. Failing
-    /// lanes are charged to the routed unit's circuit breaker, and a
-    /// clean batch is a heal credit.
-    fn run_one_batch(&mut self, batch: &[PendingReq]) {
-        if batch.is_empty() {
-            return;
-        }
-        self.metrics.batch_fill.observe(batch.len() as f64);
-        let now = self.engine.now();
-        let mpt = self.cfg.micros_per_tick;
-        let queue_micros = move |p: &PendingReq| now.saturating_sub(p.arrived).saturating_mul(mpt);
-        let mut units = self.batch_units();
-        let Some(&unit) = units.get(self.batch_cursor % units.len().max(1)) else {
-            // No healthy hardware lane: the reference answers everything.
-            for mut p in batch.iter().copied() {
-                p.spans.add(Phase::QueueWait, queue_micros(&p));
-                self.metrics.rescues.inc();
-                let want = self.reference.execute(p.op);
-                self.push_ok(p, &want, "rescued");
+    /// Lays `segments` out back to back over as few [`LANES`]-lane passes
+    /// as they fill, each lane under its segment unit's fault overlay,
+    /// and returns every segment's raw outputs with the wall time spent
+    /// arming (batch fill) and evaluating. Toggles are counted over a
+    /// leading batch segment only, from the fault-free power-on state, so
+    /// the power gauge rides on the same pass; a pass with no batch
+    /// counts none.
+    fn run_packed(&mut self, segments: &[Segment]) -> (Vec<Vec<RawOutputs>>, u64, u64) {
+        let faults: Vec<Vec<(NetId, bool)>> = segments
+            .iter()
+            .map(|seg| self.engine.unit(seg.unit).sim().stuck_faults())
+            .collect();
+        let ops: Vec<Operation> = segments
+            .iter()
+            .flat_map(|seg| seg.ops.iter().copied())
+            .collect();
+        let batch = segments
+            .first()
+            .filter(|seg| seg.role == Role::Batch)
+            .map_or(0, |seg| seg.ops.len());
+        let (mut fill_micros, mut eval_micros) = (0, 0);
+        let mut raws = Vec::with_capacity(ops.len());
+        for start in (0..ops.len()).step_by(LANES) {
+            let end = (start + LANES).min(ops.len());
+            let t_fill = Instant::now();
+            let mut plan = Vec::with_capacity(segments.len());
+            let mut base = 0;
+            for (seg, faults) in segments.iter().zip(&faults) {
+                let (lo, hi) = (base.max(start), (base + seg.ops.len()).min(end));
+                if lo < hi {
+                    plan.push((lane_range(lo - start, hi - start), &faults[..]));
+                }
+                base += seg.ops.len();
             }
-            self.flight.record(FlightEvent {
-                tick: now,
-                trace: None,
-                kind: "no_healthy_unit",
-                detail: format!("{} lanes answered from the reference", batch.len()),
-            });
-            return;
-        };
-        self.batch_cursor = self.batch_cursor.wrapping_add(1);
-        // Batch-fill: the routed unit's fault overlay plus the activity
-        // re-arm. Wall time annotates spans only — never scheduling.
-        let t_fill = Instant::now();
-        let ops: Vec<Operation> = batch.iter().map(|p| p.op).collect();
-        self.sim
-            .arm_overlay(&self.engine.unit(unit).sim().stuck_faults());
-        // Count this batch's zero-delay toggles in the occupied lanes
-        // only, from the fault-free power-on state: the power gauge
-        // rides on the same evaluation pass.
-        self.sim.rearm_activity(batch.len());
-        let fill_micros = t_fill.elapsed().as_micros() as u64;
-        let t_eval = Instant::now();
-        let raws = run_raw_compiled(&mut self.sim, &self.ports, &ops);
-        let eval_micros = t_eval.elapsed().as_micros() as u64;
-        for (sum, &t) in self.power_toggles.iter_mut().zip(self.sim.toggles()) {
-            *sum += t;
+            self.sim.arm_overlays(&plan);
+            if start == 0 && batch > 0 {
+                self.sim.rearm_activity(batch);
+            } else if self.sim.activity_enabled() {
+                self.sim.set_active_lanes(0);
+            }
+            fill_micros += t_fill.elapsed().as_micros() as u64;
+            let t_eval = Instant::now();
+            raws.extend(run_raw_compiled(
+                &mut self.sim,
+                &self.ports,
+                &ops[start..end],
+            ));
+            eval_micros += t_eval.elapsed().as_micros() as u64;
+            if start == 0 && batch > 0 {
+                for (sum, &t) in self.power_toggles.iter_mut().zip(self.sim.toggles()) {
+                    *sum += t;
+                }
+                self.power_cycles += self.sim.cycles();
+                self.power_ops += batch as u64;
+            }
+            self.metrics.passes.inc();
         }
-        self.power_cycles += self.sim.cycles();
-        self.power_ops += batch.len() as u64;
+        for seg in segments {
+            self.metrics.pass_lanes[seg.role as usize].add(seg.ops.len() as u64);
+        }
+        let mut rest = raws.into_iter();
+        let raws = segments
+            .iter()
+            .map(|seg| rest.by_ref().take(seg.ops.len()).collect())
+            .collect();
+        (raws, fill_micros, eval_micros)
+    }
+
+    /// Answers a batch that found no healthy unit to route through from
+    /// the reference.
+    fn answer_from_reference(&mut self, batch: &[PendingReq], t_fill: Instant) {
+        for mut p in batch.iter().copied() {
+            p.spans.add(Phase::QueueWait, queue_micros(&p, t_fill));
+            self.metrics.rescues.inc();
+            let want = self.reference.execute(p.op);
+            self.push_ok(p, &want, "rescued");
+        }
+        self.flight.record(FlightEvent {
+            tick: self.engine.now(),
+            trace: None,
+            kind: "no_healthy_unit",
+            detail: format!("{} lanes answered from the reference", batch.len()),
+        });
+    }
+
+    /// Judges the routed unit's batch lanes (`raws`) and the replicas'
+    /// ballots against the reference, holds the votes, and answers every
+    /// lane. `spans` are the pass's batch-fill and compiled-eval times,
+    /// which every lane experienced in full.
+    #[allow(clippy::too_many_arguments)]
+    fn answer_batch(
+        &mut self,
+        unit: usize,
+        batch: &[PendingReq],
+        ops: &[Operation],
+        raws: &[RawOutputs],
+        replicas: &[(usize, Vec<RawOutputs>)],
+        vote_all: bool,
+        t_fill: Instant,
+        spans: [(Phase, u64); 2],
+    ) {
+        let now = self.engine.now();
         let t_verify = Instant::now();
         let wants: Vec<MultResult> = ops.iter().map(|&op| self.reference.execute(op)).collect();
-        let verdicts = self.judge_unit(unit, &ops, &raws, &wants);
-        // Redundant-lane batching: a lane is voted when its request is
-        // critical, when the post-escape recovery window is open, or
-        // when the whole batch routed through a Suspect unit
-        // (DMR-on-suspicion).
-        let dmr_batch = self.engine.unit_state(unit) == HealthState::Suspect;
-        if dmr_batch {
-            self.dmr_batches += 1;
-            self.metrics.dmr_batches.inc();
-        }
-        let vote_all = dmr_batch || now < self.tmr_until;
-        if vote_all || batch.iter().any(|p| p.critical) {
-            // Up to two other healthy units cast the replica ballots.
-            units.retain(|&u| u != unit);
-            units.truncate(2);
-            self.run_replicas(&units, batch, &ops, &verdicts, vote_all, &wants);
+        let verdicts = self.judge_unit(unit, ops, raws, &wants);
+        if !replicas.is_empty() {
+            self.hold_votes(replicas, batch, ops, &verdicts, vote_all, &wants);
         }
         if verdicts.iter().any(|v| matches!(v, Verdict::Escape)) {
             self.open_tmr_window("a lane passed its self-check but disagreed with the reference");
@@ -934,9 +1157,10 @@ impl<'a> Service<'a> {
         let mut incidents = 0u32;
         let mut failed_trace = None;
         for ((mut p, verdict), want) in batch.iter().copied().zip(verdicts).zip(&wants) {
-            p.spans.add(Phase::QueueWait, queue_micros(&p));
-            p.spans.add(Phase::BatchFill, fill_micros);
-            p.spans.add(Phase::CompiledEval, eval_micros);
+            p.spans.add(Phase::QueueWait, queue_micros(&p, t_fill));
+            for (phase, micros) in spans {
+                p.spans.add(phase, micros);
+            }
             p.spans.add(Phase::Verify, verify_micros);
             if let Verdict::Pass(got) = verdict {
                 self.push_ok(p, &got, "ok");
@@ -1006,30 +1230,25 @@ impl<'a> Service<'a> {
     }
 
     /// Holds the TMR vote on the batch's voted lanes (every lane when
-    /// `vote_all`, else the critical ones): each lane is re-executed
-    /// under the `replica_units`' fault overlays, and every replica
-    /// ballot is judged by the same verdict as the routed unit's lane
+    /// `vote_all`, else the critical ones): each replica unit re-executed
+    /// the whole batch under its own fault overlay in the packed pass
+    /// (`replicas` holds its raw lanes), and every replica ballot is
+    /// judged by the same verdict as the routed unit's lane
     /// (`verdicts`). A failing replica ballot charges its own unit; the
     /// routed unit's failures are charged with its batch.
-    fn run_replicas(
+    fn hold_votes(
         &mut self,
-        replica_units: &[usize],
+        replicas: &[(usize, Vec<RawOutputs>)],
         batch: &[PendingReq],
         ops: &[Operation],
         verdicts: &[Verdict],
         vote_all: bool,
         wants: &[MultResult],
     ) {
-        let mut replicas = Vec::new();
-        for &ru in replica_units {
-            self.sim
-                .arm_overlay(&self.engine.unit(ru).sim().stuck_faults());
-            let raws = run_raw_compiled(&mut self.sim, &self.ports, ops);
-            replicas.push((ru, self.judge_unit(ru, ops, &raws, wants)));
-        }
-        if replicas.is_empty() {
-            return;
-        }
+        let replicas: Vec<(usize, Vec<Verdict>)> = replicas
+            .iter()
+            .map(|(ru, raws)| (*ru, self.judge_unit(*ru, ops, raws, wants)))
+            .collect();
         let now = self.engine.now();
         for (idx, p) in batch.iter().enumerate() {
             if !(p.critical || vote_all) {
@@ -1069,32 +1288,66 @@ impl<'a> Service<'a> {
         }
     }
 
-    /// Speculative self-check: replays a sliding sample of the scrub
-    /// battery through the next batch unit's overlay, charging failures
-    /// to its breaker *before* client lanes hit the fault. This is the
-    /// first work shed under load (`ShedSpeculative`).
-    fn speculative_check(&mut self) {
-        let units = self.batch_units();
-        if units.is_empty() {
-            return;
-        }
-        let unit = units[self.batch_cursor % units.len()];
+    /// The speculative self-check's sample: a sliding window of eight
+    /// scrub-battery operations, advanced by the tick. This is the first
+    /// work shed under load (`ShedSpeculative`).
+    fn speculative_sample(&self) -> Vec<Operation> {
         let window = 8usize.min(self.battery.len());
         let start = (self.engine.now() as usize).wrapping_mul(window) % self.battery.len();
-        let sample: Vec<Operation> = (0..window)
+        (0..window)
             .map(|k| self.battery[(start + k) % self.battery.len()])
-            .collect();
-        self.sim
-            .arm_overlay(&self.engine.unit(unit).sim().stuck_faults());
-        let raws = run_raw_compiled(&mut self.sim, &self.ports, &sample);
-        let incidents = sample
-            .iter()
-            .zip(&raws)
-            .filter(|(&op, raw)| check_raw(op, raw).is_err())
-            .count() as u32;
-        self.metrics.speculative.inc();
-        self.engine.note_external_service(unit, incidents);
+            .collect()
     }
+}
+
+/// Microseconds `p` waited from admission until its batch began filling
+/// at `t_fill`.
+fn queue_micros(p: &PendingReq, t_fill: Instant) -> u64 {
+    t_fill.saturating_duration_since(p.admitted_at).as_micros() as u64
+}
+
+/// What a run of lanes in a packed pass carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// Client lanes under the routed unit's overlay.
+    Batch,
+    /// A TMR replica's copy of the batch.
+    Replica,
+    /// The engine's patrol slice.
+    Patrol,
+    /// The speculative battery sample.
+    Speculative,
+}
+
+impl Role {
+    /// Every role, in `service.pass_lanes.*` counter order.
+    const ALL: [Role; 4] = [Role::Batch, Role::Replica, Role::Patrol, Role::Speculative];
+
+    fn label(self) -> &'static str {
+        match self {
+            Role::Batch => "batch",
+            Role::Replica => "replica",
+            Role::Patrol => "patrol",
+            Role::Speculative => "speculative",
+        }
+    }
+}
+
+/// One run of lanes in a packed pass: `ops` under `unit`'s fault overlay.
+struct Segment {
+    role: Role,
+    unit: usize,
+    ops: Vec<Operation>,
+}
+
+/// The tick's compiled work that rides along with a batch's lanes.
+#[derive(Debug, Default)]
+struct Riders {
+    /// The engine's patrol slice: the patrolled unit and its battery
+    /// operations.
+    patrol: Option<(usize, Vec<Operation>)>,
+    /// Whether the speculative battery sample runs this tick.
+    speculative: bool,
 }
 
 /// The one verdict on a served lane (a *ballot*), whether the routed
@@ -1275,6 +1528,115 @@ mod tests {
         assert!(want.iter().any(|&t| t > 0));
         assert_eq!(svc.power_toggles, want);
         assert_eq!(svc.power_ops, 4);
+    }
+
+    #[test]
+    fn riders_share_the_batch_pass_and_leave_its_power_untouched() {
+        let (n, ports) = build();
+        let reg = Registry::new();
+        let mut cfg = small_cfg();
+        cfg.speculative_every = 1;
+        cfg.engine.patrol_slice = 8;
+        let mut svc = Service::new(&n, &ports, cfg, &reg);
+        admit_mixed(&mut svc);
+        svc.tick();
+        let lanes = |role: &str| reg.counter(&format!("service.pass_lanes.{role}")).get();
+        assert_eq!(reg.counter("service.passes").get(), 1, "one pass per tick");
+        assert_eq!(
+            [
+                lanes("batch"),
+                lanes("replica"),
+                lanes("patrol"),
+                lanes("speculative")
+            ],
+            [4, 0, 8, 8]
+        );
+        assert_eq!(reg.counter("pool.patrol_slices").get(), 1);
+        assert_eq!(reg.counter("service.speculative_checks").get(), 1);
+        // The patrol and speculative lanes ran beside the batch, yet the
+        // power accumulator saw the four client lanes alone.
+        let prog = n.compiled().unwrap();
+        let mut want = vec![0u64; n.net_count()];
+        for op in mixed_ops() {
+            let mut sim = CompiledSim::new(prog);
+            sim.enable_activity(1);
+            run_raw_compiled(&mut sim, &ports, &[op]);
+            for (w, &t) in want.iter_mut().zip(sim.toggles()) {
+                *w += t;
+            }
+        }
+        assert_eq!(svc.power_toggles, want);
+        assert_eq!(svc.power_ops, 4);
+        let sz = svc.statusz_json();
+        mfm_telemetry::json::check(&sz).unwrap();
+        assert!(
+            sz.contains("\"passes\":{\"total\":1,\"per_tick\":1.000,"),
+            "{sz}"
+        );
+    }
+
+    #[test]
+    fn packed_patrol_lanes_catch_a_latent_fault_beside_live_traffic() {
+        let (n, ports) = build();
+        let reg = Registry::new();
+        let mut cfg = small_cfg();
+        cfg.units = 2;
+        cfg.speculative_every = 0;
+        cfg.engine.patrol_slice = 8;
+        let mut svc = Service::new(&n, &ports, cfg, &reg);
+        // Latent (non-sticky) damage on unit 0 that no client lane can
+        // see: bit 0 of an odd product is already 1. Batches still route
+        // through the unit, so only the patrol lanes packed beside them
+        // can find it.
+        svc.engine_mut()
+            .inject_stuck_at(0, ports.chk_p0[0], true, false);
+        let mut caught = false;
+        let ticks = 200u64;
+        for k in 0..ticks {
+            assert!(svc
+                .admit(1, &req(k, Operation::int64(2 * k + 1, 3)))
+                .is_none());
+            svc.tick();
+            caught |= svc.engine_mut().unit_state(0) != HealthState::Healthy;
+        }
+        let out = svc.take_responses();
+        assert_eq!(out.len(), ticks as usize, "every request answered");
+        for (_, r) in &out {
+            match r {
+                Response::Ok { id, ph, pl, .. } => {
+                    let want = (2 * *id + 1) as u128 * 3;
+                    assert_eq!(((*ph as u128) << 64) | *pl as u128, want, "id {id}");
+                }
+                other => panic!("expected Ok, got {other:?}"),
+            }
+        }
+        assert_eq!(
+            reg.counter("service.check_failures").get(),
+            0,
+            "no client lane saw the fault"
+        );
+        let (slices, failures) = svc.engine_mut().patrol_stats();
+        assert!(caught, "patrol surfaced the latent fault");
+        assert!(failures >= 1, "the faulty slice failed: {failures}");
+        assert_eq!(slices, ticks, "a patrol slice every tick");
+        // Each tick's batch and patrol slice shared one pass.
+        assert_eq!(reg.counter("service.passes").get(), ticks);
+        assert_eq!(reg.counter("service.pass_lanes.batch").get(), ticks);
+        assert_eq!(reg.counter("service.pass_lanes.patrol").get(), 8 * ticks);
+        // The breaker machinery took over: quarantine, scrub (repair
+        // clears the latched damage), readmission.
+        assert_eq!(svc.engine_mut().unit_state(0), HealthState::Healthy);
+        let trail: Vec<_> = svc
+            .engine_mut()
+            .transitions(0)
+            .iter()
+            .map(|t| (t.from, t.to))
+            .collect();
+        assert!(
+            trail.contains(&(HealthState::Probation, HealthState::Healthy)),
+            "repaired and readmitted: {trail:?}"
+        );
+        assert_eq!(svc.escapes(), 0);
     }
 
     #[test]
