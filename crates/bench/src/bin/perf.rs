@@ -1,6 +1,8 @@
 //! Performance microbenchmarks for the two gate-evaluation engines:
-//! event-driven settle, compiled batch evaluation (64- and 256-lane,
-//! the latter with the activity engine counting toggles), the
+//! event-driven settle, compiled batch evaluation (64-vector batches on
+//! the 256-lane simulator, full batches on the 256-lane and on the
+//! 64-lane serving simulator, the last two with the activity engine
+//! counting toggles), the
 //! fault-coverage campaign (sequential event-driven vs compiled +
 //! thread-sharded) and Monte-Carlo power measurement (sequential
 //! event-driven vs event-driven sharded vs compiled+calibrated).
@@ -42,7 +44,7 @@ use mfm_evalkit::montecarlo::{measure_unit, measure_unit_compiled_sharded, measu
 use mfm_evalkit::shard::shard_seed;
 use mfm_evalkit::workload::OperandGen;
 use mfm_gatesim::report::Table;
-use mfm_gatesim::{CompiledNetlist, CompiledSim, Netlist, Simulator, TechLibrary, LANES};
+use mfm_gatesim::{CompiledNetlist, CompiledSim, LaneSim, Netlist, Simulator, TechLibrary, LANES};
 use mfm_telemetry::json::{self, JsonArray, JsonObject};
 use mfmult::selfcheck::{run_raw, run_raw_compiled};
 use mfmult::structural::build_unit;
@@ -162,6 +164,26 @@ fn main() {
         let dt = t0.elapsed().as_nanos() as f64;
         std::hint::black_box(sim.activity_events());
         entries.push(entry("batch.compiled_256", batch_vecs as u64, dt, 1));
+    }
+
+    // 2c. The serving width: a 64-lane simulator (one chunk per net, a
+    //     quarter of the words) running full 64-lane batches with the
+    //     activity engine enabled, priced per op next to 2b.
+    {
+        let ops: Vec<Operation> = (0..batch_vecs)
+            .map(|_| gen.operation(Format::Int64))
+            .collect();
+        let mut sim = LaneSim::<1>::new(&prog);
+        let lanes = LaneSim::<1>::LANES;
+        run_raw_compiled(&mut sim, &ports, &ops[..lanes]); // warm-up
+        sim.enable_activity(lanes);
+        let t0 = Instant::now();
+        for chunk in ops.chunks(lanes) {
+            std::hint::black_box(run_raw_compiled(&mut sim, &ports, chunk));
+        }
+        let dt = t0.elapsed().as_nanos() as f64;
+        std::hint::black_box(sim.activity_events());
+        entries.push(entry("batch.compiled_64", batch_vecs as u64, dt, 1));
     }
 
     // 3. Fault-coverage campaign: sequential event-driven vs compiled +

@@ -76,7 +76,7 @@
 //! assert_eq!(unit.stats().checked_ok, 1);
 //! ```
 
-use mfm_gatesim::{CompiledNetlist, CompiledSim, NetId, Netlist, Simulator, ALL_LANES, LANES};
+use mfm_gatesim::{CompiledNetlist, CompiledSim, LaneSim, NetId, Netlist, Simulator, ALL_LANES};
 use mfm_softfloat::Flags;
 use mfm_telemetry::{json::JsonObject, Counter, Registry};
 
@@ -554,7 +554,11 @@ fn read_raw(sim: &Simulator<'_>, ports: &StructuralPorts) -> RawOutputs {
 }
 
 /// Reads the observables of lanes `0..lanes`, one word-wise read per bus.
-fn read_raw_lanes(sim: &CompiledSim<'_>, ports: &StructuralPorts, lanes: usize) -> Vec<RawOutputs> {
+fn read_raw_lanes<const W: usize>(
+    sim: &LaneSim<'_, W>,
+    ports: &StructuralPorts,
+    lanes: usize,
+) -> Vec<RawOutputs> {
     let read = |bus: &[NetId]| sim.read_bus_lanes(bus, lanes);
     let (ph, pl, flags) = (read(&ports.ph), read(&ports.pl), read(&ports.flags));
     let (p0, p1) = (read(&ports.chk_p0), read(&ports.chk_p1));
@@ -570,12 +574,12 @@ fn read_raw_lanes(sim: &CompiledSim<'_>, ports: &StructuralPorts, lanes: usize) 
 }
 
 /// Compiled-engine counterpart of [`run_raw`]: drives up to
-/// [`mfm_gatesim::LANES`] (256) operations — one per lane — through a
-/// bit-parallel
-/// [`CompiledSim`] and returns one [`RawOutputs`] per operation, in
+/// [`LaneSim::LANES`] operations (256 on a [`CompiledSim`], 64 at
+/// width 1) — one per lane — through a bit-parallel [`LaneSim`] and
+/// returns one [`RawOutputs`] per operation, in
 /// order. Combinational builds take a single propagation pass for the
 /// whole batch; pipelined builds take `latency + 1` clock passes
-/// ([`CompiledSim::step_cycle`]) with the per-lane inputs held
+/// ([`LaneSim::step_cycle`]) with the per-lane inputs held
 /// constant, reading the check taps one cycle before the registered
 /// outputs exactly as [`run_raw`] does.
 ///
@@ -586,13 +590,14 @@ fn read_raw_lanes(sim: &CompiledSim<'_>, ports: &StructuralPorts, lanes: usize) 
 ///
 /// # Panics
 ///
-/// Panics if more than [`mfm_gatesim::LANES`] operations are passed.
-pub fn run_raw_compiled(
-    sim: &mut CompiledSim<'_>,
+/// Panics if more than [`LaneSim::LANES`] operations are passed.
+pub fn run_raw_compiled<const W: usize>(
+    sim: &mut LaneSim<'_, W>,
     ports: &StructuralPorts,
     ops: &[Operation],
 ) -> Vec<RawOutputs> {
-    assert!(ops.len() <= LANES, "at most {LANES} lanes per pass");
+    let width = LaneSim::<W>::LANES;
+    assert!(ops.len() <= width, "at most {width} lanes per pass");
     let Some(&first) = ops.first() else {
         return Vec::new();
     };
@@ -649,15 +654,16 @@ pub fn run_scrub_compiled(
     scrub_compiled(&mut sim, ports, battery)
 }
 
-/// [`run_scrub_compiled`] on a caller-held simulator, under the overlay
-/// it is armed with ([`CompiledSim::arm_overlays`]), so one settled
-/// simulator serves every scrub of a pool instead of one per call.
-pub fn scrub_compiled(
-    sim: &mut CompiledSim<'_>,
+/// [`run_scrub_compiled`] on a caller-held simulator of any width,
+/// under the overlay it is armed with ([`LaneSim::arm_overlays`]), so
+/// one settled simulator serves every scrub of a pool instead of one per
+/// call.
+pub fn scrub_compiled<const W: usize>(
+    sim: &mut LaneSim<'_, W>,
     ports: &StructuralPorts,
     battery: &[Operation],
 ) -> Result<(), (Operation, CheckError)> {
-    for chunk in battery.chunks(LANES) {
+    for chunk in battery.chunks(LaneSim::<W>::LANES) {
         let raws = run_raw_compiled(sim, ports, chunk);
         for (&op, raw) in chunk.iter().zip(&raws) {
             check_raw(op, raw).map_err(|e| (op, e))?;

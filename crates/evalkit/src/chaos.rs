@@ -369,6 +369,7 @@ pub fn run_chaos_campaign(cfg: &ChaosCampaignConfig, registry: Option<&Registry>
     let mut busy_rejections = 0u64;
     let mut backoff_wait_ticks = 0u64;
     let mut dropped = 0u64;
+    let mut timeline = Vec::new();
     for k in 0..cfg.ops {
         while next_event < plan.events.len() && plan.events[next_event].at_op <= k {
             apply_event(&mut engine, &plan.events[next_event], &sites, ports.latency);
@@ -388,7 +389,7 @@ pub fn run_chaos_campaign(cfg: &ChaosCampaignConfig, registry: Option<&Registry>
                         Some(delay) => {
                             backoff_wait_ticks += delay;
                             for _ in 0..delay {
-                                engine.tick();
+                                tick(&mut engine, &mut timeline);
                             }
                         }
                         None => {
@@ -399,17 +400,17 @@ pub fn run_chaos_campaign(cfg: &ChaosCampaignConfig, registry: Option<&Registry>
                 }
             }
         }
-        engine.tick();
+        tick(&mut engine, &mut timeline);
     }
     // Drain the queue, then let outstanding quarantines resolve so the
     // report shows every unit's terminal state (recovered or retired).
     while engine.pending() > 0 {
-        engine.tick();
+        tick(&mut engine, &mut timeline);
     }
     let settle =
         (cfg.breaker.cooldown_ticks as u64 + 1) * (cfg.breaker.max_scrub_failures as u64 + 1) + 4;
     for _ in 0..settle {
-        engine.tick();
+        tick(&mut engine, &mut timeline);
     }
 
     let completed = engine.take_completed();
@@ -465,12 +466,15 @@ pub fn run_chaos_campaign(cfg: &ChaosCampaignConfig, registry: Option<&Registry>
         ticks: engine.now(),
         watchdog_budget: engine.watchdog_budget(),
         unit_outcomes,
-        timeline: engine
-            .timeline()
-            .iter()
-            .map(|s| (s.tick, s.hw_capacity, s.dispatchable, s.queued))
-            .collect(),
+        timeline,
     }
+}
+
+/// One engine tick, its capacity sample appended to the campaign's own
+/// series (the engine keeps only a short window).
+fn tick(engine: &mut Engine<'_>, timeline: &mut Vec<TimelinePoint>) {
+    let s = engine.tick().sample;
+    timeline.push((s.tick, s.hw_capacity, s.dispatchable, s.queued));
 }
 
 #[cfg(test)]

@@ -3,13 +3,31 @@
 //! [`CompiledNetlist::compile`] lowers a [`Netlist`] once into a flat
 //! program: gates in a topological order that follows creation order
 //! (so a pass reads and writes nearby words), with their net indices
-//! resolved, plus the DFF D→Q pairs. [`CompiledSim`] then evaluates the
-//! program over [`LaneWord`] chunks (`[u64; 4]`) — bit `l` of the chunk
-//! is an independent simulation *lane*, so one pass over the gate array
-//! evaluates **[`LANES`] (256) input vectors (or 256 fault machines) at
+//! resolved, plus the DFF D→Q pairs. [`LaneSim`] then evaluates the
+//! program over per-net words of `W` `u64` chunks ([`Lanes`]): bit `l`
+//! of a word is an independent simulation *lane*, so one pass over the
+//! gate array evaluates **`64 * W` input vectors (or fault machines) at
 //! once** with no event queue, no heap allocation and perfect streaming
 //! access over the op array. Each gate takes one dispatch on its cell
-//! kind, which evaluates all four chunks.
+//! kind, which evaluates all `W` chunks.
+//!
+//! # Which width runs where
+//!
+//! The width is fixed per simulator, as a `const` parameter, so each
+//! width compiles to its own straight-line kernel; choosing it per pass
+//! would put a loop bound where the chunk count is now a constant. A pass
+//! costs about the same however few of its lanes carry work, and every
+//! pass walks the whole word array, so the width should match the lanes
+//! the owner actually fills:
+//!
+//! - [`CompiledSim`] is width [`LANE_WORDS`] (4): [`LANES`] (256) lanes,
+//!   a [`LaneWord`] (`[u64; 4]`) per net. Monte-Carlo power, the fault
+//!   campaigns, equivalence sweeps and the pool engine's scrubs fill
+//!   their passes, so they run here.
+//! - The multiplication service runs width 1 (64 lanes, a quarter of
+//!   the words): a served tick carries a few client lanes plus small
+//!   patrol and speculative slices, and a rare full batch spills over
+//!   several 64-lane passes instead.
 //!
 //! # Division of labour
 //!
@@ -27,14 +45,16 @@
 //!
 //! # Activity engine
 //!
-//! [`CompiledSim::enable_activity`] turns on bit-parallel toggle
-//! counting inside the gate sweep of [`CompiledSim::propagate`]: the word
+//! [`LaneSim::enable_activity`] turns on bit-parallel toggle
+//! counting inside the gate sweep of [`LaneSim::propagate`]: the word
 //! a gate is about to overwrite is its output's previous settled value,
 //! so each write adds `popcount((new ^ old) & lane_mask)` to that net
 //! (skipped when the masked difference is zero). Only source nets —
 //! inputs, constants, DFF outputs — keep a copy of their previous word.
-//! This accumulates **zero-delay** toggle counts for up to 256 vectors
-//! in the one pass that computes them. Zero-delay counts see only
+//! This accumulates **zero-delay** toggle counts for every lane of a
+//! pass in the one pass that computes them. Toggle counts are
+//! lane-separable: a lane's count does not depend on its neighbours or
+//! on the width it ran at. Zero-delay counts see only
 //! settled-state transitions — glitches filtered by real gate delays
 //! never appear — so power estimation scales them by a per-block
 //! glitch-inflation factor calibrated against the event-driven simulator (see
@@ -44,10 +64,10 @@
 //!
 //! # Fault overlay
 //!
-//! [`CompiledSim::inject_stuck_at`] forces a net per *lane*: a 256-bit
-//! [`LaneWord`] mask selects the lanes in which the net is stuck, so a
-//! single pass can carry 256 different fault machines (one per lane)
-//! next to a fault-free reference lane. A per-net flag marks the faulted
+//! [`LaneSim::inject_stuck_at`] forces a net per *lane*: a lane mask
+//! (one bit per lane) selects the lanes in which the net is stuck, so a
+//! single pass can carry one fault machine per lane next to a fault-free
+//! reference lane. A per-net flag marks the faulted
 //! nets, and only their words are blended with the forced values; the
 //! overlay arrays are allocated on the first injection.
 //! [`CompiledFaultSim`] packages the one-fault-per-lane pattern used by
@@ -56,21 +76,21 @@
 //! # Reuse
 //!
 //! A long-lived owner keeps one settled simulator instead of building
-//! one per pass: [`CompiledSim::arm_overlays`] swaps in a plan of
+//! one per pass: [`LaneSim::arm_overlays`] swaps in a plan of
 //! stuck-at sets only when the plan changes, and
-//! [`CompiledSim::rearm_activity`] restarts toggle counting from the
+//! [`LaneSim::rearm_activity`] restarts toggle counting from the
 //! fault-free power-on state. Each pass then equals one on a freshly
 //! built simulator, without allocating, zeroing and settling it.
 //!
 //! # Lane-partitioned passes
 //!
 //! Lanes never read each other, and a pass costs about the same however
-//! few of them carry work. [`CompiledSim::arm_overlays`] therefore takes
+//! few of them carry work. [`LaneSim::arm_overlays`] therefore takes
 //! one stuck-at set per lane *partition*, so a single pass can serve a
 //! batch under one unit's faults, replica copies under other units'
 //! faults and a scrub slice under a third, each lane equal to the same
 //! lane of a separate pass under its own set. Toggle counting over a
-//! lane prefix ([`CompiledSim::rearm_activity`]) sees only the
+//! lane prefix ([`LaneSim::rearm_activity`]) sees only the
 //! partition laid out first.
 
 use std::sync::OnceLock;
@@ -78,15 +98,19 @@ use std::sync::OnceLock;
 use crate::netlist::{NetId, Netlist, NetlistError};
 use crate::tech::CellKind;
 
-/// Lanes evaluated per pass (bits in a [`LaneWord`]).
+/// Lanes evaluated per [`CompiledSim`] pass (bits in a [`LaneWord`]).
 pub const LANES: usize = 256;
 
-/// `u64` chunks in a [`LaneWord`].
+/// `u64` chunks in a [`LaneWord`]: the width of [`CompiledSim`].
 pub const LANE_WORDS: usize = LANES / 64;
 
-/// One 256-lane machine word: bit `l` (chunk `l / 64`, bit `l % 64`) is
-/// lane `l`. Used both for per-net values and for lane masks.
-pub type LaneWord = [u64; LANE_WORDS];
+/// A `64 * W`-lane machine word: bit `l` (chunk `l / 64`, bit `l % 64`)
+/// is lane `l`. Used both for per-net values and for lane masks of a
+/// [`LaneSim`] of width `W`.
+pub type Lanes<const W: usize> = [u64; W];
+
+/// One 256-lane machine word: the [`Lanes`] of [`CompiledSim`].
+pub type LaneWord = Lanes<LANE_WORDS>;
 
 /// Mask selecting no lanes.
 pub const NO_LANES: LaneWord = [0; LANE_WORDS];
@@ -94,28 +118,28 @@ pub const NO_LANES: LaneWord = [0; LANE_WORDS];
 /// Mask selecting all [`LANES`] lanes.
 pub const ALL_LANES: LaneWord = [!0; LANE_WORDS];
 
-/// Mask selecting exactly `lane`.
+/// Mask selecting exactly `lane` in a `64 * W`-lane word.
 ///
 /// # Panics
 ///
-/// Panics if `lane >= LANES`.
+/// Panics if `lane >= 64 * W`.
 #[must_use]
-pub fn lane_mask(lane: usize) -> LaneWord {
-    assert!(lane < LANES, "lane {lane} out of range");
-    let mut m = NO_LANES;
+pub fn lane_mask<const W: usize>(lane: usize) -> Lanes<W> {
+    assert!(lane < 64 * W, "lane {lane} out of range");
+    let mut m = [0; W];
     m[lane / 64] = 1u64 << (lane % 64);
     m
 }
 
-/// Mask selecting lanes `0..n`.
+/// Mask selecting lanes `0..n` of a `64 * W`-lane word.
 ///
 /// # Panics
 ///
-/// Panics if `n > LANES`.
+/// Panics if `n > 64 * W`.
 #[must_use]
-pub fn first_lanes(n: usize) -> LaneWord {
-    assert!(n <= LANES, "lane count {n} out of range");
-    let mut m = NO_LANES;
+pub fn first_lanes<const W: usize>(n: usize) -> Lanes<W> {
+    assert!(n <= 64 * W, "lane count {n} out of range");
+    let mut m = [0; W];
     for (k, chunk) in m.iter_mut().enumerate() {
         let lo = k * 64;
         if n >= lo + 64 {
@@ -131,10 +155,10 @@ pub fn first_lanes(n: usize) -> LaneWord {
 ///
 /// # Panics
 ///
-/// Panics if `hi > LANES`.
+/// Panics if `hi > 64 * W`.
 #[must_use]
-pub fn lane_range(lo: usize, hi: usize) -> LaneWord {
-    let (low, high) = (first_lanes(lo.min(hi)), first_lanes(hi));
+pub fn lane_range<const W: usize>(lo: usize, hi: usize) -> Lanes<W> {
+    let (low, high) = (first_lanes::<W>(lo.min(hi)), first_lanes::<W>(hi));
     std::array::from_fn(|k| high[k] & !low[k])
 }
 
@@ -154,7 +178,7 @@ struct GateOp {
 ///
 /// Compiling is done once per netlist ([`Netlist::compiled`] caches the
 /// program); the program is immutable and can be shared
-/// (`&CompiledNetlist` is `Sync`) by any number of [`CompiledSim`]
+/// (`&CompiledNetlist` is `Sync`) by any number of [`LaneSim`]
 /// instances across threads.
 #[derive(Debug, Clone)]
 pub struct CompiledNetlist {
@@ -219,15 +243,15 @@ impl CompiledNetlist {
         })
     }
 
-    /// The state a fresh [`CompiledSim`] starts in, one value per net.
+    /// The state a fresh [`LaneSim`] starts in, one value per net.
     fn settled_state(&self) -> &[bool] {
         self.settled.get_or_init(|| {
-            CompiledSim::new(self)
+            LaneSim::<1>::new(self)
                 .words
                 .iter()
-                .map(|w| {
-                    debug_assert!(*w == NO_LANES || *w == ALL_LANES);
-                    w[0] & 1 == 1
+                .map(|&[w]| {
+                    debug_assert!(w == 0 || w == !0);
+                    w & 1 == 1
                 })
                 .collect()
         })
@@ -294,24 +318,29 @@ fn creation_topological_order(netlist: &Netlist) -> Vec<usize> {
 }
 
 #[inline(always)]
-fn lanes1(a: LaneWord, f: impl Fn(u64) -> u64) -> LaneWord {
+fn lanes1<const W: usize>(a: Lanes<W>, f: impl Fn(u64) -> u64) -> Lanes<W> {
     std::array::from_fn(|k| f(a[k]))
 }
 
 #[inline(always)]
-fn lanes2(a: LaneWord, b: LaneWord, f: impl Fn(u64, u64) -> u64) -> LaneWord {
+fn lanes2<const W: usize>(a: Lanes<W>, b: Lanes<W>, f: impl Fn(u64, u64) -> u64) -> Lanes<W> {
     std::array::from_fn(|k| f(a[k], b[k]))
 }
 
 #[inline(always)]
-fn lanes3(a: LaneWord, b: LaneWord, c: LaneWord, f: impl Fn(u64, u64, u64) -> u64) -> LaneWord {
+fn lanes3<const W: usize>(
+    a: Lanes<W>,
+    b: Lanes<W>,
+    c: Lanes<W>,
+    f: impl Fn(u64, u64, u64) -> u64,
+) -> Lanes<W> {
     std::array::from_fn(|k| f(a[k], b[k], c[k]))
 }
 
 /// Evaluates one gate in all lanes: one dispatch on the cell kind, which
 /// loads only the input words that kind reads.
 #[inline(always)]
-fn eval_op(words: &[LaneWord], op: &GateOp) -> LaneWord {
+fn eval_op<const W: usize>(words: &[Lanes<W>], op: &GateOp) -> Lanes<W> {
     let w = |net: u32| words[net as usize];
     match op.kind {
         CellKind::Inv => lanes1(w(op.a), |a| !a),
@@ -340,7 +369,7 @@ fn eval_op(words: &[LaneWord], op: &GateOp) -> LaneWord {
     }
 }
 
-fn popcount(w: LaneWord) -> u64 {
+fn popcount<const W: usize>(w: Lanes<W>) -> u64 {
     w.iter().map(|c| u64::from(c.count_ones())).sum()
 }
 
@@ -367,76 +396,90 @@ fn transpose64(m: &mut [u64; 64]) {
 }
 
 /// One net's stuck-at overlay: the lanes it is forced in and their values.
-#[derive(Debug, Clone, Copy, Default)]
-struct StuckAt {
-    mask: LaneWord,
-    value: LaneWord,
+#[derive(Debug, Clone, Copy)]
+struct StuckAt<const W: usize> {
+    mask: Lanes<W>,
+    value: Lanes<W>,
 }
 
-impl StuckAt {
+impl<const W: usize> StuckAt<W> {
+    /// No lane forced.
+    const FREE: Self = StuckAt {
+        mask: [0; W],
+        value: [0; W],
+    };
+
     #[inline]
-    fn force(&self, w: LaneWord) -> LaneWord {
+    fn force(&self, w: Lanes<W>) -> Lanes<W> {
         std::array::from_fn(|k| (w[k] & !self.mask[k]) | (self.value[k] & self.mask[k]))
     }
 }
 
 /// An armed overlay plan: each partition's lanes and the faults forced
 /// in them, fault-free partitions left out.
-type ArmedPlan = Vec<(LaneWord, Vec<(NetId, bool)>)>;
+type ArmedPlan<const W: usize> = Vec<(Lanes<W>, Vec<(NetId, bool)>)>;
 
 /// Per-net zero-delay toggle accumulation (see the module docs).
 #[derive(Debug, Clone)]
-struct Activity {
+struct Activity<const W: usize> {
     /// Each source net's word as of the previous settled state, in
     /// [`CompiledNetlist`] source order. Gate outputs need none: the
     /// word a gate overwrites is its previous settled value.
-    prev: Vec<LaneWord>,
+    prev: Vec<Lanes<W>>,
     /// Lanes whose transitions are counted.
-    mask: LaneWord,
+    mask: Lanes<W>,
     /// Per-net toggle counts summed over active lanes.
     toggles: Vec<u64>,
 }
 
-/// Bit-parallel evaluator over a [`CompiledNetlist`]: [`LANES`] (256)
-/// lanes per pass.
+/// The 256-lane simulator: [`LaneSim`] at width [`LANE_WORDS`], the
+/// width every fully packed caller runs (see the module docs).
+pub type CompiledSim<'p> = LaneSim<'p, LANE_WORDS>;
+
+/// Bit-parallel evaluator over a [`CompiledNetlist`]: `64 * W` lanes per
+/// pass ([`LaneSim::LANES`]), one `Lanes<W>` word per net.
 ///
-/// All state is plain [`LaneWord`] chunks, all evaluation is pure
+/// All state is plain `u64` chunks, all evaluation is pure
 /// integer arithmetic in a deterministic order — results are
-/// bit-identical across runs, thread counts and machines.
+/// bit-identical across runs, thread counts and machines, and each lane
+/// is bit-identical across widths.
 #[derive(Debug, Clone)]
-pub struct CompiledSim<'p> {
+pub struct LaneSim<'p, const W: usize> {
     prog: &'p CompiledNetlist,
-    /// One chunk per net; bit `l` is lane `l`'s value.
-    words: Vec<LaneWord>,
+    /// One word per net; bit `l` is lane `l`'s value.
+    words: Vec<Lanes<W>>,
     /// Per-net stuck-at overlay; empty until the first fault is injected.
-    stuck: Vec<StuckAt>,
+    stuck: Vec<StuckAt<W>>,
     /// One bit per net: set while the net has a non-zero fault mask.
     stuck_bits: Vec<u64>,
     /// Nets with a non-zero fault mask, for cheap clearing.
     faulted: Vec<u32>,
     /// The source nets among `faulted`, forced before each pass.
     faulted_sources: Vec<u32>,
-    /// The plan the last [`CompiledSim::arm_overlays`] armed, without
+    /// The plan the last [`LaneSim::arm_overlays`] armed, without
     /// its fault-free partitions; `None` once
-    /// [`CompiledSim::inject_stuck_at`] or [`CompiledSim::clear_faults`]
+    /// [`LaneSim::inject_stuck_at`] or [`LaneSim::clear_faults`]
     /// changed the overlay since.
-    armed: Option<ArmedPlan>,
+    armed: Option<ArmedPlan<W>>,
     /// Clock edges since construction (or the last activity reset).
     cycles: u64,
     /// The D words sampled at a clock edge, reused across cycles.
-    dff_sample: Vec<LaneWord>,
+    dff_sample: Vec<Lanes<W>>,
     /// Toggle accumulation, when enabled.
-    activity: Option<Activity>,
+    activity: Option<Activity<W>>,
 }
 
-impl<'p> CompiledSim<'p> {
+impl<'p, const W: usize> LaneSim<'p, W> {
+    /// Lanes per pass at this width.
+    pub const LANES: usize = 64 * W;
+
     /// Creates a simulator with all-zero inputs and register state,
     /// settled (constants applied, one propagation pass done), with
     /// activity counting disabled.
     pub fn new(prog: &'p CompiledNetlist) -> Self {
-        let mut sim = CompiledSim {
+        let mut sim = LaneSim {
             prog,
-            words: vec![NO_LANES; prog.net_count],
+            words: vec![[0; W]; prog.net_count],
             stuck: Vec::new(),
             stuck_bits: vec![0; prog.net_count.div_ceil(64)],
             faulted: Vec::new(),
@@ -446,7 +489,7 @@ impl<'p> CompiledSim<'p> {
             dff_sample: Vec::with_capacity(prog.dffs.len()),
             activity: None,
         };
-        sim.words[prog.one as usize] = ALL_LANES;
+        sim.words[prog.one as usize] = [!0; W];
         sim.propagate();
         sim
     }
@@ -456,13 +499,38 @@ impl<'p> CompiledSim<'p> {
         self.prog
     }
 
+    /// Bytes the simulator holds on the heap, by buffer capacity: its
+    /// per-net words, the stuck-at overlay with its flag bits and fault
+    /// lists, the armed plan, the activity baseline and counters, and
+    /// the DFF sample buffer.
+    pub fn heap_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let armed = self.armed.as_ref().map_or(0, |plan| {
+            bytes(plan) + plan.iter().map(|(_, faults)| bytes(faults)).sum::<usize>()
+        });
+        let activity = self
+            .activity
+            .as_ref()
+            .map_or(0, |act| bytes(&act.prev) + bytes(&act.toggles));
+        bytes(&self.words)
+            + bytes(&self.stuck)
+            + bytes(&self.stuck_bits)
+            + bytes(&self.faulted)
+            + bytes(&self.faulted_sources)
+            + armed
+            + activity
+            + bytes(&self.dff_sample)
+    }
+
     /// Sets one net in one lane.
     ///
     /// The setters are meant for source nets (inputs, constants, DFF
-    /// outputs): the next [`CompiledSim::propagate`] recomputes every
+    /// outputs): the next [`LaneSim::propagate`] recomputes every
     /// gate output and counts its toggles against the word it overwrites.
     pub fn set_net_lane(&mut self, net: NetId, lane: usize, value: bool) {
-        debug_assert!(lane < LANES);
+        debug_assert!(lane < Self::LANES);
         let w = &mut self.words[net.index()][lane / 64];
         let bit = 1u64 << (lane % 64);
         *w = (*w & !bit) | if value { bit } else { 0 };
@@ -477,17 +545,21 @@ impl<'p> CompiledSim<'p> {
 
     /// Drives `values[l]` onto a bus (LSB first) in lane `l`, for every
     /// `l < values.len()`; the other lanes keep their values. Equals one
-    /// [`CompiledSim::set_bus_lane`] per lane, a word at a time.
+    /// [`LaneSim::set_bus_lane`] per lane, a word at a time.
     ///
     /// # Panics
     ///
     /// Panics if the bus is wider than 128 bits or `values` is longer
-    /// than [`LANES`].
+    /// than [`LaneSim::LANES`].
     pub fn set_bus_lanes(&mut self, bus: &[NetId], values: &[u128]) {
         assert!(bus.len() <= 128, "bus too wide for u128");
-        assert!(values.len() <= LANES, "at most {LANES} lanes per pass");
+        assert!(
+            values.len() <= Self::LANES,
+            "at most {} lanes per pass",
+            Self::LANES
+        );
         for (k, lane_values) in values.chunks(64).enumerate() {
-            let written = first_lanes(lane_values.len())[0];
+            let written = first_lanes::<1>(lane_values.len())[0];
             for (half, nets) in bus.chunks(64).enumerate() {
                 let mut rows = [0u64; 64];
                 for (row, &v) in rows.iter_mut().zip(lane_values) {
@@ -506,16 +578,16 @@ impl<'p> CompiledSim<'p> {
     pub fn set_bus_all(&mut self, bus: &[NetId], value: u128) {
         for (i, &net) in bus.iter().enumerate() {
             self.words[net.index()] = if (value >> i) & 1 == 1 {
-                ALL_LANES
+                [!0; W]
             } else {
-                NO_LANES
+                [0; W]
             };
         }
     }
 
     /// Reads one net in one lane.
     pub fn read_net_lane(&self, net: NetId, lane: usize) -> bool {
-        debug_assert!(lane < LANES);
+        debug_assert!(lane < Self::LANES);
         (self.words[net.index()][lane / 64] >> (lane % 64)) & 1 == 1
     }
 
@@ -536,14 +608,15 @@ impl<'p> CompiledSim<'p> {
     }
 
     /// Reads a bus (LSB first) in lanes `0..lanes`: one
-    /// [`CompiledSim::read_bus_lane`] per lane, a word at a time.
+    /// [`LaneSim::read_bus_lane`] per lane, a word at a time.
     ///
     /// # Panics
     ///
-    /// Panics if the bus is wider than 128 bits or `lanes > LANES`.
+    /// Panics if the bus is wider than 128 bits or
+    /// `lanes > LaneSim::LANES`.
     pub fn read_bus_lanes(&self, bus: &[NetId], lanes: usize) -> Vec<u128> {
         assert!(bus.len() <= 128, "bus too wide for u128");
-        assert!(lanes <= LANES, "lane count {lanes} out of range");
+        assert!(lanes <= Self::LANES, "lane count {lanes} out of range");
         let mut values = vec![0u128; lanes];
         for (k, lane_values) in values.chunks_mut(64).enumerate() {
             for (half, nets) in bus.chunks(64).enumerate() {
@@ -561,16 +634,16 @@ impl<'p> CompiledSim<'p> {
     }
 
     /// Forces `net` to `value` in the lanes selected by `lanes` until
-    /// [`CompiledSim::clear_faults`]. Faults on the same net merge: each
+    /// [`LaneSim::clear_faults`]. Faults on the same net merge: each
     /// lane keeps the most recent forced value, so one net can be
     /// stuck-at-0 in one lane and stuck-at-1 in another.
-    pub fn inject_stuck_at(&mut self, net: NetId, lanes: LaneWord, value: bool) {
+    pub fn inject_stuck_at(&mut self, net: NetId, lanes: Lanes<W>, value: bool) {
         self.armed = None;
-        if lanes == NO_LANES {
+        if lanes == [0; W] {
             return;
         }
         if self.stuck.is_empty() {
-            self.stuck = vec![StuckAt::default(); self.prog.net_count];
+            self.stuck = vec![StuckAt::FREE; self.prog.net_count];
         }
         let ni = net.index();
         let bit = 1u64 << (ni % 64);
@@ -593,11 +666,11 @@ impl<'p> CompiledSim<'p> {
     }
 
     /// Removes every fault overlay (values are refreshed on the next
-    /// [`CompiledSim::propagate`]).
+    /// [`LaneSim::propagate`]).
     pub fn clear_faults(&mut self) {
         self.armed = None;
         for &ni in &self.faulted {
-            self.stuck[ni as usize] = StuckAt::default();
+            self.stuck[ni as usize] = StuckAt::FREE;
             self.stuck_bits[ni as usize / 64] = 0;
         }
         self.faulted.clear();
@@ -608,7 +681,7 @@ impl<'p> CompiledSim<'p> {
     /// forces its nets in its own lanes only — the settled-value image of
     /// one event-driven unit's stuck-at set per lane range, so one pass
     /// carries several units. A single-unit caller passes one
-    /// [`ALL_LANES`] partition. Partitions are meant to be disjoint;
+    /// all-lanes partition. Partitions are meant to be disjoint;
     /// where two overlap on a net, the later one's value wins in the
     /// shared lanes.
     ///
@@ -617,10 +690,10 @@ impl<'p> CompiledSim<'p> {
     /// the old overlay is cleared and every net returns to the state a
     /// fresh simulator starts in before `plan` is injected, so no input,
     /// constant or register word an old fault forced survives.
-    pub fn arm_overlays(&mut self, plan: &[(LaneWord, &[(NetId, bool)])]) {
+    pub fn arm_overlays(&mut self, plan: &[(Lanes<W>, &[(NetId, bool)])]) {
         let live = || {
             plan.iter()
-                .filter(|(lanes, faults)| *lanes != NO_LANES && !faults.is_empty())
+                .filter(|(lanes, faults)| *lanes != [0; W] && !faults.is_empty())
         };
         let unchanged = self.armed.as_ref().is_some_and(|armed| {
             armed.len() == live().count()
@@ -645,11 +718,11 @@ impl<'p> CompiledSim<'p> {
     /// Returns every net to the state a fresh simulator starts in
     /// (all-zero inputs and registers, settled without faults), reusing
     /// the simulator's buffers. The fault overlay is kept and applies on
-    /// the next [`CompiledSim::propagate`]. The cycle count restarts at
+    /// the next [`LaneSim::propagate`]. The cycle count restarts at
     /// zero, and so does activity counting, if enabled, from this state.
     fn reset(&mut self) {
         for (w, &v) in self.words.iter_mut().zip(self.prog.settled_state()) {
-            *w = if v { ALL_LANES } else { NO_LANES };
+            *w = if v { [!0; W] } else { [0; W] };
         }
         self.cycles = 0;
         if self.activity.is_some() {
@@ -677,13 +750,14 @@ impl<'p> CompiledSim<'p> {
         for &ni in faulted_sources.iter() {
             words[ni as usize] = stuck[ni as usize].force(words[ni as usize]);
         }
-        let (mask, prev, toggles): (LaneWord, &mut [LaneWord], &mut [u64]) = match activity {
+        let (mask, prev, toggles): (Lanes<W>, &mut [Lanes<W>], &mut [u64]) = match activity {
             Some(act) => (act.mask, &mut act.prev, &mut act.toggles),
-            None => (NO_LANES, &mut [], &mut []),
+            None => ([0; W], &mut [], &mut []),
         };
         for (&src, p) in prog.sources.iter().zip(prev.iter_mut()) {
             let w = words[src as usize];
-            toggles[src as usize] += popcount(std::array::from_fn(|k| (w[k] ^ p[k]) & mask[k]));
+            toggles[src as usize] +=
+                popcount::<W>(std::array::from_fn(|k| (w[k] ^ p[k]) & mask[k]));
             *p = w;
         }
         for op in &prog.ops {
@@ -693,7 +767,7 @@ impl<'p> CompiledSim<'p> {
                 new = stuck[out].force(new);
             }
             let old = std::mem::replace(&mut words[out], new);
-            let diff: LaneWord = std::array::from_fn(|k| (new[k] ^ old[k]) & mask[k]);
+            let diff: Lanes<W> = std::array::from_fn(|k| (new[k] ^ old[k]) & mask[k]);
             if diff.iter().fold(0, |any, &c| any | c) != 0 {
                 toggles[out] += popcount(diff);
             }
@@ -718,26 +792,26 @@ impl<'p> CompiledSim<'p> {
     }
 
     /// Clock edges since construction or the last
-    /// [`CompiledSim::reset_activity`].
+    /// [`LaneSim::reset_activity`].
     pub fn cycles(&self) -> u64 {
         self.cycles
     }
 
     /// The current word of every source net, in [`CompiledNetlist`]
     /// source order: the activity baseline.
-    fn source_words(&self) -> impl Iterator<Item = LaneWord> + '_ {
+    fn source_words(&self) -> impl Iterator<Item = Lanes<W>> + '_ {
         self.prog.sources.iter().map(|&s| self.words[s as usize])
     }
 
     /// Turns on zero-delay toggle counting over lanes `0..lanes`,
     /// baselined at the current settled state. Counters (toggles,
     /// events, cycles) start at zero. Each subsequent
-    /// [`CompiledSim::propagate`] adds one settled-state transition per
+    /// [`LaneSim::propagate`] adds one settled-state transition per
     /// changed net per active lane.
     ///
     /// # Panics
     ///
-    /// Panics if `lanes > LANES`.
+    /// Panics if `lanes > LaneSim::LANES`.
     pub fn enable_activity(&mut self, lanes: usize) {
         self.activity = Some(Activity {
             prev: self.source_words().collect(),
@@ -751,11 +825,11 @@ impl<'p> CompiledSim<'p> {
     /// counts toggles over lanes `0..lanes` from that fixed baseline,
     /// reusing the activity buffers: the passes that follow count exactly
     /// what a fresh simulator with the same overlay and
-    /// [`CompiledSim::enable_activity`] would.
+    /// [`LaneSim::enable_activity`] would.
     ///
     /// # Panics
     ///
-    /// Panics if `lanes > LANES`.
+    /// Panics if `lanes > LaneSim::LANES`.
     pub fn rearm_activity(&mut self, lanes: usize) {
         self.reset();
         match &mut self.activity {
@@ -771,7 +845,8 @@ impl<'p> CompiledSim<'p> {
     ///
     /// # Panics
     ///
-    /// Panics if activity counting is not enabled or `lanes > LANES`.
+    /// Panics if activity counting is not enabled or
+    /// `lanes > LaneSim::LANES`.
     pub fn set_active_lanes(&mut self, lanes: usize) {
         let act = self.activity.as_mut().expect("activity not enabled");
         act.mask = first_lanes(lanes);
@@ -807,7 +882,7 @@ impl<'p> CompiledSim<'p> {
     }
 
     /// Total zero-delay toggles across all nets (Σ of
-    /// [`CompiledSim::toggles`]).
+    /// [`LaneSim::toggles`]).
     ///
     /// # Panics
     ///
@@ -821,24 +896,24 @@ impl<'p> CompiledSim<'p> {
         self.activity.is_some()
     }
 
-    /// Evaluates up to [`LANES`] input vectors in one pass.
+    /// Evaluates up to [`LaneSim::LANES`] input vectors in one pass.
     ///
     /// `inputs` pairs each driven bus with one value per lane; every
-    /// value slice must have the same length `n ≤ LANES` (lanes
-    /// `n..LANES` are driven with vector 0 as a harmless filler).
+    /// value slice must have the same length `n ≤ LaneSim::LANES`
+    /// (the other lanes are driven with vector 0 as a harmless filler).
     /// Returns, per output bus, the `n` per-lane results.
     ///
     /// # Panics
     ///
-    /// Panics if value slices disagree in length or exceed [`LANES`]
-    /// lanes.
+    /// Panics if value slices disagree in length or exceed
+    /// [`LaneSim::LANES`] lanes.
     pub fn run_batch(
         &mut self,
         inputs: &[(&[NetId], &[u128])],
         outputs: &[&[NetId]],
     ) -> Vec<Vec<u128>> {
         let n = inputs.first().map_or(0, |(_, v)| v.len());
-        assert!(n <= LANES, "at most {LANES} lanes per pass");
+        assert!(n <= Self::LANES, "at most {} lanes per pass", Self::LANES);
         for (bus, values) in inputs {
             assert_eq!(values.len(), n, "lane count mismatch across buses");
             self.set_bus_all(bus, values.first().copied().unwrap_or(0));
@@ -910,15 +985,21 @@ mod tests {
         assert_eq!(first_lanes(64), [!0, 0, 0, 0]);
         assert_eq!(first_lanes(65), [!0, 1, 0, 0]);
         assert_eq!(first_lanes(200), [!0, !0, !0, (1u64 << 8) - 1]);
-        assert_eq!(lane_range(0, 200), first_lanes(200));
+        assert_eq!(lane_range(0, 200), first_lanes::<LANE_WORDS>(200));
         assert_eq!(lane_range(60, 68), [0xF << 60, 0xF, 0, 0]);
         assert_eq!(lane_range(9, 9), NO_LANES);
         assert_eq!(lane_range(9, 3), NO_LANES);
         for lane in [0usize, 1, 63, 64, 127, 128, 200, 255] {
-            let m = lane_mask(lane);
+            let m = lane_mask::<LANE_WORDS>(lane);
             assert_eq!(m[lane / 64], 1u64 << (lane % 64), "lane {lane}");
             assert_eq!(m.iter().map(|c| c.count_ones()).sum::<u32>(), 1);
         }
+        // One chunk: the serving width.
+        assert_eq!(first_lanes(0), [0]);
+        assert_eq!(first_lanes(5), [0x1F]);
+        assert_eq!(first_lanes(64), [!0]);
+        assert_eq!(lane_range(60, 64), [0xF << 60]);
+        assert_eq!(lane_mask(63), [1u64 << 63]);
     }
 
     #[test]
@@ -1177,7 +1258,11 @@ mod tests {
 
         /// One pass over `vectors` in lanes `0..vectors.len()` (the other
         /// lanes repeat the first vector): the register in those lanes.
-        fn pass(&self, sim: &mut CompiledSim<'_>, vectors: &[(u128, u128)]) -> Vec<u128> {
+        fn pass<const W: usize>(
+            &self,
+            sim: &mut LaneSim<'_, W>,
+            vectors: &[(u128, u128)],
+        ) -> Vec<u128> {
             let (av, bv): (Vec<u128>, Vec<u128>) = vectors.iter().copied().unzip();
             sim.set_bus_all(&self.a, av[0]);
             sim.set_bus_all(&self.b, bv[0]);
@@ -1189,10 +1274,13 @@ mod tests {
         }
 
         /// A fresh simulator with `faults` stuck in every lane.
-        fn fresh_sim<'p>(prog: &'p CompiledNetlist, faults: &[(NetId, bool)]) -> CompiledSim<'p> {
-            let mut sim = CompiledSim::new(prog);
+        fn fresh_sim<'p, const W: usize>(
+            prog: &'p CompiledNetlist,
+            faults: &[(NetId, bool)],
+        ) -> LaneSim<'p, W> {
+            let mut sim = LaneSim::new(prog);
             for &(net, value) in faults {
-                sim.inject_stuck_at(net, ALL_LANES, value);
+                sim.inject_stuck_at(net, [!0; W], value);
             }
             sim
         }
@@ -1217,7 +1305,7 @@ mod tests {
                 let got = adder.pass(&mut reused, &vectors);
                 values_only.arm_overlays(&[(ALL_LANES, faults)]);
                 assert_eq!(adder.pass(&mut values_only, &vectors), got);
-                let mut fresh_sim = Adder::fresh_sim(&prog, faults);
+                let mut fresh_sim: CompiledSim<'_> = Adder::fresh_sim(&prog, faults);
                 fresh_sim.enable_activity(lanes);
                 let want = adder.pass(&mut fresh_sim, &vectors);
                 assert_eq!(got, want, "outputs, {lanes} lanes, pass {seed}");
@@ -1231,14 +1319,18 @@ mod tests {
         }
     }
 
-    #[test]
-    fn packed_pass_matches_separate_passes_on_fresh_sims() {
+    /// Lays each round's segments out back to back over passes of
+    /// `64 * W` lanes, one partition per segment piece in a pass, with
+    /// the first segment (the batch) counted for activity in every pass
+    /// it reaches, each from the power-on state. Every segment's lanes
+    /// must equal separate passes on fresh simulators under its own
+    /// faults, and the batch toggles the sum of fresh passes over its
+    /// pieces.
+    fn packed_pass_matches_separate_passes<const W: usize>() {
         let adder = Adder::new();
         let (cin, s3, s5) = (adder.cin, adder.sum[3], adder.sum[5]);
         let prog = CompiledNetlist::compile(&adder.n).unwrap();
-        // Each round lays its segments out back to back, the first (the
-        // batch) counted for activity, and cuts them into passes of
-        // LANES lanes: one partition per segment piece in a pass.
+        let lanes = LaneSim::<W>::LANES;
         type Segment<'f> = (usize, &'f [(NetId, bool)]);
         let rounds: [&[Segment<'_>]; 6] = [
             // Distinct overlays per partition...
@@ -1254,19 +1346,19 @@ mod tests {
             // ...a replica partition that spills into a second pass...
             &[(200, &[(cin, true)]), (100, &[(s5, true)]), (8, &[])],
             // ...a full batch that pushes everything else out...
-            &[(LANES, &[(s3, false)]), (8, &[(cin, true)])],
+            &[(lanes, &[(s3, false)]), (8, &[(cin, true)])],
             // ...and a pass with no batch at all.
             &[(0, &[]), (8, &[(s3, false)])],
         ];
-        let mut packed = CompiledSim::new(&prog);
-        let mut values_only = CompiledSim::new(&prog);
+        let mut packed = LaneSim::<W>::new(&prog);
+        let mut values_only = LaneSim::<W>::new(&prog);
         for (seed, segments) in rounds.iter().enumerate() {
             let total: usize = segments.iter().map(|s| s.0).sum();
             let vectors: Vec<_> = (0..total).map(|l| Adder::operands(l, seed)).collect();
             let mut got = Vec::new();
-            let mut batch_toggles = Vec::new();
-            for start in (0..total).step_by(LANES) {
-                let end = (start + LANES).min(total);
+            let mut batch_toggles = vec![0u64; prog.net_count()];
+            for start in (0..total).step_by(lanes) {
+                let end = (start + lanes).min(total);
                 let mut plan = Vec::new();
                 let mut base = 0;
                 for &(len, faults) in *segments {
@@ -1276,38 +1368,55 @@ mod tests {
                     }
                     base += len;
                 }
-                let batch = segments[0].0.saturating_sub(start).min(LANES);
+                let batch = segments[0].0.saturating_sub(start).min(lanes);
                 packed.arm_overlays(&plan);
                 packed.rearm_activity(batch);
-                let lanes = adder.pass(&mut packed, &vectors[start..end]);
+                let pass = adder.pass(&mut packed, &vectors[start..end]);
                 values_only.arm_overlays(&plan);
-                assert_eq!(adder.pass(&mut values_only, &vectors[start..end]), lanes);
-                got.extend(lanes);
-                if start == 0 {
-                    batch_toggles = packed.toggles().to_vec();
+                assert_eq!(adder.pass(&mut values_only, &vectors[start..end]), pass);
+                got.extend(pass);
+                if batch > 0 {
+                    for (sum, &t) in batch_toggles.iter_mut().zip(packed.toggles()) {
+                        *sum += t;
+                    }
                 }
             }
             let mut base = 0;
             for (k, &(len, faults)) in segments.iter().enumerate() {
-                let mut fresh_sim = Adder::fresh_sim(&prog, faults);
-                if k == 0 {
-                    fresh_sim.enable_activity(len);
+                let mut want = Vec::new();
+                let mut want_toggles = vec![0u64; prog.net_count()];
+                for chunk in vectors[base..base + len].chunks(lanes) {
+                    let mut fresh_sim = Adder::fresh_sim::<W>(&prog, faults);
+                    fresh_sim.enable_activity(chunk.len());
+                    want.extend(adder.pass(&mut fresh_sim, chunk));
+                    for (sum, &t) in want_toggles.iter_mut().zip(fresh_sim.toggles()) {
+                        *sum += t;
+                    }
                 }
-                let want: Vec<u128> = vectors[base..base + len]
-                    .chunks(LANES)
-                    .flat_map(|chunk| adder.pass(&mut fresh_sim, chunk))
-                    .collect();
-                assert_eq!(got[base..base + len], want, "round {seed}, segment {k}");
+                assert_eq!(
+                    got[base..base + len],
+                    want,
+                    "width {W}, round {seed}, segment {k}"
+                );
                 if k == 0 {
                     assert_eq!(
-                        batch_toggles,
-                        fresh_sim.toggles(),
-                        "batch toggles, round {seed}"
+                        batch_toggles, want_toggles,
+                        "width {W}, batch toggles, round {seed}"
                     );
                 }
                 base += len;
             }
         }
+    }
+
+    #[test]
+    fn packed_pass_matches_separate_passes_on_fresh_sims() {
+        packed_pass_matches_separate_passes::<LANE_WORDS>();
+    }
+
+    #[test]
+    fn packed_pass_matches_separate_passes_on_fresh_sims_at_64_lanes() {
+        packed_pass_matches_separate_passes::<1>();
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! Differential tests of the compiled kernel against a reference kernel:
-//! the straightforward 256-lane loop the compiled engine's results are
-//! defined by. It evaluates the gates in level order, chunk by chunk
-//! through a per-chunk `match`, blends the dense fault arrays into every
-//! gate output, and
-//! counts toggles in a second sweep over every net against a full copy
-//! of the previous settled state. Both kernels take the same stimulus,
-//! and after every step words, toggles, events and cycles must agree
-//! exactly.
+//! the straightforward loop over `64 * W` lanes the compiled engine's
+//! results are defined by. It evaluates the gates in level order, chunk
+//! by chunk through a per-chunk `match`, blends the dense fault arrays
+//! into every gate output, copies the power-on state back on every
+//! reset, and counts toggles in a second sweep over every net against a
+//! full copy of the previous settled state. Both kernels take the same
+//! stimulus, and after every step words, toggles, events and cycles must
+//! agree exactly. Every script runs at width 4 (256 lanes, the
+//! [`CompiledSim`] width) and at width 1 (64 lanes, the serving width).
 
+#[cfg(doc)]
+use super::CompiledSim;
 use super::{
-    first_lanes, lane_mask, ArmedPlan, CompiledNetlist, CompiledSim, GateOp, LaneWord, ALL_LANES,
-    LANES, LANE_WORDS, NO_LANES,
+    first_lanes, lane_mask, ArmedPlan, CompiledNetlist, GateOp, LaneSim, Lanes, LANE_WORDS,
 };
 use crate::netlist::{NetId, Netlist};
 use crate::sim::reference::{mirror, random_netlist};
@@ -39,34 +41,40 @@ fn eval_chunk(kind: CellKind, a: u64, b: u64, c: u64, d: u64) -> u64 {
     }
 }
 
-fn eval_word(kind: CellKind, a: LaneWord, b: LaneWord, c: LaneWord, d: LaneWord) -> LaneWord {
+fn eval_word<const W: usize>(
+    kind: CellKind,
+    a: Lanes<W>,
+    b: Lanes<W>,
+    c: Lanes<W>,
+    d: Lanes<W>,
+) -> Lanes<W> {
     std::array::from_fn(|i| eval_chunk(kind, a[i], b[i], c[i], d[i]))
 }
 
-struct RefActivity {
-    prev: Vec<LaneWord>,
-    mask: LaneWord,
+struct RefActivity<const W: usize> {
+    prev: Vec<Lanes<W>>,
+    mask: Lanes<W>,
     toggles: Vec<u64>,
     events: u64,
 }
 
 /// The reference kernel.
-struct RefSim<'p> {
+struct RefSim<'p, const W: usize> {
     prog: &'p CompiledNetlist,
     /// The gates in level order, as the netlist's levelization sorts them.
     ops: Vec<GateOp>,
     /// The words of a fresh simulator: what a reset returns to.
-    settled: Vec<LaneWord>,
-    words: Vec<LaneWord>,
-    fault_mask: Vec<LaneWord>,
-    fault_value: Vec<LaneWord>,
+    settled: Vec<Lanes<W>>,
+    words: Vec<Lanes<W>>,
+    fault_mask: Vec<Lanes<W>>,
+    fault_value: Vec<Lanes<W>>,
     faulted: Vec<u32>,
-    armed: Option<ArmedPlan>,
+    armed: Option<ArmedPlan<W>>,
     cycles: u64,
-    activity: Option<RefActivity>,
+    activity: Option<RefActivity<W>>,
 }
 
-impl<'p> RefSim<'p> {
+impl<'p, const W: usize> RefSim<'p, W> {
     fn new(netlist: &Netlist, prog: &'p CompiledNetlist) -> Self {
         let cells = netlist.cells();
         let ops = netlist
@@ -90,15 +98,15 @@ impl<'p> RefSim<'p> {
             prog,
             ops,
             settled: Vec::new(),
-            words: vec![NO_LANES; prog.net_count],
-            fault_mask: vec![NO_LANES; prog.net_count],
-            fault_value: vec![NO_LANES; prog.net_count],
+            words: vec![[0; W]; prog.net_count],
+            fault_mask: vec![[0; W]; prog.net_count],
+            fault_value: vec![[0; W]; prog.net_count],
             faulted: Vec::new(),
             armed: Some(Vec::new()),
             cycles: 0,
             activity: None,
         };
-        sim.words[prog.one as usize] = ALL_LANES;
+        sim.words[prog.one as usize] = [!0; W];
         sim.propagate();
         sim.settled = sim.words.clone();
         sim
@@ -119,17 +127,17 @@ impl<'p> RefSim<'p> {
     fn set_bus_all(&mut self, bus: &[NetId], value: u128) {
         for (i, &net) in bus.iter().enumerate() {
             self.words[net.index()] = if (value >> i) & 1 == 1 {
-                ALL_LANES
+                [!0; W]
             } else {
-                NO_LANES
+                [0; W]
             };
         }
     }
 
-    fn inject_stuck_at(&mut self, net: NetId, lanes: LaneWord, value: bool) {
+    fn inject_stuck_at(&mut self, net: NetId, lanes: Lanes<W>, value: bool) {
         self.armed = None;
         let ni = net.index();
-        if self.fault_mask[ni] == NO_LANES && lanes != NO_LANES {
+        if self.fault_mask[ni] == [0; W] && lanes != [0; W] {
             self.faulted.push(ni as u32);
         }
         for (k, &lane_bits) in lanes.iter().enumerate() {
@@ -145,16 +153,16 @@ impl<'p> RefSim<'p> {
     fn clear_faults(&mut self) {
         self.armed = None;
         for &ni in &self.faulted {
-            self.fault_mask[ni as usize] = NO_LANES;
-            self.fault_value[ni as usize] = NO_LANES;
+            self.fault_mask[ni as usize] = [0; W];
+            self.fault_value[ni as usize] = [0; W];
         }
         self.faulted.clear();
     }
 
-    fn arm_overlays(&mut self, plan: &[(LaneWord, &[(NetId, bool)])]) {
-        let live: ArmedPlan = plan
+    fn arm_overlays(&mut self, plan: &[(Lanes<W>, &[(NetId, bool)])]) {
+        let live: ArmedPlan<W> = plan
             .iter()
-            .filter(|(lanes, faults)| *lanes != NO_LANES && !faults.is_empty())
+            .filter(|(lanes, faults)| *lanes != [0; W] && !faults.is_empty())
             .map(|&(lanes, faults)| (lanes, faults.to_vec()))
             .collect();
         if self.armed.as_ref() == Some(&live) {
@@ -179,7 +187,7 @@ impl<'p> RefSim<'p> {
     }
 
     fn overlay(&mut self, ni: usize) {
-        for k in 0..LANE_WORDS {
+        for k in 0..W {
             let m = self.fault_mask[ni][k];
             self.words[ni][k] = (self.words[ni][k] & !m) | (self.fault_value[ni][k] & m);
         }
@@ -213,7 +221,7 @@ impl<'p> RefSim<'p> {
                 .zip(words.iter().zip(act.prev.iter_mut()))
             {
                 let mut n = 0u64;
-                for k in 0..LANE_WORDS {
+                for k in 0..W {
                     n += u64::from(((w[k] ^ p[k]) & act.mask[k]).count_ones());
                 }
                 *t += n;
@@ -225,7 +233,7 @@ impl<'p> RefSim<'p> {
 
     fn step_cycle(&mut self) {
         self.cycles += 1;
-        let sampled: Vec<LaneWord> = self
+        let sampled: Vec<Lanes<W>> = self
             .prog
             .dffs
             .iter()
@@ -272,16 +280,19 @@ impl<'p> RefSim<'p> {
 }
 
 /// Both kernels over one program, driven in lockstep.
-struct Pair<'p> {
-    fast: CompiledSim<'p>,
-    slow: RefSim<'p>,
+struct Pair<'p, const W: usize> {
+    fast: LaneSim<'p, W>,
+    slow: RefSim<'p, W>,
     step: usize,
 }
 
-impl<'p> Pair<'p> {
+impl<'p, const W: usize> Pair<'p, W> {
+    /// Lanes per pass at this width.
+    const LANES: usize = 64 * W;
+
     fn new(netlist: &Netlist, prog: &'p CompiledNetlist) -> Self {
         Pair {
-            fast: CompiledSim::new(prog),
+            fast: LaneSim::new(prog),
             slow: RefSim::new(netlist, prog),
             step: 0,
         }
@@ -291,7 +302,7 @@ impl<'p> Pair<'p> {
     fn check(&mut self, what: &str) {
         self.step += 1;
         let (f, s) = (&self.fast, &self.slow);
-        let at = format!("step {} ({what})", self.step);
+        let at = format!("width {W}, step {} ({what})", self.step);
         assert!(f.words == s.words, "words after {at}");
         assert_eq!(f.cycles(), s.cycles, "cycles after {at}");
         assert_eq!(
@@ -317,7 +328,7 @@ impl<'p> Pair<'p> {
         self.check("step_cycle");
     }
 
-    fn inject(&mut self, net: NetId, lanes: LaneWord, value: bool) {
+    fn inject(&mut self, net: NetId, lanes: Lanes<W>, value: bool) {
         self.fast.inject_stuck_at(net, lanes, value);
         self.slow.inject_stuck_at(net, lanes, value);
     }
@@ -338,7 +349,7 @@ impl<'p> Pair<'p> {
                 self.slow.set_bus_all(bus, v);
             }
             1 => {
-                let n = rng.range_u64(1, LANES as u64 + 1) as usize;
+                let n = rng.range_u64(1, Self::LANES as u64 + 1) as usize;
                 let values: Vec<u128> = (0..n)
                     .map(|_| u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64()))
                     .collect();
@@ -349,7 +360,7 @@ impl<'p> Pair<'p> {
             }
             _ => {
                 for _ in 0..rng.range_u64(1, 8) {
-                    let lane = rng.range_u64(0, LANES as u64) as usize;
+                    let lane = rng.range_u64(0, Self::LANES as u64) as usize;
                     let v = u128::from(rng.next_u64());
                     self.fast.set_bus_lane(bus, lane, v);
                     self.slow.set_bus_lane(bus, lane, v);
@@ -360,11 +371,12 @@ impl<'p> Pair<'p> {
 }
 
 /// A random lane mask: one lane, a prefix, all lanes or random bits.
-fn random_lanes(rng: &mut Rng) -> LaneWord {
+fn random_lanes<const W: usize>(rng: &mut Rng) -> Lanes<W> {
+    let lanes = 64 * W as u64;
     match rng.range_u64(0, 4) {
-        0 => lane_mask(rng.range_u64(0, LANES as u64) as usize),
-        1 => first_lanes(rng.range_u64(1, LANES as u64 + 1) as usize),
-        2 => ALL_LANES,
+        0 => lane_mask(rng.range_u64(0, lanes) as usize),
+        1 => first_lanes(rng.range_u64(1, lanes + 1) as usize),
+        2 => [!0; W],
         _ => std::array::from_fn(|_| rng.next_u64()),
     }
 }
@@ -372,14 +384,19 @@ fn random_lanes(rng: &mut Rng) -> LaneWord {
 /// Drives both kernels through one random stimulus script over `prog`.
 /// Faults land on any net: constants, inputs, DFF outputs and gate
 /// outputs alike.
-fn run_script(rng: &mut Rng, netlist: &Netlist, inputs: &[Vec<NetId>], steps: usize) {
+fn run_script<const W: usize>(
+    rng: &mut Rng,
+    netlist: &Netlist,
+    inputs: &[Vec<NetId>],
+    steps: usize,
+) {
     let prog = CompiledNetlist::compile(netlist).unwrap();
-    let mut p = Pair::new(netlist, &prog);
+    let mut p = Pair::<W>::new(netlist, &prog);
     p.check("new");
     let nets = prog.net_count as u64;
     let random_net = |rng: &mut Rng| NetId(rng.range_u64(0, nets) as u32);
-    let lanes = |rng: &mut Rng| rng.range_u64(0, LANES as u64 + 1) as usize;
-    let mut plan: ArmedPlan = Vec::new();
+    let lanes = |rng: &mut Rng| rng.range_u64(0, Pair::<W>::LANES as u64 + 1) as usize;
+    let mut plan: ArmedPlan<W> = Vec::new();
     for _ in 0..steps {
         match rng.range_u64(0, 16) {
             0..=3 => {
@@ -415,7 +432,7 @@ fn run_script(rng: &mut Rng, netlist: &Netlist, inputs: &[Vec<NetId>], steps: us
                         })
                         .collect();
                 }
-                let view: Vec<(LaneWord, &[(NetId, bool)])> =
+                let view: Vec<(Lanes<W>, &[(NetId, bool)])> =
                     plan.iter().map(|(l, f)| (*l, &f[..])).collect();
                 p.fast.arm_overlays(&view);
                 p.slow.arm_overlays(&view);
@@ -443,8 +460,8 @@ fn run_script(rng: &mut Rng, netlist: &Netlist, inputs: &[Vec<NetId>], steps: us
                 p.slow.set_active_lanes(n);
                 p.drive(rng, inputs);
                 p.propagate();
-                p.fast.set_active_lanes(LANES);
-                p.slow.set_active_lanes(LANES);
+                p.fast.set_active_lanes(Pair::<W>::LANES);
+                p.slow.set_active_lanes(Pair::<W>::LANES);
                 p.drive(rng, inputs);
                 p.step_cycle();
             }
@@ -459,8 +476,8 @@ fn run_script(rng: &mut Rng, netlist: &Netlist, inputs: &[Vec<NetId>], steps: us
     }
 }
 
-#[test]
-fn compiled_kernel_matches_reference_on_random_netlists() {
+/// Random netlists over every cell kind, many with chained DFFs.
+fn random_netlists<const W: usize>() {
     let mut rng = Rng::new(0x0C0F_FEE5);
     let rounds = if cfg!(debug_assertions) { 24 } else { 400 };
     let mut kinds = std::collections::HashSet::new();
@@ -472,7 +489,7 @@ fn compiled_kernel_matches_reference_on_random_netlists() {
         kinds.extend(n.cells().iter().map(|c| c.kind));
         let dff_outs: std::collections::HashSet<NetId> = n.dffs().map(|(_, c)| c.output).collect();
         chained += usize::from(n.dffs().any(|(_, c)| dff_outs.contains(&c.inputs[0])));
-        run_script(&mut rng, &n, &[inputs], 80);
+        run_script::<W>(&mut rng, &n, &[inputs], 80);
     }
     assert_eq!(
         kinds.len(),
@@ -485,8 +502,8 @@ fn compiled_kernel_matches_reference_on_random_netlists() {
     );
 }
 
-#[test]
-fn compiled_kernel_matches_reference_on_the_pipelined_unit() {
+/// The Fig. 5 pipelined unit under one long random script.
+fn pipelined_unit<const W: usize>() {
     let mut src = mfm_gatesim::Netlist::new(mfm_gatesim::TechLibrary::cmos45lp());
     let ports =
         mfmult::pipeline::build_pipelined_unit(&mut src, mfmult::pipeline::PipelinePlacement::Fig5);
@@ -497,5 +514,25 @@ fn compiled_kernel_matches_reference_on_the_pipelined_unit() {
     let inputs = [bus(&ports.frmt), bus(&ports.xa), bus(&ports.yb)];
     let mut rng = Rng::new(2017);
     let steps = if cfg!(debug_assertions) { 12 } else { 200 };
-    run_script(&mut rng, &n, &inputs, steps);
+    run_script::<W>(&mut rng, &n, &inputs, steps);
+}
+
+#[test]
+fn compiled_kernel_matches_reference_on_random_netlists() {
+    random_netlists::<LANE_WORDS>();
+}
+
+#[test]
+fn compiled_kernel_matches_reference_on_random_netlists_at_64_lanes() {
+    random_netlists::<1>();
+}
+
+#[test]
+fn compiled_kernel_matches_reference_on_the_pipelined_unit() {
+    pipelined_unit::<LANE_WORDS>();
+}
+
+#[test]
+fn compiled_kernel_matches_reference_on_the_pipelined_unit_at_64_lanes() {
+    pipelined_unit::<1>();
 }

@@ -16,8 +16,9 @@
 //!   are simulated**, which is what makes the paper's combinational-versus-
 //!   pipelined power comparison (Table III) reproducible.
 //! - [`compiled`] — a compiled bit-parallel engine: the netlist lowered
-//!   once into a levelized program evaluated over `[u64; 4]` words (256
-//!   lanes per pass), for correctness-only workloads — fault classification,
+//!   once into a levelized program evaluated over `[u64; W]` words
+//!   (`64 * W` lanes per pass; 256 for [`CompiledSim`], 64 on the
+//!   serving path), for correctness-only workloads — fault classification,
 //!   batteries and equivalence sweeps — where glitch timing is
 //!   irrelevant. Differentially tested against [`sim`].
 //! - [`sta`] — topological static timing analysis: critical path per
@@ -62,8 +63,8 @@ pub mod trace;
 pub mod vector;
 
 pub use compiled::{
-    first_lanes, lane_mask, lane_range, CompiledFaultSim, CompiledNetlist, CompiledSim, LaneWord,
-    ALL_LANES, LANES, LANE_WORDS, NO_LANES,
+    first_lanes, lane_mask, lane_range, CompiledFaultSim, CompiledNetlist, CompiledSim, LaneSim,
+    LaneWord, Lanes, ALL_LANES, LANES, LANE_WORDS, NO_LANES,
 };
 pub use fault::{CampaignRunner, CampaignStats, FaultKind, FaultOutcome, FaultSite};
 pub use netlist::{

@@ -7,7 +7,7 @@
 //! at 100 MHz and scaling linearly ("to have an easily scalable value to
 //! any frequency").
 
-use crate::compiled::CompiledSim;
+use crate::compiled::LaneSim;
 use crate::netlist::Netlist;
 use crate::sim::Simulator;
 use crate::tech::CellKind;
@@ -152,7 +152,7 @@ impl PowerEstimator {
     /// [`PowerEstimator::from_toggles`] with per-block glitch-inflation
     /// factors applied — the estimator half of the compiled power path.
     ///
-    /// `toggles` here are **zero-delay** counts (a [`CompiledSim`]
+    /// `toggles` here are **zero-delay** counts (a [`LaneSim`]
     /// activity sweep, or a zero-delay [`Simulator`] run); each cell's
     /// switched energy is multiplied by the calibration factor of its
     /// top-level block (`block_factors`, falling back to
@@ -264,7 +264,7 @@ pub struct PowerSample {
 ///
 /// The tracer is source-agnostic: it consumes raw counters
 /// ([`LivePowerTrace::sample_counts`]), so the same instance can be fed
-/// from an event-driven [`Simulator`], from a [`CompiledSim`] activity
+/// from an event-driven [`Simulator`], from a [`LaneSim`] activity
 /// sweep ([`LivePowerTrace::sample_compiled`]) or from merged shard
 /// counters — no event-driven simulation is required to keep a live
 /// power gauge next to a compiled service core. Compiled (zero-delay)
@@ -300,8 +300,8 @@ impl LivePowerTrace {
     /// # Panics
     ///
     /// Panics if `sim` has activity counting disabled (see
-    /// [`CompiledSim::enable_activity`]).
-    pub fn new_compiled(netlist: &Netlist, sim: &CompiledSim<'_>) -> Self {
+    /// [`LaneSim::enable_activity`]).
+    pub fn new_compiled<const W: usize>(netlist: &Netlist, sim: &LaneSim<'_, W>) -> Self {
         Self::from_counts(netlist, sim.toggles(), sim.cycles())
     }
 
@@ -362,9 +362,9 @@ impl LivePowerTrace {
     /// # Panics
     ///
     /// Panics if `sim` has activity counting disabled.
-    pub fn sample_compiled(
+    pub fn sample_compiled<const W: usize>(
         &mut self,
-        sim: &CompiledSim<'_>,
+        sim: &LaneSim<'_, W>,
         ops_total: u64,
     ) -> Option<PowerSample> {
         let (toggles, cycles) = (sim.toggles(), sim.cycles());
@@ -569,7 +569,7 @@ mod tests {
         let y = n.not(a);
         n.output_bus("y", &[y]);
         let prog = CompiledNetlist::compile(&n).unwrap();
-        let mut csim = CompiledSim::new(&prog);
+        let mut csim = crate::compiled::CompiledSim::new(&prog);
         csim.enable_activity(1);
         let mut ctrace = LivePowerTrace::new_compiled(&n, &csim);
         let mut esim = Simulator::new(&n);

@@ -1,0 +1,157 @@
+//! `LaneSim::heap_bytes` against the allocator's own count: a counting
+//! global allocator tracks the bytes each thread holds, and after every
+//! step that can grow a buffer the simulator's figure must equal the
+//! bytes its construction and that step left allocated, at widths 1
+//! and 4.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use mfm_gatesim::{
+    first_lanes, lane_mask, lane_range, CompiledNetlist, LaneSim, NetId, Netlist, TechLibrary,
+};
+
+/// `System`, counting the bytes each thread has allocated and not freed.
+struct Counting;
+
+thread_local! {
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+}
+
+fn track(delta: isize) {
+    // A thread being torn down has no counter left; its bytes are not
+    // measured.
+    let _ = LIVE.try_with(|live| live.set(live.get() + delta));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counting around it
+// neither allocates nor touches the memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's guarantees for `layout` are passed on.
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            track(layout.size() as isize);
+        }
+        ptr
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's guarantees for `layout` are passed on.
+        let ptr = unsafe { System.alloc_zeroed(layout) };
+        if !ptr.is_null() {
+            track(layout.size() as isize);
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`, since every
+        // allocation here does.
+        unsafe { System.dealloc(ptr, layout) };
+        track(-(layout.size() as isize));
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: as for `dealloc`; `new_size` is the caller's, passed on.
+        let moved = unsafe { System.realloc(ptr, layout, new_size) };
+        if !moved.is_null() {
+            track(new_size as isize - layout.size() as isize);
+        }
+        moved
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Bytes this thread has allocated and not freed (negative if it freed
+/// memory another thread allocated).
+fn live() -> isize {
+    LIVE.with(Cell::get)
+}
+
+/// An 8-bit ripple-carry adder with its sum registered: inputs, gates
+/// and DFFs, so every buffer the simulator sizes by the netlist is used.
+struct Adder {
+    n: Netlist,
+    a: Vec<NetId>,
+    b: Vec<NetId>,
+    cin: NetId,
+    sum: Vec<NetId>,
+}
+
+impl Adder {
+    fn new() -> Self {
+        let mut n = Netlist::new(TechLibrary::cmos45lp());
+        let a = n.input_bus("a", 8);
+        let b = n.input_bus("b", 8);
+        let cin = n.input("cin");
+        let mut carry = cin;
+        let mut sum = Vec::new();
+        for (&x, &y) in a.iter().zip(&b) {
+            let (s, c) = n.full_adder(x, y, carry);
+            sum.push(s);
+            carry = c;
+        }
+        sum.push(carry);
+        for &s in &sum {
+            n.dff(s);
+        }
+        Adder { n, a, b, cin, sum }
+    }
+}
+
+/// Drives a simulator of width `W` through every call that allocates,
+/// asserting after each that `heap_bytes` equals the bytes it holds.
+/// Returns what the freshly built simulator held.
+fn heap_bytes_match_the_allocator<const W: usize>(adder: &Adder, prog: &CompiledNetlist) -> usize {
+    let before = live();
+    let held = || (live() - before) as usize;
+    let mut sim = LaneSim::<W>::new(prog);
+    let fresh = held();
+    assert_eq!(sim.heap_bytes(), fresh, "fresh, width {W}");
+    type Step<const W: usize> = fn(&mut LaneSim<'_, W>, &Adder);
+    let steps: [(&str, Step<W>); 7] = [
+        ("inject_stuck_at", |s, a| {
+            s.inject_stuck_at(a.cin, lane_mask(0), true);
+            s.inject_stuck_at(a.sum[3], lane_mask(1), false);
+        }),
+        ("enable_activity", |s, _| s.enable_activity(4)),
+        ("run_batch", |s, a| {
+            s.run_batch(&[(&a.a, &[1, 2, 3]), (&a.b, &[4, 5, 6])], &[&a.sum]);
+        }),
+        ("step_cycle", |s, _| s.step_cycle()),
+        ("arm_overlays", |s, a| {
+            let stuck: &[(NetId, bool)] = &[(a.cin, true), (a.b[2], false)];
+            s.arm_overlays(&[(first_lanes(4), stuck), (lane_range(4, 9), &stuck[1..])]);
+        }),
+        ("rearm_activity", |s, _| s.rearm_activity(9)),
+        ("clear_faults", |s, _| s.clear_faults()),
+    ];
+    for (what, step) in steps {
+        step(&mut sim, adder);
+        assert_eq!(sim.heap_bytes(), held(), "after {what}, width {W}");
+    }
+    drop(sim);
+    assert_eq!(held(), 0, "width {W} freed everything");
+    fresh
+}
+
+#[test]
+fn heap_bytes_equals_the_allocators_count_at_both_widths() {
+    let adder = Adder::new();
+    let prog = CompiledNetlist::compile(&adder.n).unwrap();
+    // The power-on state a reset copies is the program's, cached on
+    // first use; build it outside the measured steps.
+    LaneSim::<1>::new(&prog).rearm_activity(1);
+    let narrow = heap_bytes_match_the_allocator::<1>(&adder, &prog);
+    let wide = heap_bytes_match_the_allocator::<4>(&adder, &prog);
+    // A fresh simulator holds its words, the DFF sample buffer (both one
+    // word per entry) and one flag bit per net: at width 1 the words are
+    // exactly a quarter.
+    let flags = prog.net_count().div_ceil(64) * 8;
+    assert_eq!(4 * (narrow - flags), wide - flags);
+    assert_eq!(wide - flags, 32 * (prog.net_count() + prog.dff_count()));
+}

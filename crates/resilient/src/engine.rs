@@ -113,8 +113,15 @@ pub struct Completed {
     pub result: MultResult,
 }
 
-/// One point of the capacity timeline [`Engine::tick`] appends to.
-#[derive(Debug, Clone, Copy)]
+/// Capacity samples the engine keeps: the window
+/// [`Busy::retry_after`] is estimated over.
+const TIMELINE_WINDOW: usize = 16;
+
+/// One point of the capacity timeline: [`Engine::tick`] takes one per
+/// tick, reports it in its [`TickReport`] and keeps the last
+/// [`TIMELINE_WINDOW`] (16) in a fixed ring, for the retry hint.
+/// A caller that wants the whole series records the reports.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CapacitySample {
     /// Tick the sample was taken at.
     pub tick: u64,
@@ -138,6 +145,8 @@ pub struct TickReport {
     pub scrubs: u32,
     /// Of those, scrubs that passed and readmitted their unit.
     pub scrub_passes: u32,
+    /// The capacity sample taken at the end of the tick.
+    pub sample: CapacitySample,
 }
 
 /// Pool-level counters and gauges (see [`Engine::attach_telemetry`]).
@@ -231,7 +240,8 @@ pub struct Engine<'a> {
     tick: u64,
     next_id: u64,
     completed: Vec<Completed>,
-    timeline: Vec<CapacitySample>,
+    /// The last [`TIMELINE_WINDOW`] capacity samples, oldest first.
+    timeline: std::collections::VecDeque<CapacitySample>,
     rr_cursor: usize,
     escapes: u64,
     masked: u64,
@@ -317,7 +327,7 @@ impl<'a> Engine<'a> {
             tick: 0,
             next_id: 0,
             completed: Vec::new(),
-            timeline: Vec::new(),
+            timeline: std::collections::VecDeque::with_capacity(TIMELINE_WINDOW),
             rr_cursor: 0,
             escapes: 0,
             masked: 0,
@@ -475,11 +485,6 @@ impl<'a> Engine<'a> {
         self.tick
     }
 
-    /// The capacity timeline, one sample per tick.
-    pub fn timeline(&self) -> &[CapacitySample] {
-        &self.timeline
-    }
-
     /// Drains the completed-results buffer.
     pub fn take_completed(&mut self) -> Vec<Completed> {
         std::mem::take(&mut self.completed)
@@ -521,12 +526,12 @@ impl<'a> Engine<'a> {
 
     /// Estimated ticks until a queue slot frees up, derived from the
     /// recent [`CapacitySample`] timeline: current queue occupancy over
-    /// the mean completion rate of the last (up to) 16 samples. When no
+    /// the mean completion rate of the retained (up to 16) samples. When no
     /// completions have been observed yet the hint falls back to one
     /// tick per queued operation per dispatchable unit. Always ≥ 1.
     fn retry_after_hint(&self) -> u64 {
         let queued = self.queue.len() as u64;
-        let window = &self.timeline[self.timeline.len().saturating_sub(16)..];
+        let window = &self.timeline;
         let served: u64 = window.iter().map(|s| s.completed as u64).sum();
         if served > 0 {
             // Ticks to drain the whole queue at the observed rate,
@@ -548,7 +553,7 @@ impl<'a> Engine<'a> {
 
     /// Credits unit `i` with externally served work. A front-end that
     /// batches requests through this unit's fault overlay (e.g. the
-    /// serving front-end's 256-lane compiled path) feeds its observations
+    /// serving front-end's compiled batch path) feeds its observations
     /// into the unit's breaker exactly like in-pool dispatch does:
     /// `incidents > 0` counts against the unit, `incidents == 0` is a
     /// clean-operation heal credit. This keeps the circuit breaker
@@ -618,7 +623,7 @@ impl<'a> Engine<'a> {
 
     /// Advances unit `i`'s Byzantine latch across `lanes` externally
     /// served results, returning the lane mask (bit k = lane k of the
-    /// 256-lane batch word) of lanes the latch corrupts. All-zero when
+    /// batch of up to 256 lanes) of lanes the latch corrupts. All-zero when
     /// the unit carries no Byzantine fault. External batch paths call
     /// this once per batch so latch wear is shared between pool
     /// dispatch and batched service.
@@ -665,7 +670,7 @@ impl<'a> Engine<'a> {
     /// one patrol slice on the engine's own simulator, then the capacity
     /// sample and gauge refresh.
     pub fn tick(&mut self) -> TickReport {
-        let report = self.schedule();
+        let mut report = self.schedule();
         // Patrol scrubbing: an idle tick is spent replaying a bounded
         // slice of the compiled scrub battery against the
         // least-recently-verified healthy unit, so latent faults are
@@ -678,7 +683,7 @@ impl<'a> Engine<'a> {
                 self.finish_patrol(i, passed);
             }
         }
-        self.observe(report.dispatched);
+        report.sample = self.observe(report.dispatched);
         report
     }
 
@@ -690,8 +695,8 @@ impl<'a> Engine<'a> {
     /// bookkeeping has one code path. The capacity sample is taken
     /// before that verdict lands.
     pub fn tick_leaving_patrol(&mut self) -> TickReport {
-        let report = self.schedule();
-        self.observe(report.dispatched);
+        let mut report = self.schedule();
+        report.sample = self.observe(report.dispatched);
         report
     }
 
@@ -750,8 +755,9 @@ impl<'a> Engine<'a> {
     }
 
     /// Step 3 of a round: the capacity sample and gauge refresh, with
-    /// `completed` operations served this tick.
-    fn observe(&mut self, completed: u32) {
+    /// `completed` operations served this tick. The sample replaces the
+    /// oldest one once the ring holds [`TIMELINE_WINDOW`].
+    fn observe(&mut self, completed: u32) -> CapacitySample {
         let sample = CapacitySample {
             tick: self.tick,
             hw_capacity: self.hw_capacity(),
@@ -763,8 +769,12 @@ impl<'a> Engine<'a> {
             queued: self.queue.len() as u32,
             completed,
         };
-        self.timeline.push(sample);
+        if self.timeline.len() == TIMELINE_WINDOW {
+            self.timeline.pop_front();
+        }
+        self.timeline.push_back(sample);
         self.update_gauges(&sample);
+        sample
     }
 
     /// Scrub-and-readmit for unit `i`: repair the hardware, re-assert
@@ -1120,6 +1130,23 @@ mod tests {
     }
 
     #[test]
+    fn capacity_timeline_stays_bounded_over_many_ticks() {
+        let mut n = Netlist::new(TechLibrary::cmos45lp());
+        let ports = build_unit(&mut n);
+        let mut engine = Engine::new(&n, &ports, 1, small_cfg());
+        for tick in 1..=10_000u64 {
+            if tick % 100 == 0 {
+                engine.submit(Operation::int64(tick, 3)).unwrap();
+            }
+            let sample = engine.tick().sample;
+            assert_eq!(sample.tick, tick);
+            assert_eq!(engine.timeline.len(), (tick as usize).min(16));
+            assert_eq!(engine.timeline.back(), Some(&sample), "newest last");
+        }
+        assert_eq!(engine.timeline.front().map(|s| s.tick), Some(10_000 - 15));
+    }
+
+    #[test]
     fn external_incidents_feed_the_breaker_like_dispatch() {
         let mut n = Netlist::new(TechLibrary::cmos45lp());
         let ports = build_unit(&mut n);
@@ -1154,11 +1181,13 @@ mod tests {
         let lsb = ports.chk_p0[0];
         engine.inject_stuck_at(0, lsb, true, false);
         let mut sent = 0u64;
+        // The test records its own capacity series from the tick reports.
+        let mut caps = Vec::new();
         while sent < 40 || engine.pending() > 0 {
             if sent < 40 && engine.submit(Operation::int64(sent + 2, 7)).is_ok() {
                 sent += 1;
             }
-            engine.tick();
+            caps.push(engine.tick().sample.hw_capacity);
         }
         assert_eq!(engine.escapes(), 0, "no wrong answers escape");
         let trail: Vec<_> = engine
@@ -1176,7 +1205,6 @@ mod tests {
         assert!(registry.counter("pool.scrub_passes").get() >= 1);
         assert!(registry.counter("pool.transitions").get() >= 4);
         // The timeline saw the capacity dip and the recovery.
-        let caps: Vec<_> = engine.timeline().iter().map(|s| s.hw_capacity).collect();
         assert!(caps.iter().any(|&c| c < 2), "capacity dipped: {caps:?}");
         assert_eq!(*caps.last().unwrap(), 2, "capacity recovered");
     }
@@ -1295,11 +1323,13 @@ mod tests {
         // A physical defect retires unit 0 after max_scrub_failures.
         engine.inject_stuck_at(0, ports.chk_p0[0], true, true);
         let mut sent = 0u64;
+        // The test records its own capacity series from the tick reports.
+        let mut caps = Vec::new();
         while sent < 60 || engine.pending() > 0 {
             if sent < 60 && engine.submit(Operation::int64(sent + 2, 9)).is_ok() {
                 sent += 1;
             }
-            engine.tick();
+            caps.push(engine.tick().sample.hw_capacity);
         }
         assert_eq!(engine.unit_state(0), HealthState::Retired);
         // The standby was promoted in the same tick the retirement was
@@ -1320,7 +1350,6 @@ mod tests {
             promo.reason
         );
         // The capacity timeline shows dip and restoration.
-        let caps: Vec<_> = engine.timeline().iter().map(|s| s.hw_capacity).collect();
         assert!(caps.iter().any(|&c| c < 2), "capacity dipped: {caps:?}");
         assert_eq!(*caps.last().unwrap(), 2, "and recovered via promotion");
     }

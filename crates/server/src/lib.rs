@@ -12,7 +12,8 @@
 //!   degrade to single-format batching, then refuse with typed
 //!   `Overloaded`), deadline propagation with expired-in-queue
 //!   cancellation, per-client deterministic retry budgets, and a
-//!   256-lane mixed-format compiled batch path routed through the
+//!   mixed-format compiled batch path (batches of up to 256 requests on
+//!   64-lane passes) routed through the
 //!   pool's circuit breakers, where one verdict — the self-check plus
 //!   agreement with the bit-exact reference — judges every lane.
 //! - [`server`] — the thread-per-connection TCP front-end plus a

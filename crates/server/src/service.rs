@@ -1,6 +1,7 @@
 //! The deterministic service core: admission control, degradation
-//! tiers, deadline bookkeeping, 256-lane batch execution through the
-//! circuit-breaker pool, and typed responses for everything.
+//! tiers, deadline bookkeeping, batches of up to 256 requests executed
+//! on 64-lane compiled passes under the circuit-breaker pool's fault
+//! overlays, and typed responses for everything.
 //!
 //! The core is tick-driven — no scheduling decision samples a wall
 //! clock — so it is testable (and replayable) without sockets; the TCP
@@ -66,8 +67,9 @@
 //! # One compiled pass per tick
 //!
 //! A pass over the compiled netlist costs about the same however few of
-//! its 256 lanes carry work, so a tick packs all of its compiled work
-//! into one lane-partitioned pass ([`CompiledSim::arm_overlays`]):
+//! its lanes carry work, so a tick packs all of its compiled work into
+//! one lane-partitioned pass ([`LaneSim::arm_overlays`]), laid out in
+//! this order:
 //!
 //! | lanes | overlay | judged by |
 //! |---|---|---|
@@ -76,11 +78,23 @@
 //! | the engine's patrol slice | the patrolled unit's | `check_raw`; [`Engine::finish_patrol`] |
 //! | the speculative sample | the next batch unit's | `check_raw`; charges its breaker |
 //!
-//! Toggles are counted over the batch prefix only, so the power gauge
-//! still sees client lanes alone, and a pass with no batch counts none.
-//! Work spills into a second pass only when the lanes overflow 256 (a
-//! full batch with replicas, or a tick that drains more than one
-//! batch). The batch is routed before the tick's patrol verdict lands:
+//! The service's simulator is 64 lanes wide (`PASS_WORDS` chunk per
+//! net, a quarter of the 256-lane [`mfm_gatesim::CompiledSim`] words):
+//! a clean tick carries a client lane or two, an 8-lane patrol slice and
+//! at times an 8-lane speculative sample, and every pass walks the whole
+//! word array, so the narrow word is what a tick costs. Work spills into
+//! further passes only when the lanes overflow 64 (a deep batch, replica
+//! copies of a voted batch, or a tick that drains more than one batch).
+//! A batch still takes up to 256 requests: it just spans up to four
+//! passes. That makes a full batch cost about twice the one 256-lane
+//! pass it would take at width 4, and a full voted batch 13 passes
+//! instead of 4; the served loads rarely come near (under the chaos load
+//! fewer than 1 % of ticks spill, and none past two passes). Toggles are counted over the batch lanes only, each pass that
+//! holds some counting its batch prefix from the power-on state, so the
+//! power gauge sees client lanes alone, equal at any width (toggle
+//! counts are lane-separable); a pass with no batch lanes counts none,
+//! and a batch's clock edges are charged once.
+//! The batch is routed before the tick's patrol verdict lands:
 //! [`Engine::tick_leaving_patrol`] hands the slice over, and its verdict
 //! is landed once the pass has run. `service.passes` and
 //! `service.pass_lanes.{batch,replica,patrol,speculative}` count the
@@ -108,7 +122,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Instant;
 
-use mfm_gatesim::{lane_range, CompiledSim, LivePowerTrace, NetId, Netlist, LANES};
+use mfm_gatesim::{lane_range, LaneSim, LivePowerTrace, NetId, Netlist, LANES};
 use mfm_resilient::backoff::{BackoffConfig, SubmitBackoff};
 use mfm_resilient::{Engine, EngineConfig, HealthState};
 use mfm_telemetry::{
@@ -201,6 +215,9 @@ impl Default for ServiceConfig {
     }
 }
 
+/// `u64` chunks per net in the service's compiled passes: 64 lanes, the
+/// width a tick's work fills (see the module docs).
+const PASS_WORDS: usize = 1;
 /// Completed traces retained for `/tracez`.
 const TRACE_RING_CAP: usize = 256;
 /// Flight-recorder event ring capacity.
@@ -264,13 +281,13 @@ pub struct Service<'a> {
     ports: StructuralPorts,
     /// One settled simulator over the netlist's compiled program for
     /// each tick's packed pass — batch, TMR replicas, patrol slice and
-    /// speculative sample side by side in one 256-lane word — re-armed
+    /// speculative sample side by side in one 64-lane word — re-armed
     /// only when the pass's overlay plan changes.
-    sim: CompiledSim<'a>,
+    sim: LaneSim<'a, PASS_WORDS>,
     reference: FunctionalUnit,
     battery: Vec<Operation>,
-    /// Per-format admission queues; one batch pass takes up to 256 lanes
-    /// across all of them.
+    /// Per-format admission queues; one batch takes up to [`LANES`]
+    /// (256) requests across all of them.
     queues: HashMap<Format, VecDeque<PendingReq>>,
     /// Per-client consecutive-rejection backoff state.
     backoffs: HashMap<u64, SubmitBackoff>,
@@ -306,16 +323,8 @@ pub struct Service<'a> {
     /// Batches escalated to whole-batch voting because their routed
     /// unit was `Suspect` (DMR-on-suspicion).
     dmr_batches: u64,
-    /// Per-net zero-delay toggle counts accumulated over every primary
-    /// compiled batch evaluation (active lanes only) — the service's
-    /// power accounting runs on the compiled activity engine, with no
-    /// event-driven simulation alongside the serving path.
-    power_toggles: Vec<u64>,
-    /// Clock edges charged to the accumulator (per batch, shared by all
-    /// lanes of that batch).
-    power_cycles: u64,
-    /// Operations measured through the accumulator.
-    power_ops: u64,
+    /// Toggles, clock edges and operations of every batch evaluated.
+    power: PowerTally,
     /// Windowed pJ/op tracer over the accumulator; mirrors each tick's
     /// window into the `service.pj_per_op` gauge.
     power_trace: LivePowerTrace,
@@ -372,7 +381,7 @@ impl<'a> Service<'a> {
         Service {
             engine,
             ports: ports.clone(),
-            sim: CompiledSim::new(prog),
+            sim: LaneSim::new(prog),
             reference: FunctionalUnit::new(),
             battery: scrub_battery(cfg.engine.quad_lanes),
             queues: HashMap::new(),
@@ -393,9 +402,7 @@ impl<'a> Service<'a> {
             votes: 0,
             vote_mismatches: 0,
             dmr_batches: 0,
-            power_toggles: vec![0; netlist.net_count()],
-            power_cycles: 0,
-            power_ops: 0,
+            power: PowerTally::new(netlist.net_count()),
             power_trace: LivePowerTrace::from_counts(netlist, &vec![0; netlist.net_count()], 0)
                 .with_gauge(registry.gauge("service.pj_per_op")),
             cfg,
@@ -692,7 +699,7 @@ impl<'a> Service<'a> {
         // Close this tick's power window from the compiled-toggle
         // accumulator (no-op when no batch ran since the last tick).
         self.power_trace
-            .sample_counts(&self.power_toggles, self.power_cycles, self.power_ops);
+            .sample_counts(&self.power.toggles, self.power.cycles, self.power.ops);
     }
 
     /// Completes records whose write-back the front-end never reported
@@ -877,11 +884,11 @@ impl<'a> Service<'a> {
     }
 
     /// Runs this tick's batches. In `Normal`/`ShedSpeculative` each batch
-    /// fills up to [`LANES`] lanes from every non-empty format queue (the
+    /// takes up to [`LANES`] requests from every non-empty format queue (the
     /// unit takes its format per lane), and a tick runs at most one batch
     /// per queue that was non-empty when it began. `SingleFormat` runs
     /// one batch from the deepest queue only. The `riders` share the last
-    /// batch's pass, or run alone when no batch does.
+    /// batch's passes, or run alone when no batch does.
     fn run_batches(&mut self, tier: Tier, riders: Riders) {
         let mut formats: Vec<(Format, usize)> = self
             .queues
@@ -914,8 +921,9 @@ impl<'a> Service<'a> {
         self.run_pass(&last, riders);
     }
 
-    /// Runs one batch of up to [`LANES`] lanes, of any formats, and the
-    /// work riding with it as one packed compiled pass: the batch under
+    /// Runs one batch of up to [`LANES`] requests, of any formats, and the
+    /// work riding with it as packed compiled passes (one unless the
+    /// lanes overflow 64): the batch under
     /// the routed unit's fault overlay, its TMR replica copies under the
     /// replica units' overlays, the patrol slice under the patrolled
     /// unit's and the speculative sample under the next batch unit's.
@@ -1040,72 +1048,30 @@ impl<'a> Service<'a> {
         }
     }
 
-    /// Lays `segments` out back to back over as few [`LANES`]-lane passes
-    /// as they fill, each lane under its segment unit's fault overlay,
-    /// and returns every segment's raw outputs with the wall time spent
-    /// arming (batch fill) and evaluating. Toggles are counted over a
-    /// leading batch segment only, from the fault-free power-on state, so
-    /// the power gauge rides on the same pass; a pass with no batch
-    /// counts none.
+    /// Runs `segments` through the service's simulator ([`run_passes`])
+    /// under each segment unit's fault overlay, counting the passes and
+    /// the lanes each role filled. Returns every segment's raw outputs
+    /// with the wall time spent arming (batch fill) and evaluating.
     fn run_packed(&mut self, segments: &[Segment]) -> (Vec<Vec<RawOutputs>>, u64, u64) {
         let faults: Vec<Vec<(NetId, bool)>> = segments
             .iter()
             .map(|seg| self.engine.unit(seg.unit).sim().stuck_faults())
             .collect();
-        let ops: Vec<Operation> = segments
+        let laid: Vec<Laid<'_>> = segments
             .iter()
-            .flat_map(|seg| seg.ops.iter().copied())
+            .zip(&faults)
+            .map(|(seg, faults)| (&seg.ops[..], &faults[..]))
             .collect();
         let batch = segments
             .first()
             .filter(|seg| seg.role == Role::Batch)
             .map_or(0, |seg| seg.ops.len());
-        let (mut fill_micros, mut eval_micros) = (0, 0);
-        let mut raws = Vec::with_capacity(ops.len());
-        for start in (0..ops.len()).step_by(LANES) {
-            let end = (start + LANES).min(ops.len());
-            let t_fill = Instant::now();
-            let mut plan = Vec::with_capacity(segments.len());
-            let mut base = 0;
-            for (seg, faults) in segments.iter().zip(&faults) {
-                let (lo, hi) = (base.max(start), (base + seg.ops.len()).min(end));
-                if lo < hi {
-                    plan.push((lane_range(lo - start, hi - start), &faults[..]));
-                }
-                base += seg.ops.len();
-            }
-            self.sim.arm_overlays(&plan);
-            if start == 0 && batch > 0 {
-                self.sim.rearm_activity(batch);
-            } else if self.sim.activity_enabled() {
-                self.sim.set_active_lanes(0);
-            }
-            fill_micros += t_fill.elapsed().as_micros() as u64;
-            let t_eval = Instant::now();
-            raws.extend(run_raw_compiled(
-                &mut self.sim,
-                &self.ports,
-                &ops[start..end],
-            ));
-            eval_micros += t_eval.elapsed().as_micros() as u64;
-            if start == 0 && batch > 0 {
-                for (sum, &t) in self.power_toggles.iter_mut().zip(self.sim.toggles()) {
-                    *sum += t;
-                }
-                self.power_cycles += self.sim.cycles();
-                self.power_ops += batch as u64;
-            }
-            self.metrics.passes.inc();
-        }
+        let run = run_passes(&mut self.sim, &self.ports, &laid, batch, &mut self.power);
+        self.metrics.passes.add(run.passes);
         for seg in segments {
             self.metrics.pass_lanes[seg.role as usize].add(seg.ops.len() as u64);
         }
-        let mut rest = raws.into_iter();
-        let raws = segments
-            .iter()
-            .map(|seg| rest.by_ref().take(seg.ops.len()).collect())
-            .collect();
-        (raws, fill_micros, eval_micros)
+        (run.raws, run.fill_micros, run.eval_micros)
     }
 
     /// Answers a batch that found no healthy unit to route through from
@@ -1306,6 +1272,116 @@ fn queue_micros(p: &PendingReq, t_fill: Instant) -> u64 {
     t_fill.saturating_duration_since(p.admitted_at).as_micros() as u64
 }
 
+/// Zero-delay toggle counts accumulated over every client lane the
+/// service evaluated: the service's power accounting runs on the
+/// compiled activity engine, with no event-driven simulation alongside
+/// the serving path.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct PowerTally {
+    /// Per-net toggles summed over batch lanes, each pass counted from
+    /// the fault-free power-on state.
+    toggles: Vec<u64>,
+    /// Clock edges, charged once per batch (shared by all its lanes).
+    cycles: u64,
+    /// Operations measured.
+    ops: u64,
+}
+
+impl PowerTally {
+    fn new(nets: usize) -> Self {
+        PowerTally {
+            toggles: vec![0; nets],
+            cycles: 0,
+            ops: 0,
+        }
+    }
+}
+
+/// One segment of a packed pass: its operations and the stuck-at faults
+/// they run under.
+type Laid<'s> = (&'s [Operation], &'s [(NetId, bool)]);
+
+/// What [`run_passes`] produced.
+struct PackedRun {
+    /// Each segment's raw outputs, in segment order.
+    raws: Vec<Vec<RawOutputs>>,
+    /// Passes run.
+    passes: u64,
+    /// Wall time spent arming the passes (batch fill).
+    fill_micros: u64,
+    /// Wall time spent evaluating them.
+    eval_micros: u64,
+}
+
+/// Lays `segments` (operations and the fault set they run under) out
+/// back to back over as few passes of `sim`'s width as they fill, each
+/// lane under its segment's faults. The first `batch` lanes are a batch
+/// (a leading segment): every pass that holds batch lanes restarts
+/// toggle counting from the fault-free power-on state over its batch
+/// prefix and adds its toggles to `power`, which also charges the
+/// batch's clock edges and operations once. A pass with no batch lanes
+/// counts none. Toggle counts are lane-separable, so `power` and every
+/// raw output are the same at any width.
+fn run_passes<const W: usize>(
+    sim: &mut LaneSim<'_, W>,
+    ports: &StructuralPorts,
+    segments: &[Laid<'_>],
+    batch: usize,
+    power: &mut PowerTally,
+) -> PackedRun {
+    let width = LaneSim::<W>::LANES;
+    let ops: Vec<Operation> = segments
+        .iter()
+        .flat_map(|(ops, _)| ops.iter().copied())
+        .collect();
+    let (mut passes, mut fill_micros, mut eval_micros) = (0, 0, 0);
+    let mut raws = Vec::with_capacity(ops.len());
+    for start in (0..ops.len()).step_by(width) {
+        let end = (start + width).min(ops.len());
+        let t_fill = Instant::now();
+        let mut plan = Vec::with_capacity(segments.len());
+        let mut base = 0;
+        for (seg_ops, faults) in segments {
+            let (lo, hi) = (base.max(start), (base + seg_ops.len()).min(end));
+            if lo < hi {
+                plan.push((lane_range(lo - start, hi - start), *faults));
+            }
+            base += seg_ops.len();
+        }
+        sim.arm_overlays(&plan);
+        let batch_lanes = batch.saturating_sub(start).min(width);
+        if batch_lanes > 0 {
+            sim.rearm_activity(batch_lanes);
+        } else if sim.activity_enabled() {
+            sim.set_active_lanes(0);
+        }
+        fill_micros += t_fill.elapsed().as_micros() as u64;
+        let t_eval = Instant::now();
+        raws.extend(run_raw_compiled(sim, ports, &ops[start..end]));
+        eval_micros += t_eval.elapsed().as_micros() as u64;
+        if batch_lanes > 0 {
+            for (sum, &t) in power.toggles.iter_mut().zip(sim.toggles()) {
+                *sum += t;
+            }
+            if start == 0 {
+                power.cycles += sim.cycles();
+                power.ops += batch as u64;
+            }
+        }
+        passes += 1;
+    }
+    let mut rest = raws.into_iter();
+    PackedRun {
+        raws: segments
+            .iter()
+            .map(|(ops, _)| rest.by_ref().take(ops.len()).collect())
+            .collect(),
+        passes,
+        fill_micros,
+        eval_micros,
+    }
+}
+
 /// What a run of lanes in a packed pass carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Role {
@@ -1390,6 +1466,7 @@ impl Verdict {
 mod tests {
     use super::*;
     use mfm_gatesim::tech::TechLibrary;
+    use mfm_gatesim::CompiledSim;
     use mfm_resilient::health::BreakerConfig;
     use mfmult::structural::build_unit;
 
@@ -1526,8 +1603,127 @@ mod tests {
             }
         }
         assert!(want.iter().any(|&t| t > 0));
-        assert_eq!(svc.power_toggles, want);
-        assert_eq!(svc.power_ops, 4);
+        assert_eq!(svc.power.toggles, want);
+        assert_eq!(svc.power.ops, 4);
+    }
+
+    /// A tick's segments (operations and their faults) and its batch
+    /// length.
+    type Round = (Vec<(Vec<Operation>, Vec<(NetId, bool)>)>, usize);
+
+    /// Runs `rounds` of packed segments through one simulator of width
+    /// `W`, returning every round's raw outputs, the power tally and
+    /// the passes run.
+    fn packed_rounds<const W: usize>(
+        n: &Netlist,
+        ports: &StructuralPorts,
+        rounds: &[Round],
+    ) -> (Vec<Vec<Vec<RawOutputs>>>, PowerTally, u64) {
+        let mut sim = LaneSim::<W>::new(n.compiled().unwrap());
+        let mut power = PowerTally::new(n.net_count());
+        let mut passes = 0;
+        let raws = rounds
+            .iter()
+            .map(|(segments, batch)| {
+                let laid: Vec<Laid<'_>> = segments.iter().map(|(o, f)| (&o[..], &f[..])).collect();
+                let run = run_passes(&mut sim, ports, &laid, *batch, &mut power);
+                passes += run.passes;
+                run.raws
+            })
+            .collect();
+        (raws, power, passes)
+    }
+
+    /// Tick-shaped segment sequences over `ports`: a small batch with
+    /// patrol and speculative riders, a full batch with two TMR replica
+    /// copies that spills across passes, the same plan again, a pass
+    /// with no batch, and a batch whose overlay changes.
+    fn packed_round_plan(ports: &StructuralPorts, batch_len: usize) -> Vec<Round> {
+        let mut gen = mfm_evalkit::workload::OperandGen::new(21);
+        let formats = [
+            Format::Int64,
+            Format::Binary64,
+            Format::DualBinary32,
+            Format::SingleBinary32,
+        ];
+        let mut ops = |len: usize| -> Vec<Operation> {
+            (0..len).map(|k| gen.operation(formats[k % 4])).collect()
+        };
+        let battery = scrub_battery(false);
+        let patrol: Vec<Operation> = battery[..8].to_vec();
+        let clean: Vec<(NetId, bool)> = Vec::new();
+        let stuck_p0 = vec![(ports.chk_p0[0], true)];
+        let stuck_ph = vec![(ports.ph[7], false), (ports.pl[3], true)];
+        let small = ops(4);
+        let full = ops(batch_len);
+        vec![
+            (
+                vec![
+                    (small.clone(), clean.clone()),
+                    (patrol.clone(), stuck_p0.clone()),
+                    (battery[8..16].to_vec(), clean.clone()),
+                ],
+                4,
+            ),
+            (
+                vec![
+                    (full.clone(), stuck_ph.clone()),
+                    (full.clone(), clean.clone()),
+                    (full.clone(), stuck_p0.clone()),
+                    (patrol.clone(), clean.clone()),
+                ],
+                batch_len,
+            ),
+            (
+                vec![
+                    (full.clone(), stuck_ph.clone()),
+                    (full.clone(), clean.clone()),
+                    (full, stuck_p0.clone()),
+                    (patrol.clone(), clean.clone()),
+                ],
+                batch_len,
+            ),
+            (vec![(patrol, stuck_ph.clone())], 0),
+            (vec![(small, stuck_p0), (ops(8), stuck_ph)], 4),
+        ]
+    }
+
+    #[test]
+    fn packed_passes_agree_at_64_and_256_lanes() {
+        let (n, ports) = build();
+        let rounds = packed_round_plan(&ports, LANES);
+        let (narrow, narrow_power, narrow_passes) =
+            packed_rounds::<PASS_WORDS>(&n, &ports, &rounds);
+        let (wide, wide_power, wide_passes) = packed_rounds::<4>(&n, &ports, &rounds);
+        assert_eq!(narrow, wide, "raw outputs");
+        assert_eq!(narrow_power, wide_power, "toggles, cycles and ops");
+        assert_eq!(narrow_power.ops, 4 + 2 * LANES as u64 + 4);
+        assert!(narrow_power.toggles.iter().any(|&t| t > 0));
+        // Lanes per round: 20, 776, 776, 8 and 12.
+        assert_eq!(
+            (wide_passes, narrow_passes),
+            (1 + 4 + 4 + 1 + 1, 1 + 13 + 13 + 1 + 1)
+        );
+        // The faults reached their lanes: the stuck check bit shows.
+        assert!(narrow[1][2].iter().zip(&narrow[1][1]).any(|(a, b)| a != b));
+    }
+
+    #[test]
+    fn packed_passes_agree_at_64_and_256_lanes_on_the_pipelined_unit() {
+        let mut n = Netlist::new(TechLibrary::cmos45lp());
+        let ports = mfmult::pipeline::build_pipelined_unit(
+            &mut n,
+            mfmult::pipeline::PipelinePlacement::Fig5,
+        );
+        assert!(ports.latency > 0);
+        let batch = if cfg!(debug_assertions) { 100 } else { LANES };
+        let rounds = packed_round_plan(&ports, batch);
+        let (narrow, narrow_power, _) = packed_rounds::<PASS_WORDS>(&n, &ports, &rounds);
+        let (wide, wide_power, _) = packed_rounds::<4>(&n, &ports, &rounds);
+        assert_eq!(narrow, wide, "raw outputs");
+        assert_eq!(narrow_power, wide_power, "toggles, cycles and ops");
+        // Each batch charges its clock edges once, at any width.
+        assert_eq!(narrow_power.cycles, 4 * (ports.latency as u64 + 1));
     }
 
     #[test]
@@ -1565,8 +1761,8 @@ mod tests {
                 *w += t;
             }
         }
-        assert_eq!(svc.power_toggles, want);
-        assert_eq!(svc.power_ops, 4);
+        assert_eq!(svc.power.toggles, want);
+        assert_eq!(svc.power.ops, 4);
         let sz = svc.statusz_json();
         mfm_telemetry::json::check(&sz).unwrap();
         assert!(

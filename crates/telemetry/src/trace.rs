@@ -77,7 +77,7 @@ impl TraceMinter {
 pub enum Phase {
     /// Waiting in the admission queue for a batch slot.
     QueueWait,
-    /// Being gathered into a 256-lane batch.
+    /// Being gathered into a batch (up to 256 requests).
     BatchFill,
     /// Compiled bit-parallel evaluation of the batch.
     CompiledEval,
