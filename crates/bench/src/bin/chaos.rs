@@ -1,20 +1,25 @@
-//! Deterministic chaos run over the resilient pool engine: a seeded
-//! fault schedule (SEUs, stuck-ats, glitch storms, field replacements)
-//! applied to a pool of self-checking units mid-workload, judged by the
-//! two invariants of `mfm-resilient`: **zero wrong answers escape** and
-//! **capacity degrades and recovers**.
+//! Deterministic chaos run through the service: a seeded fault schedule
+//! (SEUs, stuck-ats, Byzantine output latches, field replacements)
+//! applied to the pool under an in-process `Service` mid-workload,
+//! judged by the two invariants of `mfm-resilient`: **zero wrong
+//! answers escape** (every `Ok` is compared against the softfloat
+//! reference on the client side) and **capacity degrades and
+//! recovers**. SEUs act only on the pipelined build; `--comb` drops
+//! them, since a combinational unit has no register to capture one.
 //!
 //! Usage: `chaos [--units N] [--ops N] [--faults N] [--seed S] [--comb]
 //! [--quad] [--json <path>]` (defaults: 4 units, 300 ops, 60 faults,
 //! seed 2017, 3-stage pipelined build).
 //!
-//! The run is bit-reproducible: no wall clock is sampled anywhere, so
-//! the same seed produces byte-identical output (and `--json` report).
+//! The run is bit-reproducible: no scheduling decision samples a wall
+//! clock and the service's wall-clock phase histograms stay out of the
+//! report, so the same seed produces byte-identical output (and
+//! `--json` report).
 //! Exits 1 if any wrong answer escaped.
 
 use mfm_bench::cli;
-use mfm_evalkit::chaos::{run_chaos_campaign, ChaosCampaignConfig};
 use mfm_evalkit::runreport::RunReport;
+use mfm_server::chaos::{run_chaos_campaign, ChaosCampaignConfig};
 use mfm_telemetry::Registry;
 
 fn main() {
@@ -44,7 +49,7 @@ fn main() {
         quad_lanes: cli::has_flag(&args, "--quad"),
         ..ChaosCampaignConfig::default()
     };
-    println!("=== Chaos run: resilient pool under a seeded fault schedule ===\n");
+    println!("=== Chaos run: the service's pool under a seeded fault schedule ===\n");
     // No registry spans here: spans record wall time, which would break
     // bit-reproducibility of the --json report.
     let registry = Registry::new();
@@ -53,7 +58,7 @@ fn main() {
     println!(
         "\ninvariant 1 (zero escapes): {}",
         if report.escapes == 0 {
-            "PASS — every delivered result matched the softfloat reference".to_string()
+            "PASS — every Ok answer matched the softfloat reference".to_string()
         } else {
             format!("FAIL — {} wrong answer(s) escaped", report.escapes)
         }

@@ -24,8 +24,9 @@
 //! glitch-inflation calibration run is *not* timed: it is a one-time
 //! cost per netlist, amortized over every measurement that follows.
 //!
-//! `montecarlo.compiled_sharded` is the median of five calls; every
-//! other entry times one run.
+//! `batch.compiled`, `batch.compiled_256`, `batch.compiled_64` and
+//! `montecarlo.compiled_sharded` are each the median of five timed runs
+//! ([`median_ns`]); the other entries time one run.
 //!
 //! The summary also carries the power-parity fields the `power-parity`
 //! CI job gates on: calibrated-compiled vs event-driven pJ/op on the
@@ -50,8 +51,23 @@ use mfmult::selfcheck::{run_raw, run_raw_compiled};
 use mfmult::structural::build_unit;
 use mfmult::{Format, Operation};
 
-/// Timed calls behind the `montecarlo.compiled_sharded` entry (median).
-const MC_COMPILED_REPEATS: usize = 5;
+/// Timed runs behind each median entry.
+const REPEATS: usize = 5;
+
+/// The median wall time, in ns, of [`REPEATS`] calls of `run`. The
+/// entries timed this way take only milliseconds per call, so a single
+/// timing swings with scheduler noise.
+fn median_ns(mut run: impl FnMut()) -> f64 {
+    let mut runs: Vec<f64> = (0..REPEATS)
+        .map(|_| {
+            let t0 = Instant::now();
+            run();
+            t0.elapsed().as_nanos() as f64
+        })
+        .collect();
+    runs.sort_by(f64::total_cmp);
+    runs[REPEATS / 2]
+}
 
 /// One measured benchmark.
 struct Entry {
@@ -139,11 +155,11 @@ fn main() {
             .collect();
         let mut sim = CompiledSim::new(&prog);
         run_raw_compiled(&mut sim, &ports, &ops[..64]); // warm-up
-        let t0 = Instant::now();
-        for chunk in ops.chunks(64) {
-            std::hint::black_box(run_raw_compiled(&mut sim, &ports, chunk));
-        }
-        let dt = t0.elapsed().as_nanos() as f64;
+        let dt = median_ns(|| {
+            for chunk in ops.chunks(64) {
+                std::hint::black_box(run_raw_compiled(&mut sim, &ports, chunk));
+            }
+        });
         entries.push(entry("batch.compiled", batch_vecs as u64, dt, 1));
     }
 
@@ -157,11 +173,11 @@ fn main() {
         let mut sim = CompiledSim::new(&prog);
         run_raw_compiled(&mut sim, &ports, &ops[..LANES]); // warm-up
         sim.enable_activity(LANES);
-        let t0 = Instant::now();
-        for chunk in ops.chunks(LANES) {
-            std::hint::black_box(run_raw_compiled(&mut sim, &ports, chunk));
-        }
-        let dt = t0.elapsed().as_nanos() as f64;
+        let dt = median_ns(|| {
+            for chunk in ops.chunks(LANES) {
+                std::hint::black_box(run_raw_compiled(&mut sim, &ports, chunk));
+            }
+        });
         std::hint::black_box(sim.activity_events());
         entries.push(entry("batch.compiled_256", batch_vecs as u64, dt, 1));
     }
@@ -177,11 +193,11 @@ fn main() {
         let lanes = LaneSim::<1>::LANES;
         run_raw_compiled(&mut sim, &ports, &ops[..lanes]); // warm-up
         sim.enable_activity(lanes);
-        let t0 = Instant::now();
-        for chunk in ops.chunks(lanes) {
-            std::hint::black_box(run_raw_compiled(&mut sim, &ports, chunk));
-        }
-        let dt = t0.elapsed().as_nanos() as f64;
+        let dt = median_ns(|| {
+            for chunk in ops.chunks(lanes) {
+                std::hint::black_box(run_raw_compiled(&mut sim, &ports, chunk));
+            }
+        });
         std::hint::black_box(sim.activity_events());
         entries.push(entry("batch.compiled_64", batch_vecs as u64, dt, 1));
     }
@@ -227,28 +243,19 @@ fn main() {
         let t0 = Instant::now();
         let ed = measure_unit_sharded(&n, &ports, Format::Binary64, mc_ops, 5, 4, threads);
         let par_ns = t0.elapsed().as_nanos() as f64;
-        // One compiled call takes only milliseconds, so a single timing
-        // swings with scheduler noise: the entry is the median of
-        // `MC_COMPILED_REPEATS` calls.
-        let mut compiled_runs: Vec<f64> = (0..MC_COMPILED_REPEATS)
-            .map(|_| {
-                let t0 = Instant::now();
-                std::hint::black_box(measure_unit_compiled_sharded(
-                    &n,
-                    &prog,
-                    &ports,
-                    Format::Binary64,
-                    mc_compiled_ops,
-                    5,
-                    4,
-                    threads,
-                    Some(&cal),
-                ));
-                t0.elapsed().as_nanos() as f64
-            })
-            .collect();
-        compiled_runs.sort_by(f64::total_cmp);
-        let compiled_ns = compiled_runs[MC_COMPILED_REPEATS / 2];
+        let compiled_ns = median_ns(|| {
+            std::hint::black_box(measure_unit_compiled_sharded(
+                &n,
+                &prog,
+                &ports,
+                Format::Binary64,
+                mc_compiled_ops,
+                5,
+                4,
+                threads,
+                Some(&cal),
+            ));
+        });
         let compiled = measure_unit_compiled_sharded(
             &n,
             &prog,

@@ -15,11 +15,11 @@
 //! incident report as `D/incident_<n>.json`.
 //!
 //! `--chaos N` arms a seeded plan of N fault events (stuck-ats, SEUs,
-//! glitch storms, field replacements) injected underneath live traffic,
-//! keyed by admitted-request ordinal — the service must keep its
-//! zero-escape and no-silent-drop contract while the hardware misbehaves.
-//! SEUs and glitch storms act only on the engine's own dispatch path,
-//! which the service does not use, so they are inert here.
+//! field replacements) injected underneath live traffic, keyed by
+//! admitted-request ordinal — the service must keep its zero-escape and
+//! no-silent-drop contract while the hardware misbehaves. An SEU forces
+//! its net on the victim unit's lanes of one pass on the `--pipelined`
+//! build; the combinational build drops it (no register captures it).
 //! `--byzantine P` makes P percent of those fault events scrub-clean
 //! Byzantine output latches that only the reference comparison catches.
 //!

@@ -634,13 +634,12 @@ pub fn run_raw_compiled<const W: usize>(
 /// fault set, so one propagation pass verifies up to 256 battery
 /// vectors.
 ///
-/// A compiled **failure is conclusive** — the compiled values equal the
-/// event-driven settled values, so the event-driven battery would
-/// reject the same vector. A compiled **pass is not sufficient**: the
-/// event-driven scrub can still fail on timing grounds (a glitch storm
-/// tripping the settle-budget watchdog). Use this as a reject-fast
-/// prefilter in front of [`SelfCheckingUnit::try_recover_with`], as the
-/// resilient pool engine does.
+/// The compiled values equal the event-driven settled values under the
+/// same overlay, so the verdict is the settled battery's verdict: the
+/// resilient pool engine scrubs on it alone. Only timing effects lie
+/// outside it — a [`SelfCheckingUnit`] whose event-driven settle budget
+/// aborts a battery vector ([`CheckError::Watchdog`]) fails its own
+/// [`SelfCheckingUnit::run_scrub`] where this passes.
 pub fn run_scrub_compiled(
     prog: &CompiledNetlist,
     ports: &StructuralPorts,
@@ -1018,26 +1017,12 @@ impl<'a> SelfCheckingUnit<'a> {
     }
 
     /// Like [`SelfCheckingUnit::try_recover`] but with a caller-supplied
-    /// battery, and **without** the repair step — pool engines use this
-    /// to re-assert environment faults between repair and re-verify, and
-    /// quad-lane builds to pass `scrub_battery(true)`.
+    /// battery, and **without** the repair step — for callers that
+    /// re-assert environment faults between repair and re-verify, and
+    /// for quad-lane builds to pass `scrub_battery(true)`.
     pub fn try_recover_with(&mut self, battery: &[Operation]) -> bool {
-        let outcome = self.run_scrub(battery).map(|()| battery.len());
-        self.note_scrub_outcome(outcome)
-    }
-
-    /// Records the verdict of a scrub verification executed *outside*
-    /// this unit — e.g. the compiled-engine prefilter
-    /// ([`run_scrub_compiled`]) a pool engine runs before committing to
-    /// the event-driven battery. Updates the degraded latch, stats,
-    /// telemetry and incident log exactly as
-    /// [`SelfCheckingUnit::try_recover_with`] would: `Ok(vectors)`
-    /// clears the latch (the payload is the battery length, for the
-    /// incident message), `Err` sets it. Returns whether the unit is
-    /// now trusted.
-    pub fn note_scrub_outcome(&mut self, outcome: Result<usize, (Operation, CheckError)>) -> bool {
-        match outcome {
-            Ok(vectors) => {
+        match self.run_scrub(battery) {
+            Ok(()) => {
                 self.stats.degraded = false;
                 self.stats.recoveries += 1;
                 if let Some(t) = &self.telemetry {
@@ -1046,7 +1031,7 @@ impl<'a> SelfCheckingUnit<'a> {
                 self.record_incident(
                     Format::Int64,
                     IncidentKind::Recovered,
-                    format!("scrub battery passed ({vectors} vectors)"),
+                    format!("scrub battery passed ({} vectors)", battery.len()),
                 );
                 true
             }

@@ -16,10 +16,6 @@
 //! - [`faultcov`] — seeded stuck-at fault-coverage campaigns for the
 //!   self-checking unit (`mfmult::selfcheck`): per-block and per-format
 //!   masked/detected/silent classification.
-//! - [`chaos`] — seeded chaos campaigns over the `mfm-resilient` pool
-//!   engine: mixed-format traffic under scheduled SEUs, stuck-ats and
-//!   glitch storms, judged by the zero-escape and capacity-recovery
-//!   invariants.
 //! - [`shard`] — deterministic thread sharding: fixed logical shard
 //!   decomposition with per-shard PRNG streams and order-independent
 //!   merge, so campaigns are bit-identical at any thread count.
@@ -42,7 +38,6 @@
 #![deny(missing_docs)]
 
 pub mod calibrate;
-pub mod chaos;
 pub mod experiments;
 pub mod faultcov;
 pub mod montecarlo;

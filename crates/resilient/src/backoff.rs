@@ -1,7 +1,7 @@
-//! Caller-side retry policy for a [`Busy`](crate::engine::Busy)
-//! submission queue: truncated exponential backoff with deterministic
-//! jitter drawn from the workspace PRNG, so a seeded workload replays
-//! bit-identically.
+//! Retry policy for refused work: truncated exponential backoff with
+//! deterministic jitter drawn from the workspace PRNG, so a seeded
+//! workload replays bit-identically. The service derives the retry hint
+//! of each `Overloaded` refusal from one per client.
 
 use mfm_prng::Rng;
 
@@ -30,9 +30,9 @@ impl Default for BackoffConfig {
     }
 }
 
-/// Per-submission backoff state: one instance per operation being
-/// pushed through a busy queue. Seed it from the operation's ordinal so
-/// the jitter sequence is a pure function of the workload seed.
+/// Backoff state for one stream of refusals (the service keeps one per
+/// client). Seed it from the stream's identity so the jitter sequence
+/// is a pure function of the workload seed.
 #[derive(Debug)]
 pub struct SubmitBackoff {
     cfg: BackoffConfig,
@@ -41,7 +41,7 @@ pub struct SubmitBackoff {
 }
 
 impl SubmitBackoff {
-    /// A fresh backoff sequence for one submission.
+    /// A fresh backoff sequence for one stream of refusals.
     pub fn new(cfg: BackoffConfig, seed: u64) -> Self {
         SubmitBackoff {
             cfg,

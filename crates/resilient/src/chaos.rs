@@ -11,8 +11,10 @@ use crate::engine::Engine;
 /// What a chaos event does to its target unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosKind {
-    /// Arm a single-event upset for the unit's next operation (masked on
-    /// combinational builds, where no register can capture the pulse).
+    /// A single-event upset: the victim net is forced, to a value drawn
+    /// from the event, on the unit's lanes of its next pass only. Dropped
+    /// on combinational builds, where no register can capture the pulse
+    /// (see [`apply_event`]).
     Seu,
     /// Force a net. `sticky` models a physical defect that survives
     /// scrub repair; a non-sticky stuck-at models latched transient
@@ -26,14 +28,6 @@ pub enum ChaosKind {
     /// Clear every fault on the unit — a field replacement, ending even
     /// sticky defects.
     ClearFaults,
-    /// Glitch-storm a net before the unit's next operation, inflating
-    /// its settle work. `severity` is 1..=4; at 4 the storm is sized
-    /// past the engine's calibrated watchdog budget, so the trip is
-    /// guaranteed.
-    Delay {
-        /// Storm size as a quarter-fraction of the watchdog budget.
-        severity: u32,
-    },
     /// Arm a Byzantine output-latch fault: every `period`-th result the
     /// unit serves is corrupted *after* its self-checks ran, so scrub
     /// batteries pass ("scrub-clean") and only redundant execution can
@@ -52,7 +46,6 @@ impl ChaosKind {
             ChaosKind::StuckAt { sticky: true, .. } => "stuck_at_sticky",
             ChaosKind::StuckAt { sticky: false, .. } => "stuck_at",
             ChaosKind::ClearFaults => "clear_faults",
-            ChaosKind::Delay { .. } => "delay",
             ChaosKind::Byzantine { .. } => "byzantine",
         }
     }
@@ -69,7 +62,7 @@ pub struct ChaosEvent {
     pub unit: usize,
     /// Raw draw selecting the victim net among the candidate sites.
     pub net_pick: u64,
-    /// Raw draw selecting the SEU capture edge.
+    /// Raw draw selecting the value an SEU forces.
     pub edge_pick: u32,
     /// What happens.
     pub kind: ChaosKind,
@@ -148,17 +141,19 @@ impl ChaosPlan {
                 continue;
             }
             let roll = rng.next_f64();
-            let kind = if roll < 0.40 {
-                ChaosKind::Seu
-            } else if roll < 0.80 {
+            let kind = if (0.40..0.80).contains(&roll) {
                 ChaosKind::StuckAt {
                     value: rng.next_bool(0.5),
                     sticky: rng.next_bool(cfg.sticky_fraction),
                 }
             } else {
-                ChaosKind::Delay {
-                    severity: 1 + rng.range_u64(0, 4) as u32,
+                if roll >= 0.80 {
+                    // The draws that once armed glitch storms arm SEUs.
+                    // The storm's size draw is still taken, so every
+                    // other event of a seeded plan keeps its place.
+                    rng.range_u64(0, 4);
                 }
+                ChaosKind::Seu
             };
             events.push(ChaosEvent {
                 at_op,
@@ -197,7 +192,6 @@ impl ChaosPlan {
             "seu",
             "stuck_at",
             "stuck_at_sticky",
-            "delay",
             "byzantine",
             "clear_faults",
         ];
@@ -215,14 +209,16 @@ impl ChaosPlan {
 
 /// Applies one event to the engine. `sites` is the candidate victim-net
 /// list (typically every cell output), `latency` the build's pipeline
-/// depth (resolves the SEU capture edge).
+/// depth. An SEU on a combinational build (`latency == 0`) is dropped:
+/// with no register to capture it, the pulse is always masked.
 pub fn apply_event(engine: &mut Engine<'_>, ev: &ChaosEvent, sites: &[NetId], latency: u32) {
     assert!(!sites.is_empty(), "need at least one candidate site");
     let net = sites[(ev.net_pick % sites.len() as u64) as usize];
     match ev.kind {
         ChaosKind::Seu => {
-            let edge = 1 + ev.edge_pick % (latency + 1);
-            engine.schedule_seu(ev.unit, edge, net);
+            if latency > 0 {
+                engine.schedule_seu(ev.unit, net, ev.edge_pick & 1 == 1);
+            }
         }
         ChaosKind::StuckAt { value, sticky } => {
             engine.inject_stuck_at(ev.unit, net, value, sticky);
@@ -233,14 +229,6 @@ pub fn apply_event(engine: &mut Engine<'_>, ev: &ChaosEvent, sites: &[NetId], la
             // different events flip different product bits.
             let mask = 1u64 << (ev.net_pick % 64);
             engine.inject_byzantine(ev.unit, period, mask);
-        }
-        ChaosKind::Delay { severity } => {
-            let budget = engine.watchdog_budget();
-            let pulses = (severity as u64)
-                .saturating_mul(budget + 2)
-                .div_ceil(4)
-                .max(8);
-            engine.induce_delay(ev.unit, vec![net; pulses as usize]);
         }
     }
 }

@@ -1,74 +1,52 @@
-//! The resilient execution engine: a pool of self-checking units behind
-//! a bounded submission queue, with per-unit circuit breakers,
-//! scrub-and-readmit recovery, a per-operation settle-work watchdog and
-//! an escape cross-check against the bit-exact functional model.
+//! The resilient pool engine: per-unit fault records behind circuit
+//! breakers, with scrub-and-readmit recovery, hot-spare promotion and
+//! patrol bookkeeping, run by the service core
+//! (`mfm_server::service::Service`), in whose compiled passes every lane
+//! runs.
 //!
-//! All pool units share one [`Netlist`] (the netlist is immutable under
-//! simulation; faults are per-[`Simulator`] overlays), so an N-unit pool
-//! costs N simulators, not N netlists.
+//! A pool slot holds no simulator. It holds the unit's *fault record*
+//! (its stuck-ats, the sticky subset of them that models physical
+//! defects, a Byzantine output latch and pending single-event upsets)
+//! and the breaker that tracks the unit. The service evaluates each lane
+//! in its own compiled pass under the overlay of the unit the lane is
+//! routed through ([`Engine::overlay`]), ends the pass with
+//! [`Engine::end_pass`] and feeds the verdicts back through
+//! [`Engine::note_external_service`]. All pool units share one
+//! [`Netlist`].
 //!
-//! Time is counted in *ticks*: one [`Engine::tick`] call runs due
-//! scrubs, dispatches at most one queued operation per dispatchable
-//! unit (round-robin), runs a patrol slice when it dispatched nothing,
-//! samples the capacity timeline and updates the pool gauges. There is
-//! no wall-clock anywhere, so a seeded run is bit-reproducible.
+//! Time is counted in *ticks*: one [`Engine::tick`] advances breaker
+//! time, runs due scrubs, answers retirements with spare promotions and
+//! refreshes the pool gauges. A scrub clears the faults that are not
+//! sticky and any pending SEUs, keeps the sticky ones, and replays the
+//! scrub battery on one engine-held 64-lane compiled simulator. Settled
+//! values are a pure function of the inputs and the stuck-at overlay,
+//! so that replay is the scrub's verdict. There is no wall clock
+//! anywhere, so a seeded run is bit-reproducible.
 //!
 //! Patrol bookkeeping has one code path: [`Engine::take_patrol`] picks
 //! the least-recently-verified serving unit and the next battery slice,
-//! and [`Engine::finish_patrol`] lands the verdict. An engine-only tick
-//! replays the slice on the engine's own compiled simulator; a
-//! front-end that packs the slice into lanes of its own pass ticks with
-//! [`Engine::tick_leaving_patrol`] and calls both itself.
+//! the service replays the slice in lanes of its own pass, and
+//! [`Engine::finish_patrol`] lands the verdict.
 
-use mfm_gatesim::{CompiledSim, LaneWord, NetId, Netlist, ALL_LANES, LANES, NO_LANES};
+use std::collections::BTreeMap;
+
+use mfm_gatesim::{LaneSim, LaneWord, NetId, Netlist, LANES, NO_LANES};
 use mfm_telemetry::{Counter, Gauge, Registry, TraceId};
-use mfmult::selfcheck::{scrub_battery, scrub_compiled, SelfCheckingUnit};
+use mfmult::selfcheck::{scrub_battery, scrub_compiled};
 use mfmult::structural::StructuralPorts;
-use mfmult::{FunctionalUnit, MultResult, Operation};
+use mfmult::Operation;
 
 use crate::health::{BreakerConfig, HealthState, HealthTracker, HealthTransition, TickVerdict};
-
-/// Structured rejection returned by [`Engine::submit`] when the bounded
-/// queue is full — the backpressure signal callers answer with
-/// [`crate::backoff::SubmitBackoff`].
-///
-/// The rejection is never a silent drop: it carries the queue depth the
-/// caller collided with and a retry-after hint derived from the recent
-/// [`CapacitySample`] timeline (queue occupancy over the observed drain
-/// rate), so a well-behaved client knows exactly how long to stay away.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Busy {
-    /// Queue occupancy at the moment of rejection.
-    pub queued: u32,
-    /// Estimated ticks until a queue slot frees up, computed from the
-    /// completion rate over the recent capacity timeline. At least 1.
-    pub retry_after: u64,
-}
-
-impl std::fmt::Display for Busy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "submission queue full ({} queued, retry after {} tick(s))",
-            self.queued, self.retry_after
-        )
-    }
-}
-
-impl std::error::Error for Busy {}
 
 /// Engine policy knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Capacity of the submission queue; a full queue rejects with
-    /// [`Busy`].
+    /// Read by nothing: the engine has no queue. `benchmark/src/serve.rs`
+    /// still assigns it, and it goes when the benchmark is next brought
+    /// up to the tree (see ROADMAP.md).
     pub queue_depth: usize,
     /// Per-unit circuit-breaker policy.
     pub breaker: BreakerConfig,
-    /// Watchdog headroom: the per-op settle-event budget is this factor
-    /// times the worst op observed while replaying the scrub battery at
-    /// construction.
-    pub watchdog_margin: u64,
     /// Whether the pool's units were built with the quad-binary16
     /// extension (selects the wider scrub battery).
     pub quad_lanes: bool,
@@ -78,9 +56,9 @@ pub struct EngineConfig {
     /// and is promoted into the vacated role — so `hw_capacity` never
     /// degrades permanently while standbys remain.
     pub spares: usize,
-    /// Scrub-battery operations replayed per *idle* tick against the
-    /// least-recently-verified healthy unit (patrol scrubbing). 0
-    /// disables patrol.
+    /// Scrub-battery operations per patrol slice, replayed each tick
+    /// against the least-recently-verified serving unit (patrol
+    /// scrubbing). 0 disables patrol.
     pub patrol_slice: usize,
 }
 
@@ -89,7 +67,6 @@ impl Default for EngineConfig {
         EngineConfig {
             queue_depth: 8,
             breaker: BreakerConfig::default(),
-            watchdog_margin: 4,
             quad_lanes: false,
             spares: 0,
             patrol_slice: 0,
@@ -97,75 +74,15 @@ impl Default for EngineConfig {
     }
 }
 
-/// One delivered result, tagged with its submission id and the unit
-/// that served it.
-#[derive(Debug, Clone)]
-pub struct Completed {
-    /// Submission id returned by [`Engine::submit`].
-    pub id: u64,
-    /// The operation.
-    pub op: Operation,
-    /// Pool index of the serving unit.
-    pub unit: usize,
-    /// Tick at which the result was produced.
-    pub tick: u64,
-    /// The (checked or fallback) result.
-    pub result: MultResult,
-}
-
-/// Capacity samples the engine keeps: the window
-/// [`Busy::retry_after`] is estimated over.
-const TIMELINE_WINDOW: usize = 16;
-
-/// One point of the capacity timeline: [`Engine::tick`] takes one per
-/// tick, reports it in its [`TickReport`] and keeps the last
-/// [`TIMELINE_WINDOW`] (16) in a fixed ring, for the retry hint.
-/// A caller that wants the whole series records the reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CapacitySample {
-    /// Tick the sample was taken at.
-    pub tick: u64,
-    /// Units delivering gate-level (checked hardware) results.
-    pub hw_capacity: u32,
-    /// Units accepting work at all (includes retired fallback service).
-    pub dispatchable: u32,
-    /// Queue occupancy after this tick's dispatch.
-    pub queued: u32,
-    /// Operations completed during this tick.
-    pub completed: u32,
-}
-
-/// What one [`Engine::tick`] did.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TickReport {
-    /// Operations dispatched (and completed — service is synchronous
-    /// within a tick).
-    pub dispatched: u32,
-    /// Scrubs run this tick.
-    pub scrubs: u32,
-    /// Of those, scrubs that passed and readmitted their unit.
-    pub scrub_passes: u32,
-    /// The capacity sample taken at the end of the tick.
-    pub sample: CapacitySample,
-}
-
 /// Pool-level counters and gauges (see [`Engine::attach_telemetry`]).
 struct PoolTelemetry {
     state_gauges: [Gauge; 6],
     hw_capacity: Gauge,
-    queue_depth: Gauge,
-    submitted: Counter,
-    rejected: Counter,
-    completed: Counter,
-    masked: Counter,
-    dmr_shadows: Counter,
-    dmr_mismatches: Counter,
     promotions: Counter,
     patrol_slices: Counter,
     patrol_failures: Counter,
     scrubs: Counter,
     scrub_passes: Counter,
-    watchdog_trips: Counter,
     transitions: Counter,
 }
 
@@ -178,11 +95,15 @@ const STATE_SLOTS: [HealthState; 6] = [
     HealthState::Spare,
 ];
 
+/// `u64` chunks per net in the scrub simulator: 64 lanes, room for the
+/// whole battery in one pass.
+const SCRUB_WORDS: usize = 1;
+
 /// A modelled Byzantine defect: the unit's *output latch* flips bits
 /// after every self-check has run, so the corruption is invisible to
 /// the residue/recompute checks and to scrub batteries (which replay
-/// through the checked datapath). Only redundant execution — the DMR
-/// shadow, a TMR vote or the reference cross-check — can catch it.
+/// through the checked datapath). Only a comparison against another
+/// result — the reference or a TMR replica — can catch it.
 #[derive(Debug, Clone, Copy)]
 struct ByzantineFault {
     /// Every `period`-th served result is corrupted.
@@ -193,19 +114,33 @@ struct ByzantineFault {
     served: u64,
 }
 
-/// One pool slot: the unit, its breaker, and the chaos-environment
-/// faults that must survive a scrub's repair step.
-struct PoolUnit<'a> {
-    unit: SelfCheckingUnit<'a>,
-    health: HealthTracker,
-    /// Environment faults re-asserted after every repair: a scrub can
-    /// clear transient damage, but not the (modelled) physical defect.
-    sticky: Vec<(NetId, bool)>,
-    /// Nets to hit with a glitch storm immediately before the next
-    /// dispatched operation (induced-delay chaos).
-    pending_delay: Vec<NetId>,
-    /// Chaos: an intermittent output-latch fault beyond check coverage.
+/// What the environment has done to one unit: the record its passes
+/// read their overlay from and its scrubs repair.
+#[derive(Debug, Default)]
+struct FaultRecord {
+    /// Forced nets with their values, the newest value per net.
+    stuck: BTreeMap<NetId, bool>,
+    /// The physical defects among them, which a scrub cannot clear.
+    sticky: BTreeMap<NetId, bool>,
+    /// Single-event upsets for the unit's next pass only.
+    seus: BTreeMap<NetId, bool>,
+    /// An intermittent output-latch fault beyond check coverage.
     byzantine: Option<ByzantineFault>,
+}
+
+impl FaultRecord {
+    /// The repair half of a scrub: transient damage and pending SEUs
+    /// go, the sticky defects stay.
+    fn repair(&mut self) {
+        self.stuck = self.sticky.clone();
+        self.seus.clear();
+    }
+}
+
+/// One pool slot: the unit's fault record and its breaker.
+struct PoolUnit {
+    faults: FaultRecord,
+    health: HealthTracker,
     /// Transitions already mirrored into the telemetry counter
     /// (a `transitions_logged` watermark, immune to ring eviction).
     mirrored_transitions: u64,
@@ -214,58 +149,31 @@ struct PoolUnit<'a> {
     /// Whether this unit's retirement has already been answered with a
     /// spare promotion attempt.
     retirement_handled: bool,
-    watchdog_trips: u64,
 }
 
 /// The pool engine (see the module docs).
 pub struct Engine<'a> {
-    units: Vec<PoolUnit<'a>>,
-    reference: FunctionalUnit,
+    units: Vec<PoolUnit>,
     battery: Vec<Operation>,
-    /// One settled bit-parallel simulator over the shared netlist's
-    /// compiled program, re-armed with the overlay of whichever unit a
-    /// scrub prefilter or an engine-run patrol slice checks: the
-    /// prefilter replays the whole battery in one 256-lane pass before
-    /// committing to the event-driven replay. A front-end that packs
-    /// patrol into its own pass ([`Engine::tick_leaving_patrol`]) leaves
-    /// only scrubs to it.
-    sim: CompiledSim<'a>,
+    /// One settled compiled simulator over the shared netlist, re-armed
+    /// with the overlay of whichever unit a scrub checks.
+    sim: LaneSim<'a, SCRUB_WORDS>,
     ports: StructuralPorts,
-    /// Submitted operations awaiting dispatch, as `(id, op)`.
-    queue: std::collections::VecDeque<(u64, Operation)>,
-    queue_depth: usize,
     breaker: BreakerConfig,
-    /// Per-op settle-event ceiling (calibrated at construction).
-    watchdog_budget: u64,
     tick: u64,
-    next_id: u64,
-    completed: Vec<Completed>,
-    /// The last [`TIMELINE_WINDOW`] capacity samples, oldest first.
-    timeline: std::collections::VecDeque<CapacitySample>,
-    rr_cursor: usize,
-    escapes: u64,
-    masked: u64,
-    dmr_shadows: u64,
-    dmr_mismatches: u64,
     promotions: u64,
     patrol_slice: usize,
     patrol_cursor: usize,
     patrol_slices: u64,
     patrol_failures: u64,
-    submitted: u64,
-    rejected: u64,
-    done: u64,
     scrubs: u64,
     scrub_passes: u64,
     telemetry: Option<PoolTelemetry>,
 }
 
 impl<'a> Engine<'a> {
-    /// Builds a pool of `units` self-checking units over one shared
-    /// netlist and calibrates the watchdog budget by replaying the scrub
-    /// battery once (the per-op ceiling is `watchdog_margin` times the
-    /// worst battery vector, read from the `sim.settle_events`
-    /// histogram).
+    /// Builds a pool of `units` serving slots plus `cfg.spares` cold
+    /// standbys over one shared netlist, all fault-free.
     pub fn new(
         netlist: &'a Netlist,
         ports: &StructuralPorts,
@@ -273,74 +181,33 @@ impl<'a> Engine<'a> {
         cfg: EngineConfig,
     ) -> Self {
         assert!(units > 0, "a pool needs at least one unit");
-        let battery = scrub_battery(cfg.quad_lanes);
-        let mut pool: Vec<PoolUnit<'a>> = (0..units + cfg.spares)
+        let pool = (0..units + cfg.spares)
             .map(|k| PoolUnit {
-                unit: SelfCheckingUnit::new(netlist, ports.clone()),
+                faults: FaultRecord::default(),
                 // Slots past the serving pool are cold standbys.
                 health: if k < units {
                     HealthTracker::new(cfg.breaker)
                 } else {
                     HealthTracker::new_spare(cfg.breaker)
                 },
-                sticky: Vec::new(),
-                pending_delay: Vec::new(),
-                byzantine: None,
                 mirrored_transitions: 0,
                 last_verified: 0,
                 retirement_handled: false,
-                watchdog_trips: 0,
             })
             .collect();
-        // Calibrate: replay the battery on unit 0 with the settle
-        // histogram attached; the observed worst case times the margin
-        // becomes every unit's per-op budget.
-        let cal = Registry::new();
-        pool[0].unit.sim_mut().attach_telemetry(&cal, u64::MAX);
-        pool[0]
-            .unit
-            .run_scrub(&battery)
-            .expect("clean hardware must pass its own scrub battery");
-        let worst = cal
-            .histogram("sim.settle_events")
-            .max()
-            .expect("battery settles at least once") as u64;
-        let watchdog_budget = worst.saturating_mul(cfg.watchdog_margin.max(1)).max(1);
-        // Detach the calibration registry and arm the hard settle stop
-        // on every unit (a single settle pass can never legitimately
-        // exceed the whole op's ceiling).
-        for pu in &mut pool {
-            pu.unit.sim_mut().detach_telemetry();
-            pu.unit.sim_mut().set_settle_budget(Some(watchdog_budget));
-        }
         let prog = netlist.compiled().expect("pool netlist must be acyclic");
         Engine {
             units: pool,
-            reference: FunctionalUnit::new(),
-            battery,
-            sim: CompiledSim::new(prog),
+            battery: scrub_battery(cfg.quad_lanes),
+            sim: LaneSim::new(prog),
             ports: ports.clone(),
-            queue: std::collections::VecDeque::new(),
-            queue_depth: cfg.queue_depth.max(1),
             breaker: cfg.breaker,
-            watchdog_budget,
             tick: 0,
-            next_id: 0,
-            completed: Vec::new(),
-            timeline: std::collections::VecDeque::with_capacity(TIMELINE_WINDOW),
-            rr_cursor: 0,
-            escapes: 0,
-            masked: 0,
-            dmr_shadows: 0,
-            dmr_mismatches: 0,
             promotions: 0,
             patrol_slice: cfg.patrol_slice,
             patrol_cursor: 0,
             patrol_slices: 0,
             patrol_failures: 0,
-            submitted: 0,
-            rejected: 0,
-            done: 0,
             scrubs: 0,
             scrub_passes: 0,
             telemetry: None,
@@ -348,36 +215,22 @@ impl<'a> Engine<'a> {
     }
 
     /// Registers pool gauges and counters: `pool.units.<state>`,
-    /// `pool.hw_capacity`, `pool.queue_depth`, plus `pool.{submitted,
-    /// rejected, completed, escapes, masked, dmr_shadows,
-    /// dmr_mismatches, promotions, patrol_slices, patrol_failures,
-    /// scrubs, scrub_passes, watchdog_trips, transitions}`.
+    /// `pool.hw_capacity`, plus `pool.{promotions, patrol_slices,
+    /// patrol_failures, scrubs, scrub_passes, transitions}`.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
-        // `pool.escapes` stays registered (at zero) as the zero-escape
-        // contract's scrapeable witness; the masking reference vote
-        // leaves nothing that could increment it.
-        let _ = registry.counter("pool.escapes");
         self.telemetry = Some(PoolTelemetry {
             state_gauges: STATE_SLOTS.map(|s| registry.gauge(&format!("pool.units.{}", s.label()))),
             hw_capacity: registry.gauge("pool.hw_capacity"),
-            queue_depth: registry.gauge("pool.queue_depth"),
-            submitted: registry.counter("pool.submitted"),
-            rejected: registry.counter("pool.rejected"),
-            completed: registry.counter("pool.completed"),
-            masked: registry.counter("pool.masked"),
-            dmr_shadows: registry.counter("pool.dmr_shadows"),
-            dmr_mismatches: registry.counter("pool.dmr_mismatches"),
             promotions: registry.counter("pool.promotions"),
             patrol_slices: registry.counter("pool.patrol_slices"),
             patrol_failures: registry.counter("pool.patrol_failures"),
             scrubs: registry.counter("pool.scrubs"),
             scrub_passes: registry.counter("pool.scrub_passes"),
-            watchdog_trips: registry.counter("pool.watchdog_trips"),
             transitions: registry.counter("pool.transitions"),
         });
     }
 
-    /// Pool size.
+    /// Pool size, spares included.
     pub fn unit_count(&self) -> usize {
         self.units.len()
     }
@@ -401,47 +254,20 @@ impl<'a> Engine<'a> {
         self.units[i].health.transitions_logged()
     }
 
-    /// The wrapped unit at slot `i` (stats, incident log).
-    pub fn unit(&self, i: usize) -> &SelfCheckingUnit<'a> {
-        &self.units[i].unit
+    /// The stuck-at overlay unit `i`'s next pass runs under, in net
+    /// order: its pending SEUs, then its stuck-ats, which win on a net
+    /// both force.
+    pub fn overlay(&self, i: usize) -> Vec<(NetId, bool)> {
+        let f = &self.units[i].faults;
+        let mut all = f.seus.clone();
+        all.extend(&f.stuck);
+        all.into_iter().collect()
     }
 
-    /// The calibrated per-op settle-event ceiling.
-    pub fn watchdog_budget(&self) -> u64 {
-        self.watchdog_budget
-    }
-
-    /// Watchdog trips observed on unit `i`.
-    pub fn watchdog_trips(&self, i: usize) -> u64 {
-        self.units[i].watchdog_trips
-    }
-
-    /// Results wrongly delivered (disagreeing with the bit-exact
-    /// reference). Since the reference vote substitutes the correct
-    /// answer before delivery (see [`Engine::masked`]), this stays zero
-    /// by construction; the counter remains as the contract's witness.
-    pub fn escapes(&self) -> u64 {
-        self.escapes
-    }
-
-    /// Wrong hardware results caught by the reference vote and replaced
-    /// before delivery — each one also charged the serving unit's
-    /// breaker. A nonzero count with zero [`Engine::escapes`] is fault
-    /// *masking* working as designed.
-    pub fn masked(&self) -> u64 {
-        self.masked
-    }
-
-    /// Operations shadow-executed on a healthy peer because the serving
-    /// unit was under suspicion (DMR-on-suspicion).
-    pub fn dmr_shadows(&self) -> u64 {
-        self.dmr_shadows
-    }
-
-    /// DMR shadow pairs that disagreed and went to the reference for
-    /// the deciding vote.
-    pub fn dmr_mismatches(&self) -> u64 {
-        self.dmr_mismatches
+    /// Ends a pass that carried unit `i`'s lanes: its pending SEUs have
+    /// struck and leave the overlay.
+    pub fn end_pass(&mut self, i: usize) {
+        self.units[i].faults.seus.clear();
     }
 
     /// Spares promoted into service after a retirement.
@@ -457,27 +283,15 @@ impl<'a> Engine<'a> {
             .count() as u32
     }
 
-    /// Patrol battery slices run on idle ticks, and how many of them
-    /// failed (charging the patrolled unit's breaker).
+    /// Patrol battery slices handed out, and how many of them failed
+    /// (charging the patrolled unit's breaker).
     pub fn patrol_stats(&self) -> (u64, u64) {
         (self.patrol_slices, self.patrol_failures)
     }
 
-    /// Operations accepted, rejected and completed so far, and scrubs
-    /// run / passed.
-    pub fn totals(&self) -> (u64, u64, u64, u64, u64) {
-        (
-            self.submitted,
-            self.rejected,
-            self.done,
-            self.scrubs,
-            self.scrub_passes,
-        )
-    }
-
-    /// Queue occupancy.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
+    /// Scrubs run and scrubs passed so far, spare activations included.
+    pub fn scrubs(&self) -> (u64, u64) {
+        (self.scrubs, self.scrub_passes)
     }
 
     /// Current tick.
@@ -485,80 +299,19 @@ impl<'a> Engine<'a> {
         self.tick
     }
 
-    /// Drains the completed-results buffer.
-    pub fn take_completed(&mut self) -> Vec<Completed> {
-        std::mem::take(&mut self.completed)
-    }
-
-    /// Units currently delivering gate-level results.
+    /// Units currently delivering gate-level results: healthy or
+    /// suspect. A failed scrub always leaves its unit quarantined or
+    /// retired, so no unit counted here failed its last scrub.
     pub fn hw_capacity(&self) -> u32 {
         self.units
             .iter()
-            .filter(|u| u.health.state().is_hw_capacity() && !u.unit.is_degraded())
+            .filter(|u| u.health.state().is_hw_capacity())
             .count() as u32
     }
 
-    /// Submits one operation. A full queue answers a structured
-    /// [`Busy`] carrying the queue depth and a retry-after hint; the
-    /// caller backs off and retries (see
-    /// [`crate::backoff::SubmitBackoff`]) or sheds the request with a
-    /// typed overload response.
-    pub fn submit(&mut self, op: Operation) -> Result<u64, Busy> {
-        if self.queue.len() >= self.queue_depth {
-            self.rejected += 1;
-            if let Some(t) = &self.telemetry {
-                t.rejected.inc();
-            }
-            return Err(Busy {
-                queued: self.queue.len() as u32,
-                retry_after: self.retry_after_hint(),
-            });
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.submitted += 1;
-        if let Some(t) = &self.telemetry {
-            t.submitted.inc();
-        }
-        self.queue.push_back((id, op));
-        Ok(id)
-    }
-
-    /// Estimated ticks until a queue slot frees up, derived from the
-    /// recent [`CapacitySample`] timeline: current queue occupancy over
-    /// the mean completion rate of the retained (up to 16) samples. When no
-    /// completions have been observed yet the hint falls back to one
-    /// tick per queued operation per dispatchable unit. Always ≥ 1.
-    fn retry_after_hint(&self) -> u64 {
-        let queued = self.queue.len() as u64;
-        let window = &self.timeline;
-        let served: u64 = window.iter().map(|s| s.completed as u64).sum();
-        if served > 0 {
-            // Ticks to drain the whole queue at the observed rate,
-            // rounded up; an empty queue still asks for one tick.
-            queued
-                .saturating_mul(window.len() as u64)
-                .div_ceil(served)
-                .max(1)
-        } else {
-            let lanes = self
-                .units
-                .iter()
-                .filter(|u| u.health.is_dispatchable())
-                .count()
-                .max(1) as u64;
-            queued.div_ceil(lanes).max(1)
-        }
-    }
-
-    /// Credits unit `i` with externally served work. A front-end that
-    /// batches requests through this unit's fault overlay (e.g. the
-    /// serving front-end's compiled batch path) feeds its observations
-    /// into the unit's breaker exactly like in-pool dispatch does:
-    /// `incidents > 0` counts against the unit, `incidents == 0` is a
-    /// clean-operation heal credit. This keeps the circuit breaker
-    /// authoritative for *all* traffic a unit carries, not just the
-    /// operations the pool scheduler dispatched itself.
+    /// Charges unit `i` with the outcome of work served through its
+    /// overlay: `incidents > 0` counts against the unit,
+    /// `incidents == 0` is a clean-operation heal credit.
     pub fn note_external_service(&mut self, i: usize, incidents: u32) {
         self.note_external_service_traced(i, incidents, None);
     }
@@ -585,50 +338,44 @@ impl<'a> Engine<'a> {
     // ---- chaos hooks -------------------------------------------------
 
     /// Injects a stuck-at fault into unit `i`. A `sticky` fault models a
-    /// physical defect: it is re-asserted after every scrub's repair
-    /// step, so only [`Engine::clear_unit_faults`] (or retirement) ends
-    /// it. A non-sticky fault models latched transient damage that a
-    /// scrub's repair clears.
+    /// physical defect: every scrub keeps it, so only
+    /// [`Engine::clear_unit_faults`] (or retirement) ends it. A
+    /// non-sticky fault models latched transient damage that a scrub's
+    /// repair clears.
     pub fn inject_stuck_at(&mut self, i: usize, net: NetId, value: bool, sticky: bool) {
-        let u = &mut self.units[i];
-        u.unit.inject_stuck_at(net, value);
+        let f = &mut self.units[i].faults;
+        f.stuck.insert(net, value);
         if sticky {
-            u.sticky.push((net, value));
+            f.sticky.insert(net, value);
         }
     }
 
-    /// Clears every fault (including sticky and Byzantine ones) from
-    /// unit `i` — the chaos plan's "field replacement" event.
+    /// Clears every fault (sticky, Byzantine and pending SEUs included)
+    /// from unit `i` — the chaos plan's "field replacement" event.
     pub fn clear_unit_faults(&mut self, i: usize) {
-        let u = &mut self.units[i];
-        u.sticky.clear();
-        u.byzantine = None;
-        u.unit.clear_faults();
+        self.units[i].faults = FaultRecord::default();
     }
 
     /// Arms a Byzantine output-latch fault on unit `i`: every
-    /// `period`-th result the unit serves (pool dispatch or external
-    /// batch lane) has its high product word XORed with `mask`, *after*
-    /// the unit's self-checks ran. Scrub batteries replay through the
-    /// checked datapath and pass — the fault is intentionally beyond
-    /// check coverage, so only redundant execution (the DMR shadow, a
-    /// TMR vote, or the reference cross-check) catches it.
+    /// `period`-th result the unit serves has its high product word
+    /// XORed with `mask`, *after* the unit's self-checks ran. Scrub
+    /// batteries replay through the checked datapath and pass — the
+    /// fault is intentionally beyond check coverage, so only a
+    /// comparison against the reference or a TMR replica catches it.
     pub fn inject_byzantine(&mut self, i: usize, period: u64, mask: u64) {
-        self.units[i].byzantine = Some(ByzantineFault {
+        self.units[i].faults.byzantine = Some(ByzantineFault {
             period: period.max(1),
             mask: if mask == 0 { 1 } else { mask },
             served: 0,
         });
     }
 
-    /// Advances unit `i`'s Byzantine latch across `lanes` externally
-    /// served results, returning the lane mask (bit k = lane k of the
-    /// batch of up to 256 lanes) of lanes the latch corrupts. All-zero when
-    /// the unit carries no Byzantine fault. External batch paths call
-    /// this once per batch so latch wear is shared between pool
-    /// dispatch and batched service.
+    /// Advances unit `i`'s Byzantine latch across `lanes` served
+    /// results, returning the lane mask (bit k = lane k of the batch of
+    /// up to 256 lanes) of lanes the latch corrupts. All-zero when the
+    /// unit carries no Byzantine fault.
     pub fn byzantine_lane_mask(&mut self, i: usize, lanes: usize) -> LaneWord {
-        let Some(b) = &mut self.units[i].byzantine else {
+        let Some(b) = &mut self.units[i].faults.byzantine else {
             return NO_LANES;
         };
         let mut hit = NO_LANES;
@@ -641,166 +388,65 @@ impl<'a> Engine<'a> {
         hit
     }
 
-    /// The XOR pattern unit `i`'s Byzantine latch applies (0 = none);
-    /// external batch paths apply it to the lanes flagged by
-    /// [`Engine::byzantine_lane_mask`].
+    /// The XOR pattern unit `i`'s Byzantine latch applies (0 = none),
+    /// to the lanes flagged by [`Engine::byzantine_lane_mask`].
     pub fn byzantine_pattern(&self, i: usize) -> u64 {
-        self.units[i].byzantine.map_or(0, |b| b.mask)
+        self.units[i].faults.byzantine.map_or(0, |b| b.mask)
     }
 
-    /// Arms a single-event upset on unit `i` for its next dispatched
-    /// operation (see [`SelfCheckingUnit::schedule_seu`]).
-    pub fn schedule_seu(&mut self, i: usize, edge: u32, net: NetId) {
-        self.units[i].unit.schedule_seu(edge, net);
-    }
-
-    /// Queues a glitch storm on unit `i`: each net is pulsed immediately
-    /// before the next dispatched operation, inflating that op's settle
-    /// work so the watchdog sees a runaway simulation.
-    pub fn induce_delay(&mut self, i: usize, nets: Vec<NetId>) {
-        self.units[i].pending_delay.extend(nets);
+    /// Arms a single-event upset on unit `i`: `net` is forced to
+    /// `value` on the unit's lanes of its next pass only (see
+    /// [`Engine::end_pass`]). A scrub that runs first clears it.
+    pub fn schedule_seu(&mut self, i: usize, net: NetId, value: bool) {
+        self.units[i].faults.seus.insert(net, value);
     }
 
     // ---- the scheduler ----------------------------------------------
 
-    /// Runs one scheduling round: due scrubs and spare promotion, then
-    /// at most one queued operation per dispatchable
-    /// unit (round-robin, starting after the last unit served first in
-    /// the previous round), then — on a tick that dispatched nothing —
-    /// one patrol slice on the engine's own simulator, then the capacity
-    /// sample and gauge refresh.
-    pub fn tick(&mut self) -> TickReport {
-        let mut report = self.schedule();
-        // Patrol scrubbing: an idle tick is spent replaying a bounded
-        // slice of the compiled scrub battery against the
-        // least-recently-verified healthy unit, so latent faults are
-        // caught before live traffic finds them.
-        if report.dispatched == 0 {
-            if let Some((i, slice)) = self.take_patrol() {
-                let faults = self.units[i].unit.sim().stuck_faults();
-                self.sim.arm_overlays(&[(ALL_LANES, &faults)]);
-                let passed = scrub_compiled(&mut self.sim, &self.ports, &slice).is_ok();
-                self.finish_patrol(i, passed);
-            }
-        }
-        report.sample = self.observe(report.dispatched);
-        report
-    }
-
-    /// [`Engine::tick`] for a front-end that replays the patrol slice in
-    /// lanes of its own compiled pass: the same round without the
-    /// patrol slice. The caller takes the slice with
-    /// [`Engine::take_patrol`] when the report shows an idle tick and
-    /// lands its verdict with [`Engine::finish_patrol`], so the patrol
-    /// bookkeeping has one code path. The capacity sample is taken
-    /// before that verdict lands.
-    pub fn tick_leaving_patrol(&mut self) -> TickReport {
-        let mut report = self.schedule();
-        report.sample = self.observe(report.dispatched);
-        report
-    }
-
-    /// Steps 1–2 of a round: breaker time and due scrubs, spare
-    /// promotion, round-robin dispatch.
-    fn schedule(&mut self) -> TickReport {
+    /// Runs one round: breaker time advances and due scrubs run, every
+    /// retirement not yet answered is met by a spare promotion, and the
+    /// gauges are refreshed.
+    pub fn tick(&mut self) {
         self.tick += 1;
-        let mut report = TickReport::default();
-        // 1. Breaker time advances; elapsed cooldowns trigger scrubs.
         for i in 0..self.units.len() {
             if self.units[i].health.on_tick(self.tick) == TickVerdict::ScrubDue {
                 let pass = self.scrub(i);
-                report.scrubs += 1;
-                self.scrubs += 1;
-                if pass {
-                    report.scrub_passes += 1;
-                    self.scrub_passes += 1;
-                    self.units[i].last_verified = self.tick;
-                }
-                if let Some(t) = &self.telemetry {
-                    t.scrubs.inc();
-                    if pass {
-                        t.scrub_passes.inc();
-                    }
-                }
                 self.units[i].health.on_scrub(self.tick, pass);
             }
         }
-        // 1b. Hot-spare promotion: every retirement not yet answered is
-        // met by activating a standby, so the pool's hardware capacity
-        // never degrades permanently while spares remain.
+        // Hot-spare promotion: the pool's hardware capacity never
+        // degrades permanently while spares remain.
         for i in 0..self.units.len() {
             if self.units[i].health.state() == HealthState::Retired
                 && !self.units[i].retirement_handled
             {
                 self.units[i].retirement_handled = true;
-                self.promote_spare_for(i, &mut report);
+                self.promote_spare_for(i);
             }
         }
-        // 2. Round-robin dispatch: one op per dispatchable unit.
-        let n = self.units.len();
-        for k in 0..n {
-            if self.queue.is_empty() {
-                break;
-            }
-            let i = (self.rr_cursor + k) % n;
-            if !self.units[i].health.is_dispatchable() {
-                continue;
-            }
-            let (id, op) = self.queue.pop_front().expect("checked non-empty");
-            self.dispatch_one(i, id, op);
-            report.dispatched += 1;
-        }
-        self.rr_cursor = (self.rr_cursor + 1) % n;
-        report
+        self.update_gauges();
     }
 
-    /// Step 3 of a round: the capacity sample and gauge refresh, with
-    /// `completed` operations served this tick. The sample replaces the
-    /// oldest one once the ring holds [`TIMELINE_WINDOW`].
-    fn observe(&mut self, completed: u32) -> CapacitySample {
-        let sample = CapacitySample {
-            tick: self.tick,
-            hw_capacity: self.hw_capacity(),
-            dispatchable: self
-                .units
-                .iter()
-                .filter(|u| u.health.is_dispatchable())
-                .count() as u32,
-            queued: self.queue.len() as u32,
-            completed,
-        };
-        if self.timeline.len() == TIMELINE_WINDOW {
-            self.timeline.pop_front();
-        }
-        self.timeline.push_back(sample);
-        self.update_gauges(&sample);
-        sample
-    }
-
-    /// Scrub-and-readmit for unit `i`: repair the hardware, re-assert
-    /// the sticky environment faults (a scrub cannot fix a physical
-    /// defect), then replay the battery. Returns whether the unit passed.
-    ///
-    /// The battery is first replayed through the compiled bit-parallel
-    /// engine against the unit's stuck-at overlay (one 256-lane pass for
-    /// the whole battery). Settled values are a pure function of the
-    /// inputs plus that overlay, so a compiled *failure* is conclusive
-    /// and fast-fails the scrub without the event-driven replay; a
-    /// compiled *pass* is not sufficient (the watchdog verdict is
-    /// timing-dependent), so it falls through to the full replay.
+    /// Scrub-and-readmit for unit `i`: repair its fault record, then
+    /// replay the battery under the overlay left (the sticky defects)
+    /// and count the scrub. Returns whether the unit passed.
     fn scrub(&mut self, i: usize) -> bool {
-        let u = &mut self.units[i];
-        u.unit.repair();
-        u.pending_delay.clear();
-        for &(net, value) in &u.sticky {
-            u.unit.inject_stuck_at(net, value);
+        self.units[i].faults.repair();
+        let overlay = self.overlay(i);
+        self.sim.arm_overlays(&[([!0; SCRUB_WORDS], &overlay)]);
+        let pass = scrub_compiled(&mut self.sim, &self.ports, &self.battery).is_ok();
+        self.scrubs += 1;
+        if pass {
+            self.scrub_passes += 1;
+            self.units[i].last_verified = self.tick;
         }
-        self.sim
-            .arm_overlays(&[(ALL_LANES, &u.unit.sim().stuck_faults())]);
-        if let Err(fail) = scrub_compiled(&mut self.sim, &self.ports, &self.battery) {
-            return u.unit.note_scrub_outcome(Err(fail));
+        if let Some(t) = &self.telemetry {
+            t.scrubs.inc();
+            if pass {
+                t.scrub_passes.inc();
+            }
         }
-        u.unit.try_recover_with(&self.battery)
+        pass
     }
 
     /// Answers the retirement of unit `retired` by activating a spare:
@@ -809,26 +455,16 @@ impl<'a> Engine<'a> {
     /// `spare → healthy` transition naming the replaced slot), and a
     /// standby that fails its activation scrub is retired on the spot
     /// and the next one tried.
-    fn promote_spare_for(&mut self, retired: usize, report: &mut TickReport) {
+    fn promote_spare_for(&mut self, retired: usize) {
         for s in 0..self.units.len() {
             if self.units[s].health.state() != HealthState::Spare {
                 continue;
             }
-            let pass = self.scrub(s);
-            report.scrubs += 1;
-            self.scrubs += 1;
-            if let Some(t) = &self.telemetry {
-                t.scrubs.inc();
-            }
-            if pass {
-                report.scrub_passes += 1;
-                self.scrub_passes += 1;
+            if self.scrub(s) {
                 self.promotions += 1;
                 if let Some(t) = &self.telemetry {
-                    t.scrub_passes.inc();
                     t.promotions.inc();
                 }
-                self.units[s].last_verified = self.tick;
                 self.units[s].health.promote(
                     self.tick,
                     format!("activation scrub passed; promoted to replace retired unit {retired}"),
@@ -844,20 +480,18 @@ impl<'a> Engine<'a> {
     }
 
     /// Starts one patrol round: picks the least-recently-verified
-    /// serving unit (healthy or suspect — the states that carry hardware
-    /// traffic — and not degraded), advances the rolling window over
-    /// the compiled battery and counts the slice. Returns that unit and
-    /// the `patrol_slice` battery operations to replay under its
-    /// stuck-at overlay, or `None` when patrol is off or no unit serves.
-    /// [`Engine::finish_patrol`] lands the verdict.
+    /// serving unit (healthy or suspect — the states that carry
+    /// traffic), advances the rolling window over the battery and
+    /// counts the slice. Returns that unit and the `patrol_slice`
+    /// battery operations to replay under its overlay, or `None` when
+    /// patrol is off or no unit serves. [`Engine::finish_patrol`] lands
+    /// the verdict.
     pub fn take_patrol(&mut self) -> Option<(usize, Vec<Operation>)> {
         if self.patrol_slice == 0 {
             return None;
         }
         let i = (0..self.units.len())
-            .filter(|&i| {
-                self.units[i].health.state().is_hw_capacity() && !self.units[i].unit.is_degraded()
-            })
+            .filter(|&i| self.units[i].health.state().is_hw_capacity())
             .min_by_key(|&i| self.units[i].last_verified)?;
         let len = self.battery.len();
         let a = self.patrol_cursor.min(len.saturating_sub(1));
@@ -886,128 +520,7 @@ impl<'a> Engine<'a> {
         self.units[i].health.on_incidents(self.tick, 1);
     }
 
-    /// Serves one operation on unit `i`: glitch storms, execution, the
-    /// per-op watchdog, the DMR shadow when the unit is under
-    /// suspicion, health accounting and the masking reference vote.
-    fn dispatch_one(&mut self, i: usize, id: u64, op: Operation) {
-        let dmr_due = self.units[i].health.state() == HealthState::Suspect;
-        let (mut result, delta, mut incidents) = {
-            let u = &mut self.units[i];
-            let ev0 = u.unit.sim().total_events();
-            let inc0 = u.unit.incidents().len();
-            // Induced-delay chaos: pulse the queued nets so the settle
-            // work for this op balloons.
-            let storm = std::mem::take(&mut u.pending_delay);
-            for net in storm {
-                let cur = u.unit.sim().read_bus(&[net]) & 1 == 1;
-                u.unit.sim_mut().inject_stuck_at(net, !cur);
-                u.unit.sim_mut().settle();
-                u.unit.sim_mut().clear_fault(net);
-            }
-            let mut result = u.unit.execute(op);
-            // Byzantine chaos: the output latch corrupts every Nth
-            // served result *after* the self-checks ran.
-            if let Some(b) = &mut u.byzantine {
-                b.served += 1;
-                if b.served % b.period == 0 {
-                    result.ph ^= b.mask;
-                }
-            }
-            let delta = u.unit.sim().total_events().saturating_sub(ev0);
-            let incidents = (u.unit.incidents().len() - inc0) as u32;
-            (result, delta, incidents)
-        };
-        // Per-op watchdog: the settle-event delta of this dispatch
-        // (including any storm) against the calibrated ceiling. The
-        // in-simulator budget already hard-stops a single runaway
-        // settle; this catches death-by-many-settles too.
-        if delta > self.watchdog_budget {
-            incidents += 1;
-            self.units[i].watchdog_trips += 1;
-            if let Some(t) = &self.telemetry {
-                t.watchdog_trips.inc();
-            }
-        }
-        let want = self.reference.execute(op);
-        // DMR-on-suspicion: work routed to a suspect unit is shadowed
-        // on a healthy peer in the same tick. A disagreeing pair goes
-        // to the bit-exact reference for the deciding vote; the losing
-        // replica's unit is charged an incident. The client never sees
-        // any of this — the masking vote below guarantees the answer.
-        if dmr_due {
-            let peer = (0..self.units.len()).find(|&j| {
-                j != i
-                    && self.units[j].health.state() == HealthState::Healthy
-                    && !self.units[j].unit.is_degraded()
-            });
-            if let Some(j) = peer {
-                self.dmr_shadows += 1;
-                if let Some(t) = &self.telemetry {
-                    t.dmr_shadows.inc();
-                }
-                let pu = &mut self.units[j];
-                let jinc0 = pu.unit.incidents().len();
-                let shadow = pu.unit.execute(op);
-                let jinc = (pu.unit.incidents().len() - jinc0) as u32;
-                if jinc > 0 {
-                    // The shadow surfaced the peer's own problems: feed
-                    // its breaker exactly like dispatched work would.
-                    pu.health.on_incidents(self.tick, jinc);
-                }
-                if !shadow.agrees_hw(&result) {
-                    self.dmr_mismatches += 1;
-                    if let Some(t) = &self.telemetry {
-                        t.dmr_mismatches.inc();
-                    }
-                    if !shadow.agrees_hw(&want) {
-                        // The healthy peer was the wrong one: vote
-                        // against it. (A wrong suspect is charged by
-                        // the masking vote below.)
-                        self.units[j].health.on_incidents(self.tick, 1);
-                    }
-                }
-            }
-        }
-        // A degraded unit serves correct (fallback) results but has no
-        // business staying in rotation unexamined: force the breaker
-        // towards quarantine so a scrub decides recovery vs retirement.
-        if self.units[i].unit.is_degraded() && self.units[i].health.state() != HealthState::Retired
-        {
-            incidents = incidents.max(1);
-        }
-        // The masking reference vote: every delivered result is
-        // compared against the bit-exact reference (the hardware flag
-        // bus has no inexact wire, so flags compare under the hardware
-        // mask). A disagreement is *masked* — the reference result is
-        // substituted and the unit charged — so a wrong answer never
-        // reaches a caller and `escapes` stays zero by construction.
-        if !result.agrees_hw(&want) {
-            self.masked += 1;
-            incidents += 1;
-            if let Some(t) = &self.telemetry {
-                t.masked.inc();
-            }
-            result = want;
-        }
-        if incidents > 0 {
-            self.units[i].health.on_incidents(self.tick, incidents);
-        } else {
-            self.units[i].health.on_clean_op(self.tick);
-        }
-        self.done += 1;
-        if let Some(t) = &self.telemetry {
-            t.completed.inc();
-        }
-        self.completed.push(Completed {
-            id,
-            op,
-            unit: i,
-            tick: self.tick,
-            result,
-        });
-    }
-
-    fn update_gauges(&mut self, sample: &CapacitySample) {
+    fn update_gauges(&mut self) {
         // Mirror freshly logged transitions into the counter first (this
         // also works when telemetry is attached mid-run). The watermark
         // diffs against the monotone logged total, so ring eviction in
@@ -1030,8 +543,7 @@ impl<'a> Engine<'a> {
                     .count();
                 gauge.set(count as f64);
             }
-            t.hw_capacity.set(sample.hw_capacity as f64);
-            t.queue_depth.set(sample.queued as f64);
+            t.hw_capacity.set(self.hw_capacity() as f64);
         }
     }
 
@@ -1056,110 +568,51 @@ mod tests {
                 cooldown_ticks: 2,
                 max_scrub_failures: 2,
             },
-            watchdog_margin: 4,
             quad_lanes: false,
             spares: 0,
             patrol_slice: 0,
         }
     }
 
-    #[test]
-    fn clean_pool_serves_and_checks_everything() {
-        let mut n = Netlist::new(TechLibrary::cmos45lp());
-        let ports = build_unit(&mut n);
-        let mut engine = Engine::new(&n, &ports, 2, small_cfg());
-        for k in 0..6u64 {
-            engine.submit(Operation::int64(k + 1, 3)).unwrap();
-            engine.tick();
-        }
-        while engine.pending() > 0 {
-            engine.tick();
-        }
-        let done = engine.take_completed();
-        assert_eq!(done.len(), 6);
-        for c in &done {
-            assert_eq!(c.result.int_product(), ((c.id + 1) * 3) as u128);
-        }
-        assert_eq!(engine.escapes(), 0);
-        assert_eq!(engine.hw_capacity(), 2);
-        // Round-robin used both units.
-        assert!(done.iter().any(|c| c.unit == 0) && done.iter().any(|c| c.unit == 1));
+    /// Ticks `engine` `ticks` times, opening unit `victim`'s breaker
+    /// (`open_after` incidents) on every tick it carries traffic, as a
+    /// caller whose lanes keep failing on it would. Returns each tick's
+    /// `hw_capacity`.
+    fn tick_failing(engine: &mut Engine<'_>, victim: usize, ticks: usize) -> Vec<u32> {
+        (0..ticks)
+            .map(|_| {
+                if engine.unit_state(victim).is_hw_capacity() {
+                    let open_after = engine.breaker().open_after;
+                    engine.note_external_service(victim, open_after);
+                }
+                engine.tick();
+                engine.hw_capacity()
+            })
+            .collect()
+    }
+
+    fn trail(engine: &Engine<'_>, i: usize) -> Vec<(HealthState, HealthState)> {
+        engine
+            .transitions(i)
+            .iter()
+            .map(|t| (t.from, t.to))
+            .collect()
     }
 
     #[test]
-    fn full_queue_rejects_with_busy() {
-        let mut n = Netlist::new(TechLibrary::cmos45lp());
-        let ports = build_unit(&mut n);
-        let mut engine = Engine::new(&n, &ports, 1, small_cfg());
-        for _ in 0..4 {
-            engine.submit(Operation::int64(2, 2)).unwrap();
-        }
-        let busy = engine.submit(Operation::int64(2, 2)).unwrap_err();
-        assert_eq!(busy.queued, 4, "rejection reports queue occupancy");
-        assert!(busy.retry_after >= 1, "retry-after hint is always ≥ 1");
-        engine.tick();
-        assert!(
-            engine.submit(Operation::int64(2, 2)).is_ok(),
-            "drained one slot"
-        );
-        let (submitted, rejected, ..) = engine.totals();
-        assert_eq!((submitted, rejected), (5, 1));
-    }
-
-    #[test]
-    fn retry_after_tracks_the_observed_drain_rate() {
-        let mut n = Netlist::new(TechLibrary::cmos45lp());
-        let ports = build_unit(&mut n);
-        let mut engine = Engine::new(&n, &ports, 1, small_cfg());
-        // Serve a few ops so the timeline has a completion rate of one
-        // op per tick on the single unit.
-        for k in 0..4u64 {
-            engine.submit(Operation::int64(k + 1, 2)).unwrap();
-            engine.tick();
-        }
-        // Fill the queue: 4 queued at ~1 op/tick should hint ≈ 4 ticks.
-        for _ in 0..4 {
-            engine.submit(Operation::int64(3, 3)).unwrap();
-        }
-        let busy = engine.submit(Operation::int64(3, 3)).unwrap_err();
-        assert!(
-            (2..=16).contains(&busy.retry_after),
-            "hint {} not in the plausible drain window",
-            busy.retry_after
-        );
-    }
-
-    #[test]
-    fn capacity_timeline_stays_bounded_over_many_ticks() {
-        let mut n = Netlist::new(TechLibrary::cmos45lp());
-        let ports = build_unit(&mut n);
-        let mut engine = Engine::new(&n, &ports, 1, small_cfg());
-        for tick in 1..=10_000u64 {
-            if tick % 100 == 0 {
-                engine.submit(Operation::int64(tick, 3)).unwrap();
-            }
-            let sample = engine.tick().sample;
-            assert_eq!(sample.tick, tick);
-            assert_eq!(engine.timeline.len(), (tick as usize).min(16));
-            assert_eq!(engine.timeline.back(), Some(&sample), "newest last");
-        }
-        assert_eq!(engine.timeline.front().map(|s| s.tick), Some(10_000 - 15));
-    }
-
-    #[test]
-    fn external_incidents_feed_the_breaker_like_dispatch() {
+    fn external_incidents_feed_the_breaker() {
         let mut n = Netlist::new(TechLibrary::cmos45lp());
         let ports = build_unit(&mut n);
         let mut engine = Engine::new(&n, &ports, 2, small_cfg());
         assert_eq!(engine.unit_state(0), HealthState::Healthy);
         engine.note_external_service(0, 1);
         assert_eq!(engine.unit_state(0), HealthState::Suspect);
-        // Clean externally served lanes are heal credits (heal_after 4).
+        // Clean served lanes are heal credits (heal_after 4).
         for _ in 0..4 {
             engine.note_external_service(0, 0);
         }
         assert_eq!(engine.unit_state(0), HealthState::Healthy);
-        // Enough failures open the breaker exactly like dispatch would.
+        // Enough failures open the breaker.
         engine.note_external_service(0, 2);
         assert_eq!(engine.unit_state(0), HealthState::Quarantined);
         assert_eq!(
@@ -1180,31 +633,27 @@ mod tests {
         // it, so the unit must come back.
         let lsb = ports.chk_p0[0];
         engine.inject_stuck_at(0, lsb, true, false);
-        let mut sent = 0u64;
-        // The test records its own capacity series from the tick reports.
-        let mut caps = Vec::new();
-        while sent < 40 || engine.pending() > 0 {
-            if sent < 40 && engine.submit(Operation::int64(sent + 2, 7)).is_ok() {
-                sent += 1;
-            }
-            caps.push(engine.tick().sample.hw_capacity);
-        }
-        assert_eq!(engine.escapes(), 0, "no wrong answers escape");
-        let trail: Vec<_> = engine
-            .transitions(0)
-            .iter()
-            .map(|t| (t.from, t.to))
+        assert_eq!(engine.overlay(0), vec![(lsb, true)]);
+        // The served lanes fail on the unit once: the breaker opens.
+        engine.note_external_service(0, 2);
+        let caps: Vec<u32> = (0..8)
+            .map(|_| {
+                engine.tick();
+                engine.hw_capacity()
+            })
             .collect();
+        let trail = trail(&engine, 0);
         assert!(
             trail.contains(&(HealthState::Quarantined, HealthState::Probation))
                 && trail.contains(&(HealthState::Probation, HealthState::Healthy)),
             "expected a full recovery cycle, got {trail:?}"
         );
         assert_eq!(engine.unit_state(0), HealthState::Healthy);
+        assert!(engine.overlay(0).is_empty(), "the repair cleared it");
         assert_eq!(engine.hw_capacity(), 2);
         assert!(registry.counter("pool.scrub_passes").get() >= 1);
         assert!(registry.counter("pool.transitions").get() >= 4);
-        // The timeline saw the capacity dip and the recovery.
+        // The capacity series saw the dip and the recovery.
         assert!(caps.iter().any(|&c| c < 2), "capacity dipped: {caps:?}");
         assert_eq!(*caps.last().unwrap(), 2, "capacity recovered");
     }
@@ -1217,23 +666,13 @@ mod tests {
         // A physical defect: survives every repair.
         let lsb = ports.chk_p0[0];
         engine.inject_stuck_at(0, lsb, true, true);
-        let mut sent = 0u64;
-        while sent < 60 || engine.pending() > 0 {
-            if sent < 60 && engine.submit(Operation::int64(sent + 2, 9)).is_ok() {
-                sent += 1;
-            }
-            engine.tick();
-        }
+        tick_failing(&mut engine, 0, 30);
         assert_eq!(engine.unit_state(0), HealthState::Retired);
-        assert_eq!(engine.escapes(), 0, "retired unit serves via fallback");
         assert_eq!(engine.hw_capacity(), 1);
-        // Retired units still serve traffic.
-        let done = engine.take_completed();
-        assert!(
-            done.iter().any(|c| c.unit == 0),
-            "retired slot kept serving"
-        );
-        assert_eq!(done.len() as u64, 60);
+        // Both scrubs failed on the compiled battery, and the defect is
+        // still in the record.
+        assert_eq!(engine.scrubs(), (2, 0));
+        assert_eq!(engine.overlay(0), vec![(lsb, true)]);
     }
 
     #[test]
@@ -1248,65 +687,6 @@ mod tests {
         assert!(!t.is_empty(), "incident must log a transition");
         assert_eq!(t[0].trace, Some(trace.as_u64()));
         assert!(t[0].to_json().contains("\"trace_id\":\"00000000cafef00d\""));
-        // Pool dispatch carries no trace: its log stays trace-free.
-        let mut engine2 = Engine::new(&n, &ports, 1, small_cfg());
-        engine2.inject_stuck_at(0, ports.chk_p0[0], true, false);
-        engine2.submit(Operation::int64(3, 4)).unwrap();
-        engine2.tick();
-        assert_eq!(engine2.take_completed()[0].result.int_product(), 12);
-        assert_eq!(engine2.transitions(0)[0].trace, None);
-    }
-
-    #[test]
-    fn byzantine_unit_is_outvoted_masked_and_never_escapes() {
-        let mut n = Netlist::new(TechLibrary::cmos45lp());
-        let ports = build_unit(&mut n);
-        let mut engine = Engine::new(&n, &ports, 2, small_cfg());
-        // An output-latch defect beyond check coverage: every 3rd
-        // result served by unit 0 has a product bit flipped after the
-        // self-checks ran. Scrubs replay the checked datapath and pass.
-        engine.inject_byzantine(0, 3, 1 << 7);
-        let mut sent = 0u64;
-        while sent < 60 || engine.pending() > 0 {
-            if sent < 60 && engine.submit(Operation::int64(sent + 2, 5)).is_ok() {
-                sent += 1;
-            }
-            engine.tick();
-        }
-        // The contract: wrong answers were produced, every one was
-        // masked before delivery, none escaped.
-        assert_eq!(engine.escapes(), 0, "no wrong answer ever delivered");
-        assert!(engine.masked() >= 3, "the latch did corrupt results");
-        let done = engine.take_completed();
-        assert_eq!(done.len() as u64, 60);
-        for c in &done {
-            assert_eq!(c.result.int_product(), ((c.id + 2) * 5) as u128);
-        }
-        // The masking votes charged the breaker: the unit was
-        // quarantined, its scrub passed (the battery sees a clean
-        // datapath — that is what makes the fault Byzantine), and it
-        // was readmitted to flap again.
-        let trail: Vec<_> = engine
-            .transitions(0)
-            .iter()
-            .map(|t| (t.from, t.to))
-            .collect();
-        assert!(
-            trail.contains(&(HealthState::Suspect, HealthState::Quarantined)),
-            "breaker opened on the byzantine unit: {trail:?}"
-        );
-        assert!(
-            trail.contains(&(HealthState::Probation, HealthState::Healthy)),
-            "scrubs pass — the fault is beyond battery coverage: {trail:?}"
-        );
-        // While suspect, dispatches were DMR-shadowed on the healthy
-        // peer, and corrupted ones lost the vote.
-        assert!(engine.dmr_shadows() >= 1, "suspicion triggered shadows");
-        assert_eq!(
-            engine.unit_state(1),
-            HealthState::Healthy,
-            "the honest peer is never blamed"
-        );
     }
 
     #[test]
@@ -1322,15 +702,7 @@ mod tests {
         assert_eq!(engine.unit_state(2), HealthState::Spare);
         // A physical defect retires unit 0 after max_scrub_failures.
         engine.inject_stuck_at(0, ports.chk_p0[0], true, true);
-        let mut sent = 0u64;
-        // The test records its own capacity series from the tick reports.
-        let mut caps = Vec::new();
-        while sent < 60 || engine.pending() > 0 {
-            if sent < 60 && engine.submit(Operation::int64(sent + 2, 9)).is_ok() {
-                sent += 1;
-            }
-            caps.push(engine.tick().sample.hw_capacity);
-        }
+        let caps = tick_failing(&mut engine, 0, 30);
         assert_eq!(engine.unit_state(0), HealthState::Retired);
         // The standby was promoted in the same tick the retirement was
         // observed: capacity is back at its pre-fault value.
@@ -1338,7 +710,6 @@ mod tests {
         assert_eq!(engine.hw_capacity(), 2, "capacity fully restored");
         assert_eq!(engine.promotions(), 1);
         assert_eq!(engine.spares_available(), 0);
-        assert_eq!(engine.escapes(), 0);
         let promo = engine
             .transitions(2)
             .iter()
@@ -1349,69 +720,38 @@ mod tests {
             "the transition names the replaced slot: {}",
             promo.reason
         );
-        // The capacity timeline shows dip and restoration.
+        // The capacity series shows dip and restoration.
         assert!(caps.iter().any(|&c| c < 2), "capacity dipped: {caps:?}");
         assert_eq!(*caps.last().unwrap(), 2, "and recovered via promotion");
     }
 
     #[test]
-    fn patrol_scrubbing_catches_a_latent_fault_without_traffic() {
+    fn seus_last_one_pass_and_a_scrub_clears_them() {
         let mut n = Netlist::new(TechLibrary::cmos45lp());
         let ports = build_unit(&mut n);
-        let mut cfg = small_cfg();
-        cfg.patrol_slice = 8;
-        let mut engine = Engine::new(&n, &ports, 2, cfg);
-        // Latent (non-sticky) damage on an idle unit: no operation is
-        // ever submitted, so only patrol can find it.
-        engine.inject_stuck_at(0, ports.chk_p0[0], true, false);
-        let mut caught = false;
-        for _ in 0..200 {
+        let mut engine = Engine::new(&n, &ports, 1, small_cfg());
+        let (stuck, upset) = (ports.pl[3], ports.ph[7]);
+        engine.inject_stuck_at(0, stuck, false, true);
+        engine.schedule_seu(0, upset, true);
+        // A stuck-at wins over an upset on the same net.
+        engine.schedule_seu(0, stuck, true);
+        let mut want = vec![(stuck, false), (upset, true)];
+        want.sort();
+        assert_eq!(engine.overlay(0), want);
+        engine.end_pass(0);
+        assert_eq!(engine.overlay(0), vec![(stuck, false)], "one pass only");
+        // A scrub that runs before the unit's next pass clears a pending
+        // upset, and keeps the sticky defect.
+        engine.schedule_seu(0, upset, true);
+        engine.note_external_service(0, 2);
+        while engine.unit_state(0) == HealthState::Quarantined {
             engine.tick();
-            if engine.unit_state(0) != HealthState::Healthy {
-                caught = true;
-            }
         }
-        let (slices, failures) = engine.patrol_stats();
-        assert!(caught, "patrol surfaced the latent fault");
-        assert!(slices >= 2, "idle ticks ran patrol slices: {slices}");
-        assert!(failures >= 1, "the faulty slice failed: {failures}");
-        // The breaker machinery took over: quarantine, scrub (repair
-        // clears the latched damage), readmission.
-        assert_eq!(engine.unit_state(0), HealthState::Healthy);
-        let trail: Vec<_> = engine
-            .transitions(0)
-            .iter()
-            .map(|t| (t.from, t.to))
-            .collect();
+        assert_eq!(engine.overlay(0), vec![(stuck, false)]);
+        engine.clear_unit_faults(0);
         assert!(
-            trail.contains(&(HealthState::Probation, HealthState::Healthy)),
-            "repaired and readmitted: {trail:?}"
+            engine.overlay(0).is_empty(),
+            "a field replacement clears all"
         );
-        assert_eq!(engine.escapes(), 0);
-    }
-
-    #[test]
-    fn induced_delay_storm_trips_the_watchdog() {
-        let mut n = Netlist::new(TechLibrary::cmos45lp());
-        let ports = build_unit(&mut n);
-        let mut cfg = small_cfg();
-        cfg.watchdog_margin = 1;
-        let mut engine = Engine::new(&n, &ports, 1, cfg);
-        // Each pulse commits at least one settle event, so budget + 2
-        // pulses push the op's settle-work delta past the ceiling no
-        // matter how the budget was calibrated.
-        let victim = ports.flags[0];
-        let victims: Vec<NetId> =
-            std::iter::repeat_n(victim, engine.watchdog_budget() as usize + 2).collect();
-        engine.induce_delay(0, victims);
-        engine.submit(Operation::int64(3, 5)).unwrap();
-        engine.tick();
-        assert!(
-            engine.watchdog_trips(0) >= 1,
-            "storm must trip the watchdog"
-        );
-        assert_eq!(engine.escapes(), 0);
-        let c = engine.take_completed();
-        assert_eq!(c[0].result.int_product(), 15, "the answer is still right");
     }
 }

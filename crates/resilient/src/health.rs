@@ -1,5 +1,5 @@
 //! Per-unit health tracking: a circuit-breaker lifecycle over the
-//! incident stream of one [`mfmult::selfcheck::SelfCheckingUnit`].
+//! incident stream of one pool unit.
 //!
 //! ```text
 //!            incident                 open_after incidents
@@ -15,8 +15,8 @@
 //!
 //! The tracker is pure bookkeeping: it never touches the unit. The
 //! engine feeds it events (`on_incidents`, `on_clean_op`, `on_tick`,
-//! `on_scrub`) and obeys its verdicts (`is_dispatchable`,
-//! [`TickVerdict::ScrubDue`]). Every state change is appended to a
+//! `on_scrub`) and obeys its verdicts (its state, which decides whether
+//! the unit carries traffic, and [`TickVerdict::ScrubDue`]). Every state change is appended to a
 //! transition log rendered through the RFC 8259 writer of
 //! [`mfm_telemetry::json`].
 
@@ -36,12 +36,12 @@ pub enum HealthState {
     Healthy,
     /// Serving traffic, but the breaker has counted recent incidents.
     Suspect,
-    /// Breaker open: removed from dispatch, cooling down before a scrub.
+    /// Breaker open: out of rotation, cooling down before a scrub.
     Quarantined,
     /// Cooldown elapsed: the unit is being scrubbed (repair + battery).
     Probation,
     /// Scrubbing gave up after `max_scrub_failures` failures; the unit
-    /// serves only through its functional fallback, forever.
+    /// takes no traffic, forever.
     Retired,
     /// A provisioned cold standby: powered but out of rotation, waiting
     /// to be promoted when a serving unit retires.
@@ -61,18 +61,8 @@ impl HealthState {
         }
     }
 
-    /// Whether a unit in this state receives work from the dispatcher.
-    /// Retired units still serve (via the functional fallback); only
-    /// quarantine and probation take a unit out of rotation.
-    pub const fn is_dispatchable(self) -> bool {
-        matches!(
-            self,
-            HealthState::Healthy | HealthState::Suspect | HealthState::Retired
-        )
-    }
-
-    /// Whether a unit in this state delivers gate-level (checked
-    /// hardware) results rather than the functional fallback.
+    /// Whether a unit in this state carries traffic and counts as
+    /// hardware capacity.
     pub const fn is_hw_capacity(self) -> bool {
         matches!(self, HealthState::Healthy | HealthState::Suspect)
     }
@@ -188,7 +178,7 @@ impl HealthTracker {
     }
 
     /// A tracker born as a cold standby ([`HealthState::Spare`]): out of
-    /// dispatch and out of hardware capacity until promoted.
+    /// rotation and out of hardware capacity until promoted.
     pub fn new_spare(cfg: BreakerConfig) -> Self {
         Self::with_state(cfg, HealthState::Spare)
     }
@@ -229,11 +219,6 @@ impl HealthTracker {
     /// `transitions().len()`.
     pub fn transitions_logged(&self) -> u64 {
         self.logged
-    }
-
-    /// Whether the dispatcher may hand this unit work right now.
-    pub fn is_dispatchable(&self) -> bool {
-        self.state.is_dispatchable()
     }
 
     /// Promote a spare into service. Only meaningful from
@@ -573,8 +558,7 @@ mod tests {
     fn spare_lifecycle_promotes_or_retires() {
         let mut s = HealthTracker::new_spare(cfg());
         assert_eq!(s.state(), HealthState::Spare);
-        assert!(!s.is_dispatchable(), "spares take no traffic");
-        assert!(!s.state().is_hw_capacity(), "spares are not capacity");
+        assert!(!s.state().is_hw_capacity(), "spares take no traffic");
         // Events addressed to a spare are ignored.
         s.on_incidents(1, 5);
         s.on_clean_op(2);
@@ -657,7 +641,7 @@ mod tests {
                 if h.on_tick(tick) == TickVerdict::ScrubDue {
                     h.on_scrub(tick, true);
                 }
-                if h.state().is_dispatchable() {
+                if h.state().is_hw_capacity() {
                     h.on_clean_op(tick);
                 }
             }

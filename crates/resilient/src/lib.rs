@@ -1,32 +1,28 @@
 //! Resilient multi-unit execution for the SOCC'17 multi-format
-//! multiplier: a pool of self-checking units behind a bounded,
-//! backpressured submission queue, with per-unit circuit breakers,
-//! scrub-and-readmit recovery, a settle-work watchdog and a
-//! deterministic chaos harness.
-//!
-//! The layer turns the one-way degradation of
-//! [`mfmult::selfcheck::SelfCheckingUnit`] into a lifecycle:
+//! multiplier: a pool of units kept as fault records behind per-unit
+//! circuit breakers, with scrub-and-readmit recovery, hot-spare
+//! promotion, patrol bookkeeping and a deterministic chaos harness.
+//! The service core in `mfm-server` runs the pool: it serves
+//! every lane on its compiled pass and judges each against the
+//! `mfm-softfloat`-backed reference.
 //!
 //! - [`health`] — the breaker state machine (`Healthy → Suspect →
 //!   Quarantined → Probation → Healthy | Retired`, plus the `Spare`
 //!   standby state) and its bounded, JSON-logged transition trail.
-//! - [`backoff`] — caller-side truncated exponential backoff with
-//!   deterministic jitter for `Busy` rejections.
-//! - [`engine`] — the pool scheduler: round-robin dispatch, scrubs,
-//!   the per-op watchdog, pool gauges, and the adaptive redundancy
-//!   layer: a masking reference vote on every delivered result,
-//!   DMR-on-suspicion shadow execution, hot-spare promotion after
-//!   retirements, and patrol scrubbing on idle ticks.
-//! - [`chaos`] — seeded fault schedules (SEUs, stuck-ats, induced
-//!   delays, Byzantine output-latch faults, field replacements) for
-//!   reproducible resilience runs.
+//! - [`backoff`] — truncated exponential backoff with deterministic
+//!   jitter, behind the service's `Overloaded` retry hints.
+//! - [`engine`] — the pool: per-unit fault records and the overlays
+//!   passes run under, breaker time, compiled scrubs, spare promotion
+//!   after retirements, patrol slices and pool gauges.
+//! - [`chaos`] — seeded fault schedules (SEUs, stuck-ats, Byzantine
+//!   output-latch faults, field replacements) for reproducible
+//!   resilience runs.
 //!
 //! The two invariants every chaos run is judged by: **zero wrong
-//! answers escape** (each delivered result is voted against the
-//! `mfm-softfloat`-backed reference and masked on disagreement), and
-//! **capacity degrades and recovers** (the timeline shows hardware
-//! capacity dip under faults and return after scrubs or spare
-//! promotion).
+//! answers escape** (every answer the service gives either passed the
+//! comparison against the reference or is the reference), and
+//! **capacity degrades and recovers** (hardware capacity dips under
+//! faults and returns after scrubs or spare promotion).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -38,5 +34,5 @@ pub mod health;
 
 pub use backoff::{BackoffConfig, SubmitBackoff};
 pub use chaos::{apply_event, ChaosEvent, ChaosKind, ChaosPlan, ChaosPlanConfig};
-pub use engine::{Busy, CapacitySample, Completed, Engine, EngineConfig, TickReport};
+pub use engine::{Engine, EngineConfig};
 pub use health::{BreakerConfig, HealthState, HealthTracker, HealthTransition, TickVerdict};

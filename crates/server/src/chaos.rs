@@ -1,59 +1,62 @@
-//! Seeded chaos campaigns over the resilient pool engine: a mixed-format
-//! workload pushed through an [`Engine`] while a [`ChaosPlan`] injects
-//! SEUs, stuck-ats and glitch storms, judged by the two invariants of
-//! `mfm-resilient` — zero escaped wrong answers and capacity that
-//! degrades and recovers.
+//! Seeded chaos campaigns through the service: a mixed-format workload
+//! admitted to an in-process [`Service`] while a [`ChaosPlan`] injects
+//! SEUs, stuck-ats, Byzantine output latches and field replacements into
+//! its pool, judged by the two invariants of `mfm-resilient` — zero
+//! escaped wrong answers and capacity that degrades and recovers.
 //!
-//! Everything (operands, plan, backoff jitter, the engine scheduler) is
-//! a pure function of the seed, so a campaign is bit-reproducible.
+//! Each step applies the plan's due events to the service's engine,
+//! admits one operation and ticks the service. Escapes are counted on
+//! the client side: every `Ok` answer is compared against the bit-exact
+//! [`FunctionalUnit`]. Everything (operands, plan, the service's
+//! scheduling) is a pure function of the seed, so a campaign is
+//! bit-reproducible. The service records wall-clock phase histograms,
+//! so it gets a private registry; only its tick-driven counters and
+//! gauges are copied into the caller's.
 
+use mfm_evalkit::runreport::RunReport;
+use mfm_evalkit::workload::OperandGen;
 use mfm_gatesim::report::Table;
 use mfm_gatesim::{NetId, Netlist, TechLibrary};
 use mfm_resilient::{
-    apply_event, BackoffConfig, BreakerConfig, ChaosPlan, ChaosPlanConfig, Engine, EngineConfig,
-    HealthState, HealthTransition, SubmitBackoff,
+    apply_event, BreakerConfig, ChaosPlan, ChaosPlanConfig, EngineConfig, HealthState,
+    HealthTransition,
 };
 use mfm_telemetry::Registry;
 use mfmult::pipeline::{build_pipelined_unit_opts, PipelinePlacement};
 use mfmult::structural::{build_unit, build_unit_quad, UnitOptions};
-use mfmult::Format;
+use mfmult::{Format, FunctionalUnit, Operation};
 
-use crate::runreport::RunReport;
-use crate::workload::OperandGen;
+use crate::service::{Service, ServiceConfig};
+use crate::wire::{Request, Response};
 
 /// Campaign knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ChaosCampaignConfig {
-    /// Master seed: operands, plan and backoff jitter derive from it.
+    /// Master seed: operands, plan and the service's streams derive
+    /// from it.
     pub seed: u64,
-    /// Pool size.
+    /// Serving pool size.
     pub units: usize,
-    /// Workload length (operations submitted).
+    /// Workload length (operations admitted, one per tick).
     pub ops: u64,
     /// Fault events the plan schedules.
     pub faults: usize,
     /// Use the 3-stage pipelined build (Fig. 5); `false` uses the
-    /// combinational unit (faster, but SEU events are masked there —
-    /// chaos then rides on stuck-ats and glitch storms).
+    /// combinational unit (faster, but SEU events are dropped there —
+    /// chaos then rides on stuck-ats and Byzantine latches).
     pub pipelined: bool,
     /// Build the quad-binary16 extension and include quad operations.
     pub quad_lanes: bool,
-    /// Submission queue depth; 0 means "same as the pool size".
-    pub queue_depth: usize,
     /// Circuit-breaker policy.
     pub breaker: BreakerConfig,
-    /// Caller backoff policy for `Busy` rejections.
-    pub backoff: BackoffConfig,
-    /// Watchdog headroom factor (see [`EngineConfig`]).
-    pub watchdog_margin: u64,
     /// Probability a scheduled fault is a Byzantine output-latch fault
-    /// (scrub-clean, caught only by redundant execution). 0 keeps the
-    /// plan stream bit-identical to pre-Byzantine campaigns.
+    /// (scrub-clean, caught only by the comparison against the
+    /// reference). 0 keeps the plan stream bit-identical to
+    /// pre-Byzantine campaigns.
     pub byzantine_fraction: f64,
     /// Cold hot-spare units promoted when an active unit retires.
     pub spares: usize,
-    /// Scrub-battery operations replayed per idle engine tick (patrol
-    /// scrubbing); 0 disables.
+    /// Scrub-battery operations per patrol slice; 0 disables patrol.
     pub patrol_slice: usize,
 }
 
@@ -66,10 +69,7 @@ impl Default for ChaosCampaignConfig {
             faults: 60,
             pipelined: true,
             quad_lanes: false,
-            queue_depth: 0,
             breaker: BreakerConfig::default(),
-            backoff: BackoffConfig::default(),
-            watchdog_margin: 4,
             byzantine_fraction: 0.0,
             spares: 0,
             patrol_slice: 0,
@@ -84,25 +84,16 @@ pub struct UnitOutcome {
     pub unit: usize,
     /// Health state at the end of the run.
     pub final_state: HealthState,
-    /// Operations served.
-    pub ops: u64,
-    /// Check failures observed (first attempt per operation).
-    pub mismatches: u64,
-    /// Operations served by the functional fallback.
-    pub fallback_ops: u64,
-    /// Successful recovery scrubs.
-    pub recoveries: u64,
-    /// Failed recovery scrubs.
-    pub failed_recoveries: u64,
-    /// Per-op watchdog trips.
-    pub watchdog_trips: u64,
-    /// The full breaker transition log.
+    /// Scrubs that passed (readmissions and spare activations).
+    pub scrub_passes: u64,
+    /// Scrubs that failed.
+    pub scrub_failures: u64,
+    /// The breaker transition log.
     pub transitions: Vec<HealthTransition>,
 }
 
-/// One capacity-timeline point: `(tick, hw_capacity, dispatchable,
-/// queued)`.
-pub type TimelinePoint = (u64, u32, u32, u32);
+/// One capacity-timeline point: `(tick, hw_capacity, backlog)`.
+pub type TimelinePoint = (u64, u32, u32);
 
 /// Everything one campaign produced.
 #[derive(Debug, Clone)]
@@ -117,41 +108,33 @@ pub struct ChaosReport {
     pub faults_injected: u64,
     /// Events by kind, as `(label, count)`.
     pub fault_kind_counts: Vec<(&'static str, u64)>,
-    /// Operations accepted into the queue.
-    pub submitted: u64,
-    /// Operations completed (always equals `submitted`: the queue is
-    /// always drained).
+    /// Operations answered `Ok`.
     pub completed: u64,
-    /// Operations abandoned after the backoff budget ran out.
+    /// Operations answered otherwise (refused or expired).
     pub dropped: u64,
-    /// `Busy` rejections answered with backoff.
-    pub busy_rejections: u64,
-    /// Ticks spent waiting in backoff.
-    pub backoff_wait_ticks: u64,
-    /// Wrong answers delivered. The invariant is that this is zero.
+    /// `Ok` answers that disagree with the reference. The invariant is
+    /// that this is zero.
     pub escapes: u64,
-    /// Corrupted results caught and substituted by the masking
-    /// reference vote (would-be escapes).
-    pub masked: u64,
-    /// DMR shadow executions run for Suspect-unit dispatches.
-    pub dmr_shadows: u64,
+    /// Served lanes that failed the verdict and were answered from the
+    /// reference (would-be escapes).
+    pub check_failures: u64,
+    /// Batches voted in full because their routed unit was `Suspect`.
+    pub dmr_batches: u64,
     /// Cold spares promoted to replace retired units.
     pub promotions: u64,
-    /// Patrol-scrub slices run on idle ticks / slices that failed.
+    /// Patrol slices run / slices that failed.
     pub patrol: (u64, u64),
-    /// Scrubs run / passed.
+    /// Scrubs run.
     pub scrubs: u64,
-    /// Scrubs that readmitted their unit.
+    /// Scrubs that passed.
     pub scrub_passes: u64,
     /// Completed `Quarantined → Probation → Healthy` cycles.
     pub recovery_cycles: u64,
     /// Units retired by the end.
     pub retired: u64,
-    /// Scheduler ticks consumed.
+    /// Service ticks consumed.
     pub ticks: u64,
-    /// The calibrated per-op settle-event ceiling.
-    pub watchdog_budget: u64,
-    /// Per-unit outcomes.
+    /// Per-unit outcomes, spares included.
     pub unit_outcomes: Vec<UnitOutcome>,
     /// Capacity timeline, one point per tick.
     pub timeline: Vec<TimelinePoint>,
@@ -168,6 +151,28 @@ impl ChaosReport {
         self.timeline.last().map(|p| p.1).unwrap_or(0)
     }
 
+    /// The per-unit lifecycle table; `with_transitions` adds a column
+    /// counting each unit's logged transitions.
+    fn lifecycle_table(&self, with_transitions: bool) -> Table {
+        let mut headers = vec!["unit", "final state", "scrubs ok/fail"];
+        if with_transitions {
+            headers.push("transitions");
+        }
+        let mut t = Table::new(&headers);
+        for u in &self.unit_outcomes {
+            let mut row = vec![
+                u.unit.to_string(),
+                u.final_state.to_string(),
+                format!("{}/{}", u.scrub_passes, u.scrub_failures),
+            ];
+            if with_transitions {
+                row.push(u.transitions.len().to_string());
+            }
+            t.row_owned(row);
+        }
+        t
+    }
+
     /// Records the campaign into a [`RunReport`]: parameters, the
     /// per-unit lifecycle table, the transition trail and the capacity
     /// timeline series.
@@ -177,34 +182,13 @@ impl ChaosReport {
             .param("ops", &self.ops.to_string())
             .param("faults", &self.faults_injected.to_string())
             .param("escapes", &self.escapes.to_string())
-            .param("masked", &self.masked.to_string())
-            .param("dmr_shadows", &self.dmr_shadows.to_string())
+            .param("check_failures", &self.check_failures.to_string())
+            .param("dmr_batches", &self.dmr_batches.to_string())
             .param("promotions", &self.promotions.to_string())
             .param("patrol_slices", &self.patrol.0.to_string())
             .param("recovery_cycles", &self.recovery_cycles.to_string())
-            .param("retired", &self.retired.to_string())
-            .param("watchdog_budget", &self.watchdog_budget.to_string());
-        let mut t = Table::new(&[
-            "unit",
-            "final state",
-            "ops",
-            "mismatches",
-            "fallback",
-            "scrubs ok/fail",
-            "watchdog trips",
-        ]);
-        for u in &self.unit_outcomes {
-            t.row_owned(vec![
-                u.unit.to_string(),
-                u.final_state.to_string(),
-                u.ops.to_string(),
-                u.mismatches.to_string(),
-                u.fallback_ops.to_string(),
-                format!("{}/{}", u.recoveries, u.failed_recoveries),
-                u.watchdog_trips.to_string(),
-            ]);
-        }
-        r.add_table("Unit lifecycle", t);
+            .param("retired", &self.retired.to_string());
+        r.add_table("Unit lifecycle", self.lifecycle_table(false));
         let mut t = Table::new(&["unit", "tick", "from", "to", "reason", "trace"]);
         for u in &self.unit_outcomes {
             for tr in &u.transitions {
@@ -230,8 +214,8 @@ impl ChaosReport {
             self.timeline.iter().map(|p| (p.0, p.1 as f64)),
         );
         r.add_series(
-            "pool.queued",
-            self.timeline.iter().map(|p| (p.0, p.3 as f64)),
+            "service.backlog",
+            self.timeline.iter().map(|p| (p.0, p.2 as f64)),
         );
     }
 }
@@ -245,30 +229,19 @@ impl std::fmt::Display for ChaosReport {
         )?;
         writeln!(
             f,
-            "  submitted {} / completed {} (busy {}, backoff wait {} tick(s), dropped {}), \
-             escapes {}",
-            self.submitted,
-            self.completed,
-            self.busy_rejections,
-            self.backoff_wait_ticks,
-            self.dropped,
-            self.escapes
+            "  answered {} / {} (dropped {}), escapes {}",
+            self.completed, self.ops, self.dropped, self.escapes
         )?;
         writeln!(
             f,
-            "  scrubs {} ({} passed), recovery cycles {}, retired {}, \
-             watchdog budget {} events/op",
-            self.scrubs,
-            self.scrub_passes,
-            self.recovery_cycles,
-            self.retired,
-            self.watchdog_budget
+            "  scrubs {} ({} passed), recovery cycles {}, retired {}",
+            self.scrubs, self.scrub_passes, self.recovery_cycles, self.retired
         )?;
         writeln!(
             f,
-            "  redundancy: masked {}, dmr shadows {}, promotions {}, \
+            "  redundancy: check failures {}, dmr batches {}, promotions {}, \
              patrol {}/{} slices failed",
-            self.masked, self.dmr_shadows, self.promotions, self.patrol.1, self.patrol.0
+            self.check_failures, self.dmr_batches, self.promotions, self.patrol.1, self.patrol.0
         )?;
         writeln!(
             f,
@@ -278,35 +251,36 @@ impl std::fmt::Display for ChaosReport {
             self.units,
             self.ticks
         )?;
-        let mut t = Table::new(&[
-            "unit",
-            "final state",
-            "ops",
-            "mismatches",
-            "fallback",
-            "scrubs ok/fail",
-            "watchdog trips",
-            "transitions",
-        ]);
-        for u in &self.unit_outcomes {
-            t.row_owned(vec![
-                u.unit.to_string(),
-                u.final_state.to_string(),
-                u.ops.to_string(),
-                u.mismatches.to_string(),
-                u.fallback_ops.to_string(),
-                format!("{}/{}", u.recoveries, u.failed_recoveries),
-                u.watchdog_trips.to_string(),
-                u.transitions.len().to_string(),
-            ]);
+        write!(f, "{}", self.lifecycle_table(true))
+    }
+}
+
+/// Client-side tally of the service's answers.
+#[derive(Default)]
+struct Tally {
+    completed: u64,
+    dropped: u64,
+    escapes: u64,
+}
+
+impl Tally {
+    /// Scores one answer to the operation `op`.
+    fn score(&mut self, reference: &FunctionalUnit, op: Operation, resp: &Response) {
+        match resp.result(op.format) {
+            Some(got) => {
+                self.completed += 1;
+                if !got.agrees_hw(&reference.execute(op)) {
+                    self.escapes += 1;
+                }
+            }
+            None => self.dropped += 1,
         }
-        write!(f, "{t}")
     }
 }
 
 /// Runs one seeded chaos campaign (see the module docs). When a
-/// registry is given the engine's pool gauges and the units' selfcheck
-/// counters are registered there.
+/// registry is given, the service's counters and gauges (`service.*`,
+/// `pool.*`) are copied into it at the end.
 pub fn run_chaos_campaign(cfg: &ChaosCampaignConfig, registry: Option<&Registry>) -> ChaosReport {
     let mut netlist = Netlist::new(TechLibrary::cmos45lp());
     let ports = if cfg.pipelined {
@@ -323,22 +297,20 @@ pub fn run_chaos_campaign(cfg: &ChaosCampaignConfig, registry: Option<&Registry>
     } else {
         build_unit(&mut netlist)
     };
-    let ecfg = EngineConfig {
-        queue_depth: if cfg.queue_depth == 0 {
-            cfg.units
-        } else {
-            cfg.queue_depth
+    let scfg = ServiceConfig {
+        seed: cfg.seed,
+        units: cfg.units,
+        engine: EngineConfig {
+            breaker: cfg.breaker,
+            quad_lanes: cfg.quad_lanes,
+            spares: cfg.spares,
+            patrol_slice: cfg.patrol_slice,
+            ..EngineConfig::default()
         },
-        breaker: cfg.breaker,
-        watchdog_margin: cfg.watchdog_margin,
-        quad_lanes: cfg.quad_lanes,
-        spares: cfg.spares,
-        patrol_slice: cfg.patrol_slice,
+        ..ServiceConfig::default()
     };
-    let mut engine = Engine::new(&netlist, &ports, cfg.units, ecfg);
-    if let Some(reg) = registry {
-        engine.attach_telemetry(reg);
-    }
+    let private = Registry::new();
+    let mut service = Service::new(&netlist, &ports, scfg, &private);
     let plan = ChaosPlan::generate(&ChaosPlanConfig {
         seed: cfg.seed,
         units: cfg.units,
@@ -365,83 +337,89 @@ pub fn run_chaos_campaign(cfg: &ChaosCampaignConfig, registry: Option<&Registry>
         ]
     };
     let mut gen = OperandGen::new(cfg.seed ^ 0x6d66_6d5f_6f70_7321);
-    let mut next_event = 0usize;
-    let mut busy_rejections = 0u64;
-    let mut backoff_wait_ticks = 0u64;
-    let mut dropped = 0u64;
+    let reference = FunctionalUnit::new();
+    let mut ops: Vec<Operation> = Vec::with_capacity(cfg.ops as usize);
+    let mut tally = Tally::default();
     let mut timeline = Vec::new();
+    let mut tick = |service: &mut Service<'_>, ops: &[Operation], tally: &mut Tally| {
+        service.tick();
+        for (_, resp) in service.take_responses() {
+            tally.score(&reference, ops[resp.id() as usize], &resp);
+        }
+        timeline.push((
+            service.now(),
+            service.engine().hw_capacity(),
+            service.backlog() as u32,
+        ));
+    };
+    let mut next_event = 0usize;
     for k in 0..cfg.ops {
         while next_event < plan.events.len() && plan.events[next_event].at_op <= k {
-            apply_event(&mut engine, &plan.events[next_event], &sites, ports.latency);
+            apply_event(
+                service.engine_mut(),
+                &plan.events[next_event],
+                &sites,
+                ports.latency,
+            );
             next_event += 1;
         }
         let op = gen.operation(formats[(k % formats.len() as u64) as usize]);
-        let mut backoff = SubmitBackoff::new(
-            cfg.backoff,
-            cfg.seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        loop {
-            match engine.submit(op) {
-                Ok(_) => break,
-                Err(_) => {
-                    busy_rejections += 1;
-                    match backoff.next_delay() {
-                        Some(delay) => {
-                            backoff_wait_ticks += delay;
-                            for _ in 0..delay {
-                                tick(&mut engine, &mut timeline);
-                            }
-                        }
-                        None => {
-                            dropped += 1;
-                            break;
-                        }
-                    }
-                }
-            }
+        ops.push(op);
+        let req = Request {
+            id: k,
+            op,
+            deadline_micros: 0,
+            critical: false,
+        };
+        if let Some(refusal) = service.admit(0, &req) {
+            tally.score(&reference, op, &refusal);
         }
-        tick(&mut engine, &mut timeline);
+        tick(&mut service, &ops, &mut tally);
     }
-    // Drain the queue, then let outstanding quarantines resolve so the
+    // Drain the backlog, then let outstanding quarantines resolve so the
     // report shows every unit's terminal state (recovered or retired).
-    while engine.pending() > 0 {
-        tick(&mut engine, &mut timeline);
+    while service.backlog() > 0 {
+        tick(&mut service, &ops, &mut tally);
     }
     let settle =
         (cfg.breaker.cooldown_ticks as u64 + 1) * (cfg.breaker.max_scrub_failures as u64 + 1) + 4;
     for _ in 0..settle {
-        tick(&mut engine, &mut timeline);
+        tick(&mut service, &ops, &mut tally);
     }
 
-    let completed = engine.take_completed();
-    let (submitted, _, done, scrubs, scrub_passes) = engine.totals();
-    debug_assert_eq!(done as usize, completed.len());
-    // Outcomes cover the whole pool, spares included.
-    let pool = engine.unit_count();
-    let mut unit_outcomes = Vec::with_capacity(pool);
-    let mut recovery_cycles = 0u64;
-    let mut retired = 0u64;
-    for i in 0..pool {
-        let stats = engine.unit(i).stats();
-        let transitions = engine.transitions(i).to_vec();
-        recovery_cycles += transitions
-            .iter()
-            .filter(|t| t.from == HealthState::Probation && t.to == HealthState::Healthy)
-            .count() as u64;
-        if engine.unit_state(i) == HealthState::Retired {
-            retired += 1;
-        }
-        unit_outcomes.push(UnitOutcome {
-            unit: i,
-            final_state: engine.unit_state(i),
-            ops: stats.ops,
-            mismatches: stats.mismatches,
-            fallback_ops: stats.fallback_ops,
-            recoveries: stats.recoveries,
-            failed_recoveries: stats.failed_recoveries,
-            watchdog_trips: engine.watchdog_trips(i),
-            transitions,
-        });
+    let engine = service.engine();
+    let unit_outcomes: Vec<UnitOutcome> = (0..engine.unit_count())
+        .map(|i| {
+            let transitions = engine.transitions(i).to_vec();
+            let scrubbed = |passed: bool| {
+                transitions
+                    .iter()
+                    .filter(|t| scrub_outcome(t) == Some(passed))
+                    .count() as u64
+            };
+            UnitOutcome {
+                unit: i,
+                final_state: engine.unit_state(i),
+                scrub_passes: scrubbed(true),
+                scrub_failures: scrubbed(false),
+                transitions,
+            }
+        })
+        .collect();
+    let recovery_cycles = unit_outcomes
+        .iter()
+        .flat_map(|u| &u.transitions)
+        .filter(|t| t.from == HealthState::Probation && t.to == HealthState::Healthy)
+        .count() as u64;
+    let retired = unit_outcomes
+        .iter()
+        .filter(|u| u.final_state == HealthState::Retired)
+        .count() as u64;
+    let (scrubs, scrub_passes) = engine.scrubs();
+    // The zero-escape witness reads what the client saw.
+    private.counter("pool.escapes").add(tally.escapes);
+    if let Some(reg) = registry {
+        private.copy_scalars_into(reg);
     }
     ChaosReport {
         seed: cfg.seed,
@@ -449,14 +427,11 @@ pub fn run_chaos_campaign(cfg: &ChaosCampaignConfig, registry: Option<&Registry>
         ops: cfg.ops,
         faults_injected: plan.fault_count() as u64,
         fault_kind_counts: plan.kind_counts(),
-        submitted,
-        completed: done,
-        dropped,
-        busy_rejections,
-        backoff_wait_ticks,
-        escapes: engine.escapes(),
-        masked: engine.masked(),
-        dmr_shadows: engine.dmr_shadows(),
+        completed: tally.completed,
+        dropped: tally.dropped,
+        escapes: tally.escapes,
+        check_failures: private.counter("service.check_failures").get(),
+        dmr_batches: private.counter("service.dmr_batches").get(),
         promotions: engine.promotions(),
         patrol: engine.patrol_stats(),
         scrubs,
@@ -464,17 +439,21 @@ pub fn run_chaos_campaign(cfg: &ChaosCampaignConfig, registry: Option<&Registry>
         recovery_cycles,
         retired,
         ticks: engine.now(),
-        watchdog_budget: engine.watchdog_budget(),
         unit_outcomes,
         timeline,
     }
 }
 
-/// One engine tick, its capacity sample appended to the campaign's own
-/// series (the engine keeps only a short window).
-fn tick(engine: &mut Engine<'_>, timeline: &mut Vec<TimelinePoint>) {
-    let s = engine.tick().sample;
-    timeline.push((s.tick, s.hw_capacity, s.dispatchable, s.queued));
+/// Whether transition `t` is the verdict of a scrub — readmission or
+/// spare activation (`Some(true)`), re-quarantine or retirement
+/// (`Some(false)`) — or something else (`None`).
+fn scrub_outcome(t: &HealthTransition) -> Option<bool> {
+    match (t.from, t.to) {
+        (HealthState::Probation | HealthState::Spare, HealthState::Healthy) => Some(true),
+        (HealthState::Probation, HealthState::Quarantined | HealthState::Retired)
+        | (HealthState::Spare, HealthState::Retired) => Some(false),
+        _ => None,
+    }
 }
 
 #[cfg(test)]
@@ -504,7 +483,6 @@ mod tests {
         let a = run_chaos_campaign(&cfg, None);
         let b = run_chaos_campaign(&cfg, None);
         assert_eq!(a.escapes, 0, "zero wrong answers escape:\n{a}");
-        assert_eq!(a.submitted, b.submitted);
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.scrubs, b.scrubs);
         assert_eq!(a.recovery_cycles, b.recovery_cycles);
@@ -534,7 +512,7 @@ mod tests {
         );
         assert_eq!(rep.completed + rep.dropped, rep.ops);
         let text = rep.to_string();
-        assert!(text.contains("redundancy: masked"), "{text}");
+        assert!(text.contains("redundancy: check failures"), "{text}");
     }
 
     #[test]
@@ -551,10 +529,11 @@ mod tests {
         mfm_telemetry::json::check(&json).expect("well-formed report JSON");
         assert!(json.contains("\"pool.hw_capacity\""));
         assert!(json.contains("\"recovery_cycles\""));
+        assert!(!json.contains("phase_micros"), "no wall-clock histograms");
         assert_eq!(
-            registry.counter("pool.completed").get(),
+            registry.counter("service.answered").get(),
             rep.completed,
-            "registry mirrors the engine"
+            "registry mirrors the service"
         );
     }
 }

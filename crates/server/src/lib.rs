@@ -22,6 +22,10 @@
 //! - [`loadgen`] — an open-loop, seeded load generator and verifier:
 //!   bursts, slow clients and adversarial frames, with client-side
 //!   escape detection and a full every-request-answered audit.
+//! - [`chaos`] — seeded chaos campaigns through an in-process service:
+//!   mixed-format traffic under scheduled SEUs, stuck-ats, Byzantine
+//!   latches and field replacements, judged by the zero-escape and
+//!   capacity-recovery invariants.
 //!
 //! The service contract, end to end: **no request is ever dropped
 //! silently** (every outcome is a typed `Ok`, `Overloaded`,
@@ -33,6 +37,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod chaos;
 pub mod loadgen;
 pub mod server;
 pub mod service;

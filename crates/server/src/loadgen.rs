@@ -22,9 +22,8 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use mfm_evalkit::workload::{ArrivalConfig, Arrivals, FormatMix, OperandGen};
-use mfm_softfloat::Flags;
 use mfm_telemetry::json::JsonObject;
-use mfmult::{FunctionalUnit, MultResult, Operation};
+use mfmult::{FunctionalUnit, Operation};
 
 use crate::wire::{
     decode_response, encode_request, read_frame, FrameError, Request, Response, MAX_BODY,
@@ -607,11 +606,7 @@ fn run_conn(
         }
         match answered.get(id) {
             Some((
-                Response::Ok {
-                    ph,
-                    pl,
-                    flags_lo,
-                    flags_hi,
+                resp @ Response::Ok {
                     queue_micros,
                     exec_micros,
                     ..
@@ -631,13 +626,7 @@ fn run_conn(
                         .saturating_sub(*exec_micros as u64),
                 );
                 let op = ops[id];
-                let got = MultResult {
-                    format: op.format,
-                    ph: *ph,
-                    pl: *pl,
-                    flags_lo: Flags::from_bits(*flags_lo),
-                    flags_hi: Flags::from_bits(*flags_hi),
-                };
+                let got = resp.result(op.format).expect("an Ok answer");
                 if !got.agrees_hw(&reference.execute(op)) {
                     report.escapes += 1;
                 }

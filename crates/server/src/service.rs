@@ -59,10 +59,12 @@
 //! *after* their self-checks — the fault class only the reference
 //! comparison catches.
 //!
-//! The service never dispatches through the engine's queue: the engine
-//! supplies the units' fault overlays, breakers, scrubs, spares and
-//! patrol. Chaos that acts only on engine dispatch (single-event upsets
-//! and glitch storms) is therefore inert here.
+//! The service is the engine's only client: the engine keeps each
+//! unit's fault record and supplies its overlay, breaker, scrubs, spares
+//! and patrol slices, and every lane runs in the service's pass. A chaos
+//! single-event upset forces its net on the victim unit's lanes of the
+//! next pass that carries any (a batch spilling past one pass keeps it
+//! for all of them), and then leaves the overlay ([`Engine::end_pass`]).
 //!
 //! # One compiled pass per tick
 //!
@@ -95,8 +97,8 @@
 //! counts are lane-separable); a pass with no batch lanes counts none,
 //! and a batch's clock edges are charged once.
 //! The batch is routed before the tick's patrol verdict lands:
-//! [`Engine::tick_leaving_patrol`] hands the slice over, and its verdict
-//! is landed once the pass has run. `service.passes` and
+//! [`Engine::take_patrol`] hands the slice over after the engine's tick,
+//! and its verdict is landed once the pass has run. `service.passes` and
 //! `service.pass_lanes.{batch,replica,patrol,speculative}` count the
 //! passes and what filled them, and `/statusz` shows passes per tick.
 //!
@@ -257,6 +259,8 @@ struct ServiceMetrics {
     malformed: Counter,
     check_failures: Counter,
     rescues: Counter,
+    /// `pool.escapes`: the zero-escape contract's scrapeable witness.
+    escapes: Counter,
     speculative: Counter,
     votes: Counter,
     vote_mismatches: Counter,
@@ -363,6 +367,7 @@ impl<'a> Service<'a> {
             malformed: registry.counter("service.malformed"),
             check_failures: registry.counter("service.check_failures"),
             rescues: registry.counter("service.rescues"),
+            escapes: registry.counter("pool.escapes"),
             speculative: registry.counter("service.speculative_checks"),
             votes: registry.counter("service.tmr_votes"),
             vote_mismatches: registry.counter("service.tmr_vote_mismatches"),
@@ -444,14 +449,19 @@ impl<'a> Service<'a> {
         self.shed
     }
 
-    /// Wrong answers that reached a response, read from the pool's
+    /// Wrong answers that reached a response, read from the
     /// `pool.escapes` witness. Zero by construction: every `Ok` either
     /// passed the verdict against the reference or is the reference.
     pub fn escapes(&self) -> u64 {
-        self.engine.escapes()
+        self.metrics.escapes.get()
     }
 
-    /// The pool engine (chaos hooks, health inspection).
+    /// The pool engine (health inspection).
+    pub fn engine(&self) -> &Engine<'a> {
+        &self.engine
+    }
+
+    /// The pool engine (chaos hooks).
     pub fn engine_mut(&mut self) -> &mut Engine<'a> {
         &mut self.engine
     }
@@ -678,16 +688,12 @@ impl<'a> Service<'a> {
     /// (see the module docs).
     pub fn tick(&mut self) {
         self.flush_unacked_records();
-        let idle = self.engine.tick_leaving_patrol().dispatched == 0;
+        self.engine.tick();
         self.forward_transitions();
         self.expire_stale();
         let tier = self.tier();
         let riders = Riders {
-            patrol: if idle {
-                self.engine.take_patrol()
-            } else {
-                None
-            },
+            patrol: self.engine.take_patrol(),
             speculative: tier == Tier::Normal
                 && self.cfg.speculative_every > 0
                 && self.engine.now().is_multiple_of(self.cfg.speculative_every),
@@ -877,9 +883,7 @@ impl<'a> Service<'a> {
     /// Pool units the batch path may route through right now.
     fn batch_units(&self) -> Vec<usize> {
         (0..self.engine.unit_count())
-            .filter(|&i| {
-                self.engine.unit_state(i).is_hw_capacity() && !self.engine.unit(i).is_degraded()
-            })
+            .filter(|&i| self.engine.unit_state(i).is_hw_capacity())
             .collect()
     }
 
@@ -1049,13 +1053,14 @@ impl<'a> Service<'a> {
     }
 
     /// Runs `segments` through the service's simulator ([`run_passes`])
-    /// under each segment unit's fault overlay, counting the passes and
-    /// the lanes each role filled. Returns every segment's raw outputs
-    /// with the wall time spent arming (batch fill) and evaluating.
+    /// under each segment unit's fault overlay, ends the pass on every
+    /// unit it carried, and counts the passes and the lanes each role
+    /// filled. Returns every segment's raw outputs with the wall time
+    /// spent arming (batch fill) and evaluating.
     fn run_packed(&mut self, segments: &[Segment]) -> (Vec<Vec<RawOutputs>>, u64, u64) {
         let faults: Vec<Vec<(NetId, bool)>> = segments
             .iter()
-            .map(|seg| self.engine.unit(seg.unit).sim().stuck_faults())
+            .map(|seg| self.engine.overlay(seg.unit))
             .collect();
         let laid: Vec<Laid<'_>> = segments
             .iter()
@@ -1069,6 +1074,7 @@ impl<'a> Service<'a> {
         let run = run_passes(&mut self.sim, &self.ports, &laid, batch, &mut self.power);
         self.metrics.passes.add(run.passes);
         for seg in segments {
+            self.engine.end_pass(seg.unit);
             self.metrics.pass_lanes[seg.role as usize].add(seg.ops.len() as u64);
         }
         (run.raws, run.fill_micros, run.eval_micros)
@@ -1169,8 +1175,7 @@ impl<'a> Service<'a> {
 
     /// Judges unit `unit`'s lanes: `raws` are its compiled results for
     /// `ops`, and any Byzantine output latch armed on the unit corrupts
-    /// its flagged lanes after the self-check, as the engine's dispatch
-    /// path does.
+    /// its flagged lanes after the self-check.
     fn judge_unit(
         &mut self,
         unit: usize,
@@ -1492,7 +1497,6 @@ mod tests {
                     cooldown_ticks: 2,
                     max_scrub_failures: 2,
                 },
-                watchdog_margin: 4,
                 quad_lanes: false,
                 spares: 0,
                 patrol_slice: 0,
@@ -2368,5 +2372,232 @@ mod tests {
             "speculative checks caught the fault without client exposure"
         );
         assert!(reg.counter("service.speculative_checks").get() > 0);
+    }
+
+    /// Answers of `out` that disagree with `want(id)`.
+    fn wrong_answers(out: &[(u64, Response)], want: impl Fn(u64) -> u128) -> Vec<u64> {
+        out.iter()
+            .filter_map(|(_, r)| match *r {
+                Response::Ok { id, ph, pl, .. } => {
+                    (((ph as u128) << 64) | pl as u128 != want(id)).then_some(id)
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn patrol_scrubbing_catches_a_latent_fault_without_traffic() {
+        let (n, ports) = build();
+        let reg = Registry::new();
+        let mut cfg = small_cfg();
+        cfg.speculative_every = 0;
+        cfg.engine.patrol_slice = 8;
+        let mut svc = Service::new(&n, &ports, cfg, &reg);
+        // Latent (non-sticky) damage on an idle unit: no request is ever
+        // admitted, so only patrol can find it.
+        svc.engine_mut()
+            .inject_stuck_at(0, ports.chk_p0[0], true, false);
+        let mut caught = false;
+        for _ in 0..200 {
+            svc.tick();
+            caught |= svc.engine().unit_state(0) != HealthState::Healthy;
+        }
+        let (slices, failures) = svc.engine().patrol_stats();
+        assert!(caught, "patrol surfaced the latent fault");
+        assert!(slices >= 2, "ticks ran patrol slices: {slices}");
+        assert!(failures >= 1, "the faulty slice failed: {failures}");
+        // The breaker machinery took over: quarantine, scrub (repair
+        // clears the latched damage), readmission.
+        assert_eq!(svc.engine().unit_state(0), HealthState::Healthy);
+        let trail: Vec<_> = svc
+            .engine()
+            .transitions(0)
+            .iter()
+            .map(|t| (t.from, t.to))
+            .collect();
+        assert!(
+            trail.contains(&(HealthState::Probation, HealthState::Healthy)),
+            "repaired and readmitted: {trail:?}"
+        );
+        assert_eq!(svc.escapes(), 0);
+    }
+
+    #[test]
+    fn byzantine_unit_is_outvoted_masked_and_never_escapes() {
+        let (n, ports) = build();
+        let reg = Registry::new();
+        let mut cfg = small_cfg();
+        cfg.speculative_every = 0;
+        let mut svc = Service::new(&n, &ports, cfg, &reg);
+        // An output-latch defect beyond check coverage: every 3rd result
+        // served by unit 0 has a product bit flipped after the
+        // self-checks ran. Scrubs replay the checked datapath and pass.
+        svc.engine_mut().inject_byzantine(0, 3, 1 << 7);
+        for k in 0..60u64 {
+            assert!(svc.admit(1, &req(k, Operation::int64(k + 2, 5))).is_none());
+            svc.tick();
+        }
+        for _ in 0..20 {
+            svc.tick();
+        }
+        // The contract: wrong answers were produced, every one was
+        // answered from the reference instead, none escaped.
+        let out = svc.take_responses();
+        assert_eq!(out.len(), 60);
+        assert_eq!(wrong_answers(&out, |id| (id + 2) as u128 * 5), vec![]);
+        assert_eq!(svc.escapes(), 0, "no wrong answer ever delivered");
+        assert!(
+            reg.counter("service.check_failures").get() >= 3,
+            "the latch did corrupt results"
+        );
+        // The failed verdicts charged the breaker: the unit was
+        // quarantined, its scrub passed (the battery sees a clean
+        // datapath — that is what makes the fault Byzantine), and it
+        // was readmitted to flap again.
+        let trail: Vec<_> = svc
+            .engine()
+            .transitions(0)
+            .iter()
+            .map(|t| (t.from, t.to))
+            .collect();
+        assert!(
+            trail.contains(&(HealthState::Suspect, HealthState::Quarantined)),
+            "breaker opened on the byzantine unit: {trail:?}"
+        );
+        assert!(
+            trail.contains(&(HealthState::Probation, HealthState::Healthy)),
+            "scrubs pass — the fault is beyond battery coverage: {trail:?}"
+        );
+        // While suspect, its batches were voted on the healthy peer.
+        assert!(svc.dmr_batches >= 1, "suspicion triggered voting");
+        assert_eq!(
+            svc.engine().unit_state(1),
+            HealthState::Healthy,
+            "the honest peer is never blamed"
+        );
+    }
+
+    /// Applies a chaos SEU on unit 0 aimed at the low product bit,
+    /// forcing it to 1: even products keep it at 0, so the upset shows
+    /// in every lane of the pass it strikes.
+    fn apply_seu(svc: &mut Service<'_>, ports: &StructuralPorts) {
+        let ev = mfm_resilient::ChaosEvent {
+            at_op: 0,
+            unit: 0,
+            net_pick: 0,
+            edge_pick: 1,
+            kind: mfm_resilient::ChaosKind::Seu,
+        };
+        mfm_resilient::apply_event(svc.engine_mut(), &ev, &[ports.pl[0]], ports.latency);
+    }
+
+    /// One unit whose breaker tolerates a whole failed batch.
+    fn seu_cfg() -> ServiceConfig {
+        let mut cfg = small_cfg();
+        cfg.units = 1;
+        cfg.speculative_every = 0;
+        cfg.engine.breaker.open_after = 100;
+        cfg
+    }
+
+    /// Admits four even products and ticks once.
+    fn even_batch(svc: &mut Service<'_>, first: u64) {
+        for k in first..first + 4 {
+            assert!(svc.admit(1, &req(k, Operation::int64(k + 1, 2))).is_none());
+        }
+        svc.tick();
+    }
+
+    #[test]
+    fn seu_charges_at_most_the_victims_next_pass_on_the_pipelined_unit() {
+        let mut n = Netlist::new(TechLibrary::cmos45lp());
+        let ports = mfmult::pipeline::build_pipelined_unit(
+            &mut n,
+            mfmult::pipeline::PipelinePlacement::Fig5,
+        );
+        assert!(ports.latency > 0);
+        let reg = Registry::new();
+        let mut svc = Service::new(&n, &ports, seu_cfg(), &reg);
+        apply_seu(&mut svc, &ports);
+        assert_eq!(svc.engine().overlay(0), vec![(ports.pl[0], true)]);
+        even_batch(&mut svc, 0);
+        let failures = reg.counter("service.check_failures").get();
+        assert!(
+            (1..=4).contains(&failures),
+            "the upset showed in its pass only: {failures}"
+        );
+        assert!(svc.engine().overlay(0).is_empty(), "gone after one pass");
+        assert_eq!(
+            svc.engine().transitions(0)[0].reason,
+            format!("{failures} check incident(s)"),
+            "the victim was charged for that pass"
+        );
+        even_batch(&mut svc, 4);
+        assert_eq!(
+            reg.counter("service.check_failures").get(),
+            failures,
+            "the pass after runs clean"
+        );
+        let out = svc.take_responses();
+        assert_eq!(out.len(), 8);
+        assert_eq!(wrong_answers(&out, |id| (id + 1) as u128 * 2), vec![]);
+    }
+
+    #[test]
+    fn seu_is_dropped_on_the_combinational_unit() {
+        let (n, ports) = build();
+        assert_eq!(ports.latency, 0);
+        let reg = Registry::new();
+        let mut svc = Service::new(&n, &ports, seu_cfg(), &reg);
+        apply_seu(&mut svc, &ports);
+        assert!(svc.engine().overlay(0).is_empty(), "nothing to capture it");
+        even_batch(&mut svc, 0);
+        assert_eq!(reg.counter("service.check_failures").get(), 0);
+        assert_eq!(svc.engine().transitions_logged(0), 0, "nothing charged");
+        assert_eq!(svc.take_responses().len(), 4);
+    }
+
+    #[test]
+    fn a_unit_whose_last_scrub_failed_never_serves_patrols_or_counts() {
+        let (n, ports) = build();
+        let reg = Registry::new();
+        let mut cfg = small_cfg();
+        cfg.units = 3;
+        cfg.speculative_every = 1;
+        cfg.engine.patrol_slice = 8;
+        let mut svc = Service::new(&n, &ports, cfg, &reg);
+        // A physical defect: every scrub of unit 0 fails until it retires.
+        svc.engine_mut()
+            .inject_stuck_at(0, ports.chk_p0[0], true, true);
+        let mut failed_scrubs_seen = 0;
+        for k in 0..60u64 {
+            assert!(svc.admit(1, &req(k, Operation::int64(k + 1, 2))).is_none());
+            svc.tick();
+            let last_scrub_failed = svc
+                .engine()
+                .transitions(0)
+                .iter()
+                .rev()
+                .find(|t| t.from == HealthState::Probation)
+                .is_some_and(|t| t.to != HealthState::Healthy);
+            if !last_scrub_failed {
+                continue;
+            }
+            failed_scrubs_seen += 1;
+            assert!(!svc.batch_units().contains(&0), "tick {k}: routed");
+            let others = (1..3)
+                .filter(|&i| svc.engine().unit_state(i).is_hw_capacity())
+                .count() as u32;
+            assert_eq!(svc.engine().hw_capacity(), others, "tick {k}: counted");
+            if let Some((unit, _)) = svc.engine_mut().take_patrol() {
+                assert_ne!(unit, 0, "tick {k}: patrolled");
+            }
+        }
+        assert!(failed_scrubs_seen > 0, "no scrub of unit 0 failed");
+        assert_eq!(svc.engine().unit_state(0), HealthState::Retired);
+        let out = svc.take_responses();
+        assert_eq!(out.len(), 60);
+        assert_eq!(wrong_answers(&out, |id| (id + 1) as u128 * 2), vec![]);
     }
 }

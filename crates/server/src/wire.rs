@@ -27,6 +27,7 @@
 //! [`WireError::code`], then closes the connection (after a framing
 //! error the stream position can no longer be trusted).
 
+use mfm_softfloat::Flags;
 use mfmult::{Format, MultResult, Operation};
 use std::io::{Read, Write};
 
@@ -142,6 +143,27 @@ impl Response {
             flags_hi: r.flags_hi.bits(),
             queue_micros,
             exec_micros,
+        }
+    }
+
+    /// The product an `Ok` answer carries, as a result of `format` (the
+    /// request's); `None` for every other response.
+    pub fn result(&self, format: Format) -> Option<MultResult> {
+        match *self {
+            Response::Ok {
+                ph,
+                pl,
+                flags_lo,
+                flags_hi,
+                ..
+            } => Some(MultResult {
+                format,
+                ph,
+                pl,
+                flags_lo: Flags::from_bits(flags_lo),
+                flags_hi: Flags::from_bits(flags_hi),
+            }),
+            _ => None,
         }
     }
 }

@@ -225,6 +225,24 @@ impl Registry {
         out
     }
 
+    /// Adds every counter's total to the same-named counter of `to` and
+    /// sets `to`'s same-named gauges to this registry's values.
+    /// Histograms are not copied: a caller that keeps wall-clock
+    /// histograms out of a report records into a private registry and
+    /// copies the rest across.
+    pub fn copy_scalars_into(&self, to: &Registry) {
+        for (name, total) in self.merged_counters() {
+            to.counter(&name).add(total);
+        }
+        let gauges: Vec<(String, f64)> = lock(&self.shared.gauges)
+            .iter()
+            .map(|(name, g)| (name.clone(), g.get()))
+            .collect();
+        for (name, v) in gauges {
+            to.gauge(&name).set(v);
+        }
+    }
+
     /// Merged per-name histogram snapshots across all shards, folded in
     /// shard order so repeated scrapes of the same state are identical.
     fn merged_histograms(&self) -> BTreeMap<String, HistogramSnapshot> {
@@ -426,6 +444,21 @@ mod tests {
         reg.gauge("pj").set(1.5);
         assert_eq!(reg.gauge("pj").get(), 1.5);
         assert_eq!(reg.len(), 2);
+    }
+
+    #[test]
+    fn copy_scalars_into_moves_counters_and_gauges_but_no_histograms() {
+        let from = Registry::with_shards(4);
+        from.counter_on(0, "ops").add(2);
+        from.counter_on(3, "ops").add(5);
+        from.gauge("cap").set(3.0);
+        from.histogram("wall").observe(1.0);
+        let to = Registry::new();
+        to.counter("ops").add(1);
+        from.copy_scalars_into(&to);
+        assert_eq!(to.counter("ops").get(), 8, "shard totals, added");
+        assert_eq!(to.gauge("cap").get(), 3.0);
+        assert_eq!(to.len(), 2, "no histogram copied");
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! End-to-end chaos recovery: a seeded fault schedule applied to a
-//! resilient pool of self-checking units mid-workload. The two
-//! invariants of `mfm-resilient` are asserted on a fixed seed:
+//! End-to-end chaos recovery: a seeded fault schedule applied to the
+//! pool under an in-process service mid-workload. The two invariants of
+//! `mfm-resilient` are asserted on a fixed seed:
 //!
-//! 1. **Zero escapes** — every delivered result matches the softfloat
+//! 1. **Zero escapes** — every `Ok` answer matches the softfloat
 //!    reference, no matter what the chaos plan injected.
 //! 2. **Degrade and recover** — capacity dips while faulty units sit in
 //!    quarantine and returns once scrubbing readmits them; at least one
@@ -12,8 +12,8 @@
 //! global RNG), so the run here is bit-identical across profiles and
 //! platforms — the test also replays it and compares tick-exact.
 
-use mfm_repro::evalkit::chaos::{run_chaos_campaign, ChaosCampaignConfig};
 use mfm_repro::resilient::HealthState;
+use mfm_repro::server::chaos::{run_chaos_campaign, ChaosCampaignConfig};
 use mfm_repro::telemetry::Registry;
 
 /// Small combinational campaign kept identical in debug and release so
@@ -83,9 +83,14 @@ fn chaos_campaign_is_bit_reproducible() {
         b.unit_outcomes.len(),
         "pool sizes diverged"
     );
+    let trail = |u: &mfm_repro::server::chaos::UnitOutcome| {
+        u.transitions
+            .iter()
+            .map(|t| (t.tick, t.from, t.to, t.reason.clone()))
+            .collect::<Vec<_>>()
+    };
     for (ua, ub) in a.unit_outcomes.iter().zip(&b.unit_outcomes) {
         assert_eq!(ua.final_state, ub.final_state);
-        assert_eq!(ua.ops, ub.ops);
-        assert_eq!(ua.transitions.len(), ub.transitions.len());
+        assert_eq!(trail(ua), trail(ub), "unit {} trail diverged", ua.unit);
     }
 }
