@@ -1,25 +1,29 @@
 //! Streams JSON-lines telemetry for a mixed-format workload on the
-//! self-checking pipelined unit: per-window operation counts and live
-//! pJ/op, incident records as they happen, and a final registry
-//! snapshot. A single-event upset is scheduled halfway through the run
-//! so the incident path is always exercised.
+//! pipelined unit, every operation run on the event-driven simulator
+//! (`run_raw`) and judged by the self-checks (`check_raw`): per-window
+//! operation counts and live pJ/op, an incident record for every check
+//! that fails, and a final registry snapshot. Halfway through the run
+//! one int64 operation runs under a stuck-at on the P0 LSB, forced to
+//! the complement of its exact value, so the incident path always
+//! fires.
 //!
 //! Usage: `observe [--ops N] [--window N] [--seed S] [--compiled]
 //! [--cal-ops N] [--json <path>] [--prom <path>]` (defaults: 400 ops,
 //! window 50).
 //!
 //! `--compiled` runs the same mixed workload through the 256-lane
-//! compiled activity engine instead of the event-driven self-checking
-//! unit: the live pJ/op comes from zero-delay toggle counts scaled by a
+//! compiled activity engine instead of the event-driven simulator: the
+//! live pJ/op comes from zero-delay toggle counts scaled by a
 //! glitch-inflation factor calibrated on `--cal-ops` event-driven
-//! operations (default 24). SEU injection needs event timing, so the
-//! compiled mode reports no incidents.
+//! operations (default 24). The compiled mode places no upset and
+//! reports no incidents.
 //!
 //! Line shapes (one JSON object per line on stdout):
 //!
 //! - `{"event":"start", ...}` — run parameters and netlist size;
-//! - `{"event":"incident", ...}` — a self-check incident (see
-//!   `mfmult::selfcheck::Incident::to_json`);
+//! - `{"event":"incident", ...}` — a failed self-check: the 1-based op
+//!   ordinal, the simulator cycle, the format, `"kind":"check_failure"`
+//!   and the check that fired;
 //! - `{"event":"window", ...}` — op counts per format, cycles, live
 //!   window pJ/op and running mean;
 //! - `{"event":"snapshot","metrics":{...}}` — final registry snapshot.
@@ -29,13 +33,13 @@ use mfm_evalkit::calibrate::GlitchCalibration;
 use mfm_evalkit::runreport::RunReport;
 use mfm_evalkit::workload::OperandGen;
 use mfm_gatesim::{
-    CompiledNetlist, CompiledSim, LivePowerTrace, Netlist, PowerEstimator, TechLibrary,
+    CompiledNetlist, CompiledSim, LivePowerTrace, Netlist, PowerEstimator, Simulator, TechLibrary,
     TimingAnalysis, LANES,
 };
 use mfm_telemetry::json::JsonObject;
 use mfm_telemetry::Registry;
 use mfmult::pipeline::{build_pipelined_unit, PipelinePlacement};
-use mfmult::selfcheck::SelfCheckingUnit;
+use mfmult::selfcheck::{check_raw, run_raw};
 use mfmult::Format;
 
 fn main() {
@@ -52,13 +56,11 @@ fn main() {
     let mut n = Netlist::new(TechLibrary::cmos45lp());
     let ports = build_pipelined_unit(&mut n, PipelinePlacement::Fig5);
     let sta = TimingAnalysis::new(&n).report();
-    let mut unit = SelfCheckingUnit::new(&n, ports);
-    unit.attach_telemetry(&registry);
-    unit.sim_mut().attach_telemetry(&registry, 64);
-    let seu_edge = unit.ports().latency + 1;
-    let seu_net = unit.ports().chk_p0[0];
-    let mut trace = LivePowerTrace::new(&n, &*unit.sim_mut())
-        .with_gauge(registry.gauge("observe.pj_per_op.window"));
+    let mut sim = Simulator::new(&n);
+    sim.attach_telemetry(&registry, 64);
+    let upset_net = ports.chk_p0[0];
+    let mut trace =
+        LivePowerTrace::new(&n, &sim).with_gauge(registry.gauge("observe.pj_per_op.window"));
 
     let mut start = JsonObject::new();
     start
@@ -74,29 +76,38 @@ fn main() {
 
     let mut gen = OperandGen::new(seed);
     let mut counts = [0u64; 4];
-    let mut incidents_seen = 0usize;
-    // Upset an int64 op near the middle of the run: a P0-LSB flip
-    // corrupts the delivered product directly (float formats may mask
-    // it in rounding).
-    let seu_op = (ops / 2) & !3;
+    let mut incidents = 0u64;
+    // Upset an int64 op near the middle of the run (every fourth op is
+    // int64). Its P0 window is exactly xa·yb, so the P0 LSB must read
+    // xa·yb's LSB: forcing the complement makes the residue check fire.
+    let upset_op = (ops / 2) & !3;
     for i in 0..ops {
         let slot = (i % Format::ALL.len() as u64) as usize;
         let op = gen.operation(Format::ALL[slot]);
-        if i == seu_op {
-            // Flip the P0 LSB across the output-latching edge of the
-            // next operation: the checker rejects the result, the retry
-            // recovers, and two incident lines appear below.
-            unit.schedule_seu(seu_edge, seu_net);
+        let upset = i == upset_op;
+        if upset {
+            sim.inject_stuck_at(upset_net, op.xa & op.yb & 1 == 0);
         }
-        let _ = unit.execute(op);
+        let raw = run_raw(&mut sim, &ports, op);
+        if upset {
+            sim.clear_fault(upset_net);
+            sim.settle();
+        }
         counts[slot] += 1;
-        while incidents_seen < unit.incidents().len() {
-            println!("{}", unit.incidents()[incidents_seen].to_json());
-            incidents_seen += 1;
-        }
         let done = i + 1;
+        if let Err(e) = check_raw(op, &raw) {
+            incidents += 1;
+            let mut line = JsonObject::new();
+            line.field_str("event", "incident")
+                .field_u64("op", done)
+                .field_u64("cycle", sim.cycles())
+                .field_str("format", op.format.label())
+                .field_str("kind", "check_failure")
+                .field_str("detail", &e.to_string());
+            println!("{}", line.finish());
+        }
         if done.is_multiple_of(window) || done == ops {
-            let sample = trace.sample(&*unit.sim_mut(), done);
+            let sample = trace.sample(&sim, done);
             let mut by_format = JsonObject::new();
             for (slot, f) in Format::ALL.iter().enumerate() {
                 by_format.field_u64(f.label(), counts[slot]);
@@ -104,8 +115,8 @@ fn main() {
             let mut line = JsonObject::new();
             line.field_str("event", "window")
                 .field_u64("ops", done)
-                .field_u64("cycles", unit.sim_mut().cycles())
-                .field_u64("incidents", incidents_seen as u64)
+                .field_u64("cycles", sim.cycles())
+                .field_u64("incidents", incidents)
                 .field_raw("ops_by_format", &by_format.finish());
             if let Some(s) = sample {
                 line.field_f64("pj_per_op_window", s.pj_per_op);
@@ -114,7 +125,7 @@ fn main() {
             println!("{}", line.finish());
         }
     }
-    unit.sim_mut().flush_telemetry();
+    sim.flush_telemetry();
 
     let mut snap = JsonObject::new();
     snap.field_str("event", "snapshot")
@@ -126,8 +137,7 @@ fn main() {
         eprintln!("wrote {path}");
     }
     if let Some(path) = cli::json_path(&args) {
-        let cycles = unit.sim_mut().cycles();
-        let p = PowerEstimator::from_activity(&n, &*unit.sim_mut(), cycles);
+        let p = PowerEstimator::from_activity(&n, &sim, sim.cycles());
         let mut report = RunReport::new("observe");
         report
             .param("ops", &ops.to_string())

@@ -39,7 +39,7 @@ impl Format {
     }
 
     /// Stable lower-case label used for metric names and JSON keys
-    /// (e.g. `selfcheck.ops.dual_binary32`).
+    /// (e.g. the `dual_binary32` queue depth in the service's `/statusz`).
     pub const fn label(self) -> &'static str {
         match self {
             Format::Int64 => "int64",

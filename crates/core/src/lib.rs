@@ -71,5 +71,4 @@ pub use functional::{FunctionalUnit, RoundingStyle};
 pub use pipeline::{
     build_pipelined_unit, build_pipelined_unit_opts, PipelinePlacement, PipelinedPorts,
 };
-pub use selfcheck::SelfCheckingUnit;
 pub use structural::{build_unit, build_unit_quad, StructuralPorts, UnitOptions};

@@ -53,35 +53,38 @@
 //! tier that fired, so the coverage of the residue checks alone is
 //! measured, not assumed (see `DESIGN.md`).
 //!
-//! # The wrapper
+//! # Running the checks
 //!
-//! [`SelfCheckingUnit`] runs every operation on the gate-level simulator,
-//! applies the checks, and on a mismatch retries the operation once
-//! (transient faults heal; the retry passes). If the retry also fails the
-//! fault is treated as permanent: the unit **degrades** to the bit-exact
-//! [`FunctionalUnit`] for every subsequent operation and keeps serving
-//! correct results, counting incidents in [`SelfCheckStats`].
+//! [`run_raw`] drives one operation through the event-driven
+//! [`Simulator`] and [`run_raw_compiled`] up to a word of them through a
+//! bit-parallel [`LaneSim`]; both return the [`RawOutputs`] that
+//! [`check_raw`] judges. Serving goes through `mfm_server`'s `Service`,
+//! which runs every lane on a compiled pass, judges it with
+//! [`check_raw`] plus a comparison against the bit-exact functional
+//! model, and answers a failed lane from that model. Scrubs replay
+//! [`scrub_battery`] under a unit's stuck-at overlay
+//! ([`run_scrub_compiled`]).
 //!
 //! ```
 //! use mfm_gatesim::netlist::Netlist;
 //! use mfm_gatesim::tech::TechLibrary;
-//! use mfmult::selfcheck::SelfCheckingUnit;
+//! use mfm_gatesim::Simulator;
+//! use mfmult::selfcheck::{check_raw, result_from_raw, run_raw};
 //! use mfmult::{structural, Operation};
 //!
 //! let mut n = Netlist::new(TechLibrary::cmos45lp());
 //! let ports = structural::build_unit(&mut n);
-//! let mut unit = SelfCheckingUnit::new(&n, ports);
-//! let r = unit.execute(Operation::int64(3, 5));
-//! assert_eq!(r.int_product(), 15);
-//! assert_eq!(unit.stats().checked_ok, 1);
+//! let mut sim = Simulator::new(&n);
+//! let op = Operation::int64(3, 5);
+//! let raw = run_raw(&mut sim, &ports, op);
+//! assert_eq!(check_raw(op, &raw), Ok(()));
+//! assert_eq!(result_from_raw(op, &raw).int_product(), 15);
 //! ```
 
-use mfm_gatesim::{CompiledNetlist, CompiledSim, LaneSim, NetId, Netlist, Simulator, ALL_LANES};
+use mfm_gatesim::{CompiledNetlist, CompiledSim, LaneSim, NetId, Simulator, ALL_LANES};
 use mfm_softfloat::Flags;
-use mfm_telemetry::{json::JsonObject, Counter, Registry};
 
 use crate::format::{Format, MultResult, Operation};
-use crate::functional::FunctionalUnit;
 use crate::structural::StructuralPorts;
 
 /// Residue of `x` modulo 15, computed by folding radix-16 digits
@@ -154,11 +157,6 @@ pub enum CheckError {
     /// The word-level recompute of `PH`/`PL`/flags from the operands and
     /// the tapped sums disagrees with the delivered outputs.
     OutputMismatch,
-    /// The gate-level simulation blew through its settle budget (see
-    /// [`mfm_gatesim::Simulator::set_settle_budget`]): a runaway
-    /// glitch storm. The outputs were never settled, so they are treated
-    /// as corrupt without further analysis.
-    Watchdog,
 }
 
 impl std::fmt::Display for CheckError {
@@ -181,9 +179,6 @@ impl std::fmt::Display for CheckError {
             }
             CheckError::OutputMismatch => {
                 write!(f, "output recompute disagrees with delivered PH/PL/flags")
-            }
-            CheckError::Watchdog => {
-                write!(f, "settle budget exceeded: runaway simulation aborted")
             }
         }
     }
@@ -628,18 +623,16 @@ pub fn run_raw_compiled<const W: usize>(
     }
 }
 
-/// Replays a scrub battery on the compiled bit-parallel engine under a
-/// stuck-at overlay, returning the first vector that trips
-/// [`check_raw`]. All [`mfm_gatesim::LANES`] (256) lanes share the same
+/// Replays a scrub battery on a fresh compiled bit-parallel engine
+/// under the stuck-at overlay `faults`, returning the first vector that
+/// trips [`check_raw`]. All [`mfm_gatesim::LANES`] (256) lanes share the
 /// fault set, so one propagation pass verifies up to 256 battery
 /// vectors.
 ///
 /// The compiled values equal the event-driven settled values under the
-/// same overlay, so the verdict is the settled battery's verdict: the
-/// resilient pool engine scrubs on it alone. Only timing effects lie
-/// outside it — a [`SelfCheckingUnit`] whose event-driven settle budget
-/// aborts a battery vector ([`CheckError::Watchdog`]) fails its own
-/// [`SelfCheckingUnit::run_scrub`] where this passes.
+/// same overlay, so the verdict is the settled battery's verdict. The
+/// service runs its scrubs the same way on its own simulator; this
+/// fresh-simulator form is the reference its tests compare against.
 pub fn run_scrub_compiled(
     prog: &CompiledNetlist,
     ports: &StructuralPorts,
@@ -650,20 +643,8 @@ pub fn run_scrub_compiled(
     for &(net, forced) in faults {
         sim.inject_stuck_at(net, ALL_LANES, forced);
     }
-    scrub_compiled(&mut sim, ports, battery)
-}
-
-/// [`run_scrub_compiled`] on a caller-held simulator of any width,
-/// under the overlay it is armed with ([`LaneSim::arm_overlays`]), so
-/// one settled simulator serves every scrub of a pool instead of one per
-/// call.
-pub fn scrub_compiled<const W: usize>(
-    sim: &mut LaneSim<'_, W>,
-    ports: &StructuralPorts,
-    battery: &[Operation],
-) -> Result<(), (Operation, CheckError)> {
-    for chunk in battery.chunks(LaneSim::<W>::LANES) {
-        let raws = run_raw_compiled(sim, ports, chunk);
+    for chunk in battery.chunks(CompiledSim::LANES) {
+        let raws = run_raw_compiled(&mut sim, ports, chunk);
         for (&op, raw) in chunk.iter().zip(&raws) {
             check_raw(op, raw).map_err(|e| (op, e))?;
         }
@@ -734,498 +715,10 @@ pub fn scrub_battery(quad_lanes: bool) -> Vec<Operation> {
     v
 }
 
-/// Lifetime counters of a [`SelfCheckingUnit`].
-#[derive(Debug, Clone, Default)]
-pub struct SelfCheckStats {
-    /// Operations executed.
-    pub ops: u64,
-    /// Operations whose hardware result passed every check.
-    pub checked_ok: u64,
-    /// Check failures observed (first attempt per operation).
-    pub mismatches: u64,
-    /// Retries attempted after a check failure.
-    pub retries: u64,
-    /// Retries whose re-execution passed (transient faults).
-    pub retry_successes: u64,
-    /// Operations served by the functional fallback.
-    pub fallback_ops: u64,
-    /// Successful [`SelfCheckingUnit::try_recover`] scrubs (the degraded
-    /// latch was cleared and hardware service resumed).
-    pub recoveries: u64,
-    /// Failed recovery attempts (the scrub battery tripped a check).
-    pub failed_recoveries: u64,
-    /// Whether the unit has degraded to the fallback (clearable by a
-    /// successful [`SelfCheckingUnit::try_recover`]).
-    pub degraded: bool,
-    /// The check that first rejected a hardware result, if any.
-    pub first_failure: Option<CheckError>,
-}
-
-impl std::fmt::Display for SelfCheckStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ops {}, checked-ok {}, mismatches {}, retries {} ({} recovered), \
-             fallback {}, scrubs {} ok / {} failed, degraded {}",
-            self.ops,
-            self.checked_ok,
-            self.mismatches,
-            self.retries,
-            self.retry_successes,
-            self.fallback_ops,
-            self.recoveries,
-            self.failed_recoveries,
-            self.degraded
-        )?;
-        if let Some(e) = self.first_failure {
-            write!(f, " (first failure: {e})")?;
-        }
-        Ok(())
-    }
-}
-
-/// What a logged [`Incident`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IncidentKind {
-    /// A hardware result failed a check on the first attempt.
-    CheckFailure,
-    /// The retry after a check failure passed (transient fault healed).
-    RetryRecovered,
-    /// The retry also failed; the unit degraded to the fallback.
-    Degraded,
-    /// A [`SelfCheckingUnit::try_recover`] scrub passed: faults cleared,
-    /// the battery replayed clean, hardware service resumed.
-    Recovered,
-    /// A recovery scrub failed: the battery tripped a check and the unit
-    /// stays (or becomes) degraded.
-    RecoveryFailed,
-}
-
-impl IncidentKind {
-    /// Stable lower-snake-case label used in metrics and JSON.
-    pub const fn label(self) -> &'static str {
-        match self {
-            IncidentKind::CheckFailure => "check_failure",
-            IncidentKind::RetryRecovered => "retry_recovered",
-            IncidentKind::Degraded => "degraded",
-            IncidentKind::Recovered => "recovered",
-            IncidentKind::RecoveryFailed => "recovery_failed",
-        }
-    }
-}
-
-/// One entry of the structured incident log a [`SelfCheckingUnit`]
-/// keeps: which operation tripped which event, timestamped with the
-/// simulator's cycle counter at the moment it was recorded.
-#[derive(Debug, Clone)]
-pub struct Incident {
-    /// Ordinal of the operation (1-based, equals `stats.ops` at the
-    /// time).
-    pub op: u64,
-    /// Simulator cycle count when the incident was recorded.
-    pub cycle: u64,
-    /// Format of the offending operation.
-    pub format: Format,
-    /// What happened.
-    pub kind: IncidentKind,
-    /// Human-readable detail — the check that fired, rendered via
-    /// [`CheckError`]'s `Display`.
-    pub detail: String,
-}
-
-impl Incident {
-    /// Renders the incident as a single-line JSON object.
-    pub fn to_json(&self) -> String {
-        let mut o = JsonObject::new();
-        o.field_str("event", "incident")
-            .field_u64("op", self.op)
-            .field_u64("cycle", self.cycle)
-            .field_str("format", self.format.label())
-            .field_str("kind", self.kind.label())
-            .field_str("detail", &self.detail);
-        o.finish()
-    }
-}
-
-/// Registry handles for a [`SelfCheckingUnit`] (see
-/// [`SelfCheckingUnit::attach_telemetry`]).
-struct ScTelemetry {
-    /// Per-format operation counters, indexed by `frmt` slot below.
-    ops_by_format: [Counter; 5],
-    checked_ok: Counter,
-    mismatches: Counter,
-    retries: Counter,
-    retry_successes: Counter,
-    fallback_ops: Counter,
-    incidents: Counter,
-    recoveries: Counter,
-    failed_recoveries: Counter,
-}
-
-fn format_slot(f: Format) -> usize {
-    match f {
-        Format::Int64 => 0,
-        Format::Binary64 => 1,
-        Format::DualBinary32 => 2,
-        Format::SingleBinary32 => 3,
-        Format::QuadBinary16 => 4,
-    }
-}
-
-const FORMAT_SLOTS: [Format; 5] = [
-    Format::Int64,
-    Format::Binary64,
-    Format::DualBinary32,
-    Format::SingleBinary32,
-    Format::QuadBinary16,
-];
-
-/// The structural unit under continuous online checking, with retry on
-/// transient faults and graceful degradation to the functional model on
-/// permanent ones (see the module docs).
-pub struct SelfCheckingUnit<'a> {
-    sim: Simulator<'a>,
-    ports: StructuralPorts,
-    fallback: FunctionalUnit,
-    pending_seus: Vec<(u32, NetId)>,
-    stats: SelfCheckStats,
-    incidents: Vec<Incident>,
-    telemetry: Option<ScTelemetry>,
-}
-
-impl<'a> SelfCheckingUnit<'a> {
-    /// Wraps a built structural (combinational or pipelined) unit.
-    pub fn new(netlist: &'a Netlist, ports: StructuralPorts) -> Self {
-        SelfCheckingUnit {
-            sim: Simulator::new(netlist),
-            ports,
-            fallback: FunctionalUnit::new(),
-            pending_seus: Vec::new(),
-            stats: SelfCheckStats::default(),
-            incidents: Vec::new(),
-            telemetry: None,
-        }
-    }
-
-    /// Registers this unit's counters in `registry` and starts mirroring
-    /// every event into them: `selfcheck.ops.<format>` per executed
-    /// format plus `selfcheck.{checked_ok, mismatches, retries,
-    /// retry_successes, fallback_ops, incidents}`. Counters are
-    /// cumulative from the moment of attachment (earlier operations are
-    /// not back-filled).
-    pub fn attach_telemetry(&mut self, registry: &Registry) {
-        self.telemetry = Some(ScTelemetry {
-            ops_by_format: FORMAT_SLOTS
-                .map(|f| registry.counter(&format!("selfcheck.ops.{}", f.label()))),
-            checked_ok: registry.counter("selfcheck.checked_ok"),
-            mismatches: registry.counter("selfcheck.mismatches"),
-            retries: registry.counter("selfcheck.retries"),
-            retry_successes: registry.counter("selfcheck.retry_successes"),
-            fallback_ops: registry.counter("selfcheck.fallback_ops"),
-            incidents: registry.counter("selfcheck.incidents"),
-            recoveries: registry.counter("selfcheck.recoveries"),
-            failed_recoveries: registry.counter("selfcheck.failed_recoveries"),
-        });
-    }
-
-    /// The structured incident log: one entry per check failure, retry
-    /// recovery and degradation, in the order they happened.
-    pub fn incidents(&self) -> &[Incident] {
-        &self.incidents
-    }
-
-    fn record_incident(&mut self, format: Format, kind: IncidentKind, detail: String) {
-        if let Some(t) = &self.telemetry {
-            t.incidents.inc();
-        }
-        self.incidents.push(Incident {
-            op: self.stats.ops,
-            cycle: self.sim.cycles(),
-            format,
-            kind,
-            detail,
-        });
-    }
-
-    /// The wrapped unit's port map.
-    pub fn ports(&self) -> &StructuralPorts {
-        &self.ports
-    }
-
-    /// Lifetime counters.
-    pub fn stats(&self) -> &SelfCheckStats {
-        &self.stats
-    }
-
-    /// Whether the unit has switched permanently to the fallback.
-    pub fn is_degraded(&self) -> bool {
-        self.stats.degraded
-    }
-
-    /// Read access to the underlying simulator (event counters, net
-    /// state).
-    pub fn sim(&self) -> &Simulator<'a> {
-        &self.sim
-    }
-
-    /// Direct access to the underlying simulator (fault injection,
-    /// power/toggle readout).
-    pub fn sim_mut(&mut self) -> &mut Simulator<'a> {
-        &mut self.sim
-    }
-
-    /// Clears injected faults, drops any armed SEUs and re-settles the
-    /// hardware — the physical-repair half of a recovery scrub, without
-    /// touching counters, the incident log or the degraded latch. Call
-    /// [`SelfCheckingUnit::try_recover_with`] afterwards to re-verify
-    /// (or [`SelfCheckingUnit::try_recover`], which does both).
-    pub fn repair(&mut self) {
-        self.sim.clear_faults();
-        self.sim.recompute();
-        let _ = self.sim.take_budget_exceeded();
-        self.pending_seus.clear();
-    }
-
-    /// Replays a self-test battery on the raw hardware path, returning
-    /// the first vector that trips a check. Battery vectors do not count
-    /// as operations in [`SelfCheckStats`] (they are maintenance, not
-    /// service), and the degraded latch is not consulted — the scrub
-    /// deliberately exercises hardware the unit may have stopped
-    /// trusting.
-    pub fn run_scrub(&mut self, battery: &[Operation]) -> Result<(), (Operation, CheckError)> {
-        for &op in battery {
-            let raw = self.run_hw(op, &[]);
-            if self.sim.take_budget_exceeded() {
-                self.sim.recompute();
-                return Err((op, CheckError::Watchdog));
-            }
-            check_raw(op, &raw).map_err(|e| (op, e))?;
-        }
-        Ok(())
-    }
-
-    /// Scrub-and-readmit: repairs the hardware ([`SelfCheckingUnit::repair`])
-    /// and replays the default scrub battery ([`scrub_battery`], paper
-    /// formats). On a clean pass the degraded latch is cleared and the
-    /// unit serves gate-level results again — degradation is recoverable,
-    /// not one-way. On a failed pass the unit stays (or becomes)
-    /// degraded. Either outcome is counted in [`SelfCheckStats`] and
-    /// recorded in the incident log.
-    pub fn try_recover(&mut self) -> bool {
-        self.repair();
-        self.try_recover_with(&scrub_battery(false))
-    }
-
-    /// Like [`SelfCheckingUnit::try_recover`] but with a caller-supplied
-    /// battery, and **without** the repair step — for callers that
-    /// re-assert environment faults between repair and re-verify, and
-    /// for quad-lane builds to pass `scrub_battery(true)`.
-    pub fn try_recover_with(&mut self, battery: &[Operation]) -> bool {
-        match self.run_scrub(battery) {
-            Ok(()) => {
-                self.stats.degraded = false;
-                self.stats.recoveries += 1;
-                if let Some(t) = &self.telemetry {
-                    t.recoveries.inc();
-                }
-                self.record_incident(
-                    Format::Int64,
-                    IncidentKind::Recovered,
-                    format!("scrub battery passed ({} vectors)", battery.len()),
-                );
-                true
-            }
-            Err((op, e)) => {
-                self.stats.degraded = true;
-                self.stats.failed_recoveries += 1;
-                if let Some(t) = &self.telemetry {
-                    t.failed_recoveries.inc();
-                }
-                self.record_incident(op.format, IncidentKind::RecoveryFailed, e.to_string());
-                false
-            }
-        }
-    }
-
-    /// Injects a permanent stuck-at fault into the wrapped hardware.
-    pub fn inject_stuck_at(&mut self, net: NetId, value: bool) {
-        self.sim.inject_stuck_at(net, value);
-    }
-
-    /// Removes every injected fault (the unit stays degraded if it
-    /// already tripped; see [`SelfCheckingUnit::reset`]).
-    pub fn clear_faults(&mut self) {
-        self.sim.clear_faults();
-    }
-
-    /// Clears faults, counters and the degraded latch — a repair plus
-    /// power cycle.
-    pub fn reset(&mut self) {
-        self.sim.clear_faults();
-        self.sim.settle();
-        self.pending_seus.clear();
-        self.stats = SelfCheckStats::default();
-        self.incidents.clear();
-    }
-
-    /// Arms a single-event upset for the **next** [`execute`] call: net
-    /// `net` is flipped across clock edge `edge` (1-based; edges
-    /// `1..=latency+1` exist per operation, the last one latching the
-    /// outputs) and released immediately after, so the flipped value is
-    /// exactly what the downstream pipeline registers capture. On a
-    /// combinational build the pulse cannot be latched anywhere and is
-    /// always masked.
-    ///
-    /// [`execute`]: SelfCheckingUnit::execute
-    pub fn schedule_seu(&mut self, edge: u32, net: NetId) {
-        self.pending_seus.push((edge, net));
-    }
-
-    /// Executes one operation under checking. Hardware results are
-    /// delivered only when every check passes; a failed check triggers
-    /// one retry, and a failed retry permanently degrades the unit to
-    /// the bit-exact functional fallback.
-    pub fn execute(&mut self, op: Operation) -> MultResult {
-        self.stats.ops += 1;
-        if let Some(t) = &self.telemetry {
-            t.ops_by_format[format_slot(op.format)].inc();
-        }
-        if self.stats.degraded {
-            self.stats.fallback_ops += 1;
-            if let Some(t) = &self.telemetry {
-                t.fallback_ops.inc();
-            }
-            return self.fallback.execute(op);
-        }
-        let seus = std::mem::take(&mut self.pending_seus);
-        let raw = self.run_hw(op, &seus);
-        match self.verdict(op, &raw) {
-            Ok(()) => {
-                self.stats.checked_ok += 1;
-                if let Some(t) = &self.telemetry {
-                    t.checked_ok.inc();
-                }
-                result_from_raw(op, &raw)
-            }
-            Err(e) => {
-                self.stats.mismatches += 1;
-                if self.stats.first_failure.is_none() {
-                    self.stats.first_failure = Some(e);
-                }
-                self.stats.retries += 1;
-                if let Some(t) = &self.telemetry {
-                    t.mismatches.inc();
-                    t.retries.inc();
-                }
-                self.record_incident(op.format, IncidentKind::CheckFailure, e.to_string());
-                let raw2 = self.run_hw(op, &[]);
-                match self.verdict(op, &raw2) {
-                    Ok(()) => {
-                        self.stats.retry_successes += 1;
-                        self.stats.checked_ok += 1;
-                        if let Some(t) = &self.telemetry {
-                            t.retry_successes.inc();
-                            t.checked_ok.inc();
-                        }
-                        self.record_incident(
-                            op.format,
-                            IncidentKind::RetryRecovered,
-                            e.to_string(),
-                        );
-                        result_from_raw(op, &raw2)
-                    }
-                    Err(e2) => {
-                        self.stats.degraded = true;
-                        self.stats.fallback_ops += 1;
-                        if let Some(t) = &self.telemetry {
-                            t.fallback_ops.inc();
-                        }
-                        self.record_incident(op.format, IncidentKind::Degraded, e2.to_string());
-                        self.fallback.execute(op)
-                    }
-                }
-            }
-        }
-    }
-
-    /// Raw (unchecked) hardware observables for one operation — the
-    /// campaign runner classifies these itself.
-    pub fn execute_raw(&mut self, op: Operation) -> RawOutputs {
-        self.run_hw(op, &[])
-    }
-
-    /// Full check verdict on one executed operation: the watchdog first
-    /// (a budget-aborted settle means the observables were never valid,
-    /// so no point checking them), then the check ladder of
-    /// [`check_raw`]. Repairs the aborted simulation state before
-    /// returning so a retry runs on consistent hardware.
-    fn verdict(&mut self, op: Operation, raw: &RawOutputs) -> Result<(), CheckError> {
-        if self.sim.take_budget_exceeded() {
-            self.sim.recompute();
-            return Err(CheckError::Watchdog);
-        }
-        check_raw(op, raw)
-    }
-
-    fn run_hw(&mut self, op: Operation, seus: &[(u32, NetId)]) -> RawOutputs {
-        let inputs: [(&[NetId], u128); 3] = [
-            (&self.ports.frmt, op.format.encoding() as u128),
-            (&self.ports.xa, op.xa as u128),
-            (&self.ports.yb, op.yb as u128),
-        ];
-        if self.ports.latency == 0 {
-            for (bus, v) in &inputs {
-                self.sim.set_bus(bus, *v);
-            }
-            // A combinational SET pulse: asserted, propagated, healed —
-            // the settled outputs never see it (no state to capture it).
-            for &(_, net) in seus {
-                let cur = self.sim.read_bus(&[net]) & 1 == 1;
-                self.sim.inject_stuck_at(net, !cur);
-                self.sim.settle();
-                self.sim.clear_fault(net);
-            }
-            self.sim.settle();
-            return read_raw(&self.sim, &self.ports);
-        }
-        let mut taps = (0u128, 0u128);
-        for edge in 1..=self.ports.latency + 1 {
-            let mut pulsed = Vec::new();
-            for &(at, net) in seus {
-                if at == edge {
-                    let cur = self.sim.read_bus(&[net]) & 1 == 1;
-                    self.sim.inject_stuck_at(net, !cur);
-                    pulsed.push(net);
-                }
-            }
-            if !pulsed.is_empty() {
-                // Let the pulse spread through the combinational cloud so
-                // the upcoming edge captures it.
-                self.sim.settle();
-            }
-            self.sim.step_cycle(&inputs);
-            for net in pulsed {
-                self.sim.clear_fault(net);
-            }
-            if edge == self.ports.latency {
-                taps = (
-                    self.sim.read_bus(&self.ports.chk_p0),
-                    self.sim.read_bus(&self.ports.chk_p1),
-                );
-            }
-        }
-        // Heal any released pulse before the next operation.
-        self.sim.settle();
-        let mut raw = read_raw(&self.sim, &self.ports);
-        raw.p0 = taps.0;
-        raw.p1 = taps.1;
-        raw
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::functional::FunctionalUnit;
     use crate::pipeline::{build_pipelined_unit, PipelinePlacement};
     use crate::structural::{build_unit, build_unit_quad};
     use mfm_gatesim::netlist::Netlist;
@@ -1299,201 +792,56 @@ mod tests {
     fn pipelined_clean_run_checks_ok() {
         let mut n = Netlist::new(TechLibrary::cmos45lp());
         let ports = build_pipelined_unit(&mut n, PipelinePlacement::Fig5);
-        let mut unit = SelfCheckingUnit::new(&n, ports);
+        let mut sim = Simulator::new(&n);
         let reference = FunctionalUnit::new();
         let mut rng = Rng::new(0x11fe);
         for case in 0..16 {
             let op = random_op(&mut rng, case % 4);
-            let got = unit.execute(op);
-            let want = reference.execute(op);
-            assert!(got.agrees_hw(&want), "case {case}: {op:?}");
+            let raw = run_raw(&mut sim, &ports, op);
+            assert_eq!(check_raw(op, &raw), Ok(()), "case {case}: {op:?}");
+            let got = result_from_raw(op, &raw);
+            assert!(got.agrees_hw(&reference.execute(op)), "case {case}: {op:?}");
         }
-        assert_eq!(unit.stats().mismatches, 0);
-        assert!(!unit.is_degraded());
     }
 
     #[test]
-    fn stuck_at_fault_degrades_to_exact_fallback() {
+    fn stuck_p0_lsb_trips_the_residue_check() {
         let mut n = Netlist::new(TechLibrary::cmos45lp());
         let ports = build_unit(&mut n);
-        let mut unit = SelfCheckingUnit::new(&n, ports);
-        // Healthy first.
-        assert_eq!(unit.execute(Operation::int64(2, 3)).int_product(), 6);
+        let mut sim = Simulator::new(&n);
+        let op = Operation::int64(2, 3);
+        assert_eq!(check_raw(op, &run_raw(&mut sim, &ports, op)), Ok(()));
         // Stick the P0 LSB high: int64(2, 3) delivers 7 from the raw
-        // hardware, which the residue check must refuse.
-        let lsb = unit.ports().chk_p0[0];
-        unit.inject_stuck_at(lsb, true);
-        let reference = FunctionalUnit::new();
-        let mut rng = Rng::new(0xfa11);
-        for case in 0..12 {
-            let op = random_op(&mut rng, case % 4);
-            let got = unit.execute(op);
-            let want = reference.execute(op);
-            assert_eq!(got.ph, want.ph, "case {case}: {op:?}");
-            assert_eq!(got.pl, want.pl, "case {case}: {op:?}");
-        }
-        let s = unit.stats();
-        assert!(s.degraded, "permanent fault must trip the fallback");
-        assert!(s.retries >= 1 && s.retry_successes == 0);
-        assert!(matches!(s.first_failure, Some(CheckError::Residue { .. })));
-        // Repair: after reset the hardware path serves again.
-        unit.reset();
-        assert_eq!(unit.execute(Operation::int64(7, 9)).int_product(), 63);
-        assert!(!unit.is_degraded());
-    }
-
-    #[test]
-    fn incident_log_and_telemetry_track_degradation() {
-        let mut n = Netlist::new(TechLibrary::cmos45lp());
-        let ports = build_unit(&mut n);
-        let mut unit = SelfCheckingUnit::new(&n, ports);
-        let registry = Registry::new();
-        unit.attach_telemetry(&registry);
-        assert_eq!(unit.execute(Operation::int64(2, 3)).int_product(), 6);
-        assert!(unit.incidents().is_empty());
-        let lsb = unit.ports().chk_p0[0];
-        unit.inject_stuck_at(lsb, true);
-        let _ = unit.execute(Operation::int64(2, 3));
-        let _ = unit.execute(Operation::binary64(
-            0x3FF0_0000_0000_0000,
-            0x4000_0000_0000_0000,
+        // hardware, which the cheapest tier must refuse.
+        sim.inject_stuck_at(ports.chk_p0[0], true);
+        let raw = run_raw(&mut sim, &ports, op);
+        assert_eq!(result_from_raw(op, &raw).int_product(), 7);
+        assert!(matches!(
+            check_raw(op, &raw),
+            Err(CheckError::Residue { lane: 0, .. })
         ));
-        let inc = unit.incidents();
-        // Permanent fault: first attempt fails, retry fails, degrade —
-        // two incidents for the faulty op, none for the fallback op.
-        assert_eq!(inc.len(), 2);
-        assert_eq!(inc[0].kind, IncidentKind::CheckFailure);
-        assert_eq!(inc[1].kind, IncidentKind::Degraded);
-        assert_eq!(inc[0].op, 2);
-        assert!(inc[0].detail.contains("residue"), "{}", inc[0].detail);
-        let line = inc[0].to_json();
-        assert!(mfm_telemetry::json::check(&line).is_ok(), "{line}");
-        assert!(line.contains("\"kind\":\"check_failure\""));
-        assert!(line.contains("\"format\":\"int64\""));
-        // Registry mirrors the stats counters.
-        assert_eq!(registry.counter("selfcheck.ops.int64").get(), 2);
-        assert_eq!(registry.counter("selfcheck.ops.binary64").get(), 1);
-        assert_eq!(registry.counter("selfcheck.mismatches").get(), 1);
-        assert_eq!(registry.counter("selfcheck.retries").get(), 1);
-        assert_eq!(registry.counter("selfcheck.fallback_ops").get(), 2);
-        assert_eq!(registry.counter("selfcheck.incidents").get(), 2);
-        // reset() clears the log.
-        unit.reset();
-        assert!(unit.incidents().is_empty());
+        // Cleared, the same hardware checks clean again.
+        sim.clear_faults();
+        let op = Operation::int64(7, 9);
+        let raw = run_raw(&mut sim, &ports, op);
+        assert_eq!(check_raw(op, &raw), Ok(()));
+        assert_eq!(result_from_raw(op, &raw).int_product(), 63);
     }
 
     #[test]
     fn scrub_battery_passes_on_clean_hardware() {
-        let mut n = Netlist::new(TechLibrary::cmos45lp());
-        let ports = build_unit(&mut n);
-        let mut unit = SelfCheckingUnit::new(&n, ports);
-        assert_eq!(unit.run_scrub(&scrub_battery(false)), Ok(()));
-        // Battery vectors are maintenance: no ops counted.
-        assert_eq!(unit.stats().ops, 0);
-
-        let mut nq = Netlist::new(TechLibrary::cmos45lp());
-        let ports = build_unit_quad(&mut nq);
-        let mut unit = SelfCheckingUnit::new(&nq, ports);
-        assert_eq!(unit.run_scrub(&scrub_battery(true)), Ok(()));
-    }
-
-    #[test]
-    fn try_recover_clears_degradation_after_repair() {
-        let mut n = Netlist::new(TechLibrary::cmos45lp());
-        let ports = build_unit(&mut n);
-        let mut unit = SelfCheckingUnit::new(&n, ports);
-        let lsb = unit.ports().chk_p0[0];
-        unit.inject_stuck_at(lsb, true);
-        let _ = unit.execute(Operation::int64(2, 3));
-        assert!(unit.is_degraded(), "permanent fault trips the fallback");
-        // The fault is gone (a transient SEU that latched, say): the
-        // scrub repairs, re-verifies and readmits — degradation is no
-        // longer one-way.
-        assert!(unit.try_recover());
-        assert!(!unit.is_degraded());
-        let s = unit.stats();
-        assert_eq!(s.recoveries, 1);
-        assert_eq!(s.failed_recoveries, 0);
-        // Hardware path serves again, with the history preserved.
-        assert_eq!(unit.execute(Operation::int64(7, 9)).int_product(), 63);
-        assert_eq!(unit.stats().mismatches, 1, "history survives recovery");
-        let kinds: Vec<_> = unit.incidents().iter().map(|i| i.kind).collect();
-        assert!(kinds.contains(&IncidentKind::Recovered), "{kinds:?}");
-    }
-
-    #[test]
-    fn failed_scrub_records_and_stays_degraded() {
-        let mut n = Netlist::new(TechLibrary::cmos45lp());
-        let ports = build_unit(&mut n);
-        let mut unit = SelfCheckingUnit::new(&n, ports);
-        let registry = Registry::new();
-        unit.attach_telemetry(&registry);
-        let lsb = unit.ports().chk_p0[0];
-        unit.inject_stuck_at(lsb, true);
-        let _ = unit.execute(Operation::int64(2, 3));
-        assert!(unit.is_degraded());
-        // Re-verify WITHOUT repairing: the stuck-at is still there, so
-        // the battery must refuse readmission.
-        assert!(!unit.try_recover_with(&scrub_battery(false)));
-        assert!(unit.is_degraded());
-        assert_eq!(unit.stats().failed_recoveries, 1);
-        assert_eq!(registry.counter("selfcheck.failed_recoveries").get(), 1);
-        let last = unit.incidents().last().unwrap();
-        assert_eq!(last.kind, IncidentKind::RecoveryFailed);
-        mfm_telemetry::json::check(&last.to_json()).unwrap();
-        // With the repair step the same unit readmits.
-        assert!(unit.try_recover());
-        assert_eq!(registry.counter("selfcheck.recoveries").get(), 1);
-    }
-
-    #[test]
-    fn watchdog_flags_budget_aborted_operations() {
-        let mut n = Netlist::new(TechLibrary::cmos45lp());
-        let ports = build_unit(&mut n);
-        let mut unit = SelfCheckingUnit::new(&n, ports);
-        // A budget no real settle fits in: the op trips the watchdog and
-        // is refused. The retry runs on the recomputed (repaired) state,
-        // where the same inputs settle with almost no events — so the
-        // retry verifies clean and the delivered result is correct.
-        unit.sim_mut().set_settle_budget(Some(1));
-        let r = unit.execute(Operation::int64(1234, 5678));
-        assert_eq!(r.int_product(), 1234 * 5678);
-        assert_eq!(
-            unit.stats().first_failure,
-            Some(CheckError::Watchdog),
-            "the watchdog, not a data check, must have fired"
-        );
-        assert_eq!(unit.stats().mismatches, 1);
-        assert_eq!(unit.stats().retry_successes, 1);
-        assert!(!unit.is_degraded(), "repaired retry heals the trip");
-        // A scrub under the same hostile budget refuses readmission
-        // (every battery vector trips the watchdog)...
-        assert!(!unit.try_recover());
-        assert!(unit.is_degraded());
-        // ...and with a sane budget the unit recovers fully.
-        unit.sim_mut().set_settle_budget(None);
-        assert!(unit.try_recover());
-        assert_eq!(unit.execute(Operation::int64(3, 5)).int_product(), 15);
-    }
-
-    #[test]
-    fn transient_seu_recovers_via_retry() {
-        let mut n = Netlist::new(TechLibrary::cmos45lp());
-        let ports = build_pipelined_unit(&mut n, PipelinePlacement::Fig5);
-        let mut unit = SelfCheckingUnit::new(&n, ports);
-        let op = Operation::int64(3, 5);
-        assert_eq!(unit.execute(op).int_product(), 15);
-        // Flip the P0 LSB across the output-latching edge: the delivered
-        // PL is corrupt while the (earlier) taps are clean, so the output
-        // recompute catches it; the retry runs on healed hardware.
-        let last_edge = unit.ports().latency + 1;
-        let lsb = unit.ports().chk_p0[0];
-        unit.schedule_seu(last_edge, lsb);
-        assert_eq!(unit.execute(op).int_product(), 15);
-        let s = unit.stats();
-        assert_eq!(s.mismatches, 1);
-        assert_eq!(s.retry_successes, 1);
-        assert_eq!(s.fallback_ops, 0);
-        assert!(!s.degraded, "a transient must not trip the fallback");
+        for quad in [false, true] {
+            let mut n = Netlist::new(TechLibrary::cmos45lp());
+            let ports = if quad {
+                build_unit_quad(&mut n)
+            } else {
+                build_unit(&mut n)
+            };
+            let mut sim = Simulator::new(&n);
+            for op in scrub_battery(quad) {
+                let raw = run_raw(&mut sim, &ports, op);
+                assert_eq!(check_raw(op, &raw), Ok(()), "quad {quad}: {op:?}");
+            }
+        }
     }
 }

@@ -207,7 +207,6 @@ fn tier_name(e: CheckError) -> &'static str {
         CheckError::InjectionInvariant { .. } => "injection invariant",
         CheckError::ProductIdentity { .. } => "product identity",
         CheckError::OutputMismatch => "output recompute",
-        CheckError::Watchdog => "watchdog",
     }
 }
 

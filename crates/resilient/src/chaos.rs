@@ -211,7 +211,7 @@ impl ChaosPlan {
 /// list (typically every cell output), `latency` the build's pipeline
 /// depth. An SEU on a combinational build (`latency == 0`) is dropped:
 /// with no register to capture it, the pulse is always masked.
-pub fn apply_event(engine: &mut Engine<'_>, ev: &ChaosEvent, sites: &[NetId], latency: u32) {
+pub fn apply_event(engine: &mut Engine, ev: &ChaosEvent, sites: &[NetId], latency: u32) {
     assert!(!sites.is_empty(), "need at least one candidate site");
     let net = sites[(ev.net_pick % sites.len() as u64) as usize];
     match ev.kind {

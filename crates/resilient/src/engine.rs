@@ -2,26 +2,27 @@
 //! breakers, with scrub-and-readmit recovery, hot-spare promotion and
 //! patrol bookkeeping, run by the service core
 //! (`mfm_server::service::Service`), in whose compiled passes every lane
-//! runs.
+//! runs, scrub lanes included.
 //!
-//! A pool slot holds no simulator. It holds the unit's *fault record*
-//! (its stuck-ats, the sticky subset of them that models physical
-//! defects, a Byzantine output latch and pending single-event upsets)
-//! and the breaker that tracks the unit. The service evaluates each lane
-//! in its own compiled pass under the overlay of the unit the lane is
-//! routed through ([`Engine::overlay`]), ends the pass with
-//! [`Engine::end_pass`] and feeds the verdicts back through
-//! [`Engine::note_external_service`]. All pool units share one
-//! [`Netlist`].
+//! The engine holds no simulator and no netlist. For each pool slot it
+//! holds the unit's *fault record* (its stuck-ats, the sticky subset of
+//! them that models physical defects, a Byzantine output latch and
+//! pending single-event upsets) and the breaker that tracks the unit.
+//! The service evaluates each lane in its own compiled pass under the
+//! overlay of the unit the lane is routed through ([`Engine::overlay`]),
+//! ends the pass with [`Engine::end_pass`] and feeds the verdicts back
+//! through [`Engine::note_external_service`]. All pool units share the
+//! service's one netlist.
 //!
 //! Time is counted in *ticks*: one [`Engine::tick`] advances breaker
 //! time, runs due scrubs, answers retirements with spare promotions and
 //! refreshes the pool gauges. A scrub clears the faults that are not
-//! sticky and any pending SEUs, keeps the sticky ones, and replays the
-//! scrub battery on one engine-held 64-lane compiled simulator. Settled
-//! values are a pure function of the inputs and the stuck-at overlay,
-//! so that replay is the scrub's verdict. There is no wall clock
-//! anywhere, so a seeded run is bit-reproducible.
+//! sticky and any pending SEUs and keeps the sticky ones; the tick then
+//! hands the overlay left and the scrub battery to its caller, which
+//! replays the battery on its own simulator and returns the verdict.
+//! Settled values are a pure function of the inputs and the stuck-at
+//! overlay, so that replay is the scrub's verdict. There is no wall
+//! clock anywhere, so a seeded run is bit-reproducible.
 //!
 //! Patrol bookkeeping has one code path: [`Engine::take_patrol`] picks
 //! the least-recently-verified serving unit and the next battery slice,
@@ -30,10 +31,9 @@
 
 use std::collections::BTreeMap;
 
-use mfm_gatesim::{LaneSim, LaneWord, NetId, Netlist, LANES, NO_LANES};
+use mfm_gatesim::{LaneWord, NetId, LANES, NO_LANES};
 use mfm_telemetry::{Counter, Gauge, Registry, TraceId};
-use mfmult::selfcheck::{scrub_battery, scrub_compiled};
-use mfmult::structural::StructuralPorts;
+use mfmult::selfcheck::scrub_battery;
 use mfmult::Operation;
 
 use crate::health::{BreakerConfig, HealthState, HealthTracker, HealthTransition, TickVerdict};
@@ -95,10 +95,6 @@ const STATE_SLOTS: [HealthState; 6] = [
     HealthState::Spare,
 ];
 
-/// `u64` chunks per net in the scrub simulator: 64 lanes, room for the
-/// whole battery in one pass.
-const SCRUB_WORDS: usize = 1;
-
 /// A modelled Byzantine defect: the unit's *output latch* flips bits
 /// after every self-check has run, so the corruption is invisible to
 /// the residue/recompute checks and to scrub batteries (which replay
@@ -137,6 +133,11 @@ impl FaultRecord {
     }
 }
 
+/// Runs one scrub for [`Engine::tick`]: replays the battery (second
+/// argument) under the stuck-at overlay (first argument) and returns
+/// whether every vector passed.
+type ScrubRunner<'r> = dyn FnMut(&[(NetId, bool)], &[Operation]) -> bool + 'r;
+
 /// One pool slot: the unit's fault record and its breaker.
 struct PoolUnit {
     faults: FaultRecord,
@@ -152,13 +153,9 @@ struct PoolUnit {
 }
 
 /// The pool engine (see the module docs).
-pub struct Engine<'a> {
+pub struct Engine {
     units: Vec<PoolUnit>,
     battery: Vec<Operation>,
-    /// One settled compiled simulator over the shared netlist, re-armed
-    /// with the overlay of whichever unit a scrub checks.
-    sim: LaneSim<'a, SCRUB_WORDS>,
-    ports: StructuralPorts,
     breaker: BreakerConfig,
     tick: u64,
     promotions: u64,
@@ -171,15 +168,10 @@ pub struct Engine<'a> {
     telemetry: Option<PoolTelemetry>,
 }
 
-impl<'a> Engine<'a> {
+impl Engine {
     /// Builds a pool of `units` serving slots plus `cfg.spares` cold
-    /// standbys over one shared netlist, all fault-free.
-    pub fn new(
-        netlist: &'a Netlist,
-        ports: &StructuralPorts,
-        units: usize,
-        cfg: EngineConfig,
-    ) -> Self {
+    /// standbys, all fault-free.
+    pub fn new(units: usize, cfg: EngineConfig) -> Self {
         assert!(units > 0, "a pool needs at least one unit");
         let pool = (0..units + cfg.spares)
             .map(|k| PoolUnit {
@@ -195,12 +187,9 @@ impl<'a> Engine<'a> {
                 retirement_handled: false,
             })
             .collect();
-        let prog = netlist.compiled().expect("pool netlist must be acyclic");
         Engine {
             units: pool,
             battery: scrub_battery(cfg.quad_lanes),
-            sim: LaneSim::new(prog),
-            ports: ports.clone(),
             breaker: cfg.breaker,
             tick: 0,
             promotions: 0,
@@ -405,12 +394,15 @@ impl<'a> Engine<'a> {
 
     /// Runs one round: breaker time advances and due scrubs run, every
     /// retirement not yet answered is met by a spare promotion, and the
-    /// gauges are refreshed.
-    pub fn tick(&mut self) {
+    /// gauges are refreshed. `scrub` runs each scrub and spare
+    /// activation, in order: it replays the battery (second argument)
+    /// under the stuck-at overlay (first argument) and returns whether
+    /// every vector passed its checks.
+    pub fn tick(&mut self, mut scrub: impl FnMut(&[(NetId, bool)], &[Operation]) -> bool) {
         self.tick += 1;
         for i in 0..self.units.len() {
             if self.units[i].health.on_tick(self.tick) == TickVerdict::ScrubDue {
-                let pass = self.scrub(i);
+                let pass = self.scrub(i, &mut scrub);
                 self.units[i].health.on_scrub(self.tick, pass);
             }
         }
@@ -421,20 +413,18 @@ impl<'a> Engine<'a> {
                 && !self.units[i].retirement_handled
             {
                 self.units[i].retirement_handled = true;
-                self.promote_spare_for(i);
+                self.promote_spare_for(i, &mut scrub);
             }
         }
         self.update_gauges();
     }
 
     /// Scrub-and-readmit for unit `i`: repair its fault record, then
-    /// replay the battery under the overlay left (the sticky defects)
-    /// and count the scrub. Returns whether the unit passed.
-    fn scrub(&mut self, i: usize) -> bool {
+    /// have `run` replay the battery under the overlay left (the sticky
+    /// defects) and count the scrub. Returns whether the unit passed.
+    fn scrub(&mut self, i: usize, run: &mut ScrubRunner<'_>) -> bool {
         self.units[i].faults.repair();
-        let overlay = self.overlay(i);
-        self.sim.arm_overlays(&[([!0; SCRUB_WORDS], &overlay)]);
-        let pass = scrub_compiled(&mut self.sim, &self.ports, &self.battery).is_ok();
+        let pass = run(&self.overlay(i), &self.battery);
         self.scrubs += 1;
         if pass {
             self.scrub_passes += 1;
@@ -455,12 +445,12 @@ impl<'a> Engine<'a> {
     /// `spare → healthy` transition naming the replaced slot), and a
     /// standby that fails its activation scrub is retired on the spot
     /// and the next one tried.
-    fn promote_spare_for(&mut self, retired: usize) {
+    fn promote_spare_for(&mut self, retired: usize, run: &mut ScrubRunner<'_>) {
         for s in 0..self.units.len() {
             if self.units[s].health.state() != HealthState::Spare {
                 continue;
             }
-            if self.scrub(s) {
+            if self.scrub(s, run) {
                 self.promotions += 1;
                 if let Some(t) = &self.telemetry {
                     t.promotions.inc();
@@ -557,7 +547,25 @@ impl<'a> Engine<'a> {
 mod tests {
     use super::*;
     use mfm_gatesim::tech::TechLibrary;
-    use mfmult::structural::build_unit;
+    use mfm_gatesim::Netlist;
+    use mfmult::selfcheck::run_scrub_compiled;
+    use mfmult::structural::{build_unit, StructuralPorts};
+
+    fn build() -> (Netlist, StructuralPorts) {
+        let mut n = Netlist::new(TechLibrary::cmos45lp());
+        let ports = build_unit(&mut n);
+        (n, ports)
+    }
+
+    /// The scrub runner these tests tick with: the battery on a fresh
+    /// compiled simulator.
+    fn scrub_on<'n>(
+        n: &'n Netlist,
+        ports: &'n StructuralPorts,
+    ) -> impl FnMut(&[(NetId, bool)], &[Operation]) -> bool + 'n {
+        let prog = n.compiled().expect("the unit is acyclic");
+        move |faults, battery| run_scrub_compiled(prog, ports, faults, battery).is_ok()
+    }
 
     fn small_cfg() -> EngineConfig {
         EngineConfig {
@@ -578,20 +586,25 @@ mod tests {
     /// (`open_after` incidents) on every tick it carries traffic, as a
     /// caller whose lanes keep failing on it would. Returns each tick's
     /// `hw_capacity`.
-    fn tick_failing(engine: &mut Engine<'_>, victim: usize, ticks: usize) -> Vec<u32> {
+    fn tick_failing(
+        engine: &mut Engine,
+        scrub: &mut ScrubRunner<'_>,
+        victim: usize,
+        ticks: usize,
+    ) -> Vec<u32> {
         (0..ticks)
             .map(|_| {
                 if engine.unit_state(victim).is_hw_capacity() {
                     let open_after = engine.breaker().open_after;
                     engine.note_external_service(victim, open_after);
                 }
-                engine.tick();
+                engine.tick(&mut *scrub);
                 engine.hw_capacity()
             })
             .collect()
     }
 
-    fn trail(engine: &Engine<'_>, i: usize) -> Vec<(HealthState, HealthState)> {
+    fn trail(engine: &Engine, i: usize) -> Vec<(HealthState, HealthState)> {
         engine
             .transitions(i)
             .iter()
@@ -601,9 +614,7 @@ mod tests {
 
     #[test]
     fn external_incidents_feed_the_breaker() {
-        let mut n = Netlist::new(TechLibrary::cmos45lp());
-        let ports = build_unit(&mut n);
-        let mut engine = Engine::new(&n, &ports, 2, small_cfg());
+        let mut engine = Engine::new(2, small_cfg());
         assert_eq!(engine.unit_state(0), HealthState::Healthy);
         engine.note_external_service(0, 1);
         assert_eq!(engine.unit_state(0), HealthState::Suspect);
@@ -624,9 +635,9 @@ mod tests {
 
     #[test]
     fn faulty_unit_quarantines_scrubs_and_readmits() {
-        let mut n = Netlist::new(TechLibrary::cmos45lp());
-        let ports = build_unit(&mut n);
-        let mut engine = Engine::new(&n, &ports, 2, small_cfg());
+        let (n, ports) = build();
+        let mut scrub = scrub_on(&n, &ports);
+        let mut engine = Engine::new(2, small_cfg());
         let registry = Registry::new();
         engine.attach_telemetry(&registry);
         // Latched transient damage (non-sticky): a scrub's repair clears
@@ -638,7 +649,7 @@ mod tests {
         engine.note_external_service(0, 2);
         let caps: Vec<u32> = (0..8)
             .map(|_| {
-                engine.tick();
+                engine.tick(&mut scrub);
                 engine.hw_capacity()
             })
             .collect();
@@ -660,13 +671,13 @@ mod tests {
 
     #[test]
     fn sticky_fault_retires_after_k_failed_scrubs() {
-        let mut n = Netlist::new(TechLibrary::cmos45lp());
-        let ports = build_unit(&mut n);
-        let mut engine = Engine::new(&n, &ports, 2, small_cfg());
+        let (n, ports) = build();
+        let mut scrub = scrub_on(&n, &ports);
+        let mut engine = Engine::new(2, small_cfg());
         // A physical defect: survives every repair.
         let lsb = ports.chk_p0[0];
         engine.inject_stuck_at(0, lsb, true, true);
-        tick_failing(&mut engine, 0, 30);
+        tick_failing(&mut engine, &mut scrub, 0, 30);
         assert_eq!(engine.unit_state(0), HealthState::Retired);
         assert_eq!(engine.hw_capacity(), 1);
         // Both scrubs failed on the compiled battery, and the defect is
@@ -677,9 +688,7 @@ mod tests {
 
     #[test]
     fn external_service_trace_tags_breaker_transitions() {
-        let mut n = Netlist::new(TechLibrary::cmos45lp());
-        let ports = build_unit(&mut n);
-        let mut engine = Engine::new(&n, &ports, 1, small_cfg());
+        let mut engine = Engine::new(1, small_cfg());
         let trace = TraceId::from_raw(0xCAFE_F00D);
         engine.note_external_service_traced(0, 2, Some(trace));
         // The healthy→suspect transition names the offending trace.
@@ -691,18 +700,18 @@ mod tests {
 
     #[test]
     fn retirement_promotes_a_spare_and_restores_capacity() {
-        let mut n = Netlist::new(TechLibrary::cmos45lp());
-        let ports = build_unit(&mut n);
+        let (n, ports) = build();
+        let mut scrub = scrub_on(&n, &ports);
         let mut cfg = small_cfg();
         cfg.spares = 1;
-        let mut engine = Engine::new(&n, &ports, 2, cfg);
+        let mut engine = Engine::new(2, cfg);
         assert_eq!(engine.unit_count(), 3, "2 serving + 1 standby slots");
         assert_eq!(engine.hw_capacity(), 2, "spares are not capacity");
         assert_eq!(engine.spares_available(), 1);
         assert_eq!(engine.unit_state(2), HealthState::Spare);
         // A physical defect retires unit 0 after max_scrub_failures.
         engine.inject_stuck_at(0, ports.chk_p0[0], true, true);
-        let caps = tick_failing(&mut engine, 0, 30);
+        let caps = tick_failing(&mut engine, &mut scrub, 0, 30);
         assert_eq!(engine.unit_state(0), HealthState::Retired);
         // The standby was promoted in the same tick the retirement was
         // observed: capacity is back at its pre-fault value.
@@ -727,9 +736,9 @@ mod tests {
 
     #[test]
     fn seus_last_one_pass_and_a_scrub_clears_them() {
-        let mut n = Netlist::new(TechLibrary::cmos45lp());
-        let ports = build_unit(&mut n);
-        let mut engine = Engine::new(&n, &ports, 1, small_cfg());
+        let (n, ports) = build();
+        let mut scrub = scrub_on(&n, &ports);
+        let mut engine = Engine::new(1, small_cfg());
         let (stuck, upset) = (ports.pl[3], ports.ph[7]);
         engine.inject_stuck_at(0, stuck, false, true);
         engine.schedule_seu(0, upset, true);
@@ -745,7 +754,7 @@ mod tests {
         engine.schedule_seu(0, upset, true);
         engine.note_external_service(0, 2);
         while engine.unit_state(0) == HealthState::Quarantined {
-            engine.tick();
+            engine.tick(&mut scrub);
         }
         assert_eq!(engine.overlay(0), vec![(stuck, false)]);
         engine.clear_unit_faults(0);

@@ -12,8 +12,9 @@
 //! - [`backoff`] — truncated exponential backoff with deterministic
 //!   jitter, behind the service's `Overloaded` retry hints.
 //! - [`engine`] — the pool: per-unit fault records and the overlays
-//!   passes run under, breaker time, compiled scrubs, spare promotion
-//!   after retirements, patrol slices and pool gauges.
+//!   passes run under, breaker time, scrub scheduling (the caller
+//!   replays each battery), spare promotion after retirements, patrol
+//!   slices and pool gauges.
 //! - [`chaos`] — seeded fault schedules (SEUs, stuck-ats, Byzantine
 //!   output-latch faults, field replacements) for reproducible
 //!   resilience runs.

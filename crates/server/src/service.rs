@@ -61,7 +61,7 @@
 //!
 //! The service is the engine's only client: the engine keeps each
 //! unit's fault record and supplies its overlay, breaker, scrubs, spares
-//! and patrol slices, and every lane runs in the service's pass. A chaos
+//! and patrol slices, and every lane runs in the service's passes. A chaos
 //! single-event upset forces its net on the victim unit's lanes of the
 //! next pass that carries any (a batch spilling past one pass keeps it
 //! for all of them), and then leaves the overlay ([`Engine::end_pass`]).
@@ -98,9 +98,17 @@
 //! and a batch's clock edges are charged once.
 //! The batch is routed before the tick's patrol verdict lands:
 //! [`Engine::take_patrol`] hands the slice over after the engine's tick,
-//! and its verdict is landed once the pass has run. `service.passes` and
-//! `service.pass_lanes.{batch,replica,patrol,speculative}` count the
-//! passes and what filled them, and `/statusz` shows passes per tick.
+//! and its verdict is landed once the pass has run.
+//!
+//! Scrubs and spare activations are the exception. [`Engine::tick`]
+//! hands each one to the service, which replays the battery under the
+//! unit's repaired overlay in a pass of its own on the same simulator,
+//! before the tick's batch, so the verdict lands before the batch is
+//! routed. A clean tick has no scrub. Scrub passes count no toggles.
+//! `service.passes` and
+//! `service.pass_lanes.{batch,replica,patrol,speculative,scrub}` count
+//! every pass on the simulator and what filled them, and `/statusz`
+//! shows passes per tick.
 //!
 //! # Tracing and the flight recorder
 //!
@@ -267,7 +275,7 @@ struct ServiceMetrics {
     dmr_batches: Counter,
     /// Compiled passes run, and the lanes each [`Role`] filled in them.
     passes: Counter,
-    pass_lanes: [Counter; 4],
+    pass_lanes: [Counter; 5],
     tier: Gauge,
     pending: Gauge,
     latency_ticks: Histogram,
@@ -277,16 +285,17 @@ struct ServiceMetrics {
     phase_micros: Vec<Histogram>,
 }
 
-/// The service core (see the module docs). Borrows the netlist like the
-/// engine does; one instance per serving thread.
+/// The service core (see the module docs). Borrows the netlist; one
+/// instance per serving thread.
 pub struct Service<'a> {
     cfg: ServiceConfig,
-    engine: Engine<'a>,
+    engine: Engine,
     ports: StructuralPorts,
     /// One settled simulator over the netlist's compiled program for
     /// each tick's packed pass — batch, TMR replicas, patrol slice and
-    /// speculative sample side by side in one 64-lane word — re-armed
-    /// only when the pass's overlay plan changes.
+    /// speculative sample side by side in one 64-lane word — and for the
+    /// engine's scrubs, re-armed only when the pass's overlay plan
+    /// changes.
     sim: LaneSim<'a, PASS_WORDS>,
     reference: FunctionalUnit,
     battery: Vec<Operation>,
@@ -344,7 +353,7 @@ impl<'a> Service<'a> {
         cfg: ServiceConfig,
         registry: &Registry,
     ) -> Self {
-        let mut engine = Engine::new(netlist, ports, cfg.units.max(1), cfg.engine);
+        let mut engine = Engine::new(cfg.units.max(1), cfg.engine);
         engine.attach_telemetry(registry);
         let prog = netlist.compiled().expect("service netlist must be acyclic");
         let lat_bounds: Vec<f64> = (0..12).map(|i| (1u64 << i) as f64).collect();
@@ -457,12 +466,12 @@ impl<'a> Service<'a> {
     }
 
     /// The pool engine (health inspection).
-    pub fn engine(&self) -> &Engine<'a> {
+    pub fn engine(&self) -> &Engine {
         &self.engine
     }
 
     /// The pool engine (chaos hooks).
-    pub fn engine_mut(&mut self) -> &mut Engine<'a> {
+    pub fn engine_mut(&mut self) -> &mut Engine {
         &mut self.engine
     }
 
@@ -681,14 +690,23 @@ impl<'a> Service<'a> {
         b.next_delay().unwrap_or(self.cfg.backoff.max_ticks).max(1)
     }
 
-    /// One scheduling round: engine tick (scrubs, spare promotion,
-    /// breaker time), front-end deadline sweep, then this tick's compiled
-    /// work — the batch for this tier, its TMR replicas, the engine's
-    /// patrol slice and the speculative sample — packed into one pass
-    /// (see the module docs).
+    /// One scheduling round: engine tick (breaker time, scrubs and spare
+    /// activations, each in a pass of its own), front-end deadline
+    /// sweep, then this tick's compiled work — the batch for this tier,
+    /// its TMR replicas, the engine's patrol slice and the speculative
+    /// sample — packed into one pass (see the module docs).
     pub fn tick(&mut self) {
         self.flush_unacked_records();
-        self.engine.tick();
+        self.engine.tick(|faults, battery| {
+            run_scrub(
+                &mut self.sim,
+                &self.ports,
+                &mut self.power,
+                &self.metrics,
+                faults,
+                battery,
+            )
+        });
         self.forward_transitions();
         self.expire_stale();
         let tier = self.tier();
@@ -1013,14 +1031,10 @@ impl<'a> Service<'a> {
                 Role::Replica => replicas.push((seg.unit, raws)),
                 // Verdicts land in the order the breakers saw the work:
                 // patrol, then the batch, then the speculative sample.
-                Role::Patrol => {
-                    let passed = seg
-                        .ops
-                        .iter()
-                        .zip(&raws)
-                        .all(|(&op, raw)| check_raw(op, raw).is_ok());
-                    self.engine.finish_patrol(seg.unit, passed);
-                }
+                Role::Patrol => self
+                    .engine
+                    .finish_patrol(seg.unit, all_pass(&seg.ops, &raws)),
+                Role::Scrub => unreachable!("scrubs run in passes of their own"),
                 Role::Speculative => speculative = Some((seg, raws)),
             }
         }
@@ -1387,7 +1401,33 @@ fn run_passes<const W: usize>(
     }
 }
 
-/// What a run of lanes in a packed pass carries.
+/// Whether every one of `ops` passed `check_raw` on its raw outputs.
+fn all_pass(ops: &[Operation], raws: &[RawOutputs]) -> bool {
+    ops.iter()
+        .zip(raws)
+        .all(|(&op, raw)| check_raw(op, raw).is_ok())
+}
+
+/// Runs one of the engine's scrubs on the service's simulator: the
+/// `battery` under the unit's repaired overlay `faults`, in passes of
+/// its own ([`run_passes`] with no batch, so no toggles are counted).
+/// Counts the passes and the scrub lanes, and returns whether every
+/// vector passed.
+fn run_scrub(
+    sim: &mut LaneSim<'_, PASS_WORDS>,
+    ports: &StructuralPorts,
+    power: &mut PowerTally,
+    metrics: &ServiceMetrics,
+    faults: &[(NetId, bool)],
+    battery: &[Operation],
+) -> bool {
+    let run = run_passes(sim, ports, &[(battery, faults)], 0, power);
+    metrics.passes.add(run.passes);
+    metrics.pass_lanes[Role::Scrub as usize].add(battery.len() as u64);
+    all_pass(battery, &run.raws[0])
+}
+
+/// What a run of lanes in a compiled pass carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Role {
     /// Client lanes under the routed unit's overlay.
@@ -1398,11 +1438,19 @@ enum Role {
     Patrol,
     /// The speculative battery sample.
     Speculative,
+    /// A scrub or spare activation, in a pass of its own.
+    Scrub,
 }
 
 impl Role {
     /// Every role, in `service.pass_lanes.*` counter order.
-    const ALL: [Role; 4] = [Role::Batch, Role::Replica, Role::Patrol, Role::Speculative];
+    const ALL: [Role; 5] = [
+        Role::Batch,
+        Role::Replica,
+        Role::Patrol,
+        Role::Speculative,
+        Role::Scrub,
+    ];
 
     fn label(self) -> &'static str {
         match self {
@@ -1410,6 +1458,7 @@ impl Role {
             Role::Replica => "replica",
             Role::Patrol => "patrol",
             Role::Speculative => "speculative",
+            Role::Scrub => "scrub",
         }
     }
 }
@@ -1473,7 +1522,8 @@ mod tests {
     use mfm_gatesim::tech::TechLibrary;
     use mfm_gatesim::CompiledSim;
     use mfm_resilient::health::BreakerConfig;
-    use mfmult::structural::build_unit;
+    use mfmult::selfcheck::run_scrub_compiled;
+    use mfmult::structural::{build_unit, build_unit_quad};
 
     fn build() -> (Netlist, StructuralPorts) {
         let mut n = Netlist::new(TechLibrary::cmos45lp());
@@ -1609,6 +1659,92 @@ mod tests {
         assert!(want.iter().any(|&t| t > 0));
         assert_eq!(svc.power.toggles, want);
         assert_eq!(svc.power.ops, 4);
+    }
+
+    #[test]
+    fn scrubs_on_the_service_sim_match_fresh_sims_and_leave_batch_power_alone() {
+        for quad in [false, true] {
+            let mut n = Netlist::new(TechLibrary::cmos45lp());
+            let ports = if quad {
+                build_unit_quad(&mut n)
+            } else {
+                build_unit(&mut n)
+            };
+            let reg = Registry::new();
+            let mut cfg = small_cfg();
+            cfg.units = 1;
+            cfg.speculative_every = 0;
+            cfg.engine.quad_lanes = quad;
+            // The unit keeps serving through its failed lanes.
+            cfg.engine.breaker.open_after = 100;
+            let mut svc = Service::new(&n, &ports, cfg, &reg);
+            let prog = n.compiled().unwrap();
+            let battery = scrub_battery(quad);
+            // What the mixed batch counts on fresh simulators, one per op.
+            let mut fresh = PowerTally::new(n.net_count());
+            for op in mixed_ops() {
+                let mut sim = CompiledSim::new(prog);
+                sim.enable_activity(1);
+                run_raw_compiled(&mut sim, &ports, &[op]);
+                for (w, &t) in fresh.toggles.iter_mut().zip(sim.toggles()) {
+                    *w += t;
+                }
+                fresh.cycles = sim.cycles();
+                fresh.ops += 1;
+            }
+            let clean: Vec<(NetId, bool)> = Vec::new();
+            let sticky = vec![(ports.chk_p0[0], true)];
+            for faults in [clean, sticky] {
+                // A faulted batch pass counts activity on the simulator
+                // (the binary64 product 3.0 has bit 62 set)...
+                let failed = reg.counter("service.check_failures").get();
+                svc.engine_mut()
+                    .inject_stuck_at(0, ports.ph[62], false, false);
+                admit_mixed(&mut svc);
+                svc.tick();
+                assert_eq!(svc.take_responses().len(), 4);
+                assert!(reg.counter("service.check_failures").get() > failed);
+                // ...then a scrub runs on it...
+                let passes = reg.counter("service.passes").get();
+                let lanes = reg.counter("service.pass_lanes.scrub").get();
+                let pass = run_scrub(
+                    &mut svc.sim,
+                    &svc.ports,
+                    &mut svc.power,
+                    &svc.metrics,
+                    &faults,
+                    &battery,
+                );
+                let want = run_scrub_compiled(prog, &ports, &faults, &battery).is_ok();
+                assert_eq!(pass, want, "quad {quad}, faults {faults:?}");
+                assert_eq!(pass, faults.is_empty(), "quad {quad}: the defect shows");
+                assert_eq!(reg.counter("service.passes").get(), passes + 1);
+                assert_eq!(
+                    reg.counter("service.pass_lanes.scrub").get(),
+                    lanes + battery.len() as u64
+                );
+                // ...and the next clean batch counts what fresh
+                // simulators count.
+                svc.engine_mut().clear_unit_faults(0);
+                let before = svc.power.clone();
+                admit_mixed(&mut svc);
+                svc.tick();
+                assert_eq!(svc.take_responses().len(), 4);
+                let got = PowerTally {
+                    toggles: svc
+                        .power
+                        .toggles
+                        .iter()
+                        .zip(&before.toggles)
+                        .map(|(a, b)| a - b)
+                        .collect(),
+                    cycles: svc.power.cycles - before.cycles,
+                    ops: svc.power.ops - before.ops,
+                };
+                assert_eq!(got, fresh, "quad {quad}, faults {faults:?}");
+            }
+            assert_eq!(svc.escapes(), 0);
+        }
     }
 
     /// A tick's segments (operations and their faults) and its batch
@@ -1819,10 +1955,17 @@ mod tests {
         assert!(caught, "patrol surfaced the latent fault");
         assert!(failures >= 1, "the faulty slice failed: {failures}");
         assert_eq!(slices, ticks, "a patrol slice every tick");
-        // Each tick's batch and patrol slice shared one pass.
-        assert_eq!(reg.counter("service.passes").get(), ticks);
+        // Each tick's batch and patrol slice shared one pass; each scrub
+        // ran in a pass of its own.
+        let (scrubs, _) = svc.engine().scrubs();
+        assert!(scrubs >= 1, "the quarantined unit was scrubbed");
+        assert_eq!(reg.counter("service.passes").get(), ticks + scrubs);
         assert_eq!(reg.counter("service.pass_lanes.batch").get(), ticks);
         assert_eq!(reg.counter("service.pass_lanes.patrol").get(), 8 * ticks);
+        assert_eq!(
+            reg.counter("service.pass_lanes.scrub").get(),
+            scrubs * svc.battery.len() as u64
+        );
         // The breaker machinery took over: quarantine, scrub (repair
         // clears the latched damage), readmission.
         assert_eq!(svc.engine_mut().unit_state(0), HealthState::Healthy);

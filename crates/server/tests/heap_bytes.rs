@@ -1,10 +1,11 @@
 //! What building the service costs in heap: a counting global allocator
 //! tracks the bytes each thread holds, and `Service::new` on the served
 //! (combinational) unit with four units and one spare must stay under
-//! 2 MB. The pool's units are fault records over one shared netlist and
-//! every simulator the service and engine hold is a 64-lane compiled
-//! one, so an event-driven `Simulator` per unit (≈0.66 MB each on this
-//! netlist) coming back would fail the bound.
+//! 1 MB (0.85 MB measured). The pool's units are fault records, the
+//! engine holds no simulator, and the service's one simulator is a
+//! 64-lane compiled one, so a second compiled simulator (≈0.2 MB on this
+//! netlist) or an event-driven `Simulator` per unit (≈0.66 MB each)
+//! coming back would fail the bound.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -75,7 +76,7 @@ fn live() -> isize {
 }
 
 #[test]
-fn service_new_allocates_under_two_megabytes_on_the_served_unit() {
+fn service_new_allocates_under_one_megabyte_on_the_served_unit() {
     let mut n = Netlist::new(TechLibrary::cmos45lp());
     let ports = build_unit(&mut n);
     // The compiled program belongs to the netlist, which every service
@@ -94,7 +95,7 @@ fn service_new_allocates_under_two_megabytes_on_the_served_unit() {
     let held = live() - before;
     eprintln!("Service::new held {held} bytes");
     assert!(
-        held < 2 << 20,
+        held < 1 << 20,
         "Service::new allocated {held} bytes with 4 units + 1 spare"
     );
     drop(service);

@@ -1,21 +1,27 @@
 //! Robustness integration tests: seeded stuck-at campaigns over the
-//! gate-level unit, self-checking execution with graceful degradation,
-//! transient-SEU retry recovery, and IEEE edge cases delivered through
-//! the self-checking path.
+//! gate-level unit, bit-exact answers from the service under permanent
+//! faults and a single-event upset, IEEE edge cases answered from the
+//! checked hardware path, and per-lane fault attribution of the checks.
 //!
 //! Sizes scale with the build profile: debug runs a reduced campaign so
 //! `cargo test` stays fast, release runs the full ≥500-site campaign of
 //! the robustness study.
 
 use mfm_repro::evalkit::faultcov::{fault_coverage, FaultCoverageConfig};
-use mfm_repro::gatesim::fault::{enumerate_stuck_sites, sample_sites};
+use mfm_repro::gatesim::fault::{enumerate_stuck_sites, sample_sites, FaultKind};
 use mfm_repro::gatesim::netlist::Netlist;
 use mfm_repro::gatesim::tech::TechLibrary;
-use mfm_repro::mfmult::selfcheck::{check_raw, CheckError, SelfCheckingUnit};
+use mfm_repro::gatesim::Simulator;
+use mfm_repro::mfmult::selfcheck::{check_raw, run_raw, CheckError};
 use mfm_repro::mfmult::{
-    build_pipelined_unit, build_unit, FunctionalUnit, Operation, PipelinePlacement,
+    build_pipelined_unit, build_unit, FunctionalUnit, MultResult, Operation, PipelinePlacement,
+    StructuralPorts,
 };
 use mfm_repro::prng::Rng;
+use mfm_repro::server::service::{Service, ServiceConfig};
+use mfm_repro::server::wire::{Request, Response};
+use mfm_repro::softfloat::Flags;
+use mfm_repro::telemetry::Registry;
 
 /// Stuck-at sites for the full campaign (the acceptance floor is 500).
 const CAMPAIGN_SITES: usize = if cfg!(debug_assertions) { 24 } else { 500 };
@@ -81,6 +87,63 @@ fn campaign_classifies_per_block_with_zero_silent() {
     );
 }
 
+/// A service with one serving unit and no speculative sample, so every
+/// batch runs through unit 0's fault overlay.
+fn service<'n>(n: &'n Netlist, ports: &StructuralPorts, registry: &Registry) -> Service<'n> {
+    let cfg = ServiceConfig {
+        units: 1,
+        speculative_every: 0,
+        ..ServiceConfig::default()
+    };
+    Service::new(n, ports, cfg, registry)
+}
+
+/// Admits `ops` as one batch, ticks once and returns every answer, in
+/// operation order.
+fn serve(svc: &mut Service<'_>, ops: &[Operation]) -> Vec<MultResult> {
+    for (id, &op) in ops.iter().enumerate() {
+        let req = Request {
+            id: id as u64,
+            op,
+            deadline_micros: 0,
+            critical: false,
+        };
+        assert!(svc.admit(0, &req).is_none(), "admitted");
+    }
+    svc.tick();
+    let mut out = vec![None; ops.len()];
+    for (_, resp) in svc.take_responses() {
+        match resp {
+            Response::Ok {
+                id,
+                ph,
+                pl,
+                flags_lo,
+                flags_hi,
+                ..
+            } => {
+                out[id as usize] = Some(MultResult {
+                    format: ops[id as usize].format,
+                    ph,
+                    pl,
+                    flags_lo: Flags::from_bits(flags_lo),
+                    flags_hi: Flags::from_bits(flags_hi),
+                })
+            }
+            other => panic!("expected Ok, got {other:?}"),
+        }
+    }
+    out.into_iter()
+        .map(|r| r.expect("every operation answered in its tick"))
+        .collect()
+}
+
+/// Every lane passed its verdict and was answered from the hardware.
+fn assert_served_from_hardware(registry: &Registry) {
+    assert_eq!(registry.counter("service.check_failures").get(), 0);
+    assert_eq!(registry.counter("service.rescues").get(), 0);
+}
+
 #[test]
 fn self_checking_unit_is_bit_exact_under_permanent_faults() {
     let mut n = Netlist::new(TechLibrary::cmos45lp());
@@ -88,31 +151,31 @@ fn self_checking_unit_is_bit_exact_under_permanent_faults() {
     let sites = sample_sites(enumerate_stuck_sites(&n), 6, 0x5EED);
     let reference = FunctionalUnit::new();
 
-    let mut degradations = 0;
+    let mut caught = 0;
     for site in &sites {
-        let mut unit = SelfCheckingUnit::new(&n, ports.clone());
-        site.kind.inject(unit.sim_mut(), site.net);
+        let registry = Registry::new();
+        let mut svc = service(&n, &ports, &registry);
+        let value = site.kind == FaultKind::StuckAt1;
+        svc.engine_mut().inject_stuck_at(0, site.net, value, true);
         let mut rng = Rng::new(0xB17 ^ site.net.index() as u64);
-        for case in 0..8 {
-            let op = random_op(&mut rng, case % 4);
-            let got = unit.execute(op);
-            let want = reference.execute(op);
-            // Delivered results stay bit-exact whether they came from
-            // checked hardware or the functional fallback.
+        let ops: Vec<Operation> = (0..8).map(|case| random_op(&mut rng, case % 4)).collect();
+        for (op, got) in ops.iter().zip(serve(&mut svc, &ops)) {
+            let want = reference.execute(*op);
+            // Answers stay bit-exact whether they came from checked
+            // hardware lanes or from the reference.
             assert!(
                 got.agrees_hw(&want),
                 "site {site:?}, {op:?}: got {got:?}, want {want:?}"
             );
         }
-        if unit.is_degraded() {
-            degradations += 1;
-            let s = unit.stats();
-            assert_eq!(s.retry_successes, 0, "a permanent fault must not heal");
-            assert!(s.fallback_ops > 0);
+        assert_eq!(svc.escapes(), 0);
+        if registry.counter("service.check_failures").get() > 0 {
+            caught += 1;
+            assert!(registry.counter("service.rescues").get() > 0);
         }
     }
     assert!(
-        degradations > 0,
+        caught > 0,
         "no sampled site corrupted any vector — campaign too small"
     );
 }
@@ -121,93 +184,111 @@ fn self_checking_unit_is_bit_exact_under_permanent_faults() {
 fn transient_seu_recovers_without_degrading() {
     let mut n = Netlist::new(TechLibrary::cmos45lp());
     let ports = build_pipelined_unit(&mut n, PipelinePlacement::Fig5);
-    let mut unit = SelfCheckingUnit::new(&n, ports);
+    let registry = Registry::new();
+    let mut svc = service(&n, &ports, &registry);
     let op = Operation::int64(0xDEAD_BEEF, 0x1234_5678);
     let want = (0xDEAD_BEEFu128) * 0x1234_5678;
-    assert_eq!(unit.execute(op).int_product(), want);
+    assert_eq!(serve(&mut svc, &[op])[0].int_product(), want);
+    assert_served_from_hardware(&registry);
 
-    // Strike the P0 LSB at the output-latching edge: the delivered PL is
-    // corrupt, the retry runs on healed hardware.
-    let last_edge = unit.ports().latency + 1;
-    let victim = unit.ports().chk_p0[0];
-    unit.schedule_seu(last_edge, victim);
-    assert_eq!(unit.execute(op).int_product(), want);
-
-    let s = unit.stats();
-    assert_eq!((s.mismatches, s.retry_successes), (1, 1));
-    assert_eq!(s.fallback_ops, 0);
-    assert!(!s.degraded);
+    // Upset the P0 LSB for the unit's next pass, forced to 1 where the
+    // even product has 0: the lane fails its check and is answered from
+    // the reference in the same tick.
+    svc.engine_mut().schedule_seu(0, ports.chk_p0[0], true);
+    assert_eq!(serve(&mut svc, &[op])[0].int_product(), want);
+    assert_eq!(registry.counter("service.check_failures").get(), 1);
+    assert_eq!(registry.counter("service.rescues").get(), 1);
+    assert!(svc.engine().overlay(0).is_empty(), "the upset struck once");
+    assert!(
+        svc.engine().unit_state(0).is_hw_capacity(),
+        "a transient must not take the unit out of service"
+    );
     // Subsequent operations run checked on hardware again.
     assert_eq!(
-        unit.execute(Operation::int64(81, 97)).int_product(),
+        serve(&mut svc, &[Operation::int64(81, 97)])[0].int_product(),
         81 * 97
     );
-    assert_eq!(unit.stats().mismatches, 1);
+    assert_eq!(registry.counter("service.check_failures").get(), 1);
+    assert_eq!(svc.escapes(), 0);
 }
 
 #[test]
 fn nan_propagates_through_self_checking_path() {
     let mut n = Netlist::new(TechLibrary::cmos45lp());
     let ports = build_unit(&mut n);
-    let mut unit = SelfCheckingUnit::new(&n, ports);
+    let registry = Registry::new();
+    let mut svc = service(&n, &ports, &registry);
 
-    // Quiet NaN times a normal: the payload propagates, no invalid flag.
     let qnan = 0x7FF8_0000_0000_1234u64;
-    let r = unit.execute(Operation::binary64(qnan, 2.5f64.to_bits()));
-    assert_eq!(r.ph, qnan);
-    assert!(!r.flags_lo.invalid());
-
-    // Signaling NaN raises invalid and is delivered quieted.
     let snan = 0x7FF0_0000_0000_0001u64;
-    let r = unit.execute(Operation::binary64(snan, 2.5f64.to_bits()));
-    assert_eq!(r.ph, snan | (1 << 51), "sNaN must be quieted");
-    assert!(r.flags_lo.invalid());
+    let two_and_half = 2.5f64.to_bits();
+    let r = serve(
+        &mut svc,
+        &[
+            Operation::binary64(qnan, two_and_half),
+            Operation::binary64(snan, two_and_half),
+        ],
+    );
+    // Quiet NaN times a normal: the payload propagates, no invalid flag.
+    assert_eq!(r[0].ph, qnan);
+    assert!(!r[0].flags_lo.invalid());
+    // Signaling NaN raises invalid and is delivered quieted.
+    assert_eq!(r[1].ph, snan | (1 << 51), "sNaN must be quieted");
+    assert!(r[1].flags_lo.invalid());
 
-    assert_eq!(unit.stats().mismatches, 0);
-    assert!(!unit.is_degraded());
+    assert_served_from_hardware(&registry);
 }
 
 #[test]
 fn zero_times_infinity_is_invalid_through_self_checking_path() {
     let mut n = Netlist::new(TechLibrary::cmos45lp());
     let ports = build_unit(&mut n);
-    let mut unit = SelfCheckingUnit::new(&n, ports);
+    let registry = Registry::new();
+    let mut svc = service(&n, &ports, &registry);
 
     let inf = f64::INFINITY.to_bits();
     let zero = 0.0f64.to_bits();
-    for (a, b) in [(zero, inf), (inf, zero), (inf, (-0.0f64).to_bits())] {
-        let r = unit.execute(Operation::binary64(a, b));
+    let pairs = [(zero, inf), (inf, zero), (inf, (-0.0f64).to_bits())];
+    let ops: Vec<Operation> = pairs
+        .iter()
+        .map(|&(a, b)| Operation::binary64(a, b))
+        .collect();
+    for ((a, b), r) in pairs.iter().zip(serve(&mut svc, &ops)) {
         let canonical_qnan = 0x7FF8_0000_0000_0000u64;
         assert_eq!(r.ph, canonical_qnan, "{a:#x} × {b:#x}");
         assert!(r.flags_lo.invalid(), "{a:#x} × {b:#x}");
     }
-    assert_eq!(unit.stats().mismatches, 0);
+    assert_served_from_hardware(&registry);
 }
 
 #[test]
 fn subnormal_and_underflow_through_self_checking_path() {
     let mut n = Netlist::new(TechLibrary::cmos45lp());
     let ports = build_unit(&mut n);
-    let mut unit = SelfCheckingUnit::new(&n, ports);
+    let registry = Registry::new();
+    let mut svc = service(&n, &ports, &registry);
 
+    let subnormal = 0x000F_FFFF_FFFF_FFFFu64;
+    let minus_two = (-2.0f64).to_bits();
+    let tiny = 0x0010_0000_0000_0000u64; // smallest positive normal
+    let r = serve(
+        &mut svc,
+        &[
+            Operation::binary64(subnormal, minus_two),
+            Operation::binary64(tiny, tiny),
+        ],
+    );
     // A subnormal operand is flushed: the product is an exact zero with
     // the product sign, no underflow flag (the operand was zero to the
     // unit, Sec. II).
-    let subnormal = 0x000F_FFFF_FFFF_FFFFu64;
-    let minus_two = (-2.0f64).to_bits();
-    let r = unit.execute(Operation::binary64(subnormal, minus_two));
-    assert_eq!(r.ph, (-0.0f64).to_bits());
-    assert!(!r.flags_lo.underflow());
-
+    assert_eq!(r[0].ph, (-0.0f64).to_bits());
+    assert!(!r[0].flags_lo.underflow());
     // Two tiny normals whose product underflows: ±0 plus the underflow
     // flag.
-    let tiny = 0x0010_0000_0000_0000u64; // smallest positive normal
-    let r = unit.execute(Operation::binary64(tiny, tiny));
-    assert_eq!(r.ph, 0.0f64.to_bits());
-    assert!(r.flags_lo.underflow());
+    assert_eq!(r[1].ph, 0.0f64.to_bits());
+    assert!(r[1].flags_lo.underflow());
 
-    assert_eq!(unit.stats().mismatches, 0);
-    assert!(!unit.is_degraded());
+    assert_served_from_hardware(&registry);
 }
 
 #[test]
@@ -219,12 +300,11 @@ fn dual_lanes_fault_independently() {
     // A fault in the upper lane's product window is attributed to lane 1
     // and leaves the lower lane's raw product untouched, and vice versa.
     for (bit, lane) in [(70u32, 1u8), (3u32, 0u8)] {
-        let mut unit = SelfCheckingUnit::new(&n, ports.clone());
-        let clean = unit.execute_raw(op);
-        let victim = unit.ports().chk_p0[bit as usize];
+        let mut sim = Simulator::new(&n);
+        let clean = run_raw(&mut sim, &ports, op);
         let forced = (clean.p0 >> bit) & 1 == 0;
-        unit.inject_stuck_at(victim, forced);
-        let raw = unit.execute_raw(op);
+        sim.inject_stuck_at(ports.chk_p0[bit as usize], forced);
+        let raw = run_raw(&mut sim, &ports, op);
         match check_raw(op, &raw) {
             Err(CheckError::Residue { lane: got, .. }) => assert_eq!(got, lane),
             other => panic!("expected a lane-{lane} residue error, got {other:?}"),
@@ -235,12 +315,6 @@ fn dual_lanes_fault_independently() {
             (raw.p0 >> 64, clean.p0 >> 64)
         };
         assert_eq!(other_window.0, other_window.1, "other lane moved");
-        // Delivered results still come out right: the checker refuses the
-        // corrupt product and the unit degrades to the exact fallback.
-        let got = unit.execute(op);
-        let want = FunctionalUnit::new().execute(op);
-        assert_eq!((got.ph, got.pl), (want.ph, want.pl));
-        assert!(unit.is_degraded());
     }
 }
 
