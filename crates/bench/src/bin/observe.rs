@@ -137,7 +137,7 @@ fn main() {
         eprintln!("wrote {path}");
     }
     if let Some(path) = cli::json_path(&args) {
-        let p = PowerEstimator::from_activity(&n, &sim, sim.cycles());
+        let p = PowerEstimator::from_activity(&n, &sim, ops);
         let mut report = RunReport::new("observe");
         report
             .param("ops", &ops.to_string())

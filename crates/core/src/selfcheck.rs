@@ -581,7 +581,7 @@ fn read_raw_lanes<const W: usize>(
 /// The returned observables equal the event-driven settled values for
 /// the same operations and the same stuck-at overlay (see
 /// [`mfm_gatesim::compiled`] for why); timing-dependent effects —
-/// glitch power, settle budgets, transient faults — are invisible here.
+/// glitch power, transient faults — are invisible here.
 ///
 /// # Panics
 ///

@@ -25,15 +25,15 @@
 //!   campaigns, equivalence sweeps and the pool engine's scrubs fill
 //!   their passes, so they run here.
 //! - The multiplication service runs width 1 (64 lanes, a quarter of
-//!   the words): a served tick carries a few client lanes plus small
-//!   patrol and speculative slices, and a rare full batch spills over
-//!   several 64-lane passes instead.
+//!   the words): a served tick carries a few client lanes plus a small
+//!   patrol slice, and a rare full batch spills over several 64-lane
+//!   passes instead.
 //!
 //! # Division of labour
 //!
 //! The event-driven [`crate::sim::Simulator`] stays the source of truth
-//! for everything *timing-dependent*: glitch power, settle budgets and
-//! transient (SEU) faults. The compiled engine serves value-level paths
+//! for everything *timing-dependent*: glitch power and transient (SEU)
+//! faults. The compiled engine serves value-level paths
 //! — fault classification, recompute checks, scrub batteries,
 //! equivalence sweeps — where only the settled value matters. For
 //! acyclic two-valued logic the settled state of the event-driven

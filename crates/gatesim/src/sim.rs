@@ -339,12 +339,6 @@ pub struct Simulator<'a> {
     /// [`Simulator::set_zero_delay`] instead of inertial-delay event
     /// propagation.
     zero_delay: bool,
-    /// Committed-transition ceiling per settle pass, when set (see
-    /// [`Simulator::set_settle_budget`]).
-    settle_budget: Option<u64>,
-    /// Latched when a settle pass was aborted by the budget; cleared by
-    /// [`Simulator::take_budget_exceeded`].
-    budget_exceeded: bool,
     /// Metrics handles, when attached (see
     /// [`Simulator::attach_telemetry`]).
     telemetry: Option<SimTelemetry>,
@@ -400,8 +394,6 @@ impl<'a> Simulator<'a> {
             trace_initial: Vec::new(),
             faults: BTreeMap::new(),
             zero_delay: false,
-            settle_budget: None,
-            budget_exceeded: false,
             telemetry: None,
         };
         // Constant-1 net.
@@ -621,64 +613,6 @@ impl<'a> Simulator<'a> {
         self.queue.push(self.now, at, self.seq, net.0, value);
     }
 
-    /// Caps the committed transitions of every following settle pass —
-    /// the gate-sim half of a runaway-simulation watchdog. A settle pass
-    /// that commits more than `budget` transitions is **aborted**: all
-    /// pending events are dropped, [`Simulator::take_budget_exceeded`]
-    /// latches, and the net state is left mid-propagation (inconsistent
-    /// with the inputs). Callers that trip the budget must treat the
-    /// operation's outputs as garbage and re-drive or repair the
-    /// simulator before trusting it again. `None` (the default) disables
-    /// the cap.
-    ///
-    /// An acyclic netlist always quiesces, so a generous budget (a few
-    /// multiples of the worst observed settle, e.g. from the
-    /// `sim.settle_events` histogram) never fires on healthy hardware;
-    /// it exists to bound the work a glitch-storming fault site can cost
-    /// per operation.
-    pub fn set_settle_budget(&mut self, budget: Option<u64>) {
-        self.settle_budget = budget;
-    }
-
-    /// The configured settle budget, if any.
-    pub fn settle_budget(&self) -> Option<u64> {
-        self.settle_budget
-    }
-
-    /// Returns whether a settle pass was aborted by the budget since the
-    /// last call, and clears the latch.
-    pub fn take_budget_exceeded(&mut self) -> bool {
-        std::mem::take(&mut self.budget_exceeded)
-    }
-
-    /// Rebuilds every combinational net from the current primary inputs,
-    /// register outputs and fault overlays with one zero-delay
-    /// topological re-evaluation, discarding all pending events. DFF
-    /// outputs (sequential state) are left untouched. This is the repair
-    /// primitive for a budget-aborted settle (see
-    /// [`Simulator::set_settle_budget`]): it restores a consistent net
-    /// state without replaying the glitch storm. Transition counters are
-    /// **not** advanced — repair work is not workload activity — and
-    /// expired transient faults are dropped.
-    pub fn recompute(&mut self) {
-        self.queue.clear();
-        let now = self.now;
-        self.faults.retain(|_, f| f.expires.is_none_or(|e| now < e));
-        // Force faulted primary inputs first; cell outputs are forced in
-        // the topo pass below.
-        for (&ni, f) in &self.faults {
-            self.values[ni as usize] = f.forced;
-        }
-        for &cell_id in self.lev.order() {
-            let cell = &self.netlist.cells()[cell_id.index()];
-            let out = cell.output;
-            self.values[out.index()] = match self.faults.get(&out.0) {
-                Some(f) => f.forced,
-                None => self.eval_cell(cell_id.index()),
-            };
-        }
-    }
-
     /// Switches the simulator between inertial-delay event propagation
     /// (the default) and **zero-delay** settling.
     ///
@@ -782,21 +716,11 @@ impl<'a> Simulator<'a> {
         }
         let cells = self.netlist.cells();
         let mut committed = 0u64;
-        let mut aborted = false;
         // Latest due tick of a quiet re-evaluation left unscheduled.
         let mut quiet_due: Time = 0;
         let mut touched = std::mem::take(&mut self.touched);
         let mut affected = std::mem::take(&mut self.affected);
         while let Some(t) = self.queue.next_time(self.now) {
-            if self.settle_budget.is_some_and(|b| committed > b) {
-                // Watchdog abort: drop everything still in flight. Any
-                // armed transient faults are abandoned mid-pulse too —
-                // the caller is expected to repair (clear faults and
-                // re-settle) before reuse.
-                aborted = true;
-                self.queue.clear();
-                break;
-            }
             self.now = t;
             touched.clear();
             // Commit every *current* (non-cancelled) event at this
@@ -844,8 +768,10 @@ impl<'a> Simulator<'a> {
                 // A value the net already holds, with nothing pending to
                 // cancel, would commit nothing when it matured: skip it.
                 // Faulted nets keep every event (a transient may heal), and
-                // so do zero-delay cells: their event would start one more
-                // pass at this tick, which the budget watchdog can see.
+                // so do zero-delay cells (`at == t`): the skip stands in for
+                // a later pop that would have moved the clock, and a
+                // same-tick event moves nothing; the next turn of this
+                // loop pops it.
                 if new_val == self.values[out.index()]
                     && self.due[out.index()] <= t
                     && at > t
@@ -857,17 +783,11 @@ impl<'a> Simulator<'a> {
                 self.schedule(at, out, new_val);
             }
         }
-        // A skipped event would still have been popped: it keeps the
-        // budget watchdog firing on a pass with nothing else left, and
-        // the clock ends at its tick.
-        if !aborted && quiet_due > self.now {
-            if self.settle_budget.is_some_and(|b| committed > b) {
-                aborted = true;
-            } else {
-                self.now = quiet_due;
-            }
+        // A skipped event would still have been popped: the clock ends
+        // at its tick.
+        if quiet_due > self.now {
+            self.now = quiet_due;
         }
-        self.budget_exceeded |= aborted;
         self.touched = touched;
         self.affected = affected;
         self.record_settle(committed)
@@ -1280,39 +1200,6 @@ mod tests {
             toggles_before + sim.toggles()[y.index()],
             "registry metrics are monotonic across reset_activity"
         );
-    }
-
-    #[test]
-    fn settle_budget_aborts_runaway_settles() {
-        // A 64-stage inverter chain: one input edge commits 64+ events.
-        let mut n = fresh();
-        let a = n.input("a");
-        let mut d = a;
-        for _ in 0..64 {
-            d = n.cell(CellKind::Inv, &[d]);
-        }
-        let mut sim = Simulator::new(&n);
-        sim.set_settle_budget(Some(8));
-        sim.set_net(a, true);
-        let committed = sim.settle();
-        assert!(sim.take_budget_exceeded(), "budget must abort the pass");
-        assert!(committed <= 10, "aborted near the cap, not at the end");
-        assert!(!sim.take_budget_exceeded(), "latch clears on read");
-        // With the budget lifted, re-driving the input settles fully and
-        // the chain ends consistent again.
-        sim.set_settle_budget(None);
-        sim.set_bus(&[a], 0);
-        sim.settle();
-        sim.set_net(a, true);
-        sim.settle();
-        assert!(!sim.take_budget_exceeded());
-        assert!(sim.read_net(d), "even chain: output follows the input");
-        // A generous budget never fires on a healthy settle.
-        sim.set_settle_budget(Some(10_000));
-        sim.set_net(a, false);
-        sim.settle();
-        assert!(!sim.take_budget_exceeded());
-        assert!(!sim.read_net(d));
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //! kernel: the straightforward binary-heap inertial-delay loop the
 //! simulator's results are defined by. Both kernels take the same
 //! stimulus, and after every step values, toggles, events, cycles, the
-//! clock, the committed count, the budget latch and the full trace must
-//! agree exactly.
+//! clock, the committed count and the full trace must agree exactly.
 
 use super::{ActiveFault, Simulator, Time, TIME_SCALE};
 use crate::netlist::{Driver, NetId, Netlist};
@@ -29,8 +28,6 @@ struct HeapSim<'a> {
     trace: Vec<crate::trace::TraceEvent>,
     faults: BTreeMap<u32, ActiveFault>,
     zero_delay: bool,
-    settle_budget: Option<u64>,
-    budget_exceeded: bool,
 }
 
 impl<'a> HeapSim<'a> {
@@ -57,8 +54,6 @@ impl<'a> HeapSim<'a> {
             trace: Vec::new(),
             faults: BTreeMap::new(),
             zero_delay: false,
-            settle_budget: None,
-            budget_exceeded: false,
         };
         sim.values[netlist.one().index()] = true;
         for &cell_id in lev.order() {
@@ -131,23 +126,6 @@ impl<'a> HeapSim<'a> {
         }
     }
 
-    fn recompute(&mut self) {
-        self.heap.clear();
-        let now = self.now;
-        self.faults.retain(|_, f| f.expires.is_none_or(|e| now < e));
-        for (&ni, f) in &self.faults {
-            self.values[ni as usize] = f.forced;
-        }
-        let lev = self.netlist.levelization().expect("acyclic");
-        for &cell_id in lev.order() {
-            let out = self.netlist.cells()[cell_id.index()].output;
-            self.values[out.index()] = match self.faults.get(&out.0) {
-                Some(f) => f.forced,
-                None => self.eval_cell(cell_id.index()),
-            };
-        }
-    }
-
     fn commit(&mut self, t: Time, net: u32, val: bool) -> bool {
         let ni = net as usize;
         if self.values[ni] == val {
@@ -196,11 +174,6 @@ impl<'a> HeapSim<'a> {
         let mut touched: Vec<u32> = Vec::new();
         let mut affected: Vec<u32> = Vec::new();
         while let Some(&Reverse((t, _, _, _))) = self.heap.peek() {
-            if self.settle_budget.is_some_and(|b| committed > b) {
-                self.budget_exceeded = true;
-                self.heap.clear();
-                break;
-            }
             self.now = t;
             touched.clear();
             while let Some(&Reverse((t2, seq, net, val))) = self.heap.peek() {
@@ -290,10 +263,6 @@ impl<'a> Pair<'a> {
         assert_eq!(w.events, h.events, "events after {at}");
         assert_eq!(w.cycles, h.cycles, "cycles after {at}");
         assert_eq!(w.now, h.now, "clock after {at}");
-        assert_eq!(
-            w.budget_exceeded, h.budget_exceeded,
-            "budget latch after {at}"
-        );
         assert_eq!(w.active_faults(), h.faults.len(), "faults after {at}");
         assert_eq!(w.trace().unwrap(), &h.trace[..], "trace after {at}");
     }
@@ -409,22 +378,6 @@ fn run_script(rng: &mut Rng, n: &Netlist, inputs: &[NetId], steps: usize) {
                 p.heap.clear_faults();
                 p.settle();
             }
-            11 => {
-                // A budget small enough to abort, then the repair.
-                let budget = rng.range_u64(0, 40);
-                p.wheel.set_settle_budget(Some(budget));
-                p.heap.settle_budget = Some(budget);
-                p.step_cycle(&[(inputs, value)]);
-                p.wheel.recompute();
-                p.heap.recompute();
-                p.check("recompute");
-                assert_eq!(
-                    p.wheel.take_budget_exceeded(),
-                    std::mem::take(&mut p.heap.budget_exceeded)
-                );
-                p.wheel.set_settle_budget(None);
-                p.heap.settle_budget = None;
-            }
             12 => {
                 // Zero-delay mode is only defined without transients.
                 if transients {
@@ -464,10 +417,10 @@ fn wheel_matches_heap_kernel_on_random_netlists_and_stimulus() {
 }
 
 #[test]
-fn quiet_events_still_advance_the_clock_and_trip_the_budget() {
+fn quiet_events_still_advance_the_clock() {
     // `y = a | 1` re-evaluates to the 1 it holds whenever `a` moves: the
     // one event of the pass that is left unscheduled. With zero cell
-    // delays it is due at the tick that made it, and still starts a pass.
+    // delays it is due at the tick that made it, and stays queued.
     for scale in [1.0, 0.0] {
         let mut n = Netlist::new(TechLibrary::cmos45lp().with_delay_scale(scale));
         let a = n.input("a");
@@ -481,13 +434,6 @@ fn quiet_events_still_advance_the_clock_and_trip_the_budget() {
             scale > 0.0,
             "the clock ends at the quiet event's tick"
         );
-        // Committing `a` exhausts a zero budget; the pending quiet event
-        // is the next pass the watchdog would have started.
-        p.wheel.set_settle_budget(Some(0));
-        p.heap.settle_budget = Some(0);
-        p.set_bus(&[a], 0);
-        p.settle();
-        assert!(p.wheel.budget_exceeded, "the watchdog fires");
     }
 }
 

@@ -300,21 +300,11 @@ impl Engine {
 
     /// Charges unit `i` with the outcome of work served through its
     /// overlay: `incidents > 0` counts against the unit,
-    /// `incidents == 0` is a clean-operation heal credit.
-    pub fn note_external_service(&mut self, i: usize, incidents: u32) {
-        self.note_external_service_traced(i, incidents, None);
-    }
-
-    /// Like [`Engine::note_external_service`], tagging any breaker
-    /// transition the incidents cause with the trace id of the request
+    /// `incidents == 0` is a clean-operation heal credit. Any breaker
+    /// transition the incidents cause is tagged with `trace`, the request
     /// that surfaced them, so the JSON transition log points back at a
     /// replayable trace.
-    pub fn note_external_service_traced(
-        &mut self,
-        i: usize,
-        incidents: u32,
-        trace: Option<TraceId>,
-    ) {
+    pub fn note_external_service(&mut self, i: usize, incidents: u32, trace: Option<TraceId>) {
         let u = &mut self.units[i];
         if incidents > 0 {
             u.health
@@ -596,7 +586,7 @@ mod tests {
             .map(|_| {
                 if engine.unit_state(victim).is_hw_capacity() {
                     let open_after = engine.breaker().open_after;
-                    engine.note_external_service(victim, open_after);
+                    engine.note_external_service(victim, open_after, None);
                 }
                 engine.tick(&mut *scrub);
                 engine.hw_capacity()
@@ -616,15 +606,15 @@ mod tests {
     fn external_incidents_feed_the_breaker() {
         let mut engine = Engine::new(2, small_cfg());
         assert_eq!(engine.unit_state(0), HealthState::Healthy);
-        engine.note_external_service(0, 1);
+        engine.note_external_service(0, 1, None);
         assert_eq!(engine.unit_state(0), HealthState::Suspect);
         // Clean served lanes are heal credits (heal_after 4).
         for _ in 0..4 {
-            engine.note_external_service(0, 0);
+            engine.note_external_service(0, 0, None);
         }
         assert_eq!(engine.unit_state(0), HealthState::Healthy);
         // Enough failures open the breaker.
-        engine.note_external_service(0, 2);
+        engine.note_external_service(0, 2, None);
         assert_eq!(engine.unit_state(0), HealthState::Quarantined);
         assert_eq!(
             engine.unit_state(1),
@@ -646,7 +636,7 @@ mod tests {
         engine.inject_stuck_at(0, lsb, true, false);
         assert_eq!(engine.overlay(0), vec![(lsb, true)]);
         // The served lanes fail on the unit once: the breaker opens.
-        engine.note_external_service(0, 2);
+        engine.note_external_service(0, 2, None);
         let caps: Vec<u32> = (0..8)
             .map(|_| {
                 engine.tick(&mut scrub);
@@ -690,7 +680,7 @@ mod tests {
     fn external_service_trace_tags_breaker_transitions() {
         let mut engine = Engine::new(1, small_cfg());
         let trace = TraceId::from_raw(0xCAFE_F00D);
-        engine.note_external_service_traced(0, 2, Some(trace));
+        engine.note_external_service(0, 2, Some(trace));
         // The healthy→suspect transition names the offending trace.
         let t = engine.transitions(0);
         assert!(!t.is_empty(), "incident must log a transition");
@@ -752,7 +742,7 @@ mod tests {
         // A scrub that runs before the unit's next pass clears a pending
         // upset, and keeps the sticky defect.
         engine.schedule_seu(0, upset, true);
-        engine.note_external_service(0, 2);
+        engine.note_external_service(0, 2, None);
         while engine.unit_state(0) == HealthState::Quarantined {
             engine.tick(&mut scrub);
         }

@@ -8,9 +8,8 @@
 //!   strict parser: every malformed, truncated or oversized frame maps
 //!   to a typed [`wire::WireError`], never a panic.
 //! - [`service`] — the deterministic core: admission control with a
-//!   four-tier degradation ladder (shed speculative self-checks, then
-//!   degrade to single-format batching, then refuse with typed
-//!   `Overloaded`), deadline propagation with expired-in-queue
+//!   three-tier degradation ladder (degrade to single-format batching,
+//!   then refuse with typed `Overloaded`), deadline propagation with expired-in-queue
 //!   cancellation, per-client deterministic retry budgets, and a
 //!   mixed-format compiled batch path (batches of up to 256 requests on
 //!   64-lane passes) routed through the

@@ -13,13 +13,12 @@
 //! # The overload ladder
 //!
 //! Load is the front-end backlog over its capacity. Rather than one
-//! accept/refuse cliff, the service degrades in tiers, shedding its own
-//! speculative work before it sheds anyone's requests:
+//! accept/refuse cliff, the service degrades in tiers, narrowing its
+//! batches before it sheds anyone's requests:
 //!
 //! | tier | backlog | behaviour |
 //! |---|---|---|
-//! | `Normal` | < 50 % | batch every format, run speculative self-checks |
-//! | `ShedSpeculative` | < 75 % | drop the speculative battery sampling |
+//! | `Normal` | < 75 % | batch every format |
 //! | `SingleFormat` | < 90 % | batch only the deepest format queue per tick |
 //! | `Shed` | ≥ 90 % | refuse new work with typed `Overloaded` |
 //!
@@ -78,15 +77,14 @@
 //! | `0..n`: the batch | the routed unit's | the verdict; answers clients |
 //! | one copy of the batch per TMR replica | that replica's | the verdict; a ballot |
 //! | the engine's patrol slice | the patrolled unit's | `check_raw`; [`Engine::finish_patrol`] |
-//! | the speculative sample | the next batch unit's | `check_raw`; charges its breaker |
 //!
 //! The service's simulator is 64 lanes wide (`PASS_WORDS` chunk per
 //! net, a quarter of the 256-lane [`mfm_gatesim::CompiledSim`] words):
-//! a clean tick carries a client lane or two, an 8-lane patrol slice and
-//! at times an 8-lane speculative sample, and every pass walks the whole
-//! word array, so the narrow word is what a tick costs. Work spills into
-//! further passes only when the lanes overflow 64 (a deep batch, replica
-//! copies of a voted batch, or a tick that drains more than one batch).
+//! a clean tick carries a client lane or two and an 8-lane patrol
+//! slice, and every pass walks the whole word array, so the narrow word
+//! is what a tick costs. Work spills into further passes only when the
+//! lanes overflow 64 (a deep batch, replica copies of a voted batch, or
+//! a tick that drains more than one batch).
 //! A batch still takes up to 256 requests: it just spans up to four
 //! passes. That makes a full batch cost about twice the one 256-lane
 //! pass it would take at width 4, and a full voted batch 13 passes
@@ -106,7 +104,7 @@
 //! before the tick's batch, so the verdict lands before the batch is
 //! routed. A clean tick has no scrub. Scrub passes count no toggles.
 //! `service.passes` and
-//! `service.pass_lanes.{batch,replica,patrol,speculative,scrub}` count
+//! `service.pass_lanes.{batch,replica,patrol,scrub}` count
 //! every pass on the simulator and what filled them, and `/statusz`
 //! shows passes per tick.
 //!
@@ -139,7 +137,7 @@ use mfm_telemetry::{
     Counter, FlightEvent, FlightRecorder, Gauge, Histogram, IncidentTrigger, Phase, PhaseSpans,
     Registry, TraceId, TraceMinter, TraceRecord, TraceRing,
 };
-use mfmult::selfcheck::{check_raw, result_from_raw, run_raw_compiled, scrub_battery, RawOutputs};
+use mfmult::selfcheck::{check_raw, result_from_raw, run_raw_compiled, RawOutputs};
 use mfmult::structural::StructuralPorts;
 use mfmult::{Format, FunctionalUnit, MultResult, Operation};
 
@@ -148,10 +146,8 @@ use crate::wire::{Request, Response};
 /// Degradation tier the service is currently operating in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Tier {
-    /// Full service: every format batched, speculative checks on.
+    /// Full service: every format batched.
     Normal,
-    /// Speculative self-checks shed; all request work continues.
-    ShedSpeculative,
     /// Only the deepest format queue is batched each tick.
     SingleFormat,
     /// New arrivals are refused with typed `Overloaded`.
@@ -163,7 +159,6 @@ impl Tier {
     pub const fn label(self) -> &'static str {
         match self {
             Tier::Normal => "normal",
-            Tier::ShedSpeculative => "shed_speculative",
             Tier::SingleFormat => "single_format",
             Tier::Shed => "shed",
         }
@@ -173,9 +168,8 @@ impl Tier {
     pub const fn level(self) -> u32 {
         match self {
             Tier::Normal => 0,
-            Tier::ShedSpeculative => 1,
-            Tier::SingleFormat => 2,
-            Tier::Shed => 3,
+            Tier::SingleFormat => 1,
+            Tier::Shed => 2,
         }
     }
 }
@@ -196,9 +190,6 @@ pub struct ServiceConfig {
     /// Deadline applied to requests that carry none (`0` on the wire),
     /// in ticks from admission.
     pub default_deadline_ticks: u64,
-    /// Run the speculative battery sample every this many ticks in
-    /// `Normal` tier (0 disables).
-    pub speculative_every: u64,
     /// Engine (pool) policy.
     pub engine: EngineConfig,
     /// Per-client retry-budget backoff policy (delays in ticks).
@@ -213,7 +204,6 @@ impl Default for ServiceConfig {
             pending_cap: 256,
             micros_per_tick: 500,
             default_deadline_ticks: 400,
-            speculative_every: 16,
             engine: EngineConfig::default(),
             backoff: BackoffConfig {
                 base_ticks: 2,
@@ -269,13 +259,12 @@ struct ServiceMetrics {
     rescues: Counter,
     /// `pool.escapes`: the zero-escape contract's scrapeable witness.
     escapes: Counter,
-    speculative: Counter,
     votes: Counter,
     vote_mismatches: Counter,
     dmr_batches: Counter,
     /// Compiled passes run, and the lanes each [`Role`] filled in them.
     passes: Counter,
-    pass_lanes: [Counter; 5],
+    pass_lanes: [Counter; 4],
     tier: Gauge,
     pending: Gauge,
     latency_ticks: Histogram,
@@ -292,13 +281,11 @@ pub struct Service<'a> {
     engine: Engine,
     ports: StructuralPorts,
     /// One settled simulator over the netlist's compiled program for
-    /// each tick's packed pass — batch, TMR replicas, patrol slice and
-    /// speculative sample side by side in one 64-lane word — and for the
-    /// engine's scrubs, re-armed only when the pass's overlay plan
-    /// changes.
+    /// each tick's packed pass — batch, TMR replicas and patrol slice
+    /// side by side in one 64-lane word — and for the engine's scrubs,
+    /// re-armed only when the pass's overlay plan changes.
     sim: LaneSim<'a, PASS_WORDS>,
     reference: FunctionalUnit,
-    battery: Vec<Operation>,
     /// Per-format admission queues; one batch takes up to [`LANES`]
     /// (256) requests across all of them.
     queues: HashMap<Format, VecDeque<PendingReq>>,
@@ -377,7 +364,6 @@ impl<'a> Service<'a> {
             check_failures: registry.counter("service.check_failures"),
             rescues: registry.counter("service.rescues"),
             escapes: registry.counter("pool.escapes"),
-            speculative: registry.counter("service.speculative_checks"),
             votes: registry.counter("service.tmr_votes"),
             vote_mismatches: registry.counter("service.tmr_vote_mismatches"),
             dmr_batches: registry.counter("service.dmr_batches"),
@@ -397,7 +383,6 @@ impl<'a> Service<'a> {
             ports: ports.clone(),
             sim: LaneSim::new(prog),
             reference: FunctionalUnit::new(),
-            battery: scrub_battery(cfg.engine.quad_lanes),
             queues: HashMap::new(),
             backoffs: HashMap::new(),
             batch_cursor: 0,
@@ -441,8 +426,6 @@ impl<'a> Service<'a> {
             Tier::Shed
         } else if load * 4 >= cap * 3 {
             Tier::SingleFormat
-        } else if load * 2 >= cap {
-            Tier::ShedSpeculative
         } else {
             Tier::Normal
         }
@@ -693,8 +676,8 @@ impl<'a> Service<'a> {
     /// One scheduling round: engine tick (breaker time, scrubs and spare
     /// activations, each in a pass of its own), front-end deadline
     /// sweep, then this tick's compiled work — the batch for this tier,
-    /// its TMR replicas, the engine's patrol slice and the speculative
-    /// sample — packed into one pass (see the module docs).
+    /// its TMR replicas and the engine's patrol slice — packed into one
+    /// pass (see the module docs).
     pub fn tick(&mut self) {
         self.flush_unacked_records();
         self.engine.tick(|faults, battery| {
@@ -709,14 +692,8 @@ impl<'a> Service<'a> {
         });
         self.forward_transitions();
         self.expire_stale();
-        let tier = self.tier();
-        let riders = Riders {
-            patrol: self.engine.take_patrol(),
-            speculative: tier == Tier::Normal
-                && self.cfg.speculative_every > 0
-                && self.engine.now().is_multiple_of(self.cfg.speculative_every),
-        };
-        self.run_batches(tier, riders);
+        let patrol = self.engine.take_patrol();
+        self.run_batches(self.tier(), patrol);
         self.note_tier_change();
         self.metrics.tier.set(self.tier().level() as f64);
         self.metrics.pending.set(self.backlog() as f64);
@@ -905,13 +882,13 @@ impl<'a> Service<'a> {
             .collect()
     }
 
-    /// Runs this tick's batches. In `Normal`/`ShedSpeculative` each batch
-    /// takes up to [`LANES`] requests from every non-empty format queue (the
-    /// unit takes its format per lane), and a tick runs at most one batch
-    /// per queue that was non-empty when it began. `SingleFormat` runs
-    /// one batch from the deepest queue only. The `riders` share the last
-    /// batch's passes, or run alone when no batch does.
-    fn run_batches(&mut self, tier: Tier, riders: Riders) {
+    /// Runs this tick's batches. In `Normal` each batch takes up to
+    /// [`LANES`] requests from every non-empty format queue (the unit
+    /// takes its format per lane), and a tick runs at most one batch per
+    /// queue that was non-empty when it began. `SingleFormat` runs one
+    /// batch from the deepest queue only. The `patrol` slice shares the
+    /// last batch's passes, or runs alone when no batch does.
+    fn run_batches(&mut self, tier: Tier, patrol: Option<(usize, Vec<Operation>)>) {
         let mut formats: Vec<(Format, usize)> = self
             .queues
             .iter()
@@ -938,22 +915,22 @@ impl<'a> Service<'a> {
         }
         let last = batches.pop().unwrap_or_default();
         for batch in &batches {
-            self.run_pass(batch, Riders::default());
+            self.run_pass(batch, None);
         }
-        self.run_pass(&last, riders);
+        self.run_pass(&last, patrol);
     }
 
     /// Runs one batch of up to [`LANES`] requests, of any formats, and the
     /// work riding with it as packed compiled passes (one unless the
     /// lanes overflow 64): the batch under
     /// the routed unit's fault overlay, its TMR replica copies under the
-    /// replica units' overlays, the patrol slice under the patrolled
-    /// unit's and the speculative sample under the next batch unit's.
+    /// replica units' overlays and the patrol slice under the patrolled
+    /// unit's.
     /// Every batch lane is answered in this tick: from the hardware when
     /// it passes the verdict, from the reference when it fails. Failing
     /// lanes are charged to the routed unit's circuit breaker, and a
     /// clean batch is a heal credit.
-    fn run_pass(&mut self, batch: &[PendingReq], riders: Riders) {
+    fn run_pass(&mut self, batch: &[PendingReq], patrol: Option<(usize, Vec<Operation>)>) {
         // Queue wait ends here. Wall time annotates spans only — never
         // scheduling.
         let t_fill = Instant::now();
@@ -971,12 +948,6 @@ impl<'a> Service<'a> {
         }
         let ops: Vec<Operation> = batch.iter().map(|p| p.op).collect();
         let mut segments = Vec::new();
-        // The speculative sample runs under the next batch unit's overlay,
-        // charging failures to its breaker before client lanes hit them.
-        let speculative_unit = units
-            .get(self.batch_cursor % units.len().max(1))
-            .copied()
-            .filter(|_| riders.speculative);
         let mut vote_all = false;
         if let Some(unit) = routed {
             segments.push(Segment {
@@ -1007,35 +978,26 @@ impl<'a> Service<'a> {
                 }
             }
         }
-        if let Some((unit, slice)) = riders.patrol {
+        if let Some((unit, slice)) = patrol {
             segments.push(Segment {
                 role: Role::Patrol,
                 unit,
                 ops: slice,
             });
         }
-        if let Some(unit) = speculative_unit {
-            segments.push(Segment {
-                role: Role::Speculative,
-                unit,
-                ops: self.speculative_sample(),
-            });
-        }
         let (raws, fill_micros, eval_micros) = self.run_packed(&segments);
         let mut batch_raws = Vec::new();
         let mut replicas = Vec::new();
-        let mut speculative = None;
         for (seg, raws) in segments.into_iter().zip(raws) {
             match seg.role {
                 Role::Batch => batch_raws = raws,
                 Role::Replica => replicas.push((seg.unit, raws)),
                 // Verdicts land in the order the breakers saw the work:
-                // patrol, then the batch, then the speculative sample.
+                // patrol, then the batch.
                 Role::Patrol => self
                     .engine
                     .finish_patrol(seg.unit, all_pass(&seg.ops, &raws)),
                 Role::Scrub => unreachable!("scrubs run in passes of their own"),
-                Role::Speculative => speculative = Some((seg, raws)),
             }
         }
         if let Some(unit) = routed {
@@ -1053,16 +1015,6 @@ impl<'a> Service<'a> {
                 t_fill,
                 spans,
             );
-        }
-        if let Some((seg, raws)) = speculative {
-            let incidents = seg
-                .ops
-                .iter()
-                .zip(&raws)
-                .filter(|(&op, raw)| check_raw(op, raw).is_err())
-                .count() as u32;
-            self.metrics.speculative.inc();
-            self.engine.note_external_service(seg.unit, incidents);
         }
     }
 
@@ -1184,7 +1136,7 @@ impl<'a> Service<'a> {
             self.push_ok(p, want, "rescued");
         }
         self.engine
-            .note_external_service_traced(unit, incidents, failed_trace);
+            .note_external_service(unit, incidents, failed_trace);
     }
 
     /// Judges unit `unit`'s lanes: `raws` are its compiled results for
@@ -1248,8 +1200,7 @@ impl<'a> Service<'a> {
                     continue;
                 }
                 failed += 1;
-                self.engine
-                    .note_external_service_traced(*ru, 1, Some(p.trace));
+                self.engine.note_external_service(*ru, 1, Some(p.trace));
                 if matches!(ballot, Verdict::Escape) {
                     self.open_tmr_window(
                         "a replica passed its self-check but disagreed with the reference",
@@ -1271,17 +1222,6 @@ impl<'a> Service<'a> {
                 ),
             });
         }
-    }
-
-    /// The speculative self-check's sample: a sliding window of eight
-    /// scrub-battery operations, advanced by the tick. This is the first
-    /// work shed under load (`ShedSpeculative`).
-    fn speculative_sample(&self) -> Vec<Operation> {
-        let window = 8usize.min(self.battery.len());
-        let start = (self.engine.now() as usize).wrapping_mul(window) % self.battery.len();
-        (0..window)
-            .map(|k| self.battery[(start + k) % self.battery.len()])
-            .collect()
     }
 }
 
@@ -1436,28 +1376,19 @@ enum Role {
     Replica,
     /// The engine's patrol slice.
     Patrol,
-    /// The speculative battery sample.
-    Speculative,
     /// A scrub or spare activation, in a pass of its own.
     Scrub,
 }
 
 impl Role {
     /// Every role, in `service.pass_lanes.*` counter order.
-    const ALL: [Role; 5] = [
-        Role::Batch,
-        Role::Replica,
-        Role::Patrol,
-        Role::Speculative,
-        Role::Scrub,
-    ];
+    const ALL: [Role; 4] = [Role::Batch, Role::Replica, Role::Patrol, Role::Scrub];
 
     fn label(self) -> &'static str {
         match self {
             Role::Batch => "batch",
             Role::Replica => "replica",
             Role::Patrol => "patrol",
-            Role::Speculative => "speculative",
             Role::Scrub => "scrub",
         }
     }
@@ -1468,16 +1399,6 @@ struct Segment {
     role: Role,
     unit: usize,
     ops: Vec<Operation>,
-}
-
-/// The tick's compiled work that rides along with a batch's lanes.
-#[derive(Debug, Default)]
-struct Riders {
-    /// The engine's patrol slice: the patrolled unit and its battery
-    /// operations.
-    patrol: Option<(usize, Vec<Operation>)>,
-    /// Whether the speculative battery sample runs this tick.
-    speculative: bool,
 }
 
 /// The one verdict on a served lane (a *ballot*), whether the routed
@@ -1522,7 +1443,7 @@ mod tests {
     use mfm_gatesim::tech::TechLibrary;
     use mfm_gatesim::CompiledSim;
     use mfm_resilient::health::BreakerConfig;
-    use mfmult::selfcheck::run_scrub_compiled;
+    use mfmult::selfcheck::{run_scrub_compiled, scrub_battery};
     use mfmult::structural::{build_unit, build_unit_quad};
 
     fn build() -> (Netlist, StructuralPorts) {
@@ -1538,7 +1459,6 @@ mod tests {
             pending_cap: 16,
             micros_per_tick: 100,
             default_deadline_ticks: 50,
-            speculative_every: 4,
             engine: EngineConfig {
                 queue_depth: 8,
                 breaker: BreakerConfig {
@@ -1673,7 +1593,6 @@ mod tests {
             let reg = Registry::new();
             let mut cfg = small_cfg();
             cfg.units = 1;
-            cfg.speculative_every = 0;
             cfg.engine.quad_lanes = quad;
             // The unit keeps serving through its failed lanes.
             cfg.engine.breaker.open_after = 100;
@@ -1775,7 +1694,7 @@ mod tests {
     }
 
     /// Tick-shaped segment sequences over `ports`: a small batch with
-    /// patrol and speculative riders, a full batch with two TMR replica
+    /// two battery riders, a full batch with two TMR replica
     /// copies that spills across passes, the same plan again, a pass
     /// with no batch, and a batch whose overlay changes.
     fn packed_round_plan(ports: &StructuralPorts, batch_len: usize) -> Vec<Round> {
@@ -1871,7 +1790,6 @@ mod tests {
         let (n, ports) = build();
         let reg = Registry::new();
         let mut cfg = small_cfg();
-        cfg.speculative_every = 1;
         cfg.engine.patrol_slice = 8;
         let mut svc = Service::new(&n, &ports, cfg, &reg);
         admit_mixed(&mut svc);
@@ -1879,18 +1797,12 @@ mod tests {
         let lanes = |role: &str| reg.counter(&format!("service.pass_lanes.{role}")).get();
         assert_eq!(reg.counter("service.passes").get(), 1, "one pass per tick");
         assert_eq!(
-            [
-                lanes("batch"),
-                lanes("replica"),
-                lanes("patrol"),
-                lanes("speculative")
-            ],
-            [4, 0, 8, 8]
+            [lanes("batch"), lanes("replica"), lanes("patrol")],
+            [4, 0, 8]
         );
         assert_eq!(reg.counter("pool.patrol_slices").get(), 1);
-        assert_eq!(reg.counter("service.speculative_checks").get(), 1);
-        // The patrol and speculative lanes ran beside the batch, yet the
-        // power accumulator saw the four client lanes alone.
+        // The patrol lanes ran beside the batch, yet the power
+        // accumulator saw the four client lanes alone.
         let prog = n.compiled().unwrap();
         let mut want = vec![0u64; n.net_count()];
         for op in mixed_ops() {
@@ -1917,7 +1829,6 @@ mod tests {
         let reg = Registry::new();
         let mut cfg = small_cfg();
         cfg.units = 2;
-        cfg.speculative_every = 0;
         cfg.engine.patrol_slice = 8;
         let mut svc = Service::new(&n, &ports, cfg, &reg);
         // Latent (non-sticky) damage on unit 0 that no client lane can
@@ -1964,7 +1875,7 @@ mod tests {
         assert_eq!(reg.counter("service.pass_lanes.patrol").get(), 8 * ticks);
         assert_eq!(
             reg.counter("service.pass_lanes.scrub").get(),
-            scrubs * svc.battery.len() as u64
+            scrubs * scrub_battery(false).len() as u64
         );
         // The breaker machinery took over: quarantine, scrub (repair
         // clears the latched damage), readmission.
@@ -1988,7 +1899,6 @@ mod tests {
         let reg = Registry::new();
         let mut cfg = small_cfg();
         cfg.units = 1;
-        cfg.speculative_every = 0;
         let mut svc = Service::new(&n, &ports, cfg, &reg);
         // The first batch arms the service's simulator with unit 0's
         // clean overlay.
@@ -2136,11 +2046,7 @@ mod tests {
             }
         };
         fill(&mut svc, 10);
-        assert_eq!(
-            svc.tier(),
-            Tier::ShedSpeculative,
-            "50% sheds speculative work"
-        );
+        assert_eq!(svc.tier(), Tier::Normal, "50% still batches every format");
         fill(&mut svc, 15);
         assert_eq!(
             svc.tier(),
@@ -2150,6 +2056,11 @@ mod tests {
         fill(&mut svc, 18);
         assert_eq!(svc.tier(), Tier::Shed, "90% refuses new work");
         assert!(svc.admit(1, &req(999, Operation::int64(1, 1))).is_some());
+        // The `service.tier` gauge levels.
+        assert_eq!(
+            [Tier::Normal, Tier::SingleFormat, Tier::Shed].map(Tier::level),
+            [0, 1, 2]
+        );
     }
 
     #[test]
@@ -2212,7 +2123,6 @@ mod tests {
         let reg = Registry::new();
         let mut cfg = small_cfg();
         cfg.units = 2;
-        cfg.speculative_every = 0; // only client lanes feed the breaker
         let mut svc = Service::new(&n, &ports, cfg, &reg);
         // Poison unit 0's hardware with a sticky output fault: batches
         // routed through its overlay fail their checks.
@@ -2308,7 +2218,6 @@ mod tests {
         let reg = Registry::new();
         let mut cfg = small_cfg();
         cfg.units = 2;
-        cfg.speculative_every = 0;
         let mut svc = Service::new(&n, &ports, cfg, &reg);
         let victim = ports.chk_p0[0];
         svc.engine_mut().inject_stuck_at(0, victim, true, true);
@@ -2355,7 +2264,6 @@ mod tests {
         let reg = Registry::new();
         let mut cfg = small_cfg();
         cfg.units = 3;
-        cfg.speculative_every = 0;
         let mut svc = Service::new(&n, &ports, cfg, &reg);
         // A Byzantine output latch on unit 0: every 2nd served result is
         // corrupted *after* its self-checks, so only the vote can see it.
@@ -2417,7 +2325,6 @@ mod tests {
         let reg = Registry::new();
         let mut cfg = small_cfg();
         cfg.units = 3;
-        cfg.speculative_every = 0;
         let mut svc = Service::new(&n, &ports, cfg, &reg);
         assert!(!svc.tmr_window_active());
         // A byzantine latch that trips on non-critical traffic: the
@@ -2453,7 +2360,6 @@ mod tests {
         let reg = Registry::new();
         let mut cfg = small_cfg();
         cfg.units = 3;
-        cfg.speculative_every = 0;
         let mut svc = Service::new(&n, &ports, cfg, &reg);
         // Units 1 and 2 corrupt every result the same way: a majority of
         // the three ballots agrees on one wrong product.
@@ -2493,30 +2399,6 @@ mod tests {
         assert_eq!(svc.escapes(), 0);
     }
 
-    #[test]
-    fn speculative_checks_quarantine_a_poisoned_unit_early() {
-        let (n, ports) = build();
-        let reg = Registry::new();
-        let mut cfg = small_cfg();
-        cfg.units = 2;
-        cfg.speculative_every = 1;
-        let mut svc = Service::new(&n, &ports, cfg, &reg);
-        let victim = ports.chk_p0[0];
-        svc.engine_mut().inject_stuck_at(0, victim, true, true);
-        // No client traffic at all: the speculative battery sampling
-        // alone must drive the poisoned unit out of rotation.
-        for _ in 0..16 {
-            svc.tick();
-        }
-        use mfm_resilient::health::HealthState;
-        assert_ne!(
-            svc.engine_mut().unit_state(0),
-            HealthState::Healthy,
-            "speculative checks caught the fault without client exposure"
-        );
-        assert!(reg.counter("service.speculative_checks").get() > 0);
-    }
-
     /// Answers of `out` that disagree with `want(id)`.
     fn wrong_answers(out: &[(u64, Response)], want: impl Fn(u64) -> u128) -> Vec<u64> {
         out.iter()
@@ -2534,7 +2416,6 @@ mod tests {
         let (n, ports) = build();
         let reg = Registry::new();
         let mut cfg = small_cfg();
-        cfg.speculative_every = 0;
         cfg.engine.patrol_slice = 8;
         let mut svc = Service::new(&n, &ports, cfg, &reg);
         // Latent (non-sticky) damage on an idle unit: no request is ever
@@ -2570,9 +2451,7 @@ mod tests {
     fn byzantine_unit_is_outvoted_masked_and_never_escapes() {
         let (n, ports) = build();
         let reg = Registry::new();
-        let mut cfg = small_cfg();
-        cfg.speculative_every = 0;
-        let mut svc = Service::new(&n, &ports, cfg, &reg);
+        let mut svc = Service::new(&n, &ports, small_cfg(), &reg);
         // An output-latch defect beyond check coverage: every 3rd result
         // served by unit 0 has a product bit flipped after the
         // self-checks ran. Scrubs replay the checked datapath and pass.
@@ -2639,7 +2518,6 @@ mod tests {
     fn seu_cfg() -> ServiceConfig {
         let mut cfg = small_cfg();
         cfg.units = 1;
-        cfg.speculative_every = 0;
         cfg.engine.breaker.open_after = 100;
         cfg
     }
@@ -2707,7 +2585,6 @@ mod tests {
         let reg = Registry::new();
         let mut cfg = small_cfg();
         cfg.units = 3;
-        cfg.speculative_every = 1;
         cfg.engine.patrol_slice = 8;
         let mut svc = Service::new(&n, &ports, cfg, &reg);
         // A physical defect: every scrub of unit 0 fails until it retires.

@@ -87,12 +87,11 @@ fn campaign_classifies_per_block_with_zero_silent() {
     );
 }
 
-/// A service with one serving unit and no speculative sample, so every
-/// batch runs through unit 0's fault overlay.
+/// A service with one serving unit and no patrol, so every batch runs
+/// through unit 0's fault overlay and only client lanes charge it.
 fn service<'n>(n: &'n Netlist, ports: &StructuralPorts, registry: &Registry) -> Service<'n> {
     let cfg = ServiceConfig {
         units: 1,
-        speculative_every: 0,
         ..ServiceConfig::default()
     };
     Service::new(n, ports, cfg, registry)

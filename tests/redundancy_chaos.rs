@@ -60,7 +60,6 @@ fn byzantine_unit_is_outvoted_with_zero_client_visible_escapes() {
         seed,
         units: 3,
         pending_cap: 64,
-        speculative_every: 0,
         ..ServiceConfig::default()
     };
     let mut svc = Service::new(&netlist, &ports, cfg, &registry);
@@ -145,7 +144,6 @@ fn sticky_retirement_promotes_a_spare_and_restores_hw_capacity() {
         seed,
         units: 2,
         pending_cap: 64,
-        speculative_every: 0,
         ..ServiceConfig::default()
     };
     cfg.engine.spares = 1;

@@ -151,7 +151,6 @@ fn seeded_chaos_produces_reconstructable_incident_reports() {
         seed: 2017,
         units: 2,
         pending_cap: 64,
-        speculative_every: 0,
         ..ServiceConfig::default()
     };
     let mut svc = Service::new(&netlist, &ports, cfg, &registry);
