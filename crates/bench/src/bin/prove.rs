@@ -142,6 +142,12 @@ fn main() {
         registry
             .counter(&format!("prove.conflicts.{}", m.mode))
             .add(m.conflicts);
+        registry
+            .counter(&format!("prove.propagations.{}", m.mode))
+            .add(m.solver.propagations);
+        registry
+            .counter(&format!("prove.decisions.{}", m.mode))
+            .add(m.solver.decisions);
     }
     println!("{t}");
 

@@ -68,6 +68,6 @@ pub use prove::{
     prove_unit, ConeResult, ConeVerdict, Counterexample, ModeReport, ProveOptions, ProveReport,
 };
 pub use refmodel::{build_reference, Mode, RefOutputs};
-pub use sat::{Solver, Verdict};
+pub use sat::{Solver, SolverStats, Verdict};
 pub use ternary::{sweep, Tern, TernaryValues};
 pub use units::{lint_all, lint_unit, lint_unit_passes, standard_units, BuiltUnit, PassSet};

@@ -34,7 +34,7 @@
 
 use crate::aig::{Aig, Lit, NetlistAig};
 use crate::refmodel::{self, AigBits, Mode, RefOutputs};
-use crate::sat::{Lit as SatLit, Solver, Var, Verdict};
+use crate::sat::{Lit as SatLit, Solver, SolverStats, Var, Verdict};
 use crate::ternary;
 use crate::units::BuiltUnit;
 use mfm_gatesim::{CompiledNetlist, CompiledSim, NetId, Netlist, Simulator};
@@ -185,6 +185,10 @@ pub struct ModeReport {
     pub sim_rounds: usize,
     /// Total solver conflicts for the mode.
     pub conflicts: u64,
+    /// The mode's solver counters, summed over every sweep pass, solver
+    /// rebuild and output solve (`solver.conflicts` equals `conflicts`).
+    /// Not part of [`ProveReport::to_json`].
+    pub solver: SolverStats,
     /// Per-output results.
     pub cones: Vec<ConeResult>,
 }
@@ -328,7 +332,10 @@ fn mix(mut x: u64) -> u64 {
 struct Encoder {
     solver: Solver,
     var_of: Vec<Option<Var>>,
-    permanent: Vec<Vec<SatLit>>,
+    /// The permanent clauses' literals, back to back.
+    permanent: Vec<SatLit>,
+    /// Where each permanent clause ends in `permanent`.
+    permanent_ends: Vec<usize>,
     unit_facts: HashSet<SatLit>,
     rebuilds: u64,
 }
@@ -344,6 +351,7 @@ impl Encoder {
             solver: Solver::new(),
             var_of: Vec::new(),
             permanent: Vec::new(),
+            permanent_ends: Vec::new(),
             unit_facts: HashSet::new(),
             rebuilds: 0,
         }
@@ -351,7 +359,8 @@ impl Encoder {
 
     /// Adds a permanent clause: recorded for replay on rebuild.
     fn clause(&mut self, lits: &[SatLit]) {
-        self.permanent.push(lits.to_vec());
+        self.permanent.extend_from_slice(lits);
+        self.permanent_ends.push(self.permanent.len());
         self.solver.add_clause(lits);
     }
 
@@ -359,7 +368,7 @@ impl Encoder {
     /// clauses outnumber them by [`REBUILD_SLACK`]. Must be called with
     /// the solver at decision level 0 (it always is between solves).
     fn maybe_rebuild(&mut self) {
-        if self.solver.num_clauses() <= self.permanent.len() + REBUILD_SLACK {
+        if self.solver.num_clauses() <= self.permanent_ends.len() + REBUILD_SLACK {
             return;
         }
         for &f in self.solver.level0_facts() {
@@ -373,8 +382,10 @@ impl Encoder {
         for &f in &self.unit_facts {
             fresh.add_clause(&[f]);
         }
-        for c in &self.permanent {
-            fresh.add_clause(c);
+        let mut start = 0;
+        for &end in &self.permanent_ends {
+            fresh.add_clause(&self.permanent[start..end]);
+            start = end;
         }
         let stats = self.solver.stats();
         fresh.adopt_stats(stats);
@@ -490,6 +501,10 @@ struct SimRounds {
     /// Counterexample lanes already used in the last round, while that
     /// round is still open for more.
     open_lanes: Option<usize>,
+    /// Per node: the signature hash over its first `signed` rounds, and
+    /// that count. Signed rounds are closed and never change again.
+    sig_hash: Vec<u64>,
+    signed: Vec<usize>,
 }
 
 impl SimRounds {
@@ -499,6 +514,8 @@ impl SimRounds {
             input_rounds: Vec::new(),
             node_rounds: Vec::new(),
             open_lanes: None,
+            sig_hash: Vec::new(),
+            signed: Vec::new(),
         }
     }
 
@@ -583,12 +600,26 @@ impl SimRounds {
     /// The canonical signature of `node` over the first `rounds` rounds,
     /// hashed, and its canonicalizing polarity: the signature is
     /// complemented so lane 0 of round 0 is clear.
-    fn signature(&self, rounds: usize, node: usize) -> (u64, bool) {
+    ///
+    /// The hash is kept per node and extended by the rounds added since
+    /// the node was last signed, so `rounds` must not fall between calls
+    /// for a node, and the rounds it covers must be closed (no open
+    /// counterexample round).
+    fn signature(&mut self, rounds: usize, node: usize) -> (u64, bool) {
         let flip = self.node_rounds[0][node] & 1 == 1;
         let mask = if flip { !0 } else { 0 };
-        let hash = self.node_rounds[..rounds]
+        let nodes = self.node_rounds[0].len();
+        if self.sig_hash.len() < nodes {
+            self.sig_hash.resize(nodes, 0);
+            self.signed.resize(nodes, 0);
+        }
+        let done = self.signed[node];
+        debug_assert!(done <= rounds, "signature rounds went back");
+        let hash = self.node_rounds[done..rounds]
             .iter()
-            .fold(0, |h, words| mix(h ^ words[node] ^ mask));
+            .fold(self.sig_hash[node], |h, words| mix(h ^ words[node] ^ mask));
+        self.sig_hash[node] = hash;
+        self.signed[node] = rounds;
         (hash, flip)
     }
 
@@ -767,6 +798,9 @@ struct SweepStats {
     merges_sim_refuted: usize,
     merges_unknown: usize,
     conflicts: u64,
+    /// Solver counters of the passes before the last (the last pass's
+    /// solver lives on in [`Swept::enc`]).
+    solver: SolverStats,
 }
 
 /// The outcome of [`fraig_sweep`].
@@ -905,6 +939,7 @@ fn fraig_sweep(aig: &Aig, roots: &[Lit], sim: &mut SimRounds, opts: &ProveOption
                 stats,
             };
         }
+        stats.solver += enc.solver.stats();
     }
 }
 
@@ -1000,6 +1035,7 @@ fn prove_mode(
         merges_unknown: stats.merges_unknown,
         sim_rounds: sim.rounds(),
         conflicts: stats.conflicts,
+        solver: stats.solver,
         cones: Vec::new(),
     };
 
@@ -1102,6 +1138,7 @@ fn prove_mode(
             cex,
         });
     }
+    report.solver += enc.solver.stats();
     report
 }
 

@@ -13,6 +13,35 @@
 //! the growth and [`Solver::level0_facts`] the derived top-level units, so a
 //! caller can rebuild a fresh solver from its own permanent clauses plus the
 //! harvested facts once learned garbage accumulates.
+//!
+//! # Layout
+//!
+//! The search is defined by a reference solver kept for the tests
+//! (`sat/reference.rs`): one `Vec<Lit>` per clause, `Option<bool>` per
+//! variable, every clause on the same watch path. This solver runs the
+//! same search — every decision, propagation order, learned clause and
+//! model — over a layout that reads less memory per propagation:
+//!
+//! - **values per literal**: one byte per literal (true, false or
+//!   undefined), so a literal's value is a single load with no polarity
+//!   fix-up;
+//! - **a flat clause arena**: each clause is a length header followed by
+//!   its literals in one `Vec`, and a clause reference is the header's
+//!   offset;
+//! - **binary clauses watched inline**: a binary watcher carries the
+//!   clause's other literal, so visiting it reads no clause memory. The
+//!   reference order of a binary clause (implied literal first, false
+//!   literal second) is written to the arena only when the clause
+//!   enqueues or conflicts, the only times conflict analysis reads it;
+//! - **`(activity, var)` heap entries**: the decision heap compares
+//!   activities held in its own entries, rescaled together with the side
+//!   array, with the same strict comparisons as before.
+//!
+//! Long clauses carry **no blocker literal**. A blocker that is true lets
+//! a watcher be skipped without touching the clause, but the reference
+//! moves a watch whenever its first literal is not true; a stale blocker
+//! would keep a watch that the reference moves, and every later watch
+//! list, propagation order and conflict would differ.
 
 /// A boolean variable, densely numbered from 0.
 pub type Var = u32;
@@ -70,15 +99,36 @@ pub enum Verdict {
     Unknown,
 }
 
-#[derive(Debug)]
-struct Clause {
-    lits: Vec<Lit>,
-}
-
 const NO_REASON: u32 = u32::MAX;
 
+/// Per-literal values.
+const TRUE: u8 = 0;
+const FALSE: u8 = 1;
+const UNDEF: u8 = 2;
+
+/// The `other` literal of a long-clause watcher.
+const LONG: Lit = Lit(u32::MAX);
+
+/// A watch-list entry: the clause's arena offset and, for a binary
+/// clause, its other literal ([`LONG`] otherwise).
+#[derive(Debug, Clone, Copy)]
+struct Watch {
+    cref: u32,
+    other: Lit,
+}
+
+/// A decision-heap entry: the variable's activity, kept equal to
+/// `Solver::activity`, beside the variable.
+#[derive(Debug, Clone, Copy)]
+struct HeapEntry {
+    act: f64,
+    var: Var,
+}
+
+const NOT_IN_HEAP: u32 = u32::MAX;
+
 /// Cumulative search statistics, for reports.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Conflicts encountered across all `solve` calls.
     pub conflicts: u64,
@@ -92,17 +142,31 @@ pub struct SolverStats {
     pub learned: u64,
 }
 
+impl std::ops::AddAssign for SolverStats {
+    fn add_assign(&mut self, o: SolverStats) {
+        self.conflicts += o.conflicts;
+        self.decisions += o.decisions;
+        self.propagations += o.propagations;
+        self.restarts += o.restarts;
+        self.learned += o.learned;
+    }
+}
+
 /// The CDCL solver. Clauses are added incrementally at decision level 0;
 /// [`Solver::solve`] may be called repeatedly with different assumptions and
 /// budgets, and learned clauses persist across calls.
 #[derive(Debug)]
 pub struct Solver {
-    clauses: Vec<Clause>,
+    /// Every attached clause: a length header (the length in a `Lit`'s
+    /// raw word) followed by the literals.
+    arena: Vec<Lit>,
+    num_clauses: usize,
     /// Per-literal watch lists; `watches[l]` holds the clauses in which `¬l`
     /// is one of the two watched literals (so they must be visited when `l`
     /// becomes true).
-    watches: Vec<Vec<u32>>,
-    assigns: Vec<Option<bool>>,
+    watches: Vec<Vec<Watch>>,
+    /// Per-literal value: [`TRUE`], [`FALSE`] or [`UNDEF`].
+    values: Vec<u8>,
     level: Vec<u32>,
     reason: Vec<u32>,
     trail: Vec<Lit>,
@@ -110,10 +174,12 @@ pub struct Solver {
     qhead: usize,
     activity: Vec<f64>,
     var_inc: f64,
-    heap: Vec<Var>,
+    heap: Vec<HeapEntry>,
     heap_pos: Vec<u32>,
     phase: Vec<bool>,
     seen: Vec<bool>,
+    /// The clause being learned, reused across conflicts.
+    learnt: Vec<Lit>,
     ok: bool,
     model: Vec<bool>,
     stats: SolverStats,
@@ -129,9 +195,10 @@ impl Solver {
     /// An empty solver with no variables or clauses.
     pub fn new() -> Solver {
         Solver {
-            clauses: Vec::new(),
+            arena: Vec::new(),
+            num_clauses: 0,
             watches: Vec::new(),
-            assigns: Vec::new(),
+            values: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
             trail: Vec::new(),
@@ -143,6 +210,7 @@ impl Solver {
             heap_pos: Vec::new(),
             phase: Vec::new(),
             seen: Vec::new(),
+            learnt: Vec::new(),
             ok: true,
             model: Vec::new(),
             stats: SolverStats::default(),
@@ -151,7 +219,7 @@ impl Solver {
 
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.level.len()
     }
 
     /// Search statistics accumulated so far.
@@ -162,7 +230,7 @@ impl Solver {
     /// Number of attached clauses (problem and learned; unit clauses are
     /// enqueued directly and not counted).
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.num_clauses
     }
 
     /// Seeds the cumulative statistics, so a caller rebuilding a solver
@@ -183,8 +251,9 @@ impl Solver {
 
     /// Creates a fresh variable and returns it.
     pub fn new_var(&mut self) -> Var {
-        let v = self.assigns.len() as Var;
-        self.assigns.push(None);
+        let v = self.level.len() as Var;
+        self.values.push(UNDEF);
+        self.values.push(UNDEF);
         self.level.push(0);
         self.reason.push(NO_REASON);
         self.activity.push(0.0);
@@ -192,13 +261,19 @@ impl Solver {
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.heap_pos.push(u32::MAX);
+        self.heap_pos.push(NOT_IN_HEAP);
         self.heap_insert(v);
         v
     }
 
-    fn value(&self, l: Lit) -> Option<bool> {
-        self.assigns[l.var() as usize].map(|b| b != l.is_negative())
+    fn value(&self, l: Lit) -> u8 {
+        self.values[l.index()]
+    }
+
+    /// The literals of the clause at arena offset `ci`.
+    fn lits(&self, ci: u32) -> &[Lit] {
+        let base = ci as usize + 1;
+        &self.arena[base..base + self.arena[ci as usize].0 as usize]
     }
 
     /// Adds a clause (at decision level 0). Returns `false` if the clause
@@ -217,11 +292,11 @@ impl Solver {
         // true, dedupe, and detect tautologies.
         let mut c: Vec<Lit> = Vec::with_capacity(lits.len());
         for &l in lits {
-            assert!((l.var() as usize) < self.assigns.len(), "unknown variable");
+            assert!((l.var() as usize) < self.num_vars(), "unknown variable");
             match self.value(l) {
-                Some(true) => return true,
-                Some(false) => {}
-                None => {
+                TRUE => return true,
+                FALSE => {}
+                _ => {
                     if c.contains(&!l) {
                         return true;
                     }
@@ -242,88 +317,140 @@ impl Solver {
                 self.ok
             }
             _ => {
-                self.attach(c);
+                self.attach(&c);
                 true
             }
         }
     }
 
-    fn attach(&mut self, lits: Vec<Lit>) -> u32 {
-        let ci = self.clauses.len() as u32;
-        self.watches[(!lits[0]).index()].push(ci);
-        self.watches[(!lits[1]).index()].push(ci);
-        self.clauses.push(Clause { lits });
+    /// Appends a clause of two or more literals to the arena and watches
+    /// its first two; returns its arena offset.
+    fn attach(&mut self, lits: &[Lit]) -> u32 {
+        let ci = u32::try_from(self.arena.len())
+            .ok()
+            .filter(|&ci| ci != NO_REASON)
+            .expect("clause arena exceeds u32 offsets");
+        self.arena.push(Lit(lits.len() as u32));
+        self.arena.extend_from_slice(lits);
+        // A binary watcher carries the other literal; a long one none.
+        let other = |k: usize| if lits.len() == 2 { lits[k] } else { LONG };
+        self.watches[(!lits[0]).index()].push(Watch {
+            cref: ci,
+            other: other(1),
+        });
+        self.watches[(!lits[1]).index()].push(Watch {
+            cref: ci,
+            other: other(0),
+        });
+        self.num_clauses += 1;
         ci
     }
 
     fn enqueue(&mut self, l: Lit, reason: u32) {
-        debug_assert!(self.value(l).is_none());
+        debug_assert!(self.value(l) == UNDEF);
         let v = l.var() as usize;
-        self.assigns[v] = Some(!l.is_negative());
+        self.values[l.index()] = TRUE;
+        self.values[(!l).index()] = FALSE;
         self.level[v] = self.trail_lim.len() as u32;
         self.reason[v] = reason;
         self.trail.push(l);
     }
 
-    /// Propagates until fixpoint; returns the conflicting clause index, if any.
+    /// Propagates until fixpoint; returns the conflicting clause offset, if
+    /// any.
     fn propagate(&mut self) -> Option<u32> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
+            let false_lit = !p;
+            // The list is out of `watches` while it is scanned: a moved
+            // watch always goes to another literal's list.
+            let mut ws = std::mem::take(&mut self.watches[p.index()]);
+            let mut confl = None;
             let mut i = 0;
-            'watch: while i < self.watches[p.index()].len() {
-                let ci = self.watches[p.index()][i];
-                let false_lit = !p;
-                // Normalize so the false watched literal is in slot 1.
-                {
-                    let lits = &mut self.clauses[ci as usize].lits;
-                    if lits[0] == false_lit {
-                        lits.swap(0, 1);
+            'watch: while i < ws.len() {
+                let Watch { cref, other } = ws[i];
+                let base = cref as usize + 1;
+                if other != LONG {
+                    let v = self.value(other);
+                    if v != TRUE {
+                        // Analysis reads the clause only as a reason or a
+                        // conflict: give it the reference order now.
+                        self.arena[base] = other;
+                        self.arena[base + 1] = false_lit;
+                        if v == FALSE {
+                            confl = Some(cref);
+                            break;
+                        }
+                        self.enqueue(other, cref);
                     }
+                    i += 1;
+                    continue;
                 }
-                let first = self.clauses[ci as usize].lits[0];
-                if self.value(first) == Some(true) {
+                // Normalize so the false watched literal is in slot 1.
+                if self.arena[base] == false_lit {
+                    self.arena.swap(base, base + 1);
+                }
+                let first = self.arena[base];
+                if self.value(first) == TRUE {
                     i += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                for k in 2..self.clauses[ci as usize].lits.len() {
-                    let lk = self.clauses[ci as usize].lits[k];
-                    if self.value(lk) != Some(false) {
-                        self.clauses[ci as usize].lits.swap(1, k);
-                        self.watches[(!lk).index()].push(ci);
-                        self.watches[p.index()].swap_remove(i);
+                let len = self.arena[cref as usize].0 as usize;
+                for k in 2..len {
+                    let lk = self.arena[base + k];
+                    if self.value(lk) != FALSE {
+                        self.arena.swap(base + 1, base + k);
+                        debug_assert!(!lk != p, "a clause repeats a literal");
+                        self.watches[(!lk).index()].push(Watch { cref, other: LONG });
+                        ws.swap_remove(i);
                         continue 'watch;
                     }
                 }
                 // No new watch: the clause is unit or conflicting.
-                if self.value(first) == Some(false) {
-                    self.qhead = self.trail.len();
-                    return Some(ci);
+                if self.value(first) == FALSE {
+                    confl = Some(cref);
+                    break;
                 }
-                self.enqueue(first, ci);
+                self.enqueue(first, cref);
                 i += 1;
+            }
+            self.watches[p.index()] = ws;
+            if confl.is_some() {
+                self.qhead = self.trail.len();
+                return confl;
             }
         }
         None
     }
 
     fn bump_var(&mut self, v: Var) {
-        self.activity[v as usize] += self.var_inc;
-        if self.activity[v as usize] > 1e100 {
+        let v = v as usize;
+        self.activity[v] += self.var_inc;
+        if self.activity[v] > 1e100 {
             for a in &mut self.activity {
                 *a *= 1e-100;
             }
+            for e in &mut self.heap {
+                e.act *= 1e-100;
+            }
             self.var_inc *= 1e-100;
         }
-        self.heap_update(v);
+        let pos = self.heap_pos[v];
+        if pos != NOT_IN_HEAP {
+            self.heap[pos as usize].act = self.activity[v];
+            self.heap_up(pos as usize);
+        }
     }
 
-    /// First-UIP conflict analysis. Returns the learned clause (asserting
-    /// literal first) and the backtrack level.
-    fn analyze(&mut self, confl: u32) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit::pos(0)]; // placeholder for the UIP
+    /// First-UIP conflict analysis. Leaves the learned clause (asserting
+    /// literal first) in `self.learnt` and returns the backtrack level.
+    fn analyze(&mut self, confl: u32) -> u32 {
+        let mut learnt = std::mem::take(&mut self.learnt);
+        learnt.clear();
+        learnt.push(Lit::pos(0)); // placeholder for the UIP
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut confl = confl;
@@ -331,8 +458,10 @@ impl Solver {
         let cur_level = self.trail_lim.len() as u32;
         loop {
             let start = usize::from(p.is_some());
-            for k in start..self.clauses[confl as usize].lits.len() {
-                let q = self.clauses[confl as usize].lits[k];
+            let base = confl as usize + 1;
+            let len = self.arena[confl as usize].0 as usize;
+            for k in start..len {
+                let q = self.arena[base + k];
                 let v = q.var() as usize;
                 if !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
@@ -367,28 +496,34 @@ impl Solver {
         for l in &learnt {
             self.seen[l.var() as usize] = true;
         }
-        let mut kept: Vec<Lit> = vec![learnt[0]];
-        for &l in &learnt[1..] {
+        let mut kept = 1;
+        for k in 1..learnt.len() {
+            let l = learnt[k];
             let r = self.reason[l.var() as usize];
             let redundant = r != NO_REASON
-                && self.clauses[r as usize].lits.iter().all(|&q| {
+                && self.lits(r).iter().all(|&q| {
                     q.var() == l.var()
                         || self.seen[q.var() as usize]
                         || self.level[q.var() as usize] == 0
                 });
             if !redundant {
-                kept.push(l);
+                // Swap, not overwrite: a dropped literal stays in the list
+                // until its mark is cleared below.
+                learnt.swap(kept, k);
+                kept += 1;
             }
         }
         for l in &learnt {
             self.seen[l.var() as usize] = false;
         }
-        let back_level = kept[1..]
+        learnt.truncate(kept);
+        let back_level = learnt[1..]
             .iter()
             .map(|l| self.level[l.var() as usize])
             .max()
             .unwrap_or(0);
-        (kept, back_level)
+        self.learnt = learnt;
+        back_level
     }
 
     fn cancel_until(&mut self, level: u32) {
@@ -398,9 +533,10 @@ impl Solver {
                 let l = self.trail.pop().expect("non-empty");
                 let v = l.var() as usize;
                 self.phase[v] = !l.is_negative();
-                self.assigns[v] = None;
+                self.values[l.index()] = UNDEF;
+                self.values[(!l).index()] = UNDEF;
                 self.reason[v] = NO_REASON;
-                if self.heap_pos[v] == u32::MAX {
+                if self.heap_pos[v] == NOT_IN_HEAP {
                     self.heap_insert(v as Var);
                 }
             }
@@ -410,7 +546,7 @@ impl Solver {
 
     fn pick_branch(&mut self) -> Option<Lit> {
         while let Some(v) = self.heap_pop() {
-            if self.assigns[v as usize].is_none() {
+            if self.value(Lit::pos(v)) == UNDEF {
                 return Some(Lit::new(v, !self.phase[v as usize]));
             }
         }
@@ -458,21 +594,24 @@ impl Solver {
                         return Verdict::Unsat;
                     }
                 }
-                let (learnt, back_level) = self.analyze(confl);
+                let back_level = self.analyze(confl);
                 self.cancel_until(back_level);
                 self.stats.learned += 1;
-                let asserting = learnt[0];
-                if learnt.len() == 1 {
+                let asserting = self.learnt[0];
+                if self.learnt.len() == 1 {
                     self.cancel_until(0);
-                    if self.value(asserting) == Some(false) {
-                        self.ok = false;
-                        return Verdict::Unsat;
-                    }
-                    if self.value(asserting).is_none() {
-                        self.enqueue(asserting, NO_REASON);
+                    match self.value(asserting) {
+                        FALSE => {
+                            self.ok = false;
+                            return Verdict::Unsat;
+                        }
+                        UNDEF => self.enqueue(asserting, NO_REASON),
+                        _ => {}
                     }
                 } else {
-                    let ci = self.attach(learnt);
+                    let learnt = std::mem::take(&mut self.learnt);
+                    let ci = self.attach(&learnt);
+                    self.learnt = learnt;
                     self.enqueue(asserting, ci);
                 }
                 self.var_inc /= 0.95;
@@ -493,16 +632,16 @@ impl Solver {
                 if dl < assumptions.len() {
                     let a = assumptions[dl];
                     match self.value(a) {
-                        Some(true) => {
+                        TRUE => {
                             // Already implied: open an empty decision level
                             // so assumption indexing stays aligned.
                             self.trail_lim.push(self.trail.len());
                         }
-                        Some(false) => {
+                        FALSE => {
                             self.cancel_until(0);
                             return Verdict::Unsat;
                         }
-                        None => {
+                        _ => {
                             self.trail_lim.push(self.trail.len());
                             self.stats.decisions += 1;
                             self.enqueue(a, NO_REASON);
@@ -512,7 +651,7 @@ impl Solver {
                 }
                 match self.pick_branch() {
                     None => {
-                        self.model = self.assigns.iter().map(|a| a.unwrap_or(false)).collect();
+                        self.model = self.values.iter().step_by(2).map(|&v| v == TRUE).collect();
                         self.cancel_until(0);
                         return Verdict::Sat;
                     }
@@ -535,72 +674,79 @@ impl Solver {
 
     // ---- activity heap (binary max-heap with position index) ----
 
-    fn heap_less(&self, a: Var, b: Var) -> bool {
-        self.activity[a as usize] > self.activity[b as usize]
-    }
-
     fn heap_insert(&mut self, v: Var) {
-        debug_assert!(self.heap_pos[v as usize] == u32::MAX);
-        self.heap.push(v);
+        debug_assert!(self.heap_pos[v as usize] == NOT_IN_HEAP);
+        self.heap.push(HeapEntry {
+            act: self.activity[v as usize],
+            var: v,
+        });
         let ix = self.heap.len() - 1;
         self.heap_pos[v as usize] = ix as u32;
         self.heap_up(ix);
     }
 
-    fn heap_update(&mut self, v: Var) {
-        let pos = self.heap_pos[v as usize];
-        if pos != u32::MAX {
-            self.heap_up(pos as usize);
-        }
-    }
-
+    /// Moves the entry at `ix` up past every parent of strictly lower
+    /// activity.
     fn heap_up(&mut self, mut ix: usize) {
+        let e = self.heap[ix];
         while ix > 0 {
             let parent = (ix - 1) / 2;
-            if self.heap_less(self.heap[ix], self.heap[parent]) {
-                self.heap.swap(ix, parent);
-                self.heap_pos[self.heap[ix] as usize] = ix as u32;
-                self.heap_pos[self.heap[parent] as usize] = parent as u32;
+            let pe = self.heap[parent];
+            if e.act > pe.act {
+                self.heap[ix] = pe;
+                self.heap_pos[pe.var as usize] = ix as u32;
                 ix = parent;
             } else {
                 break;
             }
         }
+        self.heap[ix] = e;
+        self.heap_pos[e.var as usize] = ix as u32;
     }
 
+    /// Moves the entry at `ix` down below every child of strictly higher
+    /// activity, preferring the left child on a tie.
     fn heap_down(&mut self, mut ix: usize) {
+        let e = self.heap[ix];
+        let n = self.heap.len();
         loop {
             let l = 2 * ix + 1;
-            let r = 2 * ix + 2;
-            let mut best = ix;
-            if l < self.heap.len() && self.heap_less(self.heap[l], self.heap[best]) {
-                best = l;
+            if l >= n {
+                break;
             }
-            if r < self.heap.len() && self.heap_less(self.heap[r], self.heap[best]) {
+            let mut best = ix;
+            let mut best_act = e.act;
+            if self.heap[l].act > best_act {
+                best = l;
+                best_act = self.heap[l].act;
+            }
+            let r = l + 1;
+            if r < n && self.heap[r].act > best_act {
                 best = r;
             }
             if best == ix {
                 break;
             }
-            self.heap.swap(ix, best);
-            self.heap_pos[self.heap[ix] as usize] = ix as u32;
-            self.heap_pos[self.heap[best] as usize] = best as u32;
+            let be = self.heap[best];
+            self.heap[ix] = be;
+            self.heap_pos[be.var as usize] = ix as u32;
             ix = best;
         }
+        self.heap[ix] = e;
+        self.heap_pos[e.var as usize] = ix as u32;
     }
 
     fn heap_pop(&mut self) -> Option<Var> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let top = self.heap[0];
-        self.heap_pos[top as usize] = u32::MAX;
-        let last = self.heap.pop().expect("non-empty");
-        if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.heap_pos[last as usize] = 0;
-            self.heap_down(0);
-        }
+        let last = self.heap.pop()?;
+        let top = match self.heap.first() {
+            Some(&top) => {
+                self.heap[0] = last;
+                self.heap_down(0);
+                top.var
+            }
+            None => last.var,
+        };
+        self.heap_pos[top as usize] = NOT_IN_HEAP;
         Some(top)
     }
 }
@@ -626,6 +772,9 @@ fn luby(i: u32) -> u64 {
     }
     1
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

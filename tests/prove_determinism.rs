@@ -28,4 +28,20 @@ fn dual_binary32_flags_proof_report_repeats_byte_for_byte() {
     );
     assert!(mode.sim_rounds >= opts.rounds, "{}", first.to_json());
     assert_eq!(first.to_json(), second.to_json());
+    // The search itself is pinned: a solver or sweep change that keeps
+    // every verdict but moves one decision shows up here.
+    assert_eq!(mode.conflicts, 11_422, "{}", first.to_json());
+    assert_eq!(
+        (
+            mode.merges_proved,
+            mode.merges_refuted,
+            mode.merges_sim_refuted,
+            mode.merges_unknown
+        ),
+        (1_008, 109, 463, 28),
+        "{}",
+        first.to_json()
+    );
+    assert_eq!(mode.sim_rounds, 37, "{}", first.to_json());
+    assert_eq!(mode.solver.conflicts, mode.conflicts);
 }
