@@ -2,7 +2,8 @@
 //! event-driven settle, compiled batch evaluation (64-vector batches on
 //! the 256-lane simulator, full batches on the 256-lane and on the
 //! 64-lane serving simulator, the last two with the activity engine
-//! counting toggles), the
+//! counting toggles), the serving tick's power accounting (a pass with
+//! and without a counted lane, and one live-power window), the
 //! fault-coverage campaign (sequential event-driven vs compiled +
 //! thread-sharded) and Monte-Carlo power measurement (sequential
 //! event-driven vs event-driven sharded vs compiled+calibrated).
@@ -24,8 +25,9 @@
 //! glitch-inflation calibration run is *not* timed: it is a one-time
 //! cost per netlist, amortized over every measurement that follows.
 //!
-//! `batch.compiled`, `batch.compiled_256`, `batch.compiled_64` and
-//! `montecarlo.compiled_sharded` are each the median of five timed runs
+//! `batch.compiled`, `batch.compiled_256`, `batch.compiled_64`, the
+//! `serve.*` entries and `montecarlo.compiled_sharded` are each the
+//! median of five timed runs
 //! ([`median_ns`]); the other entries time one run.
 //!
 //! The summary also carries the power-parity fields the `power-parity`
@@ -45,9 +47,11 @@ use mfm_evalkit::montecarlo::{measure_unit, measure_unit_compiled_sharded, measu
 use mfm_evalkit::shard::shard_seed;
 use mfm_evalkit::workload::OperandGen;
 use mfm_gatesim::report::Table;
-use mfm_gatesim::{CompiledNetlist, CompiledSim, LaneSim, Netlist, Simulator, TechLibrary, LANES};
+use mfm_gatesim::{
+    CompiledNetlist, CompiledSim, LaneSim, LivePowerTrace, Netlist, Simulator, TechLibrary, LANES,
+};
 use mfm_telemetry::json::{self, JsonArray, JsonObject};
-use mfmult::selfcheck::{run_raw, run_raw_compiled};
+use mfmult::selfcheck::{run_raw, run_raw_compiled, scrub_battery};
 use mfmult::structural::build_unit;
 use mfmult::{Format, Operation};
 
@@ -200,6 +204,50 @@ fn main() {
         });
         std::hint::black_box(sim.activity_events());
         entries.push(entry("batch.compiled_64", batch_vecs as u64, dt, 1));
+    }
+
+    // 2d. The serving tick's power accounting, priced per pass at the
+    //     serving width on the lanes of a quiet tick: one client lane
+    //     beside an 8-lane patrol slice. `serve.pass_counted` counts the
+    //     client lane's toggles from the power-on state (a batch tick),
+    //     `serve.pass_uncounted` masks counting to no lane and keeps the
+    //     words as they are (a patrol-only tick), and
+    //     `serve.power_window` adds one counted pass's toggles to a
+    //     running tally and closes a live-power window over it (what a
+    //     batch tick adds after its pass).
+    {
+        let mut lanes = vec![gen.operation(Format::Int64)];
+        lanes.extend_from_slice(&scrub_battery(false)[..8]);
+        let passes = batch_vecs as u64;
+        let mut sim = LaneSim::<1>::new(&prog);
+        let pass = |sim: &mut LaneSim<'_, 1>, counted: bool| {
+            if counted {
+                sim.rearm_activity(1);
+            } else {
+                sim.set_active_lanes(0);
+            }
+            std::hint::black_box(run_raw_compiled(sim, &ports, &lanes));
+        };
+        pass(&mut sim, true); // warm-up
+        let counted = median_ns(|| (0..passes).for_each(|_| pass(&mut sim, true)));
+        entries.push(entry("serve.pass_counted", passes, counted, 1));
+        let uncounted = median_ns(|| (0..passes).for_each(|_| pass(&mut sim, false)));
+        entries.push(entry("serve.pass_uncounted", passes, uncounted, 1));
+        pass(&mut sim, true);
+        let (toggles, cycles) = (sim.toggles().to_vec(), sim.cycles());
+        let mut tally = vec![0u64; n.net_count()];
+        let mut trace = LivePowerTrace::from_counts(&n, &tally, 0);
+        let mut windows = 0;
+        let window = median_ns(|| {
+            for _ in 0..passes {
+                for (sum, &t) in tally.iter_mut().zip(&toggles) {
+                    *sum += t;
+                }
+                windows += 1;
+                std::hint::black_box(trace.sample_counts(&tally, windows * cycles, windows));
+            }
+        });
+        entries.push(entry("serve.power_window", passes, window, 1));
     }
 
     // 3. Fault-coverage campaign: sequential event-driven vs compiled +

@@ -148,6 +148,9 @@ fn main() {
         registry
             .counter(&format!("prove.decisions.{}", m.mode))
             .add(m.solver.decisions);
+        registry
+            .counter(&format!("prove.rebuilds.{}", m.mode))
+            .add(m.rebuilds);
     }
     println!("{t}");
 

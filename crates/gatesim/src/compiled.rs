@@ -373,6 +373,33 @@ fn popcount<const W: usize>(w: Lanes<W>) -> u64 {
     w.iter().map(|c| u64::from(c.count_ones())).sum()
 }
 
+/// Evaluates `ops` in order over `words`, forcing each faulted output as
+/// it is produced. With `COUNT`, each output's toggles in the `mask`
+/// lanes are added to `toggles` unconditionally (a zero difference adds
+/// zero: with a lane or two counted, a branch on it is a coin flip).
+/// Without, the pass only evaluates, and `mask` and `toggles` are unused.
+#[inline(always)]
+fn eval_gates<const COUNT: bool, const W: usize>(
+    ops: &[GateOp],
+    words: &mut [Lanes<W>],
+    stuck: &[StuckAt<W>],
+    stuck_bits: &[u64],
+    mask: Lanes<W>,
+    toggles: &mut [u64],
+) {
+    for op in ops {
+        let out = op.out as usize;
+        let mut new = eval_op(words, op);
+        if (stuck_bits[out / 64] >> (out % 64)) & 1 != 0 {
+            new = stuck[out].force(new);
+        }
+        let old = std::mem::replace(&mut words[out], new);
+        if COUNT {
+            toggles[out] += popcount::<W>(std::array::from_fn(|k| (new[k] ^ old[k]) & mask[k]));
+        }
+    }
+}
+
 /// Transposes a 64×64 bit matrix in place: bit `i` of row `j` becomes
 /// bit `j` of row `i`. Rows are lanes on one side and bus bits on the
 /// other, so this turns 64 per-lane values into 64 per-net chunks and
@@ -733,8 +760,9 @@ impl<'p, const W: usize> LaneSim<'p, W> {
     /// One full pass over the gate array: recomputes every
     /// combinational net in all lanes from the current inputs, register
     /// words and fault overlay. DFF outputs are left untouched. With
-    /// activity enabled, each net's toggles are counted as its word is
-    /// written.
+    /// activity enabled over at least one lane, each net's toggles are
+    /// counted as its word is written; with no lane counted (activity
+    /// off, or masked to no lanes) the pass only evaluates.
     pub fn propagate(&mut self) {
         let Self {
             prog,
@@ -754,23 +782,18 @@ impl<'p, const W: usize> LaneSim<'p, W> {
             Some(act) => (act.mask, &mut act.prev, &mut act.toggles),
             None => ([0; W], &mut [], &mut []),
         };
+        // The source baseline tracks the simulator even when no lane is
+        // counted, so widening the mask later counts no stale transition.
         for (&src, p) in prog.sources.iter().zip(prev.iter_mut()) {
             let w = words[src as usize];
             toggles[src as usize] +=
                 popcount::<W>(std::array::from_fn(|k| (w[k] ^ p[k]) & mask[k]));
             *p = w;
         }
-        for op in &prog.ops {
-            let out = op.out as usize;
-            let mut new = eval_op(words, op);
-            if (stuck_bits[out / 64] >> (out % 64)) & 1 != 0 {
-                new = stuck[out].force(new);
-            }
-            let old = std::mem::replace(&mut words[out], new);
-            let diff: Lanes<W> = std::array::from_fn(|k| (new[k] ^ old[k]) & mask[k]);
-            if diff.iter().fold(0, |any, &c| any | c) != 0 {
-                toggles[out] += popcount(diff);
-            }
+        if mask == [0; W] {
+            eval_gates::<false, W>(&prog.ops, words, stuck, stuck_bits, mask, toggles);
+        } else {
+            eval_gates::<true, W>(&prog.ops, words, stuck, stuck_bits, mask, toggles);
         }
     }
 

@@ -381,6 +381,27 @@ fn random_lanes<const W: usize>(rng: &mut Rng) -> Lanes<W> {
     }
 }
 
+/// Up to three overlay partitions over random lanes, each with up to
+/// two stuck-at faults on random nets among the first `nets`.
+fn random_plan<const W: usize>(rng: &mut Rng, nets: u64) -> ArmedPlan<W> {
+    (0..rng.range_u64(1, 4))
+        .map(|_| {
+            let faults = (0..rng.range_u64(0, 3))
+                .map(|_| (NetId(rng.range_u64(0, nets) as u32), rng.next_bool(0.5)))
+                .collect();
+            (random_lanes(rng), faults)
+        })
+        .collect()
+}
+
+/// Arms `plan` on both kernels.
+fn arm<const W: usize>(p: &mut Pair<'_, W>, plan: &ArmedPlan<W>) {
+    let view: Vec<(Lanes<W>, &[(NetId, bool)])> = plan.iter().map(|(l, f)| (*l, &f[..])).collect();
+    p.fast.arm_overlays(&view);
+    p.slow.arm_overlays(&view);
+    p.check("arm_overlays");
+}
+
 /// Drives both kernels through one random stimulus script over `prog`.
 /// Faults land on any net: constants, inputs, DFF outputs and gate
 /// outputs alike.
@@ -420,23 +441,11 @@ fn run_script<const W: usize>(
                 p.propagate();
             }
             9 => {
-                // Up to three partitions, each with up to two faults;
-                // sometimes the previous plan again.
+                // Sometimes the previous plan again.
                 if rng.next_bool(0.75) {
-                    plan = (0..rng.range_u64(1, 4))
-                        .map(|_| {
-                            let faults = (0..rng.range_u64(0, 3))
-                                .map(|_| (random_net(rng), rng.next_bool(0.5)))
-                                .collect();
-                            (random_lanes(rng), faults)
-                        })
-                        .collect();
+                    plan = random_plan(rng, nets);
                 }
-                let view: Vec<(Lanes<W>, &[(NetId, bool)])> =
-                    plan.iter().map(|(l, f)| (*l, &f[..])).collect();
-                p.fast.arm_overlays(&view);
-                p.slow.arm_overlays(&view);
-                p.check("arm_overlays");
+                arm(&mut p, &plan);
                 p.step_cycle();
             }
             10 => {
@@ -470,6 +479,23 @@ fn run_script<const W: usize>(
                 p.slow.reset_activity();
                 p.check("reset_activity");
                 p.propagate();
+            }
+            14 | 15 => {
+                // A serving pass: a fresh overlay plan with at least one
+                // fault, then toggles counted from the power-on state
+                // over none (a patrol or scrub pass), one, two or every
+                // lane, through a few cycles.
+                plan = random_plan(rng, nets);
+                plan[0].1.push((random_net(rng), rng.next_bool(0.5)));
+                arm(&mut p, &plan);
+                let n = [0, 1, 2, Pair::<W>::LANES][rng.range_u64(0, 4) as usize];
+                p.fast.rearm_activity(n);
+                p.slow.rearm_activity(n);
+                p.check("rearm_activity");
+                for _ in 0..rng.range_u64(1, 4) {
+                    p.drive(rng, inputs);
+                    p.step_cycle();
+                }
             }
             _ => p.propagate(),
         }

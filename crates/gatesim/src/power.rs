@@ -382,27 +382,37 @@ impl LivePowerTrace {
         ops_total: u64,
     ) -> Option<PowerSample> {
         let window_ops = ops_total.saturating_sub(self.last_ops);
-        let reset_detected = cycles < self.last_cycles
-            || toggles
-                .iter()
-                .zip(&self.last_toggles)
-                .any(|(&now, &last)| now < last);
-        if reset_detected {
-            self.last_toggles.copy_from_slice(toggles);
-            self.last_cycles = cycles;
-            self.last_ops = ops_total;
-            return None;
+        if cycles < self.last_cycles {
+            return self.rebase(toggles, cycles, ops_total);
         }
         if window_ops == 0 {
+            // The window stays open unless a counter went down.
+            if toggles
+                .iter()
+                .zip(&self.last_toggles)
+                .any(|(&now, &last)| now < last)
+            {
+                return self.rebase(toggles, cycles, ops_total);
+            }
             return None;
         }
+        // One pass: accumulate every net's energy and watch for a counter
+        // that went down. A net that did not toggle adds exactly 0.0
+        // (weights are finite and `fj` starts at +0.0 or above), so the
+        // sum is bit-identical to one that skips it, with no branch.
         let mut fj = (cycles - self.last_cycles) as f64 * self.clock_fj_per_cycle;
-        for (i, (&now, last)) in toggles.iter().zip(self.last_toggles.iter_mut()).enumerate() {
-            let delta = now - *last;
-            if delta != 0 {
-                fj += delta as f64 * self.weights_fj[i];
-                *last = now;
-            }
+        let mut went_down = false;
+        for ((&now, last), &weight) in toggles
+            .iter()
+            .zip(self.last_toggles.iter_mut())
+            .zip(&self.weights_fj)
+        {
+            went_down |= now < *last;
+            fj += now.wrapping_sub(*last) as f64 * weight;
+            *last = now;
+        }
+        if went_down {
+            return self.rebase(toggles, cycles, ops_total);
         }
         fj *= self.scale;
         self.last_cycles = cycles;
@@ -417,6 +427,15 @@ impl LivePowerTrace {
         }
         self.samples.push(s);
         Some(s)
+    }
+
+    /// Ends a window that an activity reset made unmeasurable: the
+    /// baseline moves to the given counters, and there is no sample.
+    fn rebase(&mut self, toggles: &[u64], cycles: u64, ops_total: u64) -> Option<PowerSample> {
+        self.last_toggles.copy_from_slice(toggles);
+        self.last_cycles = cycles;
+        self.last_ops = ops_total;
+        None
     }
 
     /// Every sample taken so far, in order.
@@ -449,6 +468,133 @@ mod tests {
     use super::*;
     use crate::netlist::Netlist;
     use crate::tech::TechLibrary;
+    use mfm_prng::Rng;
+
+    impl LivePowerTrace {
+        /// The two-pass [`LivePowerTrace::sample_counts`] the one-pass
+        /// body must match bit for bit: a scan for a counter that went
+        /// down, then a sum over the nets that toggled only.
+        fn sample_counts_reference(
+            &mut self,
+            toggles: &[u64],
+            cycles: u64,
+            ops_total: u64,
+        ) -> Option<PowerSample> {
+            let window_ops = ops_total.saturating_sub(self.last_ops);
+            let reset_detected = cycles < self.last_cycles
+                || toggles
+                    .iter()
+                    .zip(&self.last_toggles)
+                    .any(|(&now, &last)| now < last);
+            if reset_detected {
+                self.last_toggles.copy_from_slice(toggles);
+                self.last_cycles = cycles;
+                self.last_ops = ops_total;
+                return None;
+            }
+            if window_ops == 0 {
+                return None;
+            }
+            let mut fj = (cycles - self.last_cycles) as f64 * self.clock_fj_per_cycle;
+            for (i, (&now, last)) in toggles.iter().zip(self.last_toggles.iter_mut()).enumerate() {
+                let delta = now - *last;
+                if delta != 0 {
+                    fj += delta as f64 * self.weights_fj[i];
+                    *last = now;
+                }
+            }
+            fj *= self.scale;
+            self.last_cycles = cycles;
+            self.last_ops = ops_total;
+            let s = PowerSample {
+                ops_end: ops_total,
+                window_ops,
+                pj_per_op: fj / 1000.0 / window_ops as f64,
+            };
+            if let Some(g) = &self.gauge {
+                g.set(s.pj_per_op);
+            }
+            self.samples.push(s);
+            Some(s)
+        }
+    }
+
+    /// A sample's fields with its pJ/op as bits, so `-0.0`, `0.0` and
+    /// NaN payloads compare exactly.
+    fn bits(s: &PowerSample) -> (u64, u64, u64) {
+        (s.ops_end, s.window_ops, s.pj_per_op.to_bits())
+    }
+
+    #[test]
+    fn one_pass_sample_counts_matches_the_two_pass_reference() {
+        let mut rng = Rng::new(0x5A4D_91E5);
+        let streams = if cfg!(debug_assertions) { 40 } else { 400 };
+        let mut kinds = [0usize; 6];
+        for _ in 0..streams {
+            let n_cells = rng.range_u64(5, 120) as usize;
+            let (n, _) = crate::sim::reference::random_netlist(&mut rng, 6, n_cells);
+            let nets = n.net_count();
+            let mut toggles: Vec<u64> = (0..nets).map(|_| rng.range_u64(0, 4)).collect();
+            let (mut cycles, mut ops) = (rng.range_u64(0, 3), 0u64);
+            let scale = [1.0, 1.37, 2.0][rng.range_u64(0, 3) as usize];
+            let mut fast = LivePowerTrace::from_counts(&n, &toggles, cycles).with_scale(scale);
+            let mut slow = LivePowerTrace::from_counts(&n, &toggles, cycles).with_scale(scale);
+            for step in 0..60 {
+                let kind = rng.range_u64(0, 6) as usize;
+                kinds[kind] += 1;
+                match kind {
+                    // A window of sparse toggles (most nets silent).
+                    0 | 1 => {
+                        for t in toggles.iter_mut() {
+                            if rng.next_bool(0.2) {
+                                *t += rng.range_u64(1, 50);
+                            }
+                        }
+                        cycles += rng.range_u64(0, 4);
+                        ops += rng.range_u64(0, 3);
+                    }
+                    // A zero-op window: counters move, ops do not.
+                    2 => {
+                        let i = rng.range_u64(0, nets as u64) as usize;
+                        toggles[i] += rng.range_u64(0, 9);
+                        cycles += rng.range_u64(0, 2);
+                    }
+                    // All-zero deltas over a window with ops.
+                    3 => ops += rng.range_u64(1, 4),
+                    // One per-net counter goes down.
+                    4 => {
+                        let i = rng.range_u64(0, nets as u64) as usize;
+                        toggles[i] = toggles[i].saturating_sub(rng.range_u64(1, 5));
+                        ops += rng.range_u64(0, 3);
+                    }
+                    // The cycle count goes down (a reset of the source).
+                    _ => {
+                        cycles = cycles.saturating_sub(rng.range_u64(1, 4));
+                        if rng.next_bool(0.5) {
+                            toggles.iter_mut().for_each(|t| *t = 0);
+                        }
+                        ops += rng.range_u64(0, 3);
+                    }
+                }
+                let got = fast.sample_counts(&toggles, cycles, ops);
+                let want = slow.sample_counts_reference(&toggles, cycles, ops);
+                let at = format!("step {step}, kind {kind}");
+                assert_eq!(got.as_ref().map(bits), want.as_ref().map(bits), "{at}");
+                assert_eq!(fast.last_toggles, slow.last_toggles, "{at}");
+                assert_eq!(
+                    (fast.last_cycles, fast.last_ops),
+                    (slow.last_cycles, slow.last_ops),
+                    "{at}"
+                );
+                let samples = |t: &LivePowerTrace| t.samples.iter().map(bits).collect::<Vec<_>>();
+                assert_eq!(samples(&fast), samples(&slow), "{at}");
+            }
+        }
+        assert!(
+            kinds.iter().all(|&k| k > 0),
+            "every window kind ran: {kinds:?}"
+        );
+    }
 
     #[test]
     fn energy_scales_with_toggles() {

@@ -189,6 +189,10 @@ pub struct ModeReport {
     /// rebuild and output solve (`solver.conflicts` equals `conflicts`).
     /// Not part of [`ProveReport::to_json`].
     pub solver: SolverStats,
+    /// Solver rebuilds (a fresh solver from the permanent clauses and the
+    /// level-0 facts, dropping every learned clause) over every sweep
+    /// pass and output solve. Not part of [`ProveReport::to_json`].
+    pub rebuilds: u64,
     /// Per-output results.
     pub cones: Vec<ConeResult>,
 }
@@ -336,14 +340,17 @@ struct Encoder {
     permanent: Vec<SatLit>,
     /// Where each permanent clause ends in `permanent`.
     permanent_ends: Vec<usize>,
-    unit_facts: HashSet<SatLit>,
+    /// The level-0 facts harvested at the last rebuild, in trail order.
+    unit_facts: Vec<SatLit>,
+    /// Solver rebuilds so far.
     rebuilds: u64,
 }
 
 /// Learned-clause surplus over the permanent set that triggers a solver
 /// rebuild. Low enough to keep watchlists lean, high enough that rebuild
-/// time (one clause-database replay) stays negligible.
-const REBUILD_SLACK: usize = 25_000;
+/// time (one clause-database replay) stays negligible. Unit tests use a
+/// slack small enough that a `flags` cone rebuilds several times.
+const REBUILD_SLACK: usize = if cfg!(test) { 300 } else { 25_000 };
 
 impl Encoder {
     fn new() -> Encoder {
@@ -352,7 +359,7 @@ impl Encoder {
             var_of: Vec::new(),
             permanent: Vec::new(),
             permanent_ends: Vec::new(),
-            unit_facts: HashSet::new(),
+            unit_facts: Vec::new(),
             rebuilds: 0,
         }
     }
@@ -371,9 +378,12 @@ impl Encoder {
         if self.solver.num_clauses() <= self.permanent_ends.len() + REBUILD_SLACK {
             return;
         }
-        for &f in self.solver.level0_facts() {
-            self.unit_facts.insert(f);
-        }
+        // The facts re-asserted at the last rebuild sit on this solver's
+        // level-0 trail, so the trail alone holds every fact harvested so
+        // far, each once, in an order that is the same on every run.
+        let facts = self.solver.level0_facts();
+        debug_assert!(self.unit_facts.iter().all(|f| facts.contains(f)));
+        self.unit_facts = facts.to_vec();
         let num_vars = self.solver.num_vars();
         let mut fresh = Solver::new();
         for _ in 0..num_vars {
@@ -798,9 +808,10 @@ struct SweepStats {
     merges_sim_refuted: usize,
     merges_unknown: usize,
     conflicts: u64,
-    /// Solver counters of the passes before the last (the last pass's
-    /// solver lives on in [`Swept::enc`]).
+    /// Solver counters and rebuilds of the passes before the last (the
+    /// last pass's encoder lives on in [`Swept::enc`]).
     solver: SolverStats,
+    rebuilds: u64,
 }
 
 /// The outcome of [`fraig_sweep`].
@@ -940,6 +951,7 @@ fn fraig_sweep(aig: &Aig, roots: &[Lit], sim: &mut SimRounds, opts: &ProveOption
             };
         }
         stats.solver += enc.solver.stats();
+        stats.rebuilds += enc.rebuilds;
     }
 }
 
@@ -1036,6 +1048,7 @@ fn prove_mode(
         sim_rounds: sim.rounds(),
         conflicts: stats.conflicts,
         solver: stats.solver,
+        rebuilds: stats.rebuilds,
         cones: Vec::new(),
     };
 
@@ -1139,6 +1152,7 @@ fn prove_mode(
         });
     }
     report.solver += enc.solver.stats();
+    report.rebuilds += enc.rebuilds;
     report
 }
 
@@ -1290,6 +1304,31 @@ mod tests {
         let half = aig.xor(xs[bit], ys[bit]);
         let cla = aig.xor(half, lookahead);
         (aig, ripple, cla)
+    }
+
+    #[test]
+    fn solver_rebuilds_repeat_the_same_search() {
+        // Under the test slack the dual-binary32 flags cones rebuild the
+        // solver several times; each rebuild re-asserts the harvested
+        // level-0 facts, and their order shapes every later propagation.
+        let units = crate::standard_units();
+        let unit = units
+            .iter()
+            .find(|u| u.name == "mfmult")
+            .expect("the standard suite builds mfmult");
+        let opts = ProveOptions {
+            modes: Some(vec![Mode::DualBinary32]),
+            outputs: Some(vec!["flags".to_owned()]),
+            ..ProveOptions::default()
+        };
+        let first = prove_unit(unit, &opts);
+        let second = prove_unit(unit, &opts);
+        let (a, b) = (&first.modes[0], &second.modes[0]);
+        assert!(a.rebuilds >= 2, "only {} rebuilds", a.rebuilds);
+        assert!(a.cones.iter().all(|c| c.verdict == ConeVerdict::Proved));
+        assert_eq!(a.rebuilds, b.rebuilds);
+        assert_eq!(a.solver, b.solver);
+        assert_eq!(first.to_json(), second.to_json());
     }
 
     #[test]

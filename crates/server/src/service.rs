@@ -697,10 +697,16 @@ impl<'a> Service<'a> {
         self.note_tier_change();
         self.metrics.tier.set(self.tier().level() as f64);
         self.metrics.pending.set(self.backlog() as f64);
-        // Close this tick's power window from the compiled-toggle
-        // accumulator (no-op when no batch ran since the last tick).
-        self.power_trace
-            .sample_counts(&self.power.toggles, self.power.cycles, self.power.ops);
+        // Close the power window once a batch has run since the last
+        // sample. The tally never decreases, so the trace never rebases
+        // and its last sample ends at the ops it last saw; on a tick with
+        // no new ops, `sample_counts` would return `None` and change
+        // nothing, so the scan over every net is skipped.
+        let sampled = self.power_trace.samples().last().map_or(0, |s| s.ops_end);
+        if self.power.ops != sampled {
+            self.power_trace
+                .sample_counts(&self.power.toggles, self.power.cycles, self.power.ops);
+        }
     }
 
     /// Completes records whose write-back the front-end never reported
@@ -1820,6 +1826,54 @@ mod tests {
         assert!(
             sz.contains("\"passes\":{\"total\":1,\"per_tick\":1.000,"),
             "{sz}"
+        );
+    }
+
+    #[test]
+    fn sampling_power_after_batches_only_equals_sampling_every_tick() {
+        let (n, ports) = build();
+        let mut cfg = small_cfg();
+        cfg.engine.patrol_slice = 8;
+        let (reg_after, reg_every) = (Registry::new(), Registry::new());
+        let mut after = Service::new(&n, &ports, cfg, &reg_after);
+        let mut every = Service::new(&n, &ports, cfg, &reg_every);
+        let mut gen = mfm_evalkit::workload::OperandGen::new(0x7E57);
+        let mut rng = mfm_prng::Rng::new(0x7E57);
+        let (mut id, mut ticks, mut batches) = (0u64, 0u64, 0u64);
+        for _ in 0..12 {
+            // A mixed-format batch, then patrol-only ticks until the next.
+            for _ in 0..rng.range_u64(1, 7) {
+                let format = Format::ALL[rng.range_u64(0, 4) as usize];
+                let r = req(id, gen.operation(format));
+                assert!(after.admit(1, &r).is_none());
+                assert!(every.admit(1, &r).is_none());
+                id += 1;
+            }
+            batches += 1;
+            for _ in 0..rng.range_u64(2, 6) {
+                after.tick();
+                every.tick();
+                // Sample after every tick, idle ones included.
+                let p = &every.power;
+                every.power_trace.sample_counts(&p.toggles, p.cycles, p.ops);
+                ticks += 1;
+            }
+        }
+        assert_eq!(reg_after.histogram("service.batch_fill").count(), batches);
+        assert_eq!(reg_after.counter("pool.patrol_slices").get(), ticks);
+        assert_eq!(after.power, every.power);
+        let bits = |svc: &Service<'_>| -> Vec<(u64, u64, u64)> {
+            svc.power_trace
+                .samples()
+                .iter()
+                .map(|s| (s.ops_end, s.window_ops, s.pj_per_op.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&after).len() as u64, batches, "one sample per batch");
+        assert_eq!(bits(&after), bits(&every));
+        assert_eq!(
+            reg_after.gauge("service.pj_per_op").get().to_bits(),
+            reg_every.gauge("service.pj_per_op").get().to_bits()
         );
     }
 
