@@ -5,8 +5,11 @@
 //! counting toggles), the serving tick's power accounting (a pass with
 //! and without a counted lane, and one live-power window), the
 //! fault-coverage campaign (sequential event-driven vs compiled +
-//! thread-sharded) and Monte-Carlo power measurement (sequential
-//! event-driven vs event-driven sharded vs compiled+calibrated).
+//! thread-sharded), Monte-Carlo power measurement (sequential
+//! event-driven vs event-driven sharded vs compiled+calibrated), and
+//! the two fixed costs a Monte-Carlo or fault-campaign call pays besides
+//! simulation: one calibrated power estimate on the pipelined unit, and
+//! building and compiling a fresh combinational unit.
 //!
 //! Usage: `perf [--quick] [--threads N] [--json <path>]`
 //! (defaults: full sizes, one thread per available CPU,
@@ -26,8 +29,8 @@
 //! cost per netlist, amortized over every measurement that follows.
 //!
 //! `batch.compiled`, `batch.compiled_256`, `batch.compiled_64`, the
-//! `serve.*` entries and `montecarlo.compiled_sharded` are each the
-//! median of five timed runs
+//! `serve.*` entries, `montecarlo.compiled_sharded`, `power.estimate`
+//! and `gatesim.compile_fresh` are each the median of five timed runs
 //! ([`median_ns`]); the other entries time one run.
 //!
 //! The summary also carries the power-parity fields the `power-parity`
@@ -43,14 +46,18 @@ use std::time::Instant;
 use mfm_bench::cli;
 use mfm_evalkit::calibrate::GlitchCalibration;
 use mfm_evalkit::faultcov::{fault_coverage, fault_coverage_parallel, FaultCoverageConfig};
-use mfm_evalkit::montecarlo::{measure_unit, measure_unit_compiled_sharded, measure_unit_sharded};
+use mfm_evalkit::montecarlo::{
+    compiled_activity, measure_unit, measure_unit_compiled_sharded, measure_unit_sharded,
+};
 use mfm_evalkit::shard::shard_seed;
 use mfm_evalkit::workload::OperandGen;
 use mfm_gatesim::report::Table;
 use mfm_gatesim::{
-    CompiledNetlist, CompiledSim, LaneSim, LivePowerTrace, Netlist, Simulator, TechLibrary, LANES,
+    CompiledNetlist, CompiledSim, LaneSim, LivePowerTrace, Netlist, PowerEstimator, Simulator,
+    TechLibrary, LANES,
 };
 use mfm_telemetry::json::{self, JsonArray, JsonObject};
+use mfmult::pipeline::{build_pipelined_unit, PipelinePlacement};
 use mfmult::selfcheck::{run_raw, run_raw_compiled, scrub_battery};
 use mfmult::structural::build_unit;
 use mfmult::{Format, Operation};
@@ -325,6 +332,49 @@ fn main() {
         ));
         (ed, compiled)
     };
+
+    // 5. The fixed costs around the simulation. `power.estimate` is one
+    //    calibrated estimate on the Fig. 5 pipelined unit from one
+    //    256-lane binary64 activity sweep: what each Monte-Carlo call
+    //    pays after merging its shards. `gatesim.compile_fresh` builds
+    //    the combinational unit into a fresh netlist and compiles it:
+    //    what each fault-campaign call pays before simulating.
+    {
+        let calls = if quick { 20 } else { 100 };
+        let mut pn = Netlist::new(TechLibrary::cmos45lp());
+        let pports = build_pipelined_unit(&mut pn, PipelinePlacement::Fig5);
+        let pprog = CompiledNetlist::compile(&pn).expect("pipelined unit is acyclic");
+        let cal = GlitchCalibration::run(&pn, &pprog, &pports, 4, shard_seed(5, 1 << 32));
+        let fc = cal
+            .for_format(Format::Binary64)
+            .expect("every format is calibrated");
+        let counts = compiled_activity(&pprog, &pports, Format::Binary64, LANES, 5);
+        let estimate = median_ns(|| {
+            for _ in 0..calls {
+                std::hint::black_box(PowerEstimator::from_toggles_calibrated(
+                    &pn,
+                    &counts.toggles,
+                    counts.events,
+                    counts.cycles,
+                    counts.cycles,
+                    &fc.per_block,
+                    fc.default_factor,
+                    fc.event_factor,
+                ));
+            }
+        });
+        entries.push(entry("power.estimate", calls, estimate, 1));
+
+        let builds = if quick { 3 } else { 10 };
+        let compile = median_ns(|| {
+            for _ in 0..builds {
+                let mut n = Netlist::new(TechLibrary::cmos45lp());
+                build_unit(&mut n);
+                std::hint::black_box(CompiledNetlist::compile(&n).expect("unit is acyclic"));
+            }
+        });
+        entries.push(entry("gatesim.compile_fresh", builds, compile, 1));
+    }
 
     let find = |name: &str| {
         entries

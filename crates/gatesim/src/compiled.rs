@@ -163,7 +163,7 @@ pub fn lane_range<const W: usize>(lo: usize, hi: usize) -> Lanes<W> {
 }
 
 /// One lowered gate: resolved input/output net indices, in program order.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct GateOp {
     kind: CellKind,
     a: u32,
@@ -198,17 +198,22 @@ pub struct CompiledNetlist {
 
 impl CompiledNetlist {
     /// Lowers `netlist` into a topologically ordered program. The
-    /// netlist's cached [`Levelization`](crate::netlist::Levelization)
-    /// rejects combinational cycles.
+    /// depth-first walk that orders the cells also rejects combinational
+    /// cycles, so a netlist that compiles is never levelized.
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::CombinationalCycle`] if the combinational
-    /// logic contains a cycle.
+    /// logic contains a cycle: the error of
+    /// [`Netlist::levelization`], which only then is computed.
     pub fn compile(netlist: &Netlist) -> Result<Self, NetlistError> {
-        netlist.levelization()?;
+        let Some(order) = creation_topological_order(netlist) else {
+            return Err(netlist
+                .levelization()
+                .expect_err("the fan-in walk met a combinational cycle"));
+        };
         let cells = netlist.cells();
-        let ops: Vec<GateOp> = creation_topological_order(netlist)
+        let ops: Vec<GateOp> = order
             .into_iter()
             .map(|ci| {
                 let c = &cells[ci];
@@ -283,38 +288,57 @@ impl CompiledNetlist {
 /// next to the gates it reads, so this keeps a pass's reads and writes
 /// near each other in the word array, where level order scatters every
 /// level over all of it. Any topological order computes the same
-/// values. The netlist must be combinationally acyclic.
-fn creation_topological_order(netlist: &Netlist) -> Vec<usize> {
+/// values. `None` if the combinational logic has a cycle.
+fn creation_topological_order(netlist: &Netlist) -> Option<Vec<usize>> {
+    #[derive(Clone, Copy, PartialEq)]
+    enum Mark {
+        Unplaced,
+        /// On the walk's stack: a fan-in of the cell above it.
+        OnPath,
+        Placed,
+    }
     let cells = netlist.cells();
     // DFFs count as placed from the start: their outputs are sources.
-    let mut placed: Vec<bool> = cells.iter().map(|c| c.kind == CellKind::Dff).collect();
+    let mut mark: Vec<Mark> = cells
+        .iter()
+        .map(|c| match c.kind {
+            CellKind::Dff => Mark::Placed,
+            _ => Mark::Unplaced,
+        })
+        .collect();
     let mut order = Vec::with_capacity(cells.len());
     // Depth-first over fan-in: a cell is placed once no input is driven
-    // by an unplaced cell.
+    // by an unplaced cell. The stack is the path from the root, so a
+    // pending fan-in already on it closes a cycle.
     let mut stack = Vec::new();
     for root in 0..cells.len() {
-        if placed[root] {
+        if mark[root] == Mark::Placed {
             continue;
         }
         stack.push(root);
+        mark[root] = Mark::OnPath;
         while let Some(&cell) = stack.last() {
             let c = &cells[cell];
             let pending = c.inputs[..c.kind.arity()]
                 .iter()
                 .filter_map(|&net| netlist.driver_cell(net))
                 .map(|src| src.index())
-                .find(|&src| !placed[src]);
+                .find(|&src| mark[src] != Mark::Placed);
             match pending {
-                Some(src) => stack.push(src),
+                Some(src) if mark[src] == Mark::OnPath => return None,
+                Some(src) => {
+                    mark[src] = Mark::OnPath;
+                    stack.push(src);
+                }
                 None => {
-                    placed[cell] = true;
+                    mark[cell] = Mark::Placed;
                     order.push(cell);
                     stack.pop();
                 }
             }
         }
     }
-    order
+    Some(order)
 }
 
 #[inline(always)]
@@ -993,7 +1017,7 @@ mod reference;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netlist::Netlist;
+    use crate::netlist::{CellId, Netlist};
     use crate::sim::Simulator;
     use crate::tech::TechLibrary;
 
@@ -1467,6 +1491,129 @@ mod tests {
             !sim.read_net_lane(marker, 9),
             "stale plan survived an injection"
         );
+    }
+
+    /// Netlists closed into a combinational loop by `rewire_input`: a
+    /// gate reading its own output, two gates reading each other, and a
+    /// 40-gate chain whose first gate reads its last.
+    fn cyclic_netlists() -> Vec<(&'static str, Netlist)> {
+        let mut cases = Vec::new();
+        let mut n = fresh();
+        let (a, b) = (n.input("a"), n.input("b"));
+        let y = n.and2(a, b);
+        n.output_bus("y", &[y]);
+        n.rewire_input(CellId(0), 1, y);
+        cases.push(("self-loop", n));
+
+        let mut n = fresh();
+        let (a, b) = (n.input("a"), n.input("b"));
+        let x = n.and2(a, b);
+        let y = n.or2(x, a);
+        n.output_bus("y", &[y]);
+        n.rewire_input(CellId(0), 1, y);
+        cases.push(("2-cycle", n));
+
+        let mut n = fresh();
+        let (a, b) = (n.input("a"), n.input("b"));
+        let mut net = n.xor2(a, b);
+        for i in 0..39 {
+            net = if i % 2 == 0 {
+                n.nand2(net, a)
+            } else {
+                n.nor2(b, net)
+            };
+        }
+        let tail = n.dff(net);
+        n.output_bus("q", &[tail]);
+        n.rewire_input(CellId(0), 1, net);
+        cases.push(("40-cycle", n));
+        cases
+    }
+
+    #[test]
+    fn compile_reports_the_cycle_the_levelization_reports() {
+        for (name, n) in cyclic_netlists() {
+            // Each path starts from its own unlevelized copy, so each
+            // computes the error itself.
+            let want = n.clone().levelization().unwrap_err();
+            assert!(
+                matches!(want, NetlistError::CombinationalCycle(_)),
+                "{name}: {want:?}"
+            );
+            let compiled = CompiledNetlist::compile(&n.clone()).unwrap_err();
+            assert_eq!(compiled, want, "{name}: compile");
+            assert_eq!(
+                n.clone().compiled().unwrap_err(),
+                want,
+                "{name}: compiled()"
+            );
+            // A netlist levelized first gives the same error too.
+            n.levelization().unwrap_err();
+            assert_eq!(CompiledNetlist::compile(&n).unwrap_err(), want, "{name}");
+        }
+    }
+
+    #[test]
+    fn a_register_feedback_loop_still_compiles() {
+        // A toggle flop: q feeds an inverter whose output is q's own D.
+        let mut n = fresh();
+        let a = n.input("a");
+        let q = n.dff(a);
+        let nq = n.not(q);
+        n.output_bus("q", &[q]);
+        n.rewire_input(CellId(0), 0, nq);
+        let prog = CompiledNetlist::compile(&n).expect("the loop runs through a register");
+        assert_eq!((prog.op_count(), prog.dff_count()), (1, 1));
+        let mut sim = CompiledSim::new(&prog);
+        let mut seen = Vec::new();
+        for _ in 0..4 {
+            sim.step_cycle();
+            seen.push(sim.read_net_lane(q, 0));
+        }
+        assert_eq!(seen, [true, false, true, false]);
+    }
+
+    #[test]
+    fn paper_units_lower_to_the_same_ops_with_or_without_a_levelization() {
+        use crate::sim::reference::mirror;
+        use mfmult::pipeline::{build_pipelined_unit, PipelinePlacement};
+        use mfmult::structural::{build_unit, build_unit_quad};
+        let check = |name: &str, src: &mfm_gatesim::Netlist| {
+            let cold = mirror(src);
+            let warm = cold.clone();
+            warm.levelization().expect("paper units are acyclic");
+            let a = CompiledNetlist::compile(&cold).unwrap();
+            let b = CompiledNetlist::compile(&warm).unwrap();
+            assert_eq!(a.ops, b.ops, "{name}: op sequence");
+            assert_eq!((&a.dffs, &a.sources), (&b.dffs, &b.sources), "{name}");
+            // The sequence is a topological order: every op reads only
+            // sources and nets written by earlier ops.
+            let mut ready: Vec<bool> = (0..a.net_count()).map(|net| a.is_source(net)).collect();
+            for op in &a.ops {
+                let arity = op.kind.arity();
+                let ins = [op.a, op.b, op.c, op.d];
+                assert!(ins[..arity].iter().all(|&i| ready[i as usize]), "{name}");
+                ready[op.out as usize] = true;
+            }
+            let comb = cold
+                .cells()
+                .iter()
+                .filter(|c| c.kind != CellKind::Dff)
+                .count();
+            assert_eq!(a.op_count(), comb, "{name}: every gate lowered");
+        };
+        let new = || mfm_gatesim::Netlist::new(mfm_gatesim::TechLibrary::cmos45lp());
+        let mut n = new();
+        build_unit(&mut n);
+        check("unit", &n);
+        let mut n = new();
+        build_unit_quad(&mut n);
+        check("quad", &n);
+        for placement in PipelinePlacement::ALL {
+            let mut n = new();
+            build_pipelined_unit(&mut n, placement);
+            check(&format!("pipelined {placement:?}"), &n);
+        }
     }
 
     #[test]

@@ -154,7 +154,8 @@ pub enum UndrivenRef {
 ///
 /// Computed once per netlist (lazily, via [`Netlist::levelization`]) and
 /// shared by the event-driven simulator, static timing analysis and the
-/// compiled bit-parallel engine:
+/// lint passes (the compiled lowering orders and checks the cells by
+/// its own walk, and levelizes only to report a cycle):
 ///
 /// - a deterministic topological order of the combinational cells, sorted
 ///   by logic level (then by cell index within a level),
@@ -1074,6 +1075,21 @@ mod tests {
         let cell = CellId(n.cell_count() as u32 - 1);
         n.rewire_input(cell, 1, z);
         assert!(n.compiled().is_err());
+    }
+
+    #[test]
+    fn compiling_a_fresh_netlist_leaves_it_unlevelized() {
+        let mut n = fresh();
+        let a = n.input("a");
+        let b = n.input("b");
+        let (s, c) = n.full_adder(a, b, n.zero());
+        let q = n.dff(s);
+        let t = n.and2(q, c);
+        n.output_bus("t", &[t]);
+        assert_eq!(n.compiled().unwrap().op_count(), 3);
+        assert!(n.topo.get().is_none(), "compiling levelized the netlist");
+        n.levelization().unwrap();
+        assert!(n.topo.get().is_some());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! any frequency").
 
 use crate::compiled::LaneSim;
-use crate::netlist::Netlist;
+use crate::netlist::{BlockId, Netlist};
 use crate::sim::Simulator;
 use crate::tech::CellKind;
 use mfm_telemetry::Gauge;
@@ -84,6 +84,10 @@ impl PowerEstimator {
     /// merged sums of several independent runs are valid inputs, which is
     /// what thread-sharded Monte-Carlo campaigns feed in.
     ///
+    /// This is [`PowerEstimator::from_toggles_calibrated`] with no
+    /// factors: every block and the transition count scale by 1.0, which
+    /// is exact.
+    ///
     /// # Panics
     ///
     /// Panics if `ops == 0` or `toggles` is shorter than the net array.
@@ -94,59 +98,7 @@ impl PowerEstimator {
         cycles: u64,
         ops: u64,
     ) -> PowerBreakdown {
-        assert!(ops > 0, "power estimation needs at least one operation");
-        assert!(
-            toggles.len() >= netlist.net_count(),
-            "toggle counters must cover every net"
-        );
-        let tech = netlist.tech();
-
-        let mut total_fj = 0.0f64;
-        let mut per_block: HashMap<&str, f64> = HashMap::new();
-        let mut per_kind: HashMap<CellKind, f64> = HashMap::new();
-        for cell in netlist.cells() {
-            // Self (internal + output) energy per output transition.
-            let t = toggles[cell.output.index()] as f64;
-            let mut e = t * tech.params(cell.kind).energy_fj;
-            // Input-pin energy: every transition of a driving net charges
-            // this cell's gate capacitance — the fanout-load component of
-            // dynamic power.
-            let in_fj = tech.params(cell.kind).input_fj;
-            for &inp in &cell.inputs[..cell.kind.arity()] {
-                e += toggles[inp.index()] as f64 * in_fj;
-            }
-            if e == 0.0 {
-                continue;
-            }
-            total_fj += e;
-            *per_block
-                .entry(netlist.top_level_block_name(cell.block))
-                .or_insert(0.0) += e;
-            *per_kind.entry(cell.kind).or_insert(0.0) += e;
-        }
-
-        let clock_fj = cycles as f64 * netlist.dff_count() as f64 * tech.dff_clock_energy_fj;
-
-        let mut per_block_pj: Vec<(String, f64)> = per_block
-            .into_iter()
-            .map(|(k, fj)| (k.to_owned(), fj / 1000.0 / ops as f64))
-            .collect();
-        per_block_pj.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut per_kind_pj: Vec<(CellKind, f64)> = per_kind
-            .into_iter()
-            .map(|(k, fj)| (k, fj / 1000.0 / ops as f64))
-            .collect();
-        per_kind_pj.sort_by_key(|(k, _)| format!("{k:?}"));
-
-        PowerBreakdown {
-            ops,
-            dynamic_pj_per_op: total_fj / 1000.0 / ops as f64,
-            clock_pj_per_op: clock_fj / 1000.0 / ops as f64,
-            leakage_mw: netlist.area_um2() * tech.leakage_nw_per_um2 * 1e-6,
-            per_block_pj,
-            per_kind_pj,
-            transitions_per_op: events as f64 / ops as f64,
-        }
+        Self::from_toggles_calibrated(netlist, toggles, events, cycles, ops, &[], 1.0, 1.0)
     }
 
     /// [`PowerEstimator::from_toggles`] with per-block glitch-inflation
@@ -156,11 +108,16 @@ impl PowerEstimator {
     /// activity sweep, or a zero-delay [`Simulator`] run); each cell's
     /// switched energy is multiplied by the calibration factor of its
     /// top-level block (`block_factors`, falling back to
-    /// `default_factor` for unlisted blocks), recovering the
-    /// glitch-inclusive energy the event-driven reference would report.
-    /// `event_factor` scales the transition count the same way. Clock
-    /// energy is exact under zero delay (one edge per cycle) and is
-    /// **not** inflated.
+    /// `default_factor` for unlisted blocks; of two entries for one
+    /// block the last wins), recovering the glitch-inclusive energy the
+    /// event-driven reference would report. `event_factor` scales the
+    /// transition count the same way. Clock energy is exact under zero
+    /// delay (one edge per cycle) and is **not** inflated.
+    ///
+    /// Each block maps once per call to a dense slot of its top-level
+    /// block, whose factor is resolved once; the cell loop then adds
+    /// into arrays, in cell order. A block or cell kind is reported only
+    /// if some cell in it switched energy (before its factor).
     ///
     /// Factors come from `mfm_evalkit::calibrate`; this function lives
     /// here so the estimator stays dependency-free.
@@ -185,41 +142,62 @@ impl PowerEstimator {
             "toggle counters must cover every net"
         );
         let tech = netlist.tech();
-        let factors: HashMap<&str, f64> = block_factors
-            .iter()
-            .map(|(name, f)| (name.as_str(), *f))
-            .collect();
 
+        // Dense slots: one per top-level block name, in order of first
+        // appearance, and each block's slot.
+        let mut slot_names: Vec<&str> = Vec::new();
+        let mut slot_by_name: HashMap<&str, usize> = HashMap::new();
+        let slot_of_block: Vec<usize> = (0..netlist.block_count())
+            .map(|b| {
+                let name = netlist.top_level_block_name(BlockId(b as u16));
+                *slot_by_name.entry(name).or_insert_with(|| {
+                    slot_names.push(name);
+                    slot_names.len() - 1
+                })
+            })
+            .collect();
+        let mut factor = vec![default_factor; slot_names.len()];
+        for (name, f) in block_factors {
+            if let Some(&slot) = slot_by_name.get(name.as_str()) {
+                factor[slot] = *f;
+            }
+        }
+
+        // A bucket exists once a cell with energy reaches it.
         let mut total_fj = 0.0f64;
-        let mut per_block: HashMap<&str, f64> = HashMap::new();
-        let mut per_kind: HashMap<CellKind, f64> = HashMap::new();
+        let mut block_fj: Vec<Option<f64>> = vec![None; slot_names.len()];
+        let mut kind_fj: [Option<f64>; CellKind::ALL.len()] = [None; CellKind::ALL.len()];
         for cell in netlist.cells() {
-            let t = toggles[cell.output.index()] as f64;
-            let mut e = t * tech.params(cell.kind).energy_fj;
-            let in_fj = tech.params(cell.kind).input_fj;
+            let p = tech.params(cell.kind);
+            // Self (internal + output) energy per output transition.
+            let mut e = toggles[cell.output.index()] as f64 * p.energy_fj;
+            // Input-pin energy: every transition of a driving net charges
+            // this cell's gate capacitance — the fanout-load component of
+            // dynamic power.
             for &inp in &cell.inputs[..cell.kind.arity()] {
-                e += toggles[inp.index()] as f64 * in_fj;
+                e += toggles[inp.index()] as f64 * p.input_fj;
             }
             if e == 0.0 {
                 continue;
             }
-            let block = netlist.top_level_block_name(cell.block);
-            e *= factors.get(block).copied().unwrap_or(default_factor);
+            let slot = slot_of_block[cell.block.index()];
+            e *= factor[slot];
             total_fj += e;
-            *per_block.entry(block).or_insert(0.0) += e;
-            *per_kind.entry(cell.kind).or_insert(0.0) += e;
+            *block_fj[slot].get_or_insert(0.0) += e;
+            *kind_fj[cell.kind.index()].get_or_insert(0.0) += e;
         }
 
         let clock_fj = cycles as f64 * netlist.dff_count() as f64 * tech.dff_clock_energy_fj;
 
-        let mut per_block_pj: Vec<(String, f64)> = per_block
-            .into_iter()
-            .map(|(k, fj)| (k.to_owned(), fj / 1000.0 / ops as f64))
+        let mut per_block_pj: Vec<(String, f64)> = slot_names
+            .iter()
+            .zip(&block_fj)
+            .filter_map(|(name, fj)| fj.map(|fj| ((*name).to_owned(), fj / 1000.0 / ops as f64)))
             .collect();
         per_block_pj.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut per_kind_pj: Vec<(CellKind, f64)> = per_kind
-            .into_iter()
-            .map(|(k, fj)| (k, fj / 1000.0 / ops as f64))
+        let mut per_kind_pj: Vec<(CellKind, f64)> = CellKind::ALL
+            .iter()
+            .filter_map(|&k| kind_fj[k.index()].map(|fj| (k, fj / 1000.0 / ops as f64)))
             .collect();
         per_kind_pj.sort_by_key(|(k, _)| format!("{k:?}"));
 
@@ -271,6 +249,12 @@ pub struct PowerSample {
 /// toggles undercount glitch energy; chain
 /// [`LivePowerTrace::with_scale`] with a calibrated inflation factor to
 /// report calibrated pJ/op.
+///
+/// The tracer keeps the last sample and the running sums behind
+/// [`LivePowerTrace::mean_pj_per_op`], not the samples themselves: its
+/// heap is fixed at construction however long it runs. A caller that
+/// wants the series collects what [`LivePowerTrace::sample_counts`]
+/// returns.
 #[derive(Debug)]
 pub struct LivePowerTrace {
     /// Energy charged per toggle of each net, fJ.
@@ -284,7 +268,13 @@ pub struct LivePowerTrace {
     last_toggles: Vec<u64>,
     last_cycles: u64,
     last_ops: u64,
-    samples: Vec<PowerSample>,
+    /// The most recent sample.
+    last_sample: Option<PowerSample>,
+    /// Operations over every sample so far.
+    sampled_ops: u64,
+    /// `Σ pj_per_op × window_ops` over every sample so far, added in
+    /// sample order from -0.0 (the start of an `f64` iterator sum).
+    sampled_pj: f64,
     gauge: Option<Gauge>,
 }
 
@@ -325,7 +315,9 @@ impl LivePowerTrace {
             last_toggles: toggles.to_vec(),
             last_cycles: cycles,
             last_ops: 0,
-            samples: Vec::new(),
+            last_sample: None,
+            sampled_ops: 0,
+            sampled_pj: -0.0,
             gauge: None,
         }
     }
@@ -422,10 +414,18 @@ impl LivePowerTrace {
             window_ops,
             pj_per_op: fj / 1000.0 / window_ops as f64,
         };
+        self.record(s)
+    }
+
+    /// Makes `s` the latest sample: mirrors it to the gauge and adds it
+    /// to the running sums.
+    fn record(&mut self, s: PowerSample) -> Option<PowerSample> {
         if let Some(g) = &self.gauge {
             g.set(s.pj_per_op);
         }
-        self.samples.push(s);
+        self.sampled_ops += s.window_ops;
+        self.sampled_pj += s.pj_per_op * s.window_ops as f64;
+        self.last_sample = Some(s);
         Some(s)
     }
 
@@ -438,28 +438,22 @@ impl LivePowerTrace {
         None
     }
 
-    /// Every sample taken so far, in order.
-    pub fn samples(&self) -> &[PowerSample] {
-        &self.samples
+    /// The most recent sample, if any.
+    pub fn last_sample(&self) -> Option<PowerSample> {
+        self.last_sample
     }
 
     /// The most recent window's pJ/op, if any.
     pub fn latest_pj_per_op(&self) -> Option<f64> {
-        self.samples.last().map(|s| s.pj_per_op)
+        self.last_sample.map(|s| s.pj_per_op)
     }
 
     /// Ops-weighted mean pJ/op over all samples (0.0 when empty).
     pub fn mean_pj_per_op(&self) -> f64 {
-        let ops: u64 = self.samples.iter().map(|s| s.window_ops).sum();
-        if ops == 0 {
+        if self.sampled_ops == 0 {
             return 0.0;
         }
-        let pj: f64 = self
-            .samples
-            .iter()
-            .map(|s| s.pj_per_op * s.window_ops as f64)
-            .sum();
-        pj / ops as f64
+        self.sampled_pj / self.sampled_ops as f64
     }
 }
 
@@ -469,6 +463,226 @@ mod tests {
     use crate::netlist::Netlist;
     use crate::tech::TechLibrary;
     use mfm_prng::Rng;
+
+    impl PowerEstimator {
+        /// The `HashMap` body [`PowerEstimator::from_toggles_calibrated`]
+        /// must match bit for bit: per cell, the top-level block name,
+        /// its factor and both buckets are looked up by hash.
+        #[allow(clippy::too_many_arguments)]
+        fn from_toggles_calibrated_reference(
+            netlist: &Netlist,
+            toggles: &[u64],
+            events: u64,
+            cycles: u64,
+            ops: u64,
+            block_factors: &[(String, f64)],
+            default_factor: f64,
+            event_factor: f64,
+        ) -> PowerBreakdown {
+            let tech = netlist.tech();
+            let factors: HashMap<&str, f64> = block_factors
+                .iter()
+                .map(|(name, f)| (name.as_str(), *f))
+                .collect();
+            let mut total_fj = 0.0f64;
+            let mut per_block: HashMap<&str, f64> = HashMap::new();
+            let mut per_kind: HashMap<CellKind, f64> = HashMap::new();
+            for cell in netlist.cells() {
+                let t = toggles[cell.output.index()] as f64;
+                let mut e = t * tech.params(cell.kind).energy_fj;
+                let in_fj = tech.params(cell.kind).input_fj;
+                for &inp in &cell.inputs[..cell.kind.arity()] {
+                    e += toggles[inp.index()] as f64 * in_fj;
+                }
+                if e == 0.0 {
+                    continue;
+                }
+                let block = netlist.top_level_block_name(cell.block);
+                e *= factors.get(block).copied().unwrap_or(default_factor);
+                total_fj += e;
+                *per_block.entry(block).or_insert(0.0) += e;
+                *per_kind.entry(cell.kind).or_insert(0.0) += e;
+            }
+            let clock_fj = cycles as f64 * netlist.dff_count() as f64 * tech.dff_clock_energy_fj;
+            let mut per_block_pj: Vec<(String, f64)> = per_block
+                .into_iter()
+                .map(|(k, fj)| (k.to_owned(), fj / 1000.0 / ops as f64))
+                .collect();
+            per_block_pj.sort_by(|a, b| a.0.cmp(&b.0));
+            let mut per_kind_pj: Vec<(CellKind, f64)> = per_kind
+                .into_iter()
+                .map(|(k, fj)| (k, fj / 1000.0 / ops as f64))
+                .collect();
+            per_kind_pj.sort_by_key(|(k, _)| format!("{k:?}"));
+            PowerBreakdown {
+                ops,
+                dynamic_pj_per_op: total_fj / 1000.0 / ops as f64,
+                clock_pj_per_op: clock_fj / 1000.0 / ops as f64,
+                leakage_mw: netlist.area_um2() * tech.leakage_nw_per_um2 * 1e-6,
+                per_block_pj,
+                per_kind_pj,
+                transitions_per_op: events as f64 * event_factor / ops as f64,
+            }
+        }
+    }
+
+    /// Every field of a breakdown with its floats as bits, both
+    /// breakdown vectors in their order.
+    type BreakdownBits = (u64, [u64; 4], Vec<(String, u64)>, Vec<(CellKind, u64)>, u64);
+
+    fn breakdown_bits(p: &PowerBreakdown) -> BreakdownBits {
+        (
+            p.ops,
+            [
+                p.dynamic_pj_per_op.to_bits(),
+                p.clock_pj_per_op.to_bits(),
+                p.leakage_mw.to_bits(),
+                p.transitions_per_op.to_bits(),
+            ],
+            p.per_block_pj
+                .iter()
+                .map(|(name, e)| (name.clone(), e.to_bits()))
+                .collect(),
+            p.per_kind_pj
+                .iter()
+                .map(|&(k, e)| (k, e.to_bits()))
+                .collect(),
+            p.energy_pj_per_op().to_bits(),
+        )
+    }
+
+    /// Block names the random netlists and factor lists draw from:
+    /// `TOP` shares the root's bucket, `A/x` opened at the top level
+    /// rolls up into `A`, and nesting makes paths such as `A/B`.
+    const BLOCK_NAMES: [&str; 5] = ["A", "B", "TOP", "A/x", "C"];
+
+    /// A random netlist whose cells sit in randomly opened and closed,
+    /// possibly nested or empty, blocks.
+    fn random_blocked_netlist(rng: &mut Rng, n_cells: usize) -> Netlist {
+        let energy = [1.0, 1.0, 0.5, 0.0][rng.range_u64(0, 4) as usize];
+        let mut n = Netlist::new(TechLibrary::cmos45lp().with_energy_scale(energy));
+        let mut nets = vec![n.zero(), n.one()];
+        nets.extend(n.input_bus("in", 6));
+        let mut depth = 0;
+        for _ in 0..n_cells {
+            match rng.range_u64(0, 8) {
+                0 => {
+                    n.begin_block(BLOCK_NAMES[rng.range_u64(0, 5) as usize]);
+                    depth += 1;
+                }
+                1 if depth > 0 => {
+                    n.end_block();
+                    depth -= 1;
+                }
+                _ => {}
+            }
+            let kind = CellKind::ALL[rng.range_u64(0, CellKind::ALL.len() as u64) as usize];
+            let ins: Vec<_> = (0..kind.arity())
+                .map(|_| nets[rng.range_u64(0, nets.len() as u64) as usize])
+                .collect();
+            nets.push(n.cell(kind, &ins));
+        }
+        for _ in 0..depth {
+            n.end_block();
+        }
+        n
+    }
+
+    #[test]
+    fn dense_slot_estimator_matches_the_hash_map_reference() {
+        let mut rng = Rng::new(0xE5_71A7_0125);
+        let cases = if cfg!(debug_assertions) { 60 } else { 600 };
+        // Calls where a block that holds cells got no bucket, where a
+        // factor list had a duplicate, and where it named no block.
+        let (mut silent_blocks, mut duplicates, mut unknown) = (0, 0, 0);
+        for case in 0..cases {
+            let n_cells = rng.range_u64(1, 150) as usize;
+            let n = random_blocked_netlist(&mut rng, n_cells);
+            let density = [0.05, 0.2, 0.6][rng.range_u64(0, 3) as usize];
+            let toggles: Vec<u64> = (0..n.net_count())
+                .map(|_| {
+                    if rng.next_bool(density) {
+                        rng.range_u64(1, 1000)
+                    } else {
+                        0
+                    }
+                })
+                .collect();
+            let (events, cycles) = (rng.range_u64(0, 1 << 20), rng.range_u64(0, 64));
+            let ops = rng.range_u64(1, 300);
+            let at = format!("case {case}");
+
+            let plain = PowerEstimator::from_toggles(&n, &toggles, events, cycles, ops);
+            let want = PowerEstimator::from_toggles_calibrated_reference(
+                &n,
+                &toggles,
+                events,
+                cycles,
+                ops,
+                &[],
+                1.0,
+                1.0,
+            );
+            assert_eq!(breakdown_bits(&plain), breakdown_bits(&want), "{at}, plain");
+
+            let mut factors: Vec<(String, f64)> = (0..rng.range_u64(0, 7))
+                .map(|_| {
+                    let name = ["A", "B", "TOP", "C", "A/x", "ZZZ"][rng.range_u64(0, 6) as usize];
+                    let f = [0.0, 0.5, 1.0, 1.37, 2.0, 3.1][rng.range_u64(0, 6) as usize];
+                    (name.to_owned(), f)
+                })
+                .collect();
+            if !factors.is_empty() && rng.next_bool(0.3) {
+                let again = factors[rng.range_u64(0, factors.len() as u64) as usize]
+                    .0
+                    .clone();
+                factors.push((again, 1.75));
+            }
+            let names: Vec<&str> = factors.iter().map(|(name, _)| name.as_str()).collect();
+            duplicates += usize::from((1..names.len()).any(|i| names[..i].contains(&names[i])));
+            unknown += usize::from(names.iter().any(|&f| {
+                (0..n.block_count()).all(|b| n.top_level_block_name(BlockId(b as u16)) != f)
+            }));
+            let default_factor = [1.0, 1.21, 0.0][rng.range_u64(0, 3) as usize];
+            let event_factor = [1.0, 1.13][rng.range_u64(0, 2) as usize];
+            let got = PowerEstimator::from_toggles_calibrated(
+                &n,
+                &toggles,
+                events,
+                cycles,
+                ops,
+                &factors,
+                default_factor,
+                event_factor,
+            );
+            let want = PowerEstimator::from_toggles_calibrated_reference(
+                &n,
+                &toggles,
+                events,
+                cycles,
+                ops,
+                &factors,
+                default_factor,
+                event_factor,
+            );
+            assert_eq!(
+                breakdown_bits(&got),
+                breakdown_bits(&want),
+                "{at}, calibrated"
+            );
+            silent_blocks += n
+                .cells()
+                .iter()
+                .map(|c| n.top_level_block_name(c.block))
+                .filter(|b| got.per_block_pj.iter().all(|(name, _)| name != b))
+                .count()
+                .min(1);
+        }
+        assert!(
+            silent_blocks > 0 && duplicates > 0 && unknown > 0,
+            "every factor and bucket shape ran: {silent_blocks} {duplicates} {unknown}"
+        );
+    }
 
     impl LivePowerTrace {
         /// The two-pass [`LivePowerTrace::sample_counts`] the one-pass
@@ -506,16 +720,11 @@ mod tests {
             fj *= self.scale;
             self.last_cycles = cycles;
             self.last_ops = ops_total;
-            let s = PowerSample {
+            self.record(PowerSample {
                 ops_end: ops_total,
                 window_ops,
                 pj_per_op: fj / 1000.0 / window_ops as f64,
-            };
-            if let Some(g) = &self.gauge {
-                g.set(s.pj_per_op);
-            }
-            self.samples.push(s);
-            Some(s)
+            })
         }
     }
 
@@ -539,6 +748,7 @@ mod tests {
             let scale = [1.0, 1.37, 2.0][rng.range_u64(0, 3) as usize];
             let mut fast = LivePowerTrace::from_counts(&n, &toggles, cycles).with_scale(scale);
             let mut slow = LivePowerTrace::from_counts(&n, &toggles, cycles).with_scale(scale);
+            let mut taken = Vec::new();
             for step in 0..60 {
                 let kind = rng.range_u64(0, 6) as usize;
                 kinds[kind] += 1;
@@ -586,8 +796,30 @@ mod tests {
                     (slow.last_cycles, slow.last_ops),
                     "{at}"
                 );
-                let samples = |t: &LivePowerTrace| t.samples.iter().map(bits).collect::<Vec<_>>();
-                assert_eq!(samples(&fast), samples(&slow), "{at}");
+                let sums = |t: &LivePowerTrace| {
+                    let last = t.last_sample.as_ref().map(bits);
+                    (last, t.sampled_ops, t.sampled_pj.to_bits())
+                };
+                assert_eq!(sums(&fast), sums(&slow), "{at}");
+                // The running mean is the mean over every sample taken,
+                // computed as the trace did when it kept them all.
+                taken.extend(got);
+                let ops_sum: u64 = taken.iter().map(|s| s.window_ops).sum();
+                let pj_sum: f64 = taken
+                    .iter()
+                    .map(|s| s.pj_per_op * s.window_ops as f64)
+                    .sum();
+                let mean = if ops_sum == 0 {
+                    0.0
+                } else {
+                    pj_sum / ops_sum as f64
+                };
+                assert_eq!(fast.mean_pj_per_op().to_bits(), mean.to_bits(), "{at}");
+                assert_eq!(
+                    fast.latest_pj_per_op().map(f64::to_bits),
+                    taken.last().map(|s| s.pj_per_op.to_bits()),
+                    "{at}"
+                );
             }
         }
         assert!(
@@ -667,16 +899,18 @@ mod tests {
         n.output_bus("q", &[d]);
         let mut sim = Simulator::new(&n);
         let mut trace = LivePowerTrace::new(&n, &sim);
-        let mut ops = 0u64;
+        let (mut ops, mut samples) = (0u64, 0);
         for i in 0..12u128 {
             sim.step_cycle(&[(&[a, b], i % 4)]);
             ops += 1;
             if ops.is_multiple_of(3) {
                 assert!(trace.sample(&sim, ops).is_some());
+                samples += 1;
             }
         }
         let p = PowerEstimator::from_activity(&n, &sim, sim.cycles());
-        assert_eq!(trace.samples().len(), 4);
+        assert_eq!(samples, 4);
+        assert_eq!(trace.last_sample().map(|s| s.ops_end), Some(12));
         assert!((trace.mean_pj_per_op() - p.energy_pj_per_op()).abs() < 1e-9);
         assert!(trace.latest_pj_per_op().unwrap() >= 0.0);
     }

@@ -2,13 +2,15 @@
 //! global allocator tracks the bytes each thread holds, and after every
 //! step that can grow a buffer the simulator's figure must equal the
 //! bytes its construction and that step left allocated, at widths 1
-//! and 4.
+//! and 4. The same count shows that a `LivePowerTrace` holds no more
+//! after thousands of windows than when it was built.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use mfm_gatesim::{
-    first_lanes, lane_mask, lane_range, CompiledNetlist, LaneSim, NetId, Netlist, TechLibrary,
+    first_lanes, lane_mask, lane_range, CompiledNetlist, LaneSim, LivePowerTrace, NetId, Netlist,
+    TechLibrary,
 };
 
 /// `System`, counting the bytes each thread has allocated and not freed.
@@ -154,4 +156,28 @@ fn heap_bytes_equals_the_allocators_count_at_both_widths() {
     let flags = prog.net_count().div_ceil(64) * 8;
     assert_eq!(4 * (narrow - flags), wide - flags);
     assert_eq!(wide - flags, 32 * (prog.net_count() + prog.dff_count()));
+}
+
+#[test]
+fn live_power_trace_heap_stays_flat_over_thousands_of_windows() {
+    let adder = Adder::new();
+    let nets = adder.n.net_count();
+    let mut tally = vec![0u64; nets];
+    let before = live();
+    let mut trace = LivePowerTrace::from_counts(&adder.n, &tally, 0);
+    let built = (live() - before) as usize;
+    // One energy weight and one toggle baseline per net.
+    assert_eq!(built, 16 * nets);
+    // A window per batch, as the service closes them.
+    let windows = 5_000u64;
+    for window in 1..=windows {
+        for (i, t) in tally.iter_mut().enumerate() {
+            *t += (i as u64 + window) % 3;
+        }
+        assert!(trace.sample_counts(&tally, 4 * window, window).is_some());
+        assert_eq!((live() - before) as usize, built, "after window {window}");
+    }
+    assert_eq!(trace.last_sample().map(|s| s.ops_end), Some(windows));
+    drop(trace);
+    assert_eq!(live(), before, "the trace freed everything");
 }

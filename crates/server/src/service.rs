@@ -702,7 +702,7 @@ impl<'a> Service<'a> {
         // and its last sample ends at the ops it last saw; on a tick with
         // no new ops, `sample_counts` would return `None` and change
         // nothing, so the scan over every net is skipped.
-        let sampled = self.power_trace.samples().last().map_or(0, |s| s.ops_end);
+        let sampled = self.power_trace.last_sample().map_or(0, |s| s.ops_end);
         if self.power.ops != sampled {
             self.power_trace
                 .sample_counts(&self.power.toggles, self.power.cycles, self.power.ops);
@@ -1447,7 +1447,7 @@ impl Verdict {
 mod tests {
     use super::*;
     use mfm_gatesim::tech::TechLibrary;
-    use mfm_gatesim::CompiledSim;
+    use mfm_gatesim::{CompiledSim, PowerSample};
     use mfm_resilient::health::BreakerConfig;
     use mfmult::selfcheck::{run_scrub_compiled, scrub_battery};
     use mfmult::structural::{build_unit, build_unit_quad};
@@ -1840,6 +1840,19 @@ mod tests {
         let mut gen = mfm_evalkit::workload::OperandGen::new(0x7E57);
         let mut rng = mfm_prng::Rng::new(0x7E57);
         let (mut id, mut ticks, mut batches) = (0u64, 0u64, 0u64);
+        // Every sample each service takes, collected as it is taken: a
+        // sample ends at more ops than the one before it.
+        let (mut after_samples, mut every_samples) = (Vec::new(), Vec::new());
+        let taken = |svc: &Service<'_>, into: &mut Vec<PowerSample>| {
+            if let Some(s) = svc.power_trace.last_sample() {
+                if into
+                    .last()
+                    .is_none_or(|l: &PowerSample| l.ops_end != s.ops_end)
+                {
+                    into.push(s);
+                }
+            }
+        };
         for _ in 0..12 {
             // A mixed-format batch, then patrol-only ticks until the next.
             for _ in 0..rng.range_u64(1, 7) {
@@ -1852,25 +1865,31 @@ mod tests {
             batches += 1;
             for _ in 0..rng.range_u64(2, 6) {
                 after.tick();
+                taken(&after, &mut after_samples);
                 every.tick();
+                taken(&every, &mut every_samples);
                 // Sample after every tick, idle ones included.
                 let p = &every.power;
-                every.power_trace.sample_counts(&p.toggles, p.cycles, p.ops);
+                let extra = every.power_trace.sample_counts(&p.toggles, p.cycles, p.ops);
+                every_samples.extend(extra);
                 ticks += 1;
             }
         }
         assert_eq!(reg_after.histogram("service.batch_fill").count(), batches);
         assert_eq!(reg_after.counter("pool.patrol_slices").get(), ticks);
         assert_eq!(after.power, every.power);
-        let bits = |svc: &Service<'_>| -> Vec<(u64, u64, u64)> {
-            svc.power_trace
-                .samples()
+        let bits = |samples: &[PowerSample]| -> Vec<(u64, u64, u64)> {
+            samples
                 .iter()
                 .map(|s| (s.ops_end, s.window_ops, s.pj_per_op.to_bits()))
                 .collect()
         };
-        assert_eq!(bits(&after).len() as u64, batches, "one sample per batch");
-        assert_eq!(bits(&after), bits(&every));
+        assert_eq!(after_samples.len() as u64, batches, "one sample per batch");
+        assert_eq!(bits(&after_samples), bits(&every_samples));
+        assert_eq!(
+            after.power_trace.mean_pj_per_op().to_bits(),
+            every.power_trace.mean_pj_per_op().to_bits()
+        );
         assert_eq!(
             reg_after.gauge("service.pj_per_op").get().to_bits(),
             reg_every.gauge("service.pj_per_op").get().to_bits()
