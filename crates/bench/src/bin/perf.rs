@@ -1,5 +1,7 @@
 //! Performance microbenchmarks for the two gate-evaluation engines:
-//! event-driven settle, compiled batch evaluation (64-vector batches on
+//! event-driven settle (a combinational evaluation, and a clock cycle of
+//! the pipelined unit priced per cycle and per cell evaluation), compiled
+//! batch evaluation (64-vector batches on
 //! the 256-lane simulator, full batches on the 256-lane and on the
 //! 64-lane serving simulator, the last two with the activity engine
 //! counting toggles), the serving tick's power accounting (a pass with
@@ -28,10 +30,15 @@
 //! glitch-inflation calibration run is *not* timed: it is a one-time
 //! cost per netlist, amortized over every measurement that follows.
 //!
-//! `batch.compiled`, `batch.compiled_256`, `batch.compiled_64`, the
-//! `serve.*` entries, `montecarlo.compiled_sharded`, `power.estimate`
-//! and `gatesim.compile_fresh` are each the median of five timed runs
+//! `settle.event_driven_cycle`, `batch.compiled`, `batch.compiled_256`,
+//! `batch.compiled_64`, the `serve.*` entries,
+//! `montecarlo.compiled_sharded`, `power.estimate` and
+//! `gatesim.compile_fresh` are each the median of five timed runs
 //! ([`median_ns`]); the other entries time one run.
+//! `settle.event_driven_cycle` also records its deterministic work: the
+//! cell `evaluations` the timed cycles made ([`Simulator::settle_work`])
+//! and `ns_per_eval`, so a slower run reads as more work or as the same
+//! work done slower.
 //!
 //! The summary also carries the power-parity fields the `power-parity`
 //! CI job gates on: calibrated-compiled vs event-driven pJ/op on the
@@ -88,6 +95,9 @@ struct Entry {
     /// for the engines, a classified fault×vector for the campaigns).
     throughput: f64,
     threads: usize,
+    /// Cell evaluations the timed run made and the wall time per
+    /// evaluation, where the work is counted.
+    evaluations: Option<(u64, f64)>,
 }
 
 fn entry(name: &'static str, ops: u64, elapsed_ns: f64, threads: usize) -> Entry {
@@ -97,6 +107,7 @@ fn entry(name: &'static str, ops: u64, elapsed_ns: f64, threads: usize) -> Entry
         ns_per_op,
         throughput: 1e9 / ns_per_op,
         threads,
+        evaluations: None,
     }
 }
 
@@ -156,6 +167,61 @@ fn main() {
         }
         let dt = t0.elapsed().as_nanos() as f64;
         entries.push(entry("settle.event_driven", settle_vecs as u64, dt, 1));
+    }
+
+    // 1b. Event-driven clock cycles on the Fig. 5 pipelined unit, one
+    //     operation per cycle in each paper format: the glitch
+    //     calibration's workload. Each format runs on a fresh simulator
+    //     warmed up through the pipeline outside the timer; the timed
+    //     cycles' cell evaluations are counted, and are the same in
+    //     every repeat.
+    {
+        let mut pn = Netlist::new(TechLibrary::cmos45lp());
+        let pports = build_pipelined_unit(&mut pn, PipelinePlacement::Fig5);
+        let (warm, cycles) = (pports.latency as usize, if quick { 8 } else { 48 });
+        let mut cgen = OperandGen::new(5);
+        let streams: Vec<Vec<Operation>> = Format::ALL
+            .iter()
+            .map(|&f| (0..warm + cycles).map(|_| cgen.operation(f)).collect())
+            .collect();
+        let step = |sim: &mut Simulator<'_>, op: &Operation| {
+            sim.step_cycle(&[
+                (&pports.frmt, op.format.encoding() as u128),
+                (&pports.xa, op.xa as u128),
+                (&pports.yb, op.yb as u128),
+            ]);
+        };
+        let mut evaluations = 0;
+        let mut runs: Vec<f64> = (0..REPEATS)
+            .map(|_| {
+                let mut sims: Vec<Simulator<'_>> = streams
+                    .iter()
+                    .map(|ops| {
+                        let mut sim = Simulator::new(&pn);
+                        ops[..warm].iter().for_each(|op| step(&mut sim, op));
+                        sim.reset_activity();
+                        sim
+                    })
+                    .collect();
+                let t0 = Instant::now();
+                for (sim, ops) in sims.iter_mut().zip(&streams) {
+                    ops[warm..].iter().for_each(|op| step(sim, op));
+                }
+                let dt = t0.elapsed().as_nanos() as f64;
+                evaluations = sims.iter().map(|s| s.settle_work().evaluations).sum();
+                dt
+            })
+            .collect();
+        runs.sort_by(f64::total_cmp);
+        let dt = runs[REPEATS / 2];
+        let mut e = entry(
+            "settle.event_driven_cycle",
+            (cycles * streams.len()) as u64,
+            dt,
+            1,
+        );
+        e.evaluations = Some((evaluations, dt / evaluations as f64));
+        entries.push(e);
     }
 
     // 2. Compiled batch evaluation: the same computation, 64 vectors per
@@ -401,6 +467,14 @@ fn main() {
         ]);
     }
     println!("{t}");
+    for e in &entries {
+        if let Some((evals, ns)) = e.evaluations {
+            println!(
+                "{}: {evals} cell evaluations, {ns:.2} ns per evaluation",
+                e.name
+            );
+        }
+    }
     println!(
         "fault campaign: {classifications} classifications, {fault_speedup:.1}x speedup (compiled+sharded over event-driven)"
     );
@@ -421,6 +495,10 @@ fn main() {
             .field_f64("ns_per_op", e.ns_per_op)
             .field_f64("throughput", e.throughput)
             .field_u64("threads", e.threads as u64);
+        if let Some((evals, ns)) = e.evaluations {
+            o.field_u64("evaluations", evals)
+                .field_f64("ns_per_eval", ns);
+        }
         arr.push_raw(&o.finish());
     }
     let mut summary = JsonObject::new();

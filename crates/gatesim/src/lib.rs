@@ -71,6 +71,6 @@ pub use netlist::{
     BlockId, Cell, CellId, Driver, Levelization, NetId, Netlist, NetlistError, UndrivenRef,
 };
 pub use power::{LivePowerTrace, PowerBreakdown, PowerEstimator, PowerSample};
-pub use sim::Simulator;
+pub use sim::{SettleWork, Simulator};
 pub use sta::{StaReport, TimingAnalysis};
 pub use tech::{CellKind, TechLibrary};

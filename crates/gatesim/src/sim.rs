@@ -27,6 +27,16 @@
 //! order without a heap. A re-evaluation that yields the value its output
 //! already holds, with nothing pending on that net, schedules nothing: such
 //! an event could never commit, and settles never see a difference.
+//!
+//! Within a tick, each committed event marks its net's fan-out cells in
+//! a two-level bitset (`AffectedSet`), and the tick re-evaluates the
+//! marked cells once each in ascending cell order, clearing the marks as
+//! it goes. A cell evaluates by indexing its kind's 16-bit truth table,
+//! built from [`CellKind::eval`] when the simulator is made. The fault
+//! overlay is looked up only while some fault is active. Every event,
+//! value and trace record is the same as a sorted, deduplicated fan-out
+//! list and a per-kind `match` would give; [`Simulator::settle_work`]
+//! counts the work so a timing change can be told from a work change.
 
 use crate::netlist::{Driver, Levelization, NetId, Netlist};
 use crate::tech::CellKind;
@@ -101,6 +111,66 @@ struct ActiveFault {
     forced: bool,
     /// Tick at which a transient fault heals; `None` for stuck-at faults.
     expires: Option<Time>,
+}
+
+/// Work done by settles since the last [`Simulator::reset_activity`]
+/// (see [`Simulator::settle_work`]). The counts are a pure function of
+/// the netlist and the stimulus.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SettleWork {
+    /// Events taken off the queue, cancelled ones included (under zero
+    /// delay: pending source events drained).
+    pub popped: u64,
+    /// Cell evaluations: each affected cell once per tick (under zero
+    /// delay: each combinational cell once per settle).
+    pub evaluations: u64,
+    /// Events the settles scheduled from their evaluations; a quiet
+    /// re-evaluation left unscheduled is not counted.
+    pub schedules: u64,
+}
+
+/// The cells to re-evaluate at the current tick, as a two-level bitset:
+/// one bit per cell, and one summary bit per non-zero word of cell bits.
+/// [`AffectedSet::drain`] visits the marked cells in ascending index
+/// order, each once, and leaves the set empty.
+#[derive(Debug, Default)]
+struct AffectedSet {
+    bits: Vec<u64>,
+    summary: Vec<u64>,
+}
+
+impl AffectedSet {
+    fn new(cells: usize) -> Self {
+        let words = cells.div_ceil(64);
+        AffectedSet {
+            bits: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, cell: u32) {
+        let w = cell as usize / 64;
+        self.bits[w] |= 1 << (cell % 64);
+        self.summary[w / 64] |= 1 << (w % 64);
+    }
+
+    /// Calls `f` on every marked cell in ascending order, unmarking each.
+    #[inline]
+    fn drain(&mut self, mut f: impl FnMut(usize)) {
+        for si in 0..self.summary.len() {
+            let mut s = std::mem::take(&mut self.summary[si]);
+            while s != 0 {
+                let wi = si * 64 + s.trailing_zeros() as usize;
+                s &= s - 1;
+                let mut w = std::mem::take(&mut self.bits[wi]);
+                while w != 0 {
+                    f(wi * 64 + w.trailing_zeros() as usize);
+                    w &= w - 1;
+                }
+            }
+        }
+    }
 }
 
 /// End-of-list link in the event slab.
@@ -316,18 +386,22 @@ pub struct Simulator<'a> {
     due: Vec<Time>,
     /// Integer delay in ticks per cell kind (indexed by `CellKind::index`).
     delay: [Time; CellKind::ALL.len()],
+    /// Truth table per cell kind: bit `a | b<<1 | c<<2 | d<<3` is the
+    /// output for inputs `(a, b, c, d)`.
+    truth: [u16; CellKind::ALL.len()],
     /// DFF cell indices, in instantiation order.
     dff_cells: Vec<u32>,
-    /// Per-settle scratch: nets committed at the current tick, and the
-    /// cells they feed. Kept to reuse their allocations.
-    touched: Vec<u32>,
-    affected: Vec<u32>,
+    /// Per-tick scratch: the cells fed by the nets committed at the
+    /// current tick, empty between ticks.
+    affected: AffectedSet,
     /// Per-cycle scratch: the D value each DFF samples at the clock edge.
     sampled: Vec<bool>,
     /// Clock cycles issued since the last reset.
     cycles: u64,
     /// Total committed events since the last reset (includes glitches).
     events: u64,
+    /// Settle work since the last reset.
+    work: SettleWork,
     /// Committed-transition recording for VCD export, when enabled.
     trace: Option<Vec<crate::trace::TraceEvent>>,
     /// Net values at the moment tracing was enabled.
@@ -365,6 +439,15 @@ impl<'a> Simulator<'a> {
             let d = netlist.tech().params(kind).delay_ps;
             delay[kind.index()] = (d * TIME_SCALE).round() as Time;
         }
+        let mut truth = [0u16; CellKind::ALL.len()];
+        for kind in CellKind::ALL {
+            for idx in 0..16u16 {
+                let pin = |i: u16| idx >> i & 1 == 1;
+                if kind.eval(pin(0), pin(1), pin(2), pin(3)) {
+                    truth[kind.index()] |= 1 << idx;
+                }
+            }
+        }
         let dff_cells = netlist
             .cells()
             .iter()
@@ -384,12 +467,13 @@ impl<'a> Simulator<'a> {
             newest: vec![0; netlist.net_count()],
             due: vec![0; netlist.net_count()],
             delay,
+            truth,
             dff_cells,
-            touched: Vec::new(),
-            affected: Vec::new(),
+            affected: AffectedSet::new(netlist.cell_count()),
             sampled: Vec::new(),
             cycles: 0,
             events: 0,
+            work: SettleWork::default(),
             trace: None,
             trace_initial: Vec::new(),
             faults: BTreeMap::new(),
@@ -472,14 +556,14 @@ impl<'a> Simulator<'a> {
         self.telemetry.is_some()
     }
 
+    /// The output `idx`'s cell drives for the current net values, read
+    /// from its kind's truth table.
     #[inline]
     fn eval_cell(&self, idx: usize) -> bool {
         let cell = &self.netlist.cells()[idx];
-        let a = self.values[cell.inputs[0].index()];
-        let b = self.values[cell.inputs[1].index()];
-        let c = self.values[cell.inputs[2].index()];
-        let d = self.values[cell.inputs[3].index()];
-        cell.kind.eval(a, b, c, d)
+        let pin = |i: usize| self.values[cell.inputs[i].index()] as usize;
+        let row = pin(0) | pin(1) << 1 | pin(2) << 2 | pin(3) << 3;
+        self.truth[cell.kind.index()] >> row & 1 == 1
     }
 
     /// Schedules a value on a net at the current time (used for primary
@@ -573,7 +657,7 @@ impl<'a> Simulator<'a> {
     /// Removes the fault on `net` (if any) and schedules the net back to
     /// its driven value. Settle afterwards to propagate the repair.
     pub fn clear_fault(&mut self, net: NetId) {
-        if self.faults.remove(&net.0).is_some() {
+        if self.remove_fault(net.0).is_some() {
             let v = self.driven_value(net, self.values[net.index()]);
             self.schedule(self.now, net, v);
         }
@@ -648,10 +732,11 @@ impl<'a> Simulator<'a> {
         let mut pending: Vec<(u64, u32, bool)> = Vec::new();
         self.queue.drain_into(&mut pending);
         pending.sort_unstable();
+        self.work.popped += pending.len() as u64;
         for (seq, net, val) in pending {
             let ni = net as usize;
             let mut val = val;
-            if let Some(&f) = self.faults.get(&net) {
+            if let Some(&f) = self.fault_on(net) {
                 debug_assert!(
                     f.expires.is_none(),
                     "transient faults are timing-dependent; unsupported at zero delay"
@@ -671,10 +756,11 @@ impl<'a> Simulator<'a> {
         }
         // Each combinational net settles directly to its fixed point:
         // at most one counted transition per net, never a glitch.
+        self.work.evaluations += self.lev.order().len() as u64;
         for &cell_id in self.lev.order() {
             let cell = &self.netlist.cells()[cell_id.index()];
             let out = cell.output;
-            let v = match self.faults.get(&out.0) {
+            let v = match self.fault_on(out.0) {
                 Some(f) => f.forced,
                 None => self.eval_cell(cell_id.index()),
             };
@@ -688,6 +774,27 @@ impl<'a> Simulator<'a> {
             }
         }
         self.record_settle(committed)
+    }
+
+    /// The fault on `net`, if any; no map lookup while none is active.
+    #[inline]
+    fn fault_on(&self, net: u32) -> Option<&ActiveFault> {
+        if self.faults.is_empty() {
+            None
+        } else {
+            self.faults.get(&net)
+        }
+    }
+
+    /// Removes the fault on `net`. The last removal also frees the
+    /// overlay's node, so a simulator with no active fault holds exactly
+    /// [`Simulator::heap_bytes`].
+    fn remove_fault(&mut self, net: u32) -> Option<ActiveFault> {
+        let fault = self.faults.remove(&net);
+        if self.faults.is_empty() {
+            self.faults = BTreeMap::new();
+        }
+        fault
     }
 
     /// Books a finished settle pass into the counters and telemetry and
@@ -715,27 +822,27 @@ impl<'a> Simulator<'a> {
             return self.settle_zero_delay();
         }
         let cells = self.netlist.cells();
+        let lev = self.lev;
         let mut committed = 0u64;
         // Latest due tick of a quiet re-evaluation left unscheduled.
         let mut quiet_due: Time = 0;
-        let mut touched = std::mem::take(&mut self.touched);
         let mut affected = std::mem::take(&mut self.affected);
         while let Some(t) = self.queue.next_time(self.now) {
             self.now = t;
-            touched.clear();
             // Commit every *current* (non-cancelled) event at this
             // timestamp. An event is stale if the driving cell scheduled a
             // newer value before this one matured — inertial filtering.
             let mut cursor = self.queue.take_bucket(t);
             while let Some((seq, net, val)) = self.queue.pop_at(t, &mut cursor) {
+                self.work.popped += 1;
                 let ni = net as usize;
                 let mut val = val;
-                if let Some(&f) = self.faults.get(&net) {
+                if let Some(&f) = self.fault_on(net) {
                     // Faulted nets bypass inertial cancellation: the forced
                     // value must land no matter how the driver glitches, and
                     // a transient's heal event must never be filtered.
                     if f.expires.is_some_and(|e| t >= e) {
-                        self.faults.remove(&net);
+                        self.remove_fault(net);
                         val = self.driven_value(NetId(net), val);
                     } else {
                         val = f.forced;
@@ -747,23 +854,21 @@ impl<'a> Simulator<'a> {
                     self.values[ni] = val;
                     self.toggles[ni] += 1;
                     committed += 1;
-                    touched.push(net);
+                    for &ci in lev.fanout_of(NetId(net)) {
+                        affected.insert(ci);
+                    }
                     if let Some(tr) = &mut self.trace {
                         tr.push((t, net, val));
                     }
                 }
             }
-            // Evaluate each affected combinational cell once.
-            affected.clear();
-            for &net in &touched {
-                affected.extend_from_slice(self.lev.fanout_of(NetId(net)));
-            }
-            affected.sort_unstable();
-            affected.dedup();
-            for &ci in &affected {
-                let cell = &cells[ci as usize];
+            // Evaluate each affected combinational cell once, in cell
+            // order.
+            affected.drain(|ci| {
+                self.work.evaluations += 1;
+                let cell = &cells[ci];
                 let out = cell.output;
-                let new_val = self.eval_cell(ci as usize);
+                let new_val = self.eval_cell(ci);
                 let at = t + self.delay[cell.kind.index()];
                 // A value the net already holds, with nothing pending to
                 // cancel, would commit nothing when it matured: skip it.
@@ -775,20 +880,20 @@ impl<'a> Simulator<'a> {
                 if new_val == self.values[out.index()]
                     && self.due[out.index()] <= t
                     && at > t
-                    && !self.faults.contains_key(&out.0)
+                    && self.fault_on(out.0).is_none()
                 {
                     quiet_due = quiet_due.max(at);
-                    continue;
+                    return;
                 }
+                self.work.schedules += 1;
                 self.schedule(at, out, new_val);
-            }
+            });
         }
         // A skipped event would still have been popped: the clock ends
         // at its tick.
         if quiet_due > self.now {
             self.now = quiet_due;
         }
-        self.touched = touched;
         self.affected = affected;
         self.record_settle(committed)
     }
@@ -844,6 +949,46 @@ impl<'a> Simulator<'a> {
         self.cycles
     }
 
+    /// Events popped, cells evaluated and events scheduled by settles
+    /// since the last reset: deterministic for a given netlist and
+    /// stimulus, so a change in settle time can be read as more work or
+    /// the same work done slower.
+    pub fn settle_work(&self) -> SettleWork {
+        self.work
+    }
+
+    /// Bytes the simulator holds on the heap, by buffer capacity: net
+    /// values, toggles, the per-net newest-schedule and due-tick arrays,
+    /// the event queue (slab, bucket heads and tails, occupancy bitmap,
+    /// overflow heap), the affected-cell bitset, the DFF list and sample
+    /// buffer, and the trace with its initial values.
+    ///
+    /// The `BTreeMap` fault overlay and attached telemetry handles are
+    /// outside this figure: it is exact for a simulator with no active
+    /// fault and no telemetry.
+    pub fn heap_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let q = &self.queue;
+        let queue = bytes(&q.slab)
+            + bytes(&q.head)
+            + bytes(&q.tail)
+            + bytes(&q.occupied)
+            + q.overflow.capacity() * std::mem::size_of::<Reverse<(Time, u64, u32, bool)>>();
+        bytes(&self.values)
+            + bytes(&self.toggles)
+            + bytes(&self.newest)
+            + bytes(&self.due)
+            + queue
+            + bytes(&self.affected.bits)
+            + bytes(&self.affected.summary)
+            + bytes(&self.dff_cells)
+            + bytes(&self.sampled)
+            + self.trace.as_ref().map_or(0, bytes)
+            + bytes(&self.trace_initial)
+    }
+
     /// Starts recording committed transitions for VCD export
     /// (see [`crate::trace::write_vcd`]). Snapshot of the current values
     /// becomes the VCD initial state.
@@ -862,8 +1007,8 @@ impl<'a> Simulator<'a> {
         &self.trace_initial
     }
 
-    /// Clears all activity counters (toggles, events, cycles) without
-    /// touching net state. Call after warm-up vectors.
+    /// Clears all activity counters (toggles, events, cycles, settle
+    /// work) without touching net state. Call after warm-up vectors.
     ///
     /// Attached telemetry counters are *not* cleared (registry metrics
     /// are monotonic); pending per-block toggles are flushed and the
@@ -876,6 +1021,7 @@ impl<'a> Simulator<'a> {
         self.toggles.iter_mut().for_each(|t| *t = 0);
         self.events = 0;
         self.cycles = 0;
+        self.work = SettleWork::default();
     }
 }
 

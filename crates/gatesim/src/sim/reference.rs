@@ -547,3 +547,62 @@ fn wheel_matches_heap_kernel_on_the_combinational_unit() {
     }
     assert!(p.wheel.total_events() > 1000, "the unit glitches");
 }
+
+#[test]
+fn wheel_matches_heap_kernel_on_the_pipelined_unit() {
+    // The Fig. 5 unit is the one the power tables and the glitch
+    // calibration clock: its registers, reconvergent trees and the
+    // bitset affected set see here the fan-out the random netlists lack.
+    use mfmult::pipeline::{build_pipelined_unit, PipelinePlacement};
+    use mfmult::Format;
+    let mut src = mfm_gatesim::Netlist::new(mfm_gatesim::TechLibrary::cmos45lp());
+    let ports = build_pipelined_unit(&mut src, PipelinePlacement::Fig5);
+    let n = mirror(&src);
+    let bus = |b: &[mfm_gatesim::NetId]| {
+        b.iter()
+            .map(|x| NetId(x.index() as u32))
+            .collect::<Vec<_>>()
+    };
+    let (frmt, xa, yb, ph) = (
+        bus(&ports.frmt),
+        bus(&ports.xa),
+        bus(&ports.yb),
+        bus(&ports.ph),
+    );
+    let mut p = Pair::new(&n);
+    let mut rng = Rng::new(0x0F16_0005);
+    let cycle = |p: &mut Pair<'_>, format: Format, rng: &mut Rng| {
+        let (x, y) = (rng.next_u64() as u128, rng.next_u64() as u128);
+        p.step_cycle(&[(&frmt, format.encoding() as u128), (&xa, x), (&yb, y)]);
+    };
+    for format in Format::ALL {
+        for _ in 0..8 {
+            cycle(&mut p, format, &mut rng);
+        }
+    }
+    assert!(p.wheel.total_events() > 10_000, "the unit glitches");
+    // A stuck-at inside the unit, forced against its current value, and
+    // an upset on an output net whose heal event lies past the wheel's
+    // horizon; both run through cycles, then the faults are cleared.
+    let stuck = n.cells()[n.cell_count() / 3].output;
+    let forced = !p.wheel.read_net(stuck);
+    p.wheel.inject_stuck_at(stuck, forced);
+    p.heap.inject_stuck_at(stuck, forced);
+    cycle(&mut p, Format::Binary64, &mut rng);
+    cycle(&mut p, Format::Binary64, &mut rng);
+    let upset = ph[17];
+    p.wheel.inject_transient(upset, 300.0);
+    p.heap.inject_transient(upset, 300.0);
+    cycle(&mut p, Format::Int64, &mut rng);
+    assert_eq!(
+        p.wheel.active_faults(),
+        1,
+        "the upset healed, the stuck-at holds"
+    );
+    p.wheel.clear_faults();
+    p.heap.clear_faults();
+    for _ in 0..4 {
+        cycle(&mut p, Format::DualBinary32, &mut rng);
+    }
+    assert_eq!(p.wheel.active_faults(), 0);
+}

@@ -1,16 +1,18 @@
-//! `LaneSim::heap_bytes` against the allocator's own count: a counting
-//! global allocator tracks the bytes each thread holds, and after every
-//! step that can grow a buffer the simulator's figure must equal the
-//! bytes its construction and that step left allocated, at widths 1
-//! and 4. The same count shows that a `LivePowerTrace` holds no more
-//! after thousands of windows than when it was built.
+//! `LaneSim::heap_bytes` and `Simulator::heap_bytes` against the
+//! allocator's own count: a counting global allocator tracks the bytes
+//! each thread holds, and after every step that can grow a buffer the
+//! simulator's figure must equal the bytes its construction and that
+//! step left allocated, for the compiled kernel at widths 1 and 4 and
+//! for the event-driven simulator. The same count shows that a
+//! `LivePowerTrace` holds no more after thousands of windows than when
+//! it was built.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use mfm_gatesim::{
     first_lanes, lane_mask, lane_range, CompiledNetlist, LaneSim, LivePowerTrace, NetId, Netlist,
-    TechLibrary,
+    Simulator, TechLibrary,
 };
 
 /// `System`, counting the bytes each thread has allocated and not freed.
@@ -156,6 +158,55 @@ fn heap_bytes_equals_the_allocators_count_at_both_widths() {
     let flags = prog.net_count().div_ceil(64) * 8;
     assert_eq!(4 * (narrow - flags), wide - flags);
     assert_eq!(wide - flags, 32 * (prog.net_count() + prog.dff_count()));
+}
+
+#[test]
+fn event_driven_heap_bytes_equals_the_allocators_count() {
+    let adder = Adder::new();
+    // The levelization is the netlist's, cached on first use; build it
+    // outside the measured steps.
+    adder.n.levelization().unwrap();
+    let before = live();
+    let held = || (live() - before) as usize;
+    let mut sim = Simulator::new(&adder.n);
+    assert_eq!(sim.heap_bytes(), held(), "fresh");
+    let cycle = |sim: &mut Simulator<'_>, i: u128| {
+        sim.step_cycle(&[
+            (&adder.a, i * 37),
+            (&adder.b, i * 91 + 5),
+            (&[adder.cin], i & 1),
+        ]);
+    };
+    for i in 0..40 {
+        cycle(&mut sim, i);
+    }
+    assert!(sim.total_events() > 0);
+    assert_eq!(sim.heap_bytes(), held(), "after a burst of cycles");
+    sim.enable_trace();
+    assert_eq!(sim.heap_bytes(), held(), "after enable_trace");
+    for i in 0..40 {
+        cycle(&mut sim, i + 40);
+    }
+    assert!(!sim.trace().unwrap().is_empty());
+    assert_eq!(sim.heap_bytes(), held(), "after traced cycles");
+    // An upset whose heal event waits past the wheel's horizon, in the
+    // overflow heap; once healed, the fault overlay is empty again.
+    sim.inject_transient(adder.sum[2], 1_000.0);
+    sim.settle();
+    assert_eq!(sim.active_faults(), 0);
+    assert_eq!(sim.heap_bytes(), held(), "after a healed upset");
+    sim.inject_stuck_at(adder.a[1], true);
+    cycle(&mut sim, 3);
+    sim.clear_faults();
+    sim.settle();
+    assert_eq!(sim.heap_bytes(), held(), "after a cleared stuck-at");
+    sim.set_zero_delay(true);
+    for i in 0..8 {
+        cycle(&mut sim, i + 80);
+    }
+    assert_eq!(sim.heap_bytes(), held(), "after zero-delay cycles");
+    drop(sim);
+    assert_eq!(held(), 0, "the simulator freed everything");
 }
 
 #[test]
