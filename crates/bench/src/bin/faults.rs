@@ -6,13 +6,16 @@
 //! Usage: `faults [--sites N] [--vectors N] [--seed S] [--quad] [--threads N] [--json <path>]`
 //! (defaults: 500 sites, 4 vectors per site and format, seed 2017).
 //!
-//! `--threads N` switches to the compiled bit-parallel campaign
-//! ([`fault_coverage_parallel`]) sharded over N worker threads. The
-//! report — and the JSON file — is byte-identical for any N, and
-//! identical to the sequential event-driven campaign for the same seed;
-//! only the wall-clock changes. Both paths publish the `faultcov.*`
-//! telemetry once from the final report; only the event-driven run adds
-//! a wall-clock span.
+//! Without `--threads` the campaign runs on the event-driven simulator,
+//! one site at a time ([`fault_coverage`], the reference). `--threads N`
+//! runs the same campaign on the compiled bit-parallel evaluator, one
+//! site per lane, sharded over N worker threads
+//! ([`fault_coverage_parallel`]). The two share one site loop and
+//! classifier, so the report — and the JSON file — is byte-identical for
+//! any N and identical to the event-driven run for the same seed; only
+//! the wall-clock changes. Both paths publish the `faultcov.*` telemetry
+//! once from the final report; only the event-driven run adds a
+//! wall-clock span.
 
 use mfm_bench::cli;
 use mfm_evalkit::faultcov::{fault_coverage, fault_coverage_parallel, FaultCoverageConfig};

@@ -3,7 +3,9 @@
 //! layout; the `table*` binaries in `mfm-bench` are thin wrappers.
 
 use crate::calibrate::GlitchCalibration;
-use crate::montecarlo::{measure_multiplier, measure_unit, measure_unit_compiled_sharded};
+use crate::montecarlo::{
+    drive_multiplier, measure_multiplier, measure_unit, measure_unit_compiled_sharded,
+};
 use mfm_arith::{build_multiplier, MultiplierConfig, Radix};
 use mfm_gatesim::report::Table;
 use mfm_gatesim::{CompiledNetlist, Netlist, PowerBreakdown, TechLibrary, TimingAnalysis};
@@ -456,26 +458,18 @@ impl fmt::Display for ActivitySweep {
 /// Runs the activity sweep.
 pub fn activity_sweep(vectors: usize, seed: u64) -> ActivitySweep {
     use crate::workload::OperandGen;
-    use mfm_gatesim::{PowerEstimator, Simulator};
 
     let mut n = Netlist::new(TechLibrary::cmos45lp());
     let ports = build_multiplier(&mut n, MultiplierConfig::radix16());
     let mut rows = Vec::new();
     for &p_flip in &[0.05f64, 0.1, 0.25, 0.5] {
         let mut gen = OperandGen::new(seed);
-        let mut sim = Simulator::new(&n);
-        let mut state = (0x0123_4567_89AB_CDEFu64, 0xFEDC_BA98_7654_3210u64);
-        sim.set_bus(&ports.x, state.0 as u128);
-        sim.set_bus(&ports.y, state.1 as u128);
-        sim.settle();
-        sim.reset_activity();
-        for _ in 0..vectors {
-            let (x, y) = gen.correlated_step(&mut state, p_flip);
-            sim.set_bus(&ports.x, x as u128);
-            sim.set_bus(&ports.y, y as u128);
-            sim.settle();
-        }
-        let p = PowerEstimator::from_activity(&n, &sim, vectors as u64);
+        let start = (0x0123_4567_89AB_CDEFu64, 0xFEDC_BA98_7654_3210u64);
+        let mut state = start;
+        let operands = std::iter::once(start).chain(std::iter::repeat_with(|| {
+            gen.correlated_step(&mut state, p_flip)
+        }));
+        let p = drive_multiplier(&n, &ports, vectors, None, operands);
         rows.push((p_flip, p.total_mw_at(100.0), p.transitions_per_op));
     }
     ActivitySweep { rows, vectors }

@@ -18,15 +18,30 @@
 //! robustness study asks: *where* do undetected faults live, and *which
 //! formats* exercise them. The whole campaign is a pure function of
 //! [`FaultCoverageConfig`] — same seed, same report.
+//!
+//! One campaign body serves both entry points. It samples the sites,
+//! packs them [`LANES`] to a shard, gives every site its own operand
+//! stream (drawn format by format, vector by vector) and classifies what
+//! comes back. The entry points differ only in the engine that evaluates
+//! a shard:
+//!
+//! - [`fault_coverage`] — the event-driven [`Simulator`], one site at a
+//!   time on one thread: inject, settle, the site's vectors, clear,
+//!   settle. It is the reference the compiled campaign is held to.
+//! - [`fault_coverage_parallel`] — one compiled [`CompiledSim`] per
+//!   shard, lane `l` stuck at site `l`'s fault, one pass per (format,
+//!   vector) step, shards on worker threads.
+//!
+//! The two reports are bit-identical for the same config.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use mfm_gatesim::fault::{sample_stuck_sites, CampaignRunner, CampaignStats};
+use mfm_gatesim::fault::{sample_stuck_sites, CampaignStats};
 use mfm_gatesim::netlist::Netlist;
 use mfm_gatesim::report::Table;
 use mfm_gatesim::tech::TechLibrary;
-use mfm_gatesim::{CompiledFaultSim, CompiledNetlist, FaultKind, FaultOutcome, LANES};
+use mfm_gatesim::{lane_mask, CompiledNetlist, CompiledSim, FaultOutcome, Simulator, LANES};
 use mfm_telemetry::Registry;
 use mfmult::selfcheck::{check_raw, run_raw, run_raw_compiled, CheckError, RawOutputs};
 use mfmult::{structural, Format, FunctionalUnit, MultResult, Operation, StructuralPorts};
@@ -317,83 +332,110 @@ fn site_gen(seed: u64, site_idx: u64) -> OperandGen {
     OperandGen::new(seed ^ site_idx.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
+/// The engine a shard's faulty machines run on (see the module docs).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Evaluator {
+    /// The event-driven [`Simulator`], one site at a time.
+    EventDriven,
+    /// A [`CompiledSim`], one site per lane.
+    Compiled,
+}
+
 /// Runs the campaign described by `config` on the event-driven simulator
 /// and aggregates the report.
+///
+/// This is the reference [`fault_coverage_parallel`] is held to: it runs
+/// on one thread and settles every site's injection and repair
+/// event by event.
 pub fn fault_coverage(config: &FaultCoverageConfig) -> FaultCoverageReport {
-    let (n, ports, formats) = campaign_unit(config);
-    let sites = sample_stuck_sites(&n, config.sites, config.seed);
-    let runner = CampaignRunner::new(&n, sites);
-    let sites_run = runner.sites().len();
-    let reference = FunctionalUnit::new();
-    let mut tally = Tally::new(&formats);
-    let mut site_idx: u64 = 0;
-    let blocks = runner.run(|sim, _site| {
-        site_idx += 1;
-        let mut gen = site_gen(config.seed, site_idx);
-        let mut outcomes = Vec::new();
-        for &fmt in &formats {
-            for _ in 0..config.vectors_per_format {
-                let op = gen.operation(fmt);
-                let raw = run_raw(sim, &ports, op);
-                outcomes.push(classify(op, &raw, &reference, &mut tally));
-            }
-        }
-        outcomes
-    });
-    tally.into_report(config, sites_run, blocks)
+    campaign(config, Evaluator::EventDriven, 1)
 }
 
 /// [`fault_coverage`] accelerated by the compiled bit-parallel engine
 /// and deterministic thread sharding.
 ///
-/// Sites are packed [`LANES`] (256) to a shard — one stuck-at fault
-/// machine per lane of the `[u64; 4]` word — so a single propagation
-/// pass classifies up to 256 faults against one vector. Shards run on up to `threads` scoped worker
-/// threads ([`crate::shard::run_shards`]) and their partial statistics
-/// merge in shard order.
+/// Each shard of up to [`LANES`] (256) sites runs on one
+/// [`CompiledSim`] — one stuck-at fault machine per lane of the
+/// `[u64; 4]` word — so a single propagation pass classifies up to 256
+/// faults against one vector each. Shards run on up to `threads` scoped
+/// worker threads ([`crate::shard::run_shards`]) and their partial
+/// statistics merge in shard order.
 ///
 /// The report is **bit-identical** to [`fault_coverage`] for the same
-/// config at any `threads` value (including 1): every site derives its
-/// operand stream from the campaign seed and its global site index —
-/// exactly as the sequential campaign does — and each (site, vector)
-/// classification is a pure function of those inputs, because the
-/// compiled engine's settled values equal the event-driven simulator's
-/// (see [`mfm_gatesim::compiled`]). `tests/compiled_equivalence.rs`
-/// asserts the report equality wholesale.
+/// config at any `threads` value (including 1): both run the same site
+/// loop, every site derives its operand stream from the campaign seed
+/// and its global site index, and each (site, vector) classification is
+/// a pure function of those inputs, because the compiled engine's
+/// settled values equal the event-driven simulator's (see
+/// [`mfm_gatesim::compiled`]). `tests/compiled_equivalence.rs` asserts
+/// the report equality wholesale.
 pub fn fault_coverage_parallel(
     config: &FaultCoverageConfig,
     threads: usize,
 ) -> FaultCoverageReport {
+    campaign(config, Evaluator::Compiled, threads)
+}
+
+/// The campaign body behind both public names: builds the unit, samples
+/// the sites, packs them [`LANES`] to a shard, draws each site's
+/// [`site_gen`] stream in format-then-vector order, and classifies,
+/// tallies and merges what `evaluator` delivers for every (site, vector).
+fn campaign(
+    config: &FaultCoverageConfig,
+    evaluator: Evaluator,
+    threads: usize,
+) -> FaultCoverageReport {
     let (n, ports, formats) = campaign_unit(config);
     let sites = sample_stuck_sites(&n, config.sites, config.seed);
-    let prog = CompiledNetlist::compile(&n).expect("campaign netlist is acyclic");
+    let prog = (evaluator == Evaluator::Compiled)
+        .then(|| CompiledNetlist::compile(&n).expect("campaign netlist is acyclic"));
+    // The format of every (format, vector) step, in stream order.
+    let steps: Vec<Format> = formats
+        .iter()
+        .flat_map(|&f| std::iter::repeat_n(f, config.vectors_per_format))
+        .collect();
 
     let shard_count = sites.len().div_ceil(LANES);
     let partials: Vec<(CampaignStats, Tally)> = run_shards(shard_count, threads, |k| {
-        let shard_sites = &sites[k * LANES..((k + 1) * LANES).min(sites.len())];
-        let mut fsim = CompiledFaultSim::new(&prog);
-        let mut stats = CampaignStats::default();
-        let mut gens: Vec<OperandGen> = Vec::with_capacity(shard_sites.len());
-        for (lane, site) in shard_sites.iter().enumerate() {
-            stats.add_site(&site.block);
-            let forced = match site.kind {
-                FaultKind::StuckAt0 => false,
-                FaultKind::StuckAt1 => true,
-                FaultKind::Transient { .. } => {
-                    unreachable!("stuck-at site universe contains no transients")
-                }
-            };
-            fsim.assign_fault(lane, site.net, forced);
-            gens.push(site_gen(config.seed, (k * LANES + lane) as u64 + 1));
-        }
+        let shard = &sites[k * LANES..((k + 1) * LANES).min(sites.len())];
+        let mut gens: Vec<OperandGen> = (0..shard.len())
+            .map(|lane| site_gen(config.seed, (k * LANES + lane) as u64 + 1))
+            .collect();
         let reference = FunctionalUnit::new();
+        let mut stats = CampaignStats::default();
         let mut tally = Tally::new(&formats);
-        for &fmt in &formats {
-            for _ in 0..config.vectors_per_format {
-                let ops: Vec<Operation> = gens.iter_mut().map(|g| g.operation(fmt)).collect();
-                let raws = run_raw_compiled(&mut fsim, &ports, &ops);
-                for ((site, &op), raw) in shard_sites.iter().zip(&ops).zip(&raws) {
-                    stats.record(&site.block, classify(op, raw, &reference, &mut tally));
+        for site in shard {
+            stats.add_site(&site.block);
+        }
+        let mut record = |lane: usize, op: Operation, raw: &RawOutputs| {
+            let outcome = classify(op, raw, &reference, &mut tally);
+            stats.record(&shard[lane].block, outcome);
+        };
+        match &prog {
+            Some(prog) => {
+                let mut sim = CompiledSim::new(prog);
+                for (lane, site) in shard.iter().enumerate() {
+                    sim.inject_stuck_at(site.net, lane_mask(lane), site.value);
+                }
+                for &fmt in &steps {
+                    let ops: Vec<Operation> = gens.iter_mut().map(|g| g.operation(fmt)).collect();
+                    let raws = run_raw_compiled(&mut sim, &ports, &ops);
+                    for (lane, (&op, raw)) in ops.iter().zip(&raws).enumerate() {
+                        record(lane, op, raw);
+                    }
+                }
+            }
+            None => {
+                let mut sim = Simulator::new(&n);
+                for (lane, (site, gen)) in shard.iter().zip(&mut gens).enumerate() {
+                    sim.inject_stuck_at(site.net, site.value);
+                    sim.settle();
+                    for &fmt in &steps {
+                        let op = gen.operation(fmt);
+                        record(lane, op, &run_raw(&mut sim, &ports, op));
+                    }
+                    sim.clear_faults();
+                    sim.settle();
                 }
             }
         }
@@ -412,7 +454,6 @@ pub fn fault_coverage_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mfm_gatesim::Simulator;
 
     /// On healthy hardware the functional "hardware view" must equal the
     /// delivered ports bit for bit — the campaign's corruption test is
@@ -476,6 +517,25 @@ mod tests {
         let threaded = fault_coverage_parallel(&cfg, 4);
         assert_eq!(inline, sequential, "compiled path must match event-driven");
         assert_eq!(threaded, inline, "thread count must not change the report");
+    }
+
+    #[test]
+    fn quad_campaign_pins_its_counts_and_is_bit_identical_to_sequential() {
+        // The quad unit adds the quad binary16 lanes as a fifth format.
+        let cfg = FaultCoverageConfig {
+            seed: 2017,
+            sites: 66,
+            vectors_per_format: 1,
+            quad_lanes: true,
+        };
+        let sequential = fault_coverage(&cfg);
+        let totals = sequential.blocks.totals();
+        assert_eq!(totals.ops(), 330);
+        assert_eq!((totals.detected, totals.silent), (47, 0));
+        let quad = sequential.formats["quad binary16"];
+        assert_eq!((quad.masked, quad.detected, quad.silent), (63, 3, 0));
+        assert_eq!(fault_coverage_parallel(&cfg, 1), sequential);
+        assert_eq!(fault_coverage_parallel(&cfg, 4), sequential);
     }
 
     #[test]

@@ -28,12 +28,38 @@ pub fn measure_multiplier(
     telemetry: Option<&Registry>,
 ) -> PowerBreakdown {
     let mut gen = OperandGen::new(seed);
+    drive_multiplier(
+        netlist,
+        ports,
+        vectors,
+        telemetry,
+        std::iter::repeat_with(|| gen.int64_pair()),
+    )
+}
+
+/// The event-driven drive loop behind [`measure_multiplier`] and the
+/// activity sweep: the first operand pairs of `operands` warm the unit
+/// up (one settled vector, or a pipeline fill), the activity counters
+/// reset, and the next `vectors` pairs are measured, one per settle or
+/// one per cycle.
+///
+/// # Panics
+///
+/// Panics if `operands` ends before the warm-up and `vectors` pairs.
+pub(crate) fn drive_multiplier(
+    netlist: &Netlist,
+    ports: &MultiplierPorts,
+    vectors: usize,
+    telemetry: Option<&Registry>,
+    operands: impl IntoIterator<Item = (u64, u64)>,
+) -> PowerBreakdown {
+    let mut operands = operands.into_iter();
     let mut sim = Simulator::new(netlist);
     if let Some(registry) = telemetry {
         sim.attach_telemetry(registry, 64);
     }
     let mut step = |sim: &mut Simulator<'_>| {
-        let (x, y) = gen.int64_pair();
+        let (x, y) = operands.next().expect("operand source ran dry");
         if ports.latency > 0 {
             sim.step_cycle(&[(&ports.x, x as u128), (&ports.y, y as u128)]);
         } else {

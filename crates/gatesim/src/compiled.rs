@@ -69,9 +69,9 @@
 //! single pass can carry one fault machine per lane next to a fault-free
 //! reference lane. A per-net flag marks the faulted
 //! nets, and only their words are blended with the forced values; the
-//! overlay arrays are allocated on the first injection.
-//! [`CompiledFaultSim`] packages the one-fault-per-lane pattern used by
-//! fault-coverage campaigns.
+//! overlay arrays are allocated on the first injection. A fault
+//! campaign arms lane `l` with site `l` through
+//! `inject_stuck_at(net, lane_mask(l), value)`.
 //!
 //! # Reuse
 //!
@@ -942,73 +942,6 @@ impl<'p, const W: usize> LaneSim<'p, W> {
     pub fn activity_enabled(&self) -> bool {
         self.activity.is_some()
     }
-
-    /// Evaluates up to [`LaneSim::LANES`] input vectors in one pass.
-    ///
-    /// `inputs` pairs each driven bus with one value per lane; every
-    /// value slice must have the same length `n ≤ LaneSim::LANES`
-    /// (the other lanes are driven with vector 0 as a harmless filler).
-    /// Returns, per output bus, the `n` per-lane results.
-    ///
-    /// # Panics
-    ///
-    /// Panics if value slices disagree in length or exceed
-    /// [`LaneSim::LANES`] lanes.
-    pub fn run_batch(
-        &mut self,
-        inputs: &[(&[NetId], &[u128])],
-        outputs: &[&[NetId]],
-    ) -> Vec<Vec<u128>> {
-        let n = inputs.first().map_or(0, |(_, v)| v.len());
-        assert!(n <= Self::LANES, "at most {} lanes per pass", Self::LANES);
-        for (bus, values) in inputs {
-            assert_eq!(values.len(), n, "lane count mismatch across buses");
-            self.set_bus_all(bus, values.first().copied().unwrap_or(0));
-            self.set_bus_lanes(bus, values);
-        }
-        self.propagate();
-        outputs
-            .iter()
-            .map(|bus| self.read_bus_lanes(bus, n))
-            .collect()
-    }
-}
-
-/// One-fault-per-lane packaging of [`CompiledSim`] for fault campaigns:
-/// lane `l` carries fault machine `l`, so a single propagation pass
-/// classifies up to [`LANES`] faulty machines against their shared input
-/// vector (or a per-lane vector — lanes are fully independent).
-#[derive(Debug, Clone)]
-pub struct CompiledFaultSim<'p> {
-    sim: CompiledSim<'p>,
-}
-
-impl<'p> CompiledFaultSim<'p> {
-    /// Creates a fault simulator over `prog` with no faults assigned.
-    pub fn new(prog: &'p CompiledNetlist) -> Self {
-        CompiledFaultSim {
-            sim: CompiledSim::new(prog),
-        }
-    }
-
-    /// Assigns a stuck-at fault to one lane.
-    pub fn assign_fault(&mut self, lane: usize, net: NetId, forced: bool) {
-        debug_assert!(lane < LANES);
-        self.sim.inject_stuck_at(net, lane_mask(lane), forced);
-    }
-}
-
-impl<'p> std::ops::Deref for CompiledFaultSim<'p> {
-    type Target = CompiledSim<'p>;
-    fn deref(&self) -> &Self::Target {
-        &self.sim
-    }
-}
-
-impl std::ops::DerefMut for CompiledFaultSim<'_> {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        &mut self.sim
-    }
 }
 
 #[cfg(test)]
@@ -1168,14 +1101,17 @@ mod tests {
         let mut csim = CompiledSim::new(&prog);
         let av: Vec<u128> = (0..LANES).map(|i| (i * 37 + 11) as u128 & 0xFF).collect();
         let bv: Vec<u128> = (0..LANES).map(|i| (i * 101 + 3) as u128 & 0xFF).collect();
-        let got = csim.run_batch(&[(&a, &av), (&b, &bv)], &[&sum]);
+        csim.set_bus_lanes(&a, &av);
+        csim.set_bus_lanes(&b, &bv);
+        csim.propagate();
+        let got = csim.read_bus_lanes(&sum, LANES);
         let mut esim = Simulator::new(&n);
         for lane in 0..LANES {
             esim.set_bus(&a, av[lane]);
             esim.set_bus(&b, bv[lane]);
             esim.settle();
-            assert_eq!(got[0][lane], esim.read_bus(&sum), "lane {lane}");
-            assert_eq!(got[0][lane], (av[lane] + bv[lane]) & 0x1FF);
+            assert_eq!(got[lane], esim.read_bus(&sum), "lane {lane}");
+            assert_eq!(got[lane], (av[lane] + bv[lane]) & 0x1FF);
         }
     }
 
@@ -1187,10 +1123,10 @@ mod tests {
         let y = n.and2(a, b);
         let z = n.not(y);
         let prog = CompiledNetlist::compile(&n).unwrap();
-        let mut fsim = CompiledFaultSim::new(&prog);
+        let mut fsim = CompiledSim::new(&prog);
         // Faults across chunk boundaries: lanes 1 and 200.
-        fsim.assign_fault(1, y, false); // lane 1: y stuck-at-0
-        fsim.assign_fault(200, y, true); // lane 200: y stuck-at-1
+        fsim.inject_stuck_at(y, lane_mask(1), false); // lane 1: y stuck-at-0
+        fsim.inject_stuck_at(y, lane_mask(200), true); // lane 200: y stuck-at-1
         fsim.set_bus_all(&[a, b], 0b11);
         fsim.propagate();
         assert!(fsim.read_net_lane(y, 0), "lane 0 fault-free");

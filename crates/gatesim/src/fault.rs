@@ -1,65 +1,42 @@
-//! Fault models and fault-injection campaigns.
+//! Stuck-at fault sites and the counters a fault campaign fills.
 //!
 //! A shared multi-format datapath is a shared failure domain: one stuck-at
 //! or particle-induced upset corrupts every format that flows through it.
-//! This module provides the machinery to quantify that exposure on the
-//! gate-level netlist:
+//! This module names the places a defect can sit on the gate-level netlist
+//! and holds the tallies of what it did:
 //!
-//! - [`FaultKind`] — stuck-at-0/1 on any net, or a transient SEU flip with
-//!   a configurable time window. Faults are *overlaid* on the simulator
-//!   ([`Simulator::inject_stuck_at`], [`Simulator::inject_transient`]), so
-//!   a campaign over thousands of sites reuses a single netlist.
 //! - [`enumerate_stuck_sites`] — every cell-output net of the netlist,
 //!   both polarities, tagged with the top-level block (`PPGEN`, `TREE`,
-//!   `CPA`, …) of the driving cell.
-//! - [`CampaignRunner`] — injects each site, hands the faulted simulator
-//!   to a caller-supplied classifier that drives operand vectors, and
-//!   aggregates per-block [masked / detected / silent](FaultOutcome)
-//!   counts into a [`CampaignStats`].
+//!   `CPA`, …) of the driving cell; [`sample_stuck_sites`] draws a seeded
+//!   subset of it without building the rest.
+//! - [`CampaignStats`] — per-block [masked / detected / silent](FaultOutcome)
+//!   counts.
 //!
-//! The classifier is a closure so that this crate stays ignorant of
-//! operand formats; `mfm-evalkit` supplies one that drives multiplier
-//! operands and consults the `mfmult::selfcheck` residue checker.
+//! Faults are *overlays* on a simulator, so a campaign over thousands of
+//! sites reuses a single netlist: [`Simulator::inject_stuck_at`] (and
+//! [`Simulator::inject_transient`] for an upset) on the event-driven
+//! engine, [`LaneSim::inject_stuck_at`] with one lane per site on the
+//! compiled one. The campaign itself — site loop, operand streams and
+//! classification — lives in `mfm_evalkit::faultcov`, which drives
+//! multiplier operands and consults the `mfmult::selfcheck` checker; this
+//! crate stays ignorant of operand formats.
+//!
+//! [`Simulator::inject_stuck_at`]: crate::sim::Simulator::inject_stuck_at
+//! [`Simulator::inject_transient`]: crate::sim::Simulator::inject_transient
+//! [`LaneSim::inject_stuck_at`]: crate::compiled::LaneSim::inject_stuck_at
 
 use crate::netlist::{Cell, Driver, NetId, Netlist};
 use crate::report::Table;
-use crate::sim::Simulator;
 use mfm_prng::Rng;
 use std::collections::BTreeMap;
 
-/// The supported fault models.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultKind {
-    /// Net permanently forced to 0.
-    StuckAt0,
-    /// Net permanently forced to 1.
-    StuckAt1,
-    /// Net inverted for a window of the given width in picoseconds, then
-    /// self-healing (a single-event upset).
-    Transient {
-        /// Width of the upset window in picoseconds.
-        width_ps: f64,
-    },
-}
-
-impl FaultKind {
-    /// Applies this fault to `net` on a running simulator.
-    pub fn inject(self, sim: &mut Simulator<'_>, net: NetId) {
-        match self {
-            FaultKind::StuckAt0 => sim.inject_stuck_at(net, false),
-            FaultKind::StuckAt1 => sim.inject_stuck_at(net, true),
-            FaultKind::Transient { width_ps } => sim.inject_transient(net, width_ps),
-        }
-    }
-}
-
-/// One injectable fault location: a net plus the fault applied to it.
+/// One stuck-at fault location: a net and the value it is stuck at.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSite {
     /// The faulted net.
     pub net: NetId,
-    /// The fault model applied at this site.
-    pub kind: FaultKind,
+    /// The value the net is stuck at (`false` for stuck-at-0).
+    pub value: bool,
     /// Top-level block name of the net's driving cell (`PPGEN`, `TREE`,
     /// `CPA`, …; `input` for primary inputs).
     pub block: String,
@@ -92,7 +69,7 @@ fn stuck_site(netlist: &Netlist, cells: &[&Cell], i: usize) -> FaultSite {
     let cell = cells[i / 2];
     FaultSite {
         net: cell.output,
-        kind: [FaultKind::StuckAt0, FaultKind::StuckAt1][i % 2],
+        value: i % 2 == 1,
         block: netlist.top_level_block_name(cell.block).to_string(),
     }
 }
@@ -246,59 +223,13 @@ impl CampaignStats {
     }
 }
 
-/// Drives a fault-injection campaign over a list of sites.
-///
-/// The runner owns the mechanics — inject, classify, repair, verify the
-/// repair — while the `classify` closure owns the semantics: it drives
-/// operand vectors through the faulted simulator and returns one
-/// [`FaultOutcome`] per vector.
-pub struct CampaignRunner<'a> {
-    netlist: &'a Netlist,
-    sites: Vec<FaultSite>,
-}
-
-impl<'a> CampaignRunner<'a> {
-    /// Creates a runner over the given sites.
-    pub fn new(netlist: &'a Netlist, sites: Vec<FaultSite>) -> Self {
-        CampaignRunner { netlist, sites }
-    }
-
-    /// The sites this runner will inject.
-    pub fn sites(&self) -> &[FaultSite] {
-        &self.sites
-    }
-
-    /// Runs the campaign: for each site, injects the fault into a shared
-    /// simulator, lets `classify` drive vectors and classify the outcomes,
-    /// then clears the fault and re-settles so the next site starts from a
-    /// healthy netlist.
-    pub fn run<F>(&self, mut classify: F) -> CampaignStats
-    where
-        F: FnMut(&mut Simulator<'_>, &FaultSite) -> Vec<FaultOutcome>,
-    {
-        let mut stats = CampaignStats::default();
-        let mut sim = Simulator::new(self.netlist);
-        for site in &self.sites {
-            stats.add_site(&site.block);
-            site.kind.inject(&mut sim, site.net);
-            sim.settle();
-            for outcome in classify(&mut sim, site) {
-                stats.record(&site.block, outcome);
-            }
-            sim.clear_faults();
-            sim.settle();
-        }
-        stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tech::TechLibrary;
 
     /// A 4-bit ripple-carry adder with blocks, as a campaign target.
-    fn adder_netlist() -> (Netlist, Vec<NetId>, Vec<NetId>, Vec<NetId>) {
+    fn adder_netlist() -> Netlist {
         let mut n = Netlist::new(TechLibrary::cmos45lp());
         let a = n.input_bus("a", 4);
         let b = n.input_bus("b", 4);
@@ -313,23 +244,23 @@ mod tests {
         }
         sum.push(carry);
         n.output_bus("sum", &sum);
-        (n, a, b, sum)
+        n
     }
 
     #[test]
     fn enumeration_covers_blocks_and_polarities() {
-        let (n, ..) = adder_netlist();
+        let n = adder_netlist();
         let sites = enumerate_stuck_sites(&n);
         assert_eq!(sites.len(), 2 * n.cell_count());
         assert!(sites.iter().any(|s| s.block == "LO"));
         assert!(sites.iter().any(|s| s.block == "HI"));
-        assert!(sites.iter().any(|s| s.kind == FaultKind::StuckAt0));
-        assert!(sites.iter().any(|s| s.kind == FaultKind::StuckAt1));
+        assert!(sites.iter().any(|s| !s.value));
+        assert!(sites.iter().any(|s| s.value));
     }
 
     #[test]
     fn sampling_is_deterministic() {
-        let (n, ..) = adder_netlist();
+        let n = adder_netlist();
         let all = enumerate_stuck_sites(&n);
         let s1 = sample_sites(all.clone(), 10, 42);
         let s2 = sample_sites(all.clone(), 10, 42);
@@ -341,7 +272,7 @@ mod tests {
 
     #[test]
     fn index_sampling_equals_sampling_the_enumeration() {
-        let (n, ..) = adder_netlist();
+        let n = adder_netlist();
         let all = enumerate_stuck_sites(&n);
         let pop = all.len();
         for count in [0, 1, 10, pop - 1, pop, pop + 5, 10_000] {
@@ -353,55 +284,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn campaign_classifies_adder_faults() {
-        let (n, a, b, sum) = adder_netlist();
-        let sites = enumerate_stuck_sites(&n);
-        let runner = CampaignRunner::new(&n, sites);
-        // Reference model: plain addition; "checker": none (every
-        // corruption is silent). The campaign must label every outcome and
-        // find at least one corrupting site per block.
-        let vectors = [(3u128, 5u128), (15, 15), (0, 0), (9, 6)];
-        let stats = runner.run(|sim, _site| {
-            vectors
-                .iter()
-                .map(|&(x, y)| {
-                    sim.set_bus(&a, x);
-                    sim.set_bus(&b, y);
-                    sim.settle();
-                    if sim.read_bus(&sum) == x + y {
-                        FaultOutcome::Masked
-                    } else {
-                        FaultOutcome::Silent
-                    }
-                })
-                .collect()
-        });
-        let totals = stats.totals();
-        assert_eq!(totals.sites, 2 * n.cell_count());
-        assert_eq!(totals.ops(), totals.sites as u64 * vectors.len() as u64);
-        for blk in ["LO", "HI"] {
-            let b = &stats.per_block[blk];
-            assert!(b.silent > 0, "{blk}: some corruption observed");
-            assert!(b.masked > 0, "{blk}: some masking observed");
-        }
-        // With no checker the detection rate is zero everywhere corrupted.
-        assert_eq!(totals.detected, 0);
-    }
-
-    #[test]
-    fn campaign_leaves_simulator_healthy() {
-        let (n, a, b, sum) = adder_netlist();
-        let sites = sample_sites(enumerate_stuck_sites(&n), 16, 7);
-        let runner = CampaignRunner::new(&n, sites);
-        runner.run(|_, _| vec![]);
-        // A fresh run over the same netlist still computes correctly.
-        let mut sim = Simulator::new(&n);
-        sim.set_bus(&a, 7);
-        sim.set_bus(&b, 8);
-        sim.settle();
-        assert_eq!(sim.read_bus(&sum), 15);
     }
 }

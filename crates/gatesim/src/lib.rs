@@ -63,10 +63,10 @@ pub mod trace;
 pub mod vector;
 
 pub use compiled::{
-    first_lanes, lane_mask, lane_range, CompiledFaultSim, CompiledNetlist, CompiledSim, LaneSim,
-    LaneWord, Lanes, ALL_LANES, LANES, LANE_WORDS, NO_LANES,
+    first_lanes, lane_mask, lane_range, CompiledNetlist, CompiledSim, LaneSim, LaneWord, Lanes,
+    ALL_LANES, LANES, LANE_WORDS, NO_LANES,
 };
-pub use fault::{CampaignRunner, CampaignStats, FaultKind, FaultOutcome, FaultSite};
+pub use fault::{CampaignStats, FaultOutcome, FaultSite};
 pub use netlist::{
     BlockId, Cell, CellId, Driver, Levelization, NetId, Netlist, NetlistError, UndrivenRef,
 };

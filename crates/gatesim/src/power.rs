@@ -7,7 +7,6 @@
 //! at 100 MHz and scaling linearly ("to have an easily scalable value to
 //! any frequency").
 
-use crate::compiled::LaneSim;
 use crate::netlist::{BlockId, Netlist};
 use crate::sim::Simulator;
 use crate::tech::CellKind;
@@ -104,8 +103,9 @@ impl PowerEstimator {
     /// [`PowerEstimator::from_toggles`] with per-block glitch-inflation
     /// factors applied — the estimator half of the compiled power path.
     ///
-    /// `toggles` here are **zero-delay** counts (a [`LaneSim`]
-    /// activity sweep, or a zero-delay [`Simulator`] run); each cell's
+    /// `toggles` here are **zero-delay** counts (a
+    /// [`LaneSim`](crate::compiled::LaneSim) activity sweep, or a
+    /// zero-delay [`Simulator`] run); each cell's
     /// switched energy is multiplied by the calibration factor of its
     /// top-level block (`block_factors`, falling back to
     /// `default_factor` for unlisted blocks; of two entries for one
@@ -242,8 +242,9 @@ pub struct PowerSample {
 ///
 /// The tracer is source-agnostic: it consumes raw counters
 /// ([`LivePowerTrace::sample_counts`]), so the same instance can be fed
-/// from an event-driven [`Simulator`], from a [`LaneSim`] activity
-/// sweep ([`LivePowerTrace::sample_compiled`]) or from merged shard
+/// from an event-driven [`Simulator`], from a
+/// [`LaneSim`](crate::compiled::LaneSim) activity sweep (its `toggles()`
+/// and `cycles()`) or from merged shard
 /// counters — no event-driven simulation is required to keep a live
 /// power gauge next to a compiled service core. Compiled (zero-delay)
 /// toggles undercount glitch energy; chain
@@ -281,17 +282,6 @@ pub struct LivePowerTrace {
 impl LivePowerTrace {
     /// Builds a tracer baselined on `sim`'s current activity counters.
     pub fn new(netlist: &Netlist, sim: &Simulator<'_>) -> Self {
-        Self::from_counts(netlist, sim.toggles(), sim.cycles())
-    }
-
-    /// Builds a tracer baselined on a compiled simulator's activity
-    /// counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sim` has activity counting disabled (see
-    /// [`LaneSim::enable_activity`]).
-    pub fn new_compiled<const W: usize>(netlist: &Netlist, sim: &LaneSim<'_, W>) -> Self {
         Self::from_counts(netlist, sim.toggles(), sim.cycles())
     }
 
@@ -345,20 +335,6 @@ impl LivePowerTrace {
     /// If the simulator's activity was reset since the last sample, the
     /// window is unmeasurable: the tracer rebases and returns `None`.
     pub fn sample(&mut self, sim: &Simulator<'_>, ops_total: u64) -> Option<PowerSample> {
-        let (toggles, cycles) = (sim.toggles(), sim.cycles());
-        self.sample_counts(toggles, cycles, ops_total)
-    }
-
-    /// [`LivePowerTrace::sample`] for a compiled toggle source.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sim` has activity counting disabled.
-    pub fn sample_compiled<const W: usize>(
-        &mut self,
-        sim: &LaneSim<'_, W>,
-        ops_total: u64,
-    ) -> Option<PowerSample> {
         let (toggles, cycles) = (sim.toggles(), sim.cycles());
         self.sample_counts(toggles, cycles, ops_total)
     }
@@ -951,7 +927,7 @@ mod tests {
         let prog = CompiledNetlist::compile(&n).unwrap();
         let mut csim = crate::compiled::CompiledSim::new(&prog);
         csim.enable_activity(1);
-        let mut ctrace = LivePowerTrace::new_compiled(&n, &csim);
+        let mut ctrace = LivePowerTrace::from_counts(&n, csim.toggles(), csim.cycles());
         let mut esim = Simulator::new(&n);
         let mut etrace = LivePowerTrace::new(&n, &esim);
         for i in 0..6u64 {
@@ -960,7 +936,9 @@ mod tests {
             esim.set_net(a, i % 2 == 0);
             esim.settle();
         }
-        let cs = ctrace.sample_compiled(&csim, 6).unwrap();
+        let cs = ctrace
+            .sample_counts(csim.toggles(), csim.cycles(), 6)
+            .unwrap();
         let es = etrace.sample(&esim, 6).unwrap();
         assert_eq!(cs, es, "compiled and event-driven windows agree");
         assert!(cs.pj_per_op > 0.0);

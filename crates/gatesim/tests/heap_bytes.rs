@@ -117,15 +117,12 @@ fn heap_bytes_match_the_allocator<const W: usize>(adder: &Adder, prog: &Compiled
     let fresh = held();
     assert_eq!(sim.heap_bytes(), fresh, "fresh, width {W}");
     type Step<const W: usize> = fn(&mut LaneSim<'_, W>, &Adder);
-    let steps: [(&str, Step<W>); 7] = [
+    let steps: [(&str, Step<W>); 6] = [
         ("inject_stuck_at", |s, a| {
             s.inject_stuck_at(a.cin, lane_mask(0), true);
             s.inject_stuck_at(a.sum[3], lane_mask(1), false);
         }),
         ("enable_activity", |s, _| s.enable_activity(4)),
-        ("run_batch", |s, a| {
-            s.run_batch(&[(&a.a, &[1, 2, 3]), (&a.b, &[4, 5, 6])], &[&a.sum]);
-        }),
         ("step_cycle", |s, _| s.step_cycle()),
         ("arm_overlays", |s, a| {
             let stuck: &[(NetId, bool)] = &[(a.cin, true), (a.b[2], false)];

@@ -26,8 +26,7 @@ use mfm_repro::evalkit::montecarlo::measure_unit_sharded;
 use mfm_repro::evalkit::workload::OperandGen;
 use mfm_repro::gatesim::fault::enumerate_stuck_sites;
 use mfm_repro::gatesim::{
-    CompiledFaultSim, CompiledNetlist, CompiledSim, FaultKind, Netlist, Simulator, TechLibrary,
-    LANES,
+    lane_mask, CompiledNetlist, CompiledSim, Netlist, Simulator, TechLibrary, LANES,
 };
 use mfm_repro::mfmult::selfcheck::{run_raw, run_raw_compiled};
 use mfm_repro::mfmult::structural::build_unit;
@@ -125,22 +124,16 @@ fn fault_overlay_matches_event_driven_on_spec_block() {
     let mut event = Simulator::new(&n);
 
     for chunk in sites.chunks(LANES) {
-        let mut fsim = CompiledFaultSim::new(&prog);
+        let mut fsim = CompiledSim::new(&prog);
         for (lane, site) in chunk.iter().enumerate() {
-            let forced = match site.kind {
-                FaultKind::StuckAt0 => false,
-                FaultKind::StuckAt1 => true,
-                FaultKind::Transient { .. } => unreachable!("stuck-at universe"),
-            };
-            fsim.assign_fault(lane, site.net, forced);
+            fsim.inject_stuck_at(site.net, lane_mask(lane), site.value);
         }
         for &op in &ops {
             // Same operation on every lane: lane k carries fault k.
             let lane_ops = vec![op; chunk.len()];
             let raws = run_raw_compiled(&mut fsim, &ports, &lane_ops);
             for (site, raw) in chunk.iter().zip(&raws) {
-                let forced = matches!(site.kind, FaultKind::StuckAt1);
-                event.inject_stuck_at(site.net, forced);
+                event.inject_stuck_at(site.net, site.value);
                 event.settle();
                 let ev = run_raw(&mut event, &ports, op);
                 event.clear_fault(site.net);
@@ -148,9 +141,9 @@ fn fault_overlay_matches_event_driven_on_spec_block() {
                 assert_eq!(
                     (raw.ph, raw.pl, raw.flags, raw.p0, raw.p1),
                     (ev.ph, ev.pl, ev.flags, ev.p0, ev.p1),
-                    "site {:?} {:?} under {op:?}",
+                    "site {:?} stuck at {} under {op:?}",
                     site.net,
-                    site.kind
+                    u8::from(site.value)
                 );
             }
         }

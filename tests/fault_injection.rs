@@ -8,7 +8,7 @@
 //! the robustness study.
 
 use mfm_repro::evalkit::faultcov::{fault_coverage, FaultCoverageConfig};
-use mfm_repro::gatesim::fault::{enumerate_stuck_sites, sample_sites, FaultKind};
+use mfm_repro::gatesim::fault::{enumerate_stuck_sites, sample_sites};
 use mfm_repro::gatesim::netlist::Netlist;
 use mfm_repro::gatesim::tech::TechLibrary;
 use mfm_repro::gatesim::Simulator;
@@ -154,8 +154,8 @@ fn self_checking_unit_is_bit_exact_under_permanent_faults() {
     for site in &sites {
         let registry = Registry::new();
         let mut svc = service(&n, &ports, &registry);
-        let value = site.kind == FaultKind::StuckAt1;
-        svc.engine_mut().inject_stuck_at(0, site.net, value, true);
+        svc.engine_mut()
+            .inject_stuck_at(0, site.net, site.value, true);
         let mut rng = Rng::new(0xB17 ^ site.net.index() as u64);
         let ops: Vec<Operation> = (0..8).map(|case| random_op(&mut rng, case % 4)).collect();
         for (op, got) in ops.iter().zip(serve(&mut svc, &ops)) {
