@@ -18,9 +18,11 @@
 //!
 //! Both a word-level functional model and a standalone gate-level array
 //! (recoder → multiples → windowed PPGEN → seamed tree → four split CPAs)
-//! are provided and cross-tested; integrating the lanes into the full
-//! unit's formatter/S&EH follows the same pattern as dual binary32 and is
-//! left as the straightforward remainder.
+//! are provided and cross-tested. The full unit carries the lanes too:
+//! [`crate::structural::build_unit_quad`] (or `UnitOptions::quad_lanes`)
+//! builds them into its formatter, array and S&EH the way dual binary32
+//! is built, with `frmt = 3` selecting four binary16 products, and uses
+//! [`lane_correction`] for the lanes' sign-extension constants.
 
 use mfm_arith::adder::{build_adder, AdderKind};
 use mfm_arith::multiples::build_multiples;

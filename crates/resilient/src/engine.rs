@@ -74,7 +74,9 @@ impl Default for EngineConfig {
     }
 }
 
-/// Pool-level counters and gauges (see [`Engine::attach_telemetry`]).
+/// Pool-level counters and gauges, registered by [`Engine::new`]. The
+/// counters are the engine's only tally of promotions, patrol slices and
+/// scrubs.
 struct PoolTelemetry {
     state_gauges: [Gauge; 6],
     hw_capacity: Gauge,
@@ -158,20 +160,19 @@ pub struct Engine {
     battery: Vec<Operation>,
     breaker: BreakerConfig,
     tick: u64,
-    promotions: u64,
     patrol_slice: usize,
     patrol_cursor: usize,
-    patrol_slices: u64,
-    patrol_failures: u64,
-    scrubs: u64,
-    scrub_passes: u64,
-    telemetry: Option<PoolTelemetry>,
+    telemetry: PoolTelemetry,
 }
 
 impl Engine {
     /// Builds a pool of `units` serving slots plus `cfg.spares` cold
-    /// standbys, all fault-free.
-    pub fn new(units: usize, cfg: EngineConfig) -> Self {
+    /// standbys, all fault-free, and registers the pool gauges and
+    /// counters on `registry`: `pool.units.<state>`, `pool.hw_capacity`,
+    /// plus `pool.{promotions, patrol_slices, patrol_failures, scrubs,
+    /// scrub_passes, transitions}`. The accessors read those counters,
+    /// so `registry` should hold no other pool's.
+    pub fn new(units: usize, cfg: EngineConfig, registry: &Registry) -> Self {
         assert!(units > 0, "a pool needs at least one unit");
         let pool = (0..units + cfg.spares)
             .map(|k| PoolUnit {
@@ -192,31 +193,20 @@ impl Engine {
             battery: scrub_battery(cfg.quad_lanes),
             breaker: cfg.breaker,
             tick: 0,
-            promotions: 0,
             patrol_slice: cfg.patrol_slice,
             patrol_cursor: 0,
-            patrol_slices: 0,
-            patrol_failures: 0,
-            scrubs: 0,
-            scrub_passes: 0,
-            telemetry: None,
+            telemetry: PoolTelemetry {
+                state_gauges: STATE_SLOTS
+                    .map(|s| registry.gauge(&format!("pool.units.{}", s.label()))),
+                hw_capacity: registry.gauge("pool.hw_capacity"),
+                promotions: registry.counter("pool.promotions"),
+                patrol_slices: registry.counter("pool.patrol_slices"),
+                patrol_failures: registry.counter("pool.patrol_failures"),
+                scrubs: registry.counter("pool.scrubs"),
+                scrub_passes: registry.counter("pool.scrub_passes"),
+                transitions: registry.counter("pool.transitions"),
+            },
         }
-    }
-
-    /// Registers pool gauges and counters: `pool.units.<state>`,
-    /// `pool.hw_capacity`, plus `pool.{promotions, patrol_slices,
-    /// patrol_failures, scrubs, scrub_passes, transitions}`.
-    pub fn attach_telemetry(&mut self, registry: &Registry) {
-        self.telemetry = Some(PoolTelemetry {
-            state_gauges: STATE_SLOTS.map(|s| registry.gauge(&format!("pool.units.{}", s.label()))),
-            hw_capacity: registry.gauge("pool.hw_capacity"),
-            promotions: registry.counter("pool.promotions"),
-            patrol_slices: registry.counter("pool.patrol_slices"),
-            patrol_failures: registry.counter("pool.patrol_failures"),
-            scrubs: registry.counter("pool.scrubs"),
-            scrub_passes: registry.counter("pool.scrub_passes"),
-            transitions: registry.counter("pool.transitions"),
-        });
     }
 
     /// Pool size, spares included.
@@ -261,7 +251,7 @@ impl Engine {
 
     /// Spares promoted into service after a retirement.
     pub fn promotions(&self) -> u64 {
-        self.promotions
+        self.telemetry.promotions.get()
     }
 
     /// Cold standbys still available for promotion.
@@ -275,12 +265,14 @@ impl Engine {
     /// Patrol battery slices handed out, and how many of them failed
     /// (charging the patrolled unit's breaker).
     pub fn patrol_stats(&self) -> (u64, u64) {
-        (self.patrol_slices, self.patrol_failures)
+        let t = &self.telemetry;
+        (t.patrol_slices.get(), t.patrol_failures.get())
     }
 
     /// Scrubs run and scrubs passed so far, spare activations included.
     pub fn scrubs(&self) -> (u64, u64) {
-        (self.scrubs, self.scrub_passes)
+        let t = &self.telemetry;
+        (t.scrubs.get(), t.scrub_passes.get())
     }
 
     /// Current tick.
@@ -415,16 +407,10 @@ impl Engine {
     fn scrub(&mut self, i: usize, run: &mut ScrubRunner<'_>) -> bool {
         self.units[i].faults.repair();
         let pass = run(&self.overlay(i), &self.battery);
-        self.scrubs += 1;
+        self.telemetry.scrubs.inc();
         if pass {
-            self.scrub_passes += 1;
+            self.telemetry.scrub_passes.inc();
             self.units[i].last_verified = self.tick;
-        }
-        if let Some(t) = &self.telemetry {
-            t.scrubs.inc();
-            if pass {
-                t.scrub_passes.inc();
-            }
         }
         pass
     }
@@ -441,10 +427,7 @@ impl Engine {
                 continue;
             }
             if self.scrub(s, run) {
-                self.promotions += 1;
-                if let Some(t) = &self.telemetry {
-                    t.promotions.inc();
-                }
+                self.telemetry.promotions.inc();
                 self.units[s].health.promote(
                     self.tick,
                     format!("activation scrub passed; promoted to replace retired unit {retired}"),
@@ -477,10 +460,7 @@ impl Engine {
         let a = self.patrol_cursor.min(len.saturating_sub(1));
         let b = (a + self.patrol_slice).min(len);
         self.patrol_cursor = if b >= len { 0 } else { b };
-        self.patrol_slices += 1;
-        if let Some(t) = &self.telemetry {
-            t.patrol_slices.inc();
-        }
+        self.telemetry.patrol_slices.inc();
         Some((i, self.battery[a..b].to_vec()))
     }
 
@@ -493,38 +473,33 @@ impl Engine {
             self.units[i].last_verified = self.tick;
             return;
         }
-        self.patrol_failures += 1;
-        if let Some(t) = &self.telemetry {
-            t.patrol_failures.inc();
-        }
+        self.telemetry.patrol_failures.inc();
         self.units[i].health.on_incidents(self.tick, 1);
     }
 
     fn update_gauges(&mut self) {
-        // Mirror freshly logged transitions into the counter first (this
-        // also works when telemetry is attached mid-run). The watermark
-        // diffs against the monotone logged total, so ring eviction in
-        // the bounded transition log never undercounts.
+        // Mirror freshly logged transitions into the counter first. The
+        // watermark diffs against the monotone logged total, so ring
+        // eviction in the bounded transition log never undercounts.
         let mut fresh = 0u64;
         for u in &mut self.units {
             let now = u.health.transitions_logged();
             fresh += now - u.mirrored_transitions;
             u.mirrored_transitions = now;
         }
-        if let Some(t) = &self.telemetry {
-            if fresh > 0 {
-                t.transitions.add(fresh);
-            }
-            for (slot, gauge) in STATE_SLOTS.iter().zip(&t.state_gauges) {
-                let count = self
-                    .units
-                    .iter()
-                    .filter(|u| u.health.state() == *slot)
-                    .count();
-                gauge.set(count as f64);
-            }
-            t.hw_capacity.set(self.hw_capacity() as f64);
+        let t = &self.telemetry;
+        if fresh > 0 {
+            t.transitions.add(fresh);
         }
+        for (slot, gauge) in STATE_SLOTS.iter().zip(&t.state_gauges) {
+            let count = self
+                .units
+                .iter()
+                .filter(|u| u.health.state() == *slot)
+                .count();
+            gauge.set(count as f64);
+        }
+        t.hw_capacity.set(self.hw_capacity() as f64);
     }
 
     /// The breaker policy the pool runs under.
@@ -604,7 +579,7 @@ mod tests {
 
     #[test]
     fn external_incidents_feed_the_breaker() {
-        let mut engine = Engine::new(2, small_cfg());
+        let mut engine = Engine::new(2, small_cfg(), &Registry::new());
         assert_eq!(engine.unit_state(0), HealthState::Healthy);
         engine.note_external_service(0, 1, None);
         assert_eq!(engine.unit_state(0), HealthState::Suspect);
@@ -627,9 +602,8 @@ mod tests {
     fn faulty_unit_quarantines_scrubs_and_readmits() {
         let (n, ports) = build();
         let mut scrub = scrub_on(&n, &ports);
-        let mut engine = Engine::new(2, small_cfg());
         let registry = Registry::new();
-        engine.attach_telemetry(&registry);
+        let mut engine = Engine::new(2, small_cfg(), &registry);
         // Latched transient damage (non-sticky): a scrub's repair clears
         // it, so the unit must come back.
         let lsb = ports.chk_p0[0];
@@ -663,7 +637,7 @@ mod tests {
     fn sticky_fault_retires_after_k_failed_scrubs() {
         let (n, ports) = build();
         let mut scrub = scrub_on(&n, &ports);
-        let mut engine = Engine::new(2, small_cfg());
+        let mut engine = Engine::new(2, small_cfg(), &Registry::new());
         // A physical defect: survives every repair.
         let lsb = ports.chk_p0[0];
         engine.inject_stuck_at(0, lsb, true, true);
@@ -678,7 +652,7 @@ mod tests {
 
     #[test]
     fn external_service_trace_tags_breaker_transitions() {
-        let mut engine = Engine::new(1, small_cfg());
+        let mut engine = Engine::new(1, small_cfg(), &Registry::new());
         let trace = TraceId::from_raw(0xCAFE_F00D);
         engine.note_external_service(0, 2, Some(trace));
         // The healthy→suspect transition names the offending trace.
@@ -694,7 +668,7 @@ mod tests {
         let mut scrub = scrub_on(&n, &ports);
         let mut cfg = small_cfg();
         cfg.spares = 1;
-        let mut engine = Engine::new(2, cfg);
+        let mut engine = Engine::new(2, cfg, &Registry::new());
         assert_eq!(engine.unit_count(), 3, "2 serving + 1 standby slots");
         assert_eq!(engine.hw_capacity(), 2, "spares are not capacity");
         assert_eq!(engine.spares_available(), 1);
@@ -725,10 +699,52 @@ mod tests {
     }
 
     #[test]
+    fn accessors_read_the_pool_counters() {
+        let (n, ports) = build();
+        let mut scrub = scrub_on(&n, &ports);
+        let mut cfg = small_cfg();
+        cfg.spares = 1;
+        cfg.patrol_slice = 4;
+        let registry = Registry::new();
+        let mut engine = Engine::new(2, cfg, &registry);
+        // A physical defect that patrol finds: unit 0 fails its slices,
+        // quarantines, fails its scrubs, retires and the spare is promoted.
+        engine.inject_stuck_at(0, ports.chk_p0[0], true, true);
+        for _ in 0..30 {
+            if let Some((i, slice)) = engine.take_patrol() {
+                let passed = scrub(&engine.overlay(i), &slice);
+                engine.finish_patrol(i, passed);
+            }
+            engine.tick(&mut scrub);
+        }
+        assert_eq!(engine.unit_state(0), HealthState::Retired);
+        let count = |name: &str| registry.counter(name).get();
+        assert_eq!(
+            engine.scrubs(),
+            (count("pool.scrubs"), count("pool.scrub_passes"))
+        );
+        assert_eq!(
+            engine.patrol_stats(),
+            (count("pool.patrol_slices"), count("pool.patrol_failures"))
+        );
+        assert_eq!(engine.promotions(), count("pool.promotions"));
+        let ((scrubs, passes), (slices, failures)) = (engine.scrubs(), engine.patrol_stats());
+        assert!(
+            scrubs > passes && passes > 0,
+            "{scrubs} scrubs, {passes} passed"
+        );
+        assert!(
+            slices > failures && failures > 0,
+            "{slices} slices, {failures} failed"
+        );
+        assert_eq!(engine.promotions(), 1);
+    }
+
+    #[test]
     fn seus_last_one_pass_and_a_scrub_clears_them() {
         let (n, ports) = build();
         let mut scrub = scrub_on(&n, &ports);
-        let mut engine = Engine::new(1, small_cfg());
+        let mut engine = Engine::new(1, small_cfg(), &Registry::new());
         let (stuck, upset) = (ports.pl[3], ports.ph[7]);
         engine.inject_stuck_at(0, stuck, false, true);
         engine.schedule_seu(0, upset, true);

@@ -259,8 +259,12 @@ struct ServiceMetrics {
     rescues: Counter,
     /// `pool.escapes`: the zero-escape contract's scrapeable witness.
     escapes: Counter,
+    /// TMR votes held, and those where at least one ballot failed the
+    /// verdict.
     votes: Counter,
     vote_mismatches: Counter,
+    /// Batches escalated to whole-batch voting because their routed
+    /// unit was `Suspect` (DMR-on-suspicion).
     dmr_batches: Counter,
     /// Compiled passes run, and the lanes each [`Role`] filled in them.
     passes: Counter,
@@ -295,8 +299,6 @@ pub struct Service<'a> {
     batch_cursor: usize,
     responses: Vec<(u64, Response, TraceId)>,
     metrics: ServiceMetrics,
-    answered: u64,
-    shed: u64,
     /// Mints trace ids for callers that did not bring one.
     minter: TraceMinter,
     /// Recently completed traces, served by `/tracez`.
@@ -316,13 +318,6 @@ pub struct Service<'a> {
     seen_transitions: Vec<u64>,
     /// Tick the post-escape TMR recovery window runs until (exclusive).
     tmr_until: u64,
-    /// TMR votes held so far.
-    votes: u64,
-    /// Votes where at least one ballot failed the verdict.
-    vote_mismatches: u64,
-    /// Batches escalated to whole-batch voting because their routed
-    /// unit was `Suspect` (DMR-on-suspicion).
-    dmr_batches: u64,
     /// Toggles, clock edges and operations of every batch evaluated.
     power: PowerTally,
     /// Windowed pJ/op tracer over the accumulator; mirrors each tick's
@@ -333,15 +328,16 @@ pub struct Service<'a> {
 impl<'a> Service<'a> {
     /// Builds the service over a netlist: an engine pool plus the
     /// service's own compiled batch simulator and reference unit.
-    /// Registers its metrics (and the engine's) on `registry`.
+    /// Registers its metrics (and the engine's) on `registry`. The
+    /// accessors read those counters, so `registry` should be this
+    /// service's own: a second service on it adds to the same counts.
     pub fn new(
         netlist: &'a Netlist,
         ports: &StructuralPorts,
         cfg: ServiceConfig,
         registry: &Registry,
     ) -> Self {
-        let mut engine = Engine::new(cfg.units.max(1), cfg.engine);
-        engine.attach_telemetry(registry);
+        let engine = Engine::new(cfg.units.max(1), cfg.engine, registry);
         let prog = netlist.compiled().expect("service netlist must be acyclic");
         let lat_bounds: Vec<f64> = (0..12).map(|i| (1u64 << i) as f64).collect();
         let fill_bounds: Vec<f64> = vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 48.0, 64.0, 128.0, 256.0];
@@ -388,8 +384,6 @@ impl<'a> Service<'a> {
             batch_cursor: 0,
             responses: Vec::new(),
             metrics,
-            answered: 0,
-            shed: 0,
             minter: TraceMinter::new(cfg.seed ^ 0x7261_6365_5F69_6421),
             traces: TraceRing::new(TRACE_RING_CAP),
             flight: FlightRecorder::new(FLIGHT_RING_CAP, INCIDENT_MIN_GAP_TICKS),
@@ -398,9 +392,6 @@ impl<'a> Service<'a> {
             last_tier: Tier::Normal,
             seen_transitions: vec![0; units_built],
             tmr_until: 0,
-            votes: 0,
-            vote_mismatches: 0,
-            dmr_batches: 0,
             power: PowerTally::new(netlist.net_count()),
             power_trace: LivePowerTrace::from_counts(netlist, &vec![0; netlist.net_count()], 0)
                 .with_gauge(registry.gauge("service.pj_per_op")),
@@ -433,12 +424,12 @@ impl<'a> Service<'a> {
 
     /// Requests answered with a checked `Ok` so far.
     pub fn answered(&self) -> u64 {
-        self.answered
+        self.metrics.answered.get()
     }
 
     /// Requests refused with `Overloaded` so far.
     pub fn shed(&self) -> u64 {
-        self.shed
+        self.metrics.shed.get()
     }
 
     /// Wrong answers that reached a response, read from the
@@ -460,12 +451,12 @@ impl<'a> Service<'a> {
 
     /// TMR votes held on batch lanes so far.
     pub fn votes(&self) -> u64 {
-        self.votes
+        self.metrics.votes.get()
     }
 
     /// Votes where at least one ballot failed the verdict.
     pub fn vote_mismatches(&self) -> u64 {
-        self.vote_mismatches
+        self.metrics.vote_mismatches.get()
     }
 
     /// Whether the post-escape TMR recovery window is currently open.
@@ -486,7 +477,6 @@ impl<'a> Service<'a> {
     /// or `Some` with the immediate typed refusal.
     pub fn admit_traced(&mut self, client: u64, req: &Request, trace: TraceId) -> Option<Response> {
         if self.tier() == Tier::Shed {
-            self.shed += 1;
             self.metrics.shed.inc();
             let backlog = self.backlog() as u32;
             self.flight.record(FlightEvent {
@@ -633,12 +623,12 @@ impl<'a> Service<'a> {
             self.backlog(),
             self.cfg.pending_cap,
             queues_json.join(","),
-            self.answered,
-            self.shed,
+            self.answered(),
+            self.shed(),
             units_json.join(","),
-            self.votes,
-            self.vote_mismatches,
-            self.dmr_batches,
+            self.votes(),
+            self.vote_mismatches(),
+            self.metrics.dmr_batches.get(),
             self.engine.promotions(),
             self.engine.spares_available(),
             self.engine.hw_capacity(),
@@ -801,7 +791,6 @@ impl<'a> Service<'a> {
     /// Answers `p` with `result`; `outcome` labels its trace record
     /// (`ok` from the hardware, `rescued` from the reference).
     fn push_ok(&mut self, p: PendingReq, result: &MultResult, outcome: &'static str) {
-        self.answered += 1;
         self.metrics.answered.inc();
         let lat_ticks = self.engine.now().saturating_sub(p.arrived);
         // The latency exemplar links a scrape's p99 bucket to a trace.
@@ -967,7 +956,6 @@ impl<'a> Service<'a> {
             // (DMR-on-suspicion).
             let dmr_batch = self.engine.unit_state(unit) == HealthState::Suspect;
             if dmr_batch {
-                self.dmr_batches += 1;
                 self.metrics.dmr_batches.inc();
             }
             vote_all = dmr_batch || now < self.tmr_until;
@@ -1197,7 +1185,6 @@ impl<'a> Service<'a> {
             if !(p.critical || vote_all) {
                 continue;
             }
-            self.votes += 1;
             self.metrics.votes.inc();
             let mut failed = u32::from(!verdicts[idx].passed());
             for (ru, ballots) in &replicas {
@@ -1214,7 +1201,6 @@ impl<'a> Service<'a> {
                 }
             }
             if failed > 0 {
-                self.vote_mismatches += 1;
                 self.metrics.vote_mismatches.inc();
             }
             self.flight.record(FlightEvent {
@@ -2366,8 +2352,9 @@ mod tests {
             svc.vote_mismatches() > 0,
             "the byzantine replica lost votes"
         );
-        assert!(
-            reg.counter("service.tmr_votes").get() >= svc.votes(),
+        assert_eq!(
+            reg.counter("service.tmr_votes").get(),
+            svc.votes(),
             "votes are scrapeable"
         );
         // The lost votes charged unit 0's breaker out of Healthy. The
@@ -2565,7 +2552,10 @@ mod tests {
             "scrubs pass — the fault is beyond battery coverage: {trail:?}"
         );
         // While suspect, its batches were voted on the healthy peer.
-        assert!(svc.dmr_batches >= 1, "suspicion triggered voting");
+        assert!(
+            svc.metrics.dmr_batches.get() >= 1,
+            "suspicion triggered voting"
+        );
         assert_eq!(
             svc.engine().unit_state(1),
             HealthState::Healthy,

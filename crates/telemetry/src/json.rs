@@ -93,13 +93,6 @@ impl JsonObject {
         self
     }
 
-    /// Adds an `i64` field.
-    pub fn field_i64(&mut self, k: &str, v: i64) -> &mut Self {
-        self.key(k);
-        let _ = write!(self.out, "{v}");
-        self
-    }
-
     /// Adds a boolean field.
     pub fn field_bool(&mut self, k: &str, v: bool) -> &mut Self {
         self.key(k);

@@ -11,8 +11,9 @@
 //!   relaxed atomic operation, so instrumented hot loops pay almost
 //!   nothing, and components that hold *no* handle pay only an
 //!   `Option` branch.
-//! - [`registry`] — the [`Registry`] that names instruments, times nested
-//!   [`Span`]s, and renders everything as a JSON-lines snapshot
+//! - [`registry`] — the [`Registry`] that names instruments (one cell
+//!   per name, whichever clone or thread asks), times nested [`Span`]s,
+//!   and renders everything as a JSON-lines snapshot
 //!   ([`Registry::snapshot_json`]) or Prometheus-style text exposition
 //!   ([`Registry::prometheus`]).
 //! - [`json`] — the hand-rolled JSON writer the workspace uses for every
@@ -50,6 +51,6 @@ pub mod registry;
 pub mod trace;
 
 pub use flight::{FlightEvent, FlightRecorder, IncidentTrigger};
-pub use metrics::{Counter, Exemplar, Gauge, Histogram, HistogramSnapshot};
+pub use metrics::{Counter, Exemplar, Gauge, Histogram};
 pub use registry::{Registry, Span};
 pub use trace::{Phase, PhaseSpans, TraceId, TraceMinter, TraceRecord, TraceRing};

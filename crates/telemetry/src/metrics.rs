@@ -268,135 +268,6 @@ impl Histogram {
         }
         Some(max)
     }
-
-    /// Upper bound of the bucket containing the `q`-quantile
-    /// (0 ≤ q ≤ 1), or `None` when empty. Bucket-resolution only.
-    pub fn quantile_bound(&self, q: f64) -> Option<f64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, b) in self.0.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= target {
-                return Some(self.0.bounds.get(i).copied().unwrap_or(f64::INFINITY));
-            }
-        }
-        Some(f64::INFINITY)
-    }
-
-    /// Captures a point-in-time copy of the histogram's state, suitable
-    /// for merging with snapshots of same-bounds histograms from other
-    /// registry shards.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            bounds: self.0.bounds.clone(),
-            buckets: self.bucket_counts(),
-            count: self.count(),
-            sum: self.sum(),
-            min: self.min(),
-            max: self.max(),
-            exemplars: self.exemplars(),
-        }
-    }
-}
-
-/// An owned, mergeable copy of a histogram's state.
-///
-/// The sharded registry keeps one histogram per shard under the same
-/// name; a scrape snapshots each shard and folds them together with
-/// [`HistogramSnapshot::merge`] before rendering, so readers see one
-/// logical histogram regardless of shard count.
-#[derive(Debug, Clone)]
-pub struct HistogramSnapshot {
-    /// Upper bucket bounds (the +Inf bucket is implicit).
-    pub bounds: Vec<f64>,
-    /// Per-bucket counts, one per bound plus the +Inf bucket.
-    pub buckets: Vec<u64>,
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: f64,
-    /// Minimum observation (`None` when empty).
-    pub min: Option<f64>,
-    /// Maximum observation (`None` when empty).
-    pub max: Option<f64>,
-    /// Per-bucket exemplars, same indexing as `buckets`.
-    pub exemplars: Vec<Option<Exemplar>>,
-}
-
-impl HistogramSnapshot {
-    /// Folds another shard's snapshot of the same-named histogram into
-    /// this one. Counts add, extrema widen, and an empty exemplar slot
-    /// adopts the other shard's exemplar for that bucket.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two snapshots have different bucket bounds; the
-    /// registry guarantees same-named histograms share bounds.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        assert_eq!(
-            self.bounds, other.bounds,
-            "merging histograms with different bounds"
-        );
-        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = match (self.min, other.min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.max = match (self.max, other.max) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-        for (slot, o) in self.exemplars.iter_mut().zip(&other.exemplars) {
-            if slot.is_none() {
-                *slot = *o;
-            }
-        }
-    }
-
-    /// Mean observation, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Estimated `q`-quantile — the same interpolation rule as
-    /// [`Histogram::quantile`], applied to the merged counts.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let (min, max) = (self.min.unwrap_or(0.0), self.max.unwrap_or(0.0));
-        let rank = (q.clamp(0.0, 1.0) * self.count as f64).max(1.0);
-        let mut cum = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            if (cum + n) as f64 >= rank {
-                let est = match self.bounds.get(i) {
-                    None => max,
-                    Some(&hi) => {
-                        let lo = if i == 0 { 0.0 } else { self.bounds[i - 1] };
-                        lo + (hi - lo) * ((rank - cum as f64) / n as f64)
-                    }
-                };
-                return Some(est.clamp(min, max));
-            }
-            cum += n;
-        }
-        Some(max)
-    }
 }
 
 fn cas_f64(cell: &AtomicU64, f: impl Fn(f64) -> f64) {
@@ -444,8 +315,6 @@ mod tests {
         assert_eq!(h.sum(), 1054.5);
         assert_eq!(h.min(), Some(0.5));
         assert_eq!(h.max(), Some(1000.0));
-        assert_eq!(h.quantile_bound(0.5), Some(10.0));
-        assert_eq!(h.quantile_bound(1.0), Some(f64::INFINITY));
     }
 
     #[test]
@@ -454,7 +323,6 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.min(), None);
-        assert_eq!(h.quantile_bound(0.5), None);
     }
 
     #[test]

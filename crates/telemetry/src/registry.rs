@@ -1,21 +1,20 @@
 //! The metrics registry: named instruments, nested timed spans, and the
 //! two export encodings (JSON-lines snapshots and Prometheus-style text).
 //!
-//! The registry is sharded: instrument writes land on a per-thread
-//! shard (selected by hashing the thread id) behind a mutex-per-shard,
-//! and a scrape merges all shards into one logical view. This makes
-//! `Registry` `Send + Sync` — the blocker that used to pin the service
-//! loop to one core — while keeping the single-threaded fast path a
-//! single uncontended lock. Rendering is byte-compatible with the old
-//! single-map registry for any metric that only ever touched one shard
-//! (in particular, everything recorded by a single-threaded program).
+//! The registry keeps one mutex-guarded map per instrument kind, so a
+//! name resolves to the same [`Counter`], [`Gauge`] or [`Histogram`]
+//! cell from every clone and every thread, and a handle's `get()` is the
+//! value a scrape renders. The locks guard only create-or-lookup and
+//! rendering; recording goes through the handle's atomics. Every program
+//! in the workspace writes a registry from one thread: the server
+//! creates its registry inside the service thread (connection threads
+//! reach it through a channel), each chaos campaign and each bench bin
+//! owns a private one, and the sharded campaign workers record nothing.
 
 use crate::json::{num, JsonArray, JsonObject};
-use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
+use crate::metrics::{Counter, Gauge, Histogram};
 use std::cell::RefCell;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::hash::{Hash, Hasher};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -23,25 +22,13 @@ use std::time::Instant;
 /// quantile)` pairs — p50/p90/p99, the service-level triple.
 const QUANTILES: [(&str, f64); 3] = [("p50", 0.5), ("p90", 0.9), ("p99", 0.99)];
 
-/// Default shard count; a power of two so thread-id hashes spread well.
-const DEFAULT_SHARDS: usize = 8;
-
-/// One shard's worth of instruments. Counters and histograms shard
-/// (their merges are well-defined sums); gauges do not — last-write-wins
-/// has no meaningful cross-shard merge, so they live in one global map.
 #[derive(Debug, Default)]
-struct Shard {
-    counters: BTreeMap<String, Counter>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-#[derive(Debug)]
 struct Shared {
-    shards: Vec<Mutex<Shard>>,
+    counters: Mutex<BTreeMap<String, Counter>>,
     gauges: Mutex<BTreeMap<String, Gauge>>,
-    /// Histogram bounds are fixed registry-wide at a name's first
-    /// registration, so every shard's copy of `name` merges cleanly.
-    hist_bounds: Mutex<BTreeMap<String, Vec<f64>>>,
+    /// A histogram's bounds are fixed by the entry its name's first
+    /// registration creates.
+    histograms: Mutex<BTreeMap<String, Histogram>>,
 }
 
 thread_local! {
@@ -55,124 +42,63 @@ thread_local! {
 ///
 /// Cloning is cheap (an `Arc` handle) and all clones share the same
 /// instruments. Instrument getters are create-or-lookup: asking twice
-/// for the same name *from the same thread* returns handles to the same
-/// underlying cell; different threads may get per-shard cells whose
-/// values are summed on scrape. Registered names are rendered in sorted
-/// order, so snapshots are deterministic.
-#[derive(Debug, Clone)]
+/// for the same name, from any clone or thread, returns handles to the
+/// same underlying cell. Registered names are rendered in sorted order,
+/// so snapshots are deterministic.
+#[derive(Debug, Clone, Default)]
 pub struct Registry {
     shared: Arc<Shared>,
 }
 
-impl Default for Registry {
-    fn default() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
-    }
-}
-
-// Compile-time proof of the property ROADMAP item 5 needs: the
-// registry can cross threads.
+// Compile-time proof that the registry can cross threads: the server
+// builds it inside the service thread it spawns.
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Registry>();
 };
 
 impl Registry {
-    /// Creates an empty registry with the default shard count.
+    /// Creates an empty registry.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty registry with exactly `shards` shards
-    /// (minimum 1). Useful for tests that pin writes to known shards.
-    pub fn with_shards(shards: usize) -> Self {
-        let n = shards.max(1);
-        Registry {
-            shared: Arc::new(Shared {
-                shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
-                gauges: Mutex::new(BTreeMap::new()),
-                hist_bounds: Mutex::new(BTreeMap::new()),
-            }),
-        }
+    /// The same as [`Registry::new`]: the argument is read by nothing.
+    /// `benchmark/src/serve.rs` and `benchmark/src/replay.rs` still call
+    /// it, and it goes when the benchmark is next brought up to the tree
+    /// (see ROADMAP.md).
+    pub fn with_shards(_shards: usize) -> Self {
+        Self::new()
     }
 
-    /// Number of shards in this registry.
-    pub fn shard_count(&self) -> usize {
-        self.shared.shards.len()
-    }
-
-    /// The shard index the current thread's writes land on.
-    pub fn current_shard(&self) -> usize {
-        let mut h = DefaultHasher::new();
-        std::thread::current().id().hash(&mut h);
-        (h.finish() % self.shared.shards.len() as u64) as usize
-    }
-
-    fn shard(&self) -> &Mutex<Shard> {
-        &self.shared.shards[self.current_shard()]
-    }
-
-    /// Returns (creating if necessary) the counter named `name` on the
-    /// current thread's shard.
+    /// Returns (creating if necessary) the counter named `name`.
     pub fn counter(&self, name: &str) -> Counter {
-        self.counter_on(self.current_shard(), name)
+        let mut c = lock(&self.shared.counters);
+        c.entry(name.to_owned()).or_default().clone()
     }
 
-    /// Returns (creating if necessary) the counter named `name` pinned
-    /// to shard `shard` (modulo the shard count). Scrapes sum the
-    /// per-shard cells, so tests can model arbitrary interleavings.
-    pub fn counter_on(&self, shard: usize, name: &str) -> Counter {
-        let mut s = lock(&self.shared.shards[shard % self.shared.shards.len()]);
-        s.counters.entry(name.to_owned()).or_default().clone()
-    }
-
-    /// Returns (creating if necessary) the gauge named `name`. Gauges
-    /// are global (not sharded): last-write-wins across all threads.
+    /// Returns (creating if necessary) the gauge named `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
         let mut g = lock(&self.shared.gauges);
         g.entry(name.to_owned()).or_default().clone()
     }
 
-    /// Returns (creating if necessary) the histogram named `name` on
-    /// the current thread's shard, with the default 1-2-5 decade
-    /// buckets (or the bounds fixed by an earlier `histogram_with`).
+    /// Returns (creating if necessary) the histogram named `name`, with
+    /// the default 1-2-5 decade buckets (or the bounds fixed by an
+    /// earlier `histogram_with`).
     pub fn histogram(&self, name: &str) -> Histogram {
-        self.histogram_on(self.current_shard(), name)
+        let mut h = lock(&self.shared.histograms);
+        h.entry(name.to_owned()).or_default().clone()
     }
 
     /// Returns (creating if necessary) the histogram named `name` with
-    /// explicit bucket bounds. Bounds are fixed registry-wide at the
-    /// name's first registration; later calls (on any shard) return an
-    /// instrument with the original bounds.
+    /// explicit bucket bounds. Bounds are fixed at the name's first
+    /// registration; later calls return the instrument with the
+    /// original bounds.
     pub fn histogram_with(&self, name: &str, bounds: &[f64]) -> Histogram {
-        let fixed = self.bounds_for(name, Some(bounds));
-        let mut s = lock(self.shard());
-        s.histograms
-            .entry(name.to_owned())
-            .or_insert_with(|| Histogram::with_bounds(&fixed))
-            .clone()
-    }
-
-    /// Returns (creating if necessary) the histogram named `name`
-    /// pinned to shard `shard` (modulo the shard count).
-    pub fn histogram_on(&self, shard: usize, name: &str) -> Histogram {
-        let fixed = self.bounds_for(name, None);
-        let mut s = lock(&self.shared.shards[shard % self.shared.shards.len()]);
-        s.histograms
-            .entry(name.to_owned())
-            .or_insert_with(|| Histogram::with_bounds(&fixed))
-            .clone()
-    }
-
-    /// Resolves the registry-wide bounds for histogram `name`,
-    /// registering `proposed` (or the default ladder) on first use.
-    fn bounds_for(&self, name: &str, proposed: Option<&[f64]>) -> Vec<f64> {
-        let mut map = lock(&self.shared.hist_bounds);
-        map.entry(name.to_owned())
-            .or_insert_with(|| match proposed {
-                Some(b) => b.to_vec(),
-                None => Histogram::new().bounds().to_vec(),
-            })
+        let mut h = lock(&self.shared.histograms);
+        h.entry(name.to_owned())
+            .or_insert_with(|| Histogram::with_bounds(bounds))
             .clone()
     }
 
@@ -213,90 +139,65 @@ impl Registry {
         }
     }
 
-    /// Merged per-name counter totals across all shards.
-    fn merged_counters(&self) -> BTreeMap<String, u64> {
-        let mut out: BTreeMap<String, u64> = BTreeMap::new();
-        for shard in &self.shared.shards {
-            let s = lock(shard);
-            for (name, c) in &s.counters {
-                *out.entry(name.clone()).or_insert(0) += c.get();
-            }
-        }
-        out
-    }
-
     /// Adds every counter's total to the same-named counter of `to` and
     /// sets `to`'s same-named gauges to this registry's values.
     /// Histograms are not copied: a caller that keeps wall-clock
     /// histograms out of a report records into a private registry and
     /// copies the rest across.
     pub fn copy_scalars_into(&self, to: &Registry) {
-        for (name, total) in self.merged_counters() {
-            to.counter(&name).add(total);
-        }
+        // Read out before writing, so copying a registry into itself
+        // takes no lock twice.
+        let counters: Vec<(String, u64)> = lock(&self.shared.counters)
+            .iter()
+            .map(|(name, c)| (name.clone(), c.get()))
+            .collect();
         let gauges: Vec<(String, f64)> = lock(&self.shared.gauges)
             .iter()
             .map(|(name, g)| (name.clone(), g.get()))
             .collect();
+        for (name, total) in counters {
+            to.counter(&name).add(total);
+        }
         for (name, v) in gauges {
             to.gauge(&name).set(v);
         }
     }
 
-    /// Merged per-name histogram snapshots across all shards, folded in
-    /// shard order so repeated scrapes of the same state are identical.
-    fn merged_histograms(&self) -> BTreeMap<String, HistogramSnapshot> {
-        let mut out: BTreeMap<String, HistogramSnapshot> = BTreeMap::new();
-        for shard in &self.shared.shards {
-            let s = lock(shard);
-            for (name, h) in &s.histograms {
-                let snap = h.snapshot();
-                match out.get_mut(name) {
-                    Some(acc) => acc.merge(&snap),
-                    None => {
-                        out.insert(name.clone(), snap);
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Renders every metric as one JSON object on a single line —
-    /// suitable for JSON-lines streaming. Sharded instruments appear
-    /// merged (counters summed, histogram buckets added element-wise).
+    /// suitable for JSON-lines streaming.
     pub fn snapshot_json(&self) -> String {
         let mut counters = JsonObject::new();
-        for (name, total) in &self.merged_counters() {
-            counters.field_u64(name, *total);
+        for (name, c) in lock(&self.shared.counters).iter() {
+            counters.field_u64(name, c.get());
         }
         let mut gauges = JsonObject::new();
         for (name, g) in lock(&self.shared.gauges).iter() {
             gauges.field_f64(name, g.get());
         }
         let mut hists = JsonObject::new();
-        for (name, h) in &self.merged_histograms() {
+        for (name, h) in lock(&self.shared.histograms).iter() {
             let mut o = JsonObject::new();
-            o.field_u64("count", h.count)
-                .field_f64("sum", h.sum)
+            o.field_u64("count", h.count())
+                .field_f64("sum", h.sum())
                 .field_f64("mean", h.mean())
-                .field_f64("min", h.min.unwrap_or(0.0))
-                .field_f64("max", h.max.unwrap_or(0.0));
+                .field_f64("min", h.min().unwrap_or(0.0))
+                .field_f64("max", h.max().unwrap_or(0.0));
             for (label, q) in QUANTILES {
                 o.field_f64(label, h.quantile(q).unwrap_or(0.0));
             }
+            let exemplars = h.exemplars();
             let mut buckets = JsonArray::new();
-            for (i, &n) in h.buckets.iter().enumerate() {
+            for (i, n) in h.bucket_counts().into_iter().enumerate() {
                 if n == 0 {
                     continue; // sparse encoding: only occupied buckets
                 }
                 let mut b = JsonObject::new();
-                match h.bounds.get(i) {
+                match h.bounds().get(i) {
                     Some(&le) => b.field_f64("le", le),
                     None => b.field_str("le", "+Inf"),
                 };
                 b.field_u64("n", n);
-                if let Some(ex) = h.exemplars.get(i).copied().flatten() {
+                if let Some(ex) = exemplars.get(i).copied().flatten() {
                     b.field_str("trace_id", &format!("{:016x}", ex.trace_id));
                 }
                 buckets.push_raw(&b.finish());
@@ -318,38 +219,39 @@ impl Registry {
     pub fn prometheus(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        for (name, total) in &self.merged_counters() {
+        for (name, c) in lock(&self.shared.counters).iter() {
             let n = sanitize(name);
             let _ = writeln!(out, "# TYPE {n} counter");
-            let _ = writeln!(out, "{n} {total}");
+            let _ = writeln!(out, "{n} {}", c.get());
         }
         for (name, g) in lock(&self.shared.gauges).iter() {
             let n = sanitize(name);
             let _ = writeln!(out, "# TYPE {n} gauge");
             let _ = writeln!(out, "{n} {}", num(g.get()));
         }
-        for (name, h) in &self.merged_histograms() {
+        for (name, h) in lock(&self.shared.histograms).iter() {
             let n = sanitize(name);
             let _ = writeln!(out, "# TYPE {n} histogram");
             // Summary-style quantile estimates next to the buckets, so
             // a scrape reads tail latency without a PromQL
             // histogram_quantile round-trip.
-            if h.count > 0 {
+            if h.count() > 0 {
                 for (_, q) in QUANTILES {
                     if let Some(v) = h.quantile(q) {
                         let _ = writeln!(out, "{n}{{quantile=\"{q}\"}} {}", num(v));
                     }
                 }
             }
+            let exemplars = h.exemplars();
             let mut cumulative = 0u64;
-            for (i, &cnt) in h.buckets.iter().enumerate() {
+            for (i, cnt) in h.bucket_counts().into_iter().enumerate() {
                 cumulative += cnt;
-                let le = match h.bounds.get(i) {
+                let le = match h.bounds().get(i) {
                     Some(&b) => num(b),
                     None => "+Inf".to_owned(),
                 };
                 let _ = write!(out, "{n}_bucket{{le=\"{le}\"}} {cumulative}");
-                if let Some(ex) = h.exemplars.get(i).copied().flatten() {
+                if let Some(ex) = exemplars.get(i).copied().flatten() {
                     let _ = write!(
                         out,
                         " # {{trace_id=\"{:016x}\"}} {}",
@@ -359,23 +261,17 @@ impl Registry {
                 }
                 out.push('\n');
             }
-            let _ = writeln!(out, "{n}_sum {}", num(h.sum));
-            let _ = writeln!(out, "{n}_count {}", h.count);
+            let _ = writeln!(out, "{n}_sum {}", num(h.sum()));
+            let _ = writeln!(out, "{n}_count {}", h.count());
         }
         out
     }
 
-    /// Number of distinct registered instrument names (all kinds);
-    /// a name registered on several shards counts once.
+    /// Number of distinct registered instrument names (all kinds).
     pub fn len(&self) -> usize {
-        let mut counters = BTreeSet::new();
-        let mut hists = BTreeSet::new();
-        for shard in &self.shared.shards {
-            let s = lock(shard);
-            counters.extend(s.counters.keys().cloned());
-            hists.extend(s.histograms.keys().cloned());
-        }
-        counters.len() + lock(&self.shared.gauges).len() + hists.len()
+        lock(&self.shared.counters).len()
+            + lock(&self.shared.gauges).len()
+            + lock(&self.shared.histograms).len()
     }
 
     /// Whether no instrument has been registered.
@@ -448,17 +344,19 @@ mod tests {
 
     #[test]
     fn copy_scalars_into_moves_counters_and_gauges_but_no_histograms() {
-        let from = Registry::with_shards(4);
-        from.counter_on(0, "ops").add(2);
-        from.counter_on(3, "ops").add(5);
+        let from = Registry::new();
+        from.counter("ops").add(7);
         from.gauge("cap").set(3.0);
         from.histogram("wall").observe(1.0);
         let to = Registry::new();
         to.counter("ops").add(1);
         from.copy_scalars_into(&to);
-        assert_eq!(to.counter("ops").get(), 8, "shard totals, added");
+        assert_eq!(to.counter("ops").get(), 8, "totals, added");
         assert_eq!(to.gauge("cap").get(), 3.0);
         assert_eq!(to.len(), 2, "no histogram copied");
+        // Copying a registry into itself doubles its counters.
+        from.copy_scalars_into(&from);
+        assert_eq!(from.counter("ops").get(), 14);
     }
 
     #[test]
@@ -582,24 +480,28 @@ mod tests {
     }
 
     #[test]
-    fn sharded_counters_merge_on_scrape() {
-        let reg = Registry::with_shards(4);
-        reg.counter_on(0, "ops").add(3);
-        reg.counter_on(1, "ops").add(4);
-        reg.counter_on(3, "ops").add(5);
-        // Per-shard cells are distinct, but the scrape sums them.
+    fn clones_and_threads_share_one_cell() {
+        let reg = Registry::new();
+        reg.counter("ops").add(3);
+        reg.clone().counter("ops").add(4);
+        let r = reg.clone();
+        std::thread::spawn(move || r.counter("ops").add(5))
+            .join()
+            .unwrap();
+        assert_eq!(reg.counter("ops").get(), 12);
         assert!(reg.snapshot_json().contains("\"ops\":12"));
         assert!(reg.prometheus().contains("ops 12"));
-        assert_eq!(reg.len(), 1, "one logical instrument across shards");
+        assert_eq!(reg.len(), 1);
     }
 
     #[test]
-    fn sharded_histograms_merge_and_fix_bounds() {
-        let reg = Registry::with_shards(3);
+    fn histogram_bounds_are_fixed_at_first_registration() {
+        let reg = Registry::new();
         reg.histogram_with("lat", &[1.0, 10.0]); // fixes bounds
-        reg.histogram_on(1, "lat").observe(0.5);
-        reg.histogram_on(2, "lat").observe(5.0);
-        reg.histogram_on(2, "lat").observe(100.0);
+        reg.histogram("lat").observe(0.5);
+        reg.histogram_with("lat", &[2.0]).observe(5.0);
+        reg.histogram("lat").observe(100.0);
+        assert_eq!(reg.histogram("lat").bounds(), &[1.0, 10.0]);
         let p = reg.prometheus();
         assert!(p.contains("lat_bucket{le=\"1.0\"} 1"), "{p}");
         assert!(p.contains("lat_bucket{le=\"10.0\"} 2"), "{p}");
